@@ -25,14 +25,19 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from .bits import BitString
+from .codes import CodeSpec, code_distance, encode_all_positions, encode_bit
 from .compose import BlockSpec, PipelineSpec, build_high_entropy_extractor, build_pipeline
-from .condenser import CondenserSpec, StrongCondenserMap, build_condenser, guv_condense
+from .condenser import CondenserSpec, StrongCondenserMap, guv_condense, strong_form
+from .detrand import CounterRng
 from .designs import build_greedy_weak_design, build_poly_design, verify_design
 from .errors import BudgetExceededError, InfeasibleParameterError
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
     FiniteDistribution,
+    JointTable,
     distance_to_min_entropy,
     extractor_distance,
     injective_fraction,
@@ -43,8 +48,6 @@ from .oracle import (
 from .serialize import spec_digest, spec_from_json, spec_to_json
 from .toeplitz import ToeplitzExtractor, ToeplitzSpec
 from .trevisan import ExtractorSpec, TrevisanExtractor
-from . import oracle as _oracle
-from .bits import BitString as _B
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,14 +63,23 @@ DEFAULT_TEST_SEED = 1
 MAX_MEM_ENV = "EXTRACTORFORGE_MAX_MEM"
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+class _UsageError(Exception):
+    pass
+
+
+def _parse_fraction(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"{option} expects a fraction, got {text!r}") from None
 
 
 def _effective_budget(requested: int | None) -> int:
     budget = requested if requested is not None else DEFAULT_ENUM_BUDGET
     mem = os.environ.get(MAX_MEM_ENV)
     if mem:
+        if not mem.isdecimal():
+            raise _UsageError(f"{MAX_MEM_ENV} expects a byte count, got {mem!r}")
         # Each enumerated pair costs on the order of 16 bytes of table space.
         budget = min(budget, max(1, int(mem) // 16))
     return budget
@@ -111,14 +123,14 @@ class _CondenserEvaluator:
 
 
 def cmd_params(args) -> int:
-    epsilon = _parse_fraction(args.eps)
+    epsilon = _parse_fraction(args.eps, "--eps")
     report_lines = []
     try:
         if args.mode in ("flat", "storage"):
             if args.beta is None or args.k is None:
                 print("flat/storage modes need --k and --beta", file=sys.stderr)
                 return EXIT_USAGE
-            beta = _parse_fraction(args.beta)
+            beta = _parse_fraction(args.beta, "--beta")
             spec = build_pipeline(args.n, args.k, beta, epsilon)
             report_lines.append(
                 f"pipeline for n={args.n} k={args.k} beta={beta} eps={epsilon}"
@@ -321,9 +333,6 @@ def _verify_design_target(spec, budget, checks):
 
 
 def _verify_code_target(spec, budget, checks):
-    from .codes import CodeSpec, code_distance, encode_all_positions, encode_bit
-    from .detrand import CounterRng
-
     code = spec.code if isinstance(spec, ExtractorSpec) else CodeSpec(3, 4)
     rng = CounterRng(0xC0DE, code.field_width, code.message_symbols)
     trials = min(2000, max(100, budget // 1000))
@@ -345,8 +354,6 @@ def _verify_code_target(spec, budget, checks):
         }
     )
     if code.field_width <= 4:
-        import numpy as np
-
         table = encode_all_positions(code, list(range(1 << code.message_bits)))
         weights = table[1:].sum(axis=1)
         min_rel = Fraction(int(weights.min()), code.codeword_bits)
@@ -408,11 +415,9 @@ def _verify_condenser_target(spec, budget, test_seed, checks):
                 cmap, source, spec.seed_bits, budget=budget, image_table=table
             ),
         )
-        import numpy as np
-
         values, counts = np.unique(table.ravel(), return_counts=True)
         dist = FiniteDistribution.from_counts(
-            {int(v): int(c) for v, c in zip(values, counts)}, int(table.size)
+            dict(zip(values.tolist(), counts.tolist())), table.size
         )
         worst_dist = max(
             worst_dist, distance_to_min_entropy(dist, spec.seed_bits + spec.k)
@@ -438,17 +443,10 @@ def _verify_lemmas_target(budget, test_seed, checks):
     # adversarial cases: independent side, full copy, one-bit leak
     n = 3
     uniform = Fraction(1, 1 << n)
-    tables.append(
-        _oracle.JointTable(
-            n, {(_B(x, n), 0): uniform for x in range(1 << n)}
+    for side in (lambda x: 0, lambda x: x, lambda x: x & 1):
+        tables.append(
+            JointTable(n, {(BitString(x, n), side(x)): uniform for x in range(1 << n)})
         )
-    )
-    tables.append(
-        _oracle.JointTable(n, {(_B(x, n), x): uniform for x in range(1 << n)})
-    )
-    tables.append(
-        _oracle.JointTable(n, {(_B(x, n), x & 1): uniform for x in range(1 << n)})
-    )
     failures = 0
     for i, table in enumerate(tables):
         report = lemma_suite(table, max(1, table.n // 2), budget=budget)
@@ -466,10 +464,6 @@ def _verify_lemmas_target(budget, test_seed, checks):
 def _verify_pipeline_target(spec, budget, test_seed, checks):
     if not isinstance(spec, PipelineSpec):
         raise _BadSpec("pipeline verification expects a pipeline spec")
-    from .compose import build_pipeline as _rebuild
-    from .condenser import strong_form
-    from .detrand import CounterRng
-
     pipeline = spec.pipeline()
     rng = CounterRng(0x917E, test_seed)
     trials = min(2000, max(100, budget // 10000))
@@ -491,7 +485,7 @@ def _verify_pipeline_target(spec, budget, test_seed, checks):
             "detail": {"mismatches": mismatches},
         }
     )
-    rebuilt = _rebuild(spec.n, spec.k, spec.beta, spec.epsilon)
+    rebuilt = build_pipeline(spec.n, spec.k, spec.beta, spec.epsilon)
     checks.append(
         {
             "name": "pipeline rebuild digest determinism",
@@ -612,7 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

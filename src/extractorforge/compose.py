@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import BitString
-from .condenser import CondenserSpec, build_condenser, strong_form
+from .condenser import CondenserSpec, _ceil_log2, build_condenser, strong_form
 from .errors import InfeasibleParameterError
 from .trevisan import (
     PRESET_THM42,
@@ -167,13 +167,6 @@ class BlockSpec:
         )
 
 
-def _ceil_log2_inv(epsilon: Fraction) -> int:
-    bits = 0
-    while (1 << bits) * epsilon < 1:
-        bits += 1
-    return bits
-
-
 def build_high_entropy_extractor(
     n: int, b: int, epsilon: Fraction | float
 ) -> BlockSpec:
@@ -183,8 +176,12 @@ def build_high_entropy_extractor(
         raise InfeasibleParameterError(
             f"n must be even and >= 2, got {n}", constraint="even source length"
         )
+    if not 0 < epsilon < 1:
+        raise InfeasibleParameterError(
+            f"epsilon must be in (0, 1), got {epsilon}", constraint="0 < epsilon < 1"
+        )
     half = n // 2
-    log_eps_inv = _ceil_log2_inv(epsilon)
+    log_eps_inv = _ceil_log2(1 / epsilon)
     inner_entropy = half - b - log_eps_inv
     if inner_entropy <= 0:
         raise InfeasibleParameterError(

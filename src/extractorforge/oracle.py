@@ -1,7 +1,7 @@
 """Exact brute-force verification of extraction and condensing claims.
 
-Everything here enumerates; nothing samples silently.  Distributions carry
-exact rational probabilities, statistical quantities come back as
+Everything here enumerates; nothing samples silently.  Distributions hold
+integer weights over one common denominator, results come back as exact
 ``Fraction`` values, and every enumeration is bounded by an explicit budget
 that raises :class:`BudgetExceededError` instead of degrading.
 
@@ -25,34 +25,51 @@ from .errors import BudgetExceededError
 
 DEFAULT_ENUM_BUDGET = 1 << 26
 
-_SUM_TOLERANCE = Fraction(1, 1 << 40)
+_SUM_TOLERANCE_BITS = 40
+
+# Pairs counted per block of seed patterns; bounds the scratch arrays.
+_BLOCK_PAIRS = 1 << 16
 
 _SOURCE_STREAM_KEY = 0xF1A75EED
 _TABLE_STREAM_KEY = 0x70B1E5
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"probability of type {type(value).__name__} not supported")
+def _common_weights(probs: Mapping) -> tuple[dict, int]:
+    """Integer weights of ``probs`` over the least common denominator."""
+    for p in probs.values():
+        if not isinstance(p, (Fraction, int, float)):
+            raise TypeError(f"probability of type {type(p).__name__} not supported")
+    converted = {o: Fraction(p) for o, p in probs.items()}
+    total = math.lcm(*(p.denominator for p in converted.values()))
+    return {o: p.numerator * (total // p.denominator) for o, p in converted.items()}, total
+
+
+def _check_total(weight_sum: int, total: int, what: str) -> None:
+    if total <= 0 or abs(weight_sum - total) << _SUM_TOLERANCE_BITS > total:
+        raise ValueError(f"{what} sum to {Fraction(weight_sum, max(total, 1))}, not 1")
 
 
 class FiniteDistribution:
-    """A probability distribution over an explicitly enumerated domain."""
+    """A probability distribution over an explicitly enumerated domain,
+    held as integer weights over one common denominator."""
 
     def __init__(self, probs: Mapping[Hashable, Fraction | int | float]):
-        converted = {o: _as_fraction(p) for o, p in probs.items()}
-        for o, p in converted.items():
-            if p < 0:
-                raise ValueError(f"negative probability {p} for outcome {o!r}")
-        total = sum(converted.values(), Fraction(0))
-        if abs(total - 1) > _SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        self._probs = converted
+        self._set_weights(*_common_weights(probs))
+
+    @classmethod
+    def _from_weights(cls, weights: dict, total: int) -> "FiniteDistribution":
+        dist = cls.__new__(cls)
+        dist._set_weights(weights, total)
+        return dist
+
+    def _set_weights(self, weights: dict, total: int) -> None:
+        if weights and min(weights.values()) < 0:
+            o = next(o for o, w in weights.items() if w < 0)
+            raise ValueError(
+                f"negative probability {Fraction(weights[o], total)} for outcome {o!r}"
+            )
+        _check_total(sum(weights.values()), total, "probabilities")
+        self._weights, self._total = weights, total
 
     @classmethod
     def uniform(cls, outcomes: Iterable[Hashable]) -> "FiniteDistribution":
@@ -61,54 +78,53 @@ class FiniteDistribution:
             raise ValueError("uniform distribution needs a nonempty domain")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("repeated outcomes")
-        p = Fraction(1, len(outcomes))
-        return cls({o: p for o in outcomes})
+        return cls._from_weights(dict.fromkeys(outcomes, 1), len(outcomes))
 
     @classmethod
     def point_mass(cls, outcome: Hashable) -> "FiniteDistribution":
-        return cls({outcome: Fraction(1)})
+        return cls._from_weights({outcome: 1}, 1)
 
     @classmethod
     def from_counts(
         cls, counts: Mapping[Hashable, int], total: int | None = None
     ) -> "FiniteDistribution":
+        weights = {o: c for o, c in counts.items() if c}
         if total is None:
-            total = sum(counts.values())
-        return cls({o: Fraction(c, total) for o, c in counts.items() if c})
+            total = sum(weights.values())
+        return cls._from_weights(weights, total)
 
     def prob(self, outcome: Hashable) -> Fraction:
-        return self._probs.get(outcome, Fraction(0))
+        return Fraction(self._weights.get(outcome, 0), self._total)
 
-    def items(self):
-        return self._probs.items()
+    def items(self) -> list[tuple[Hashable, Fraction]]:
+        return [(o, Fraction(w, self._total)) for o, w in self._weights.items()]
 
     def support(self) -> list[Hashable]:
-        return [o for o, p in self._probs.items() if p > 0]
+        return [o for o, w in self._weights.items() if w > 0]
 
     @property
     def max_prob(self) -> Fraction:
-        if not self._probs:
+        if not self._weights:
             raise ValueError("empty distribution")
-        return max(p for p in self._probs.values())
+        return Fraction(max(self._weights.values()), self._total)
 
     def map(self, fn: Callable[[Hashable], Hashable]) -> "FiniteDistribution":
-        out: dict[Hashable, Fraction] = {}
-        for o, p in self._probs.items():
+        out: dict[Hashable, int] = {}
+        for o, w in self._weights.items():
             key = fn(o)
-            out[key] = out.get(key, Fraction(0)) + p
-        return FiniteDistribution(out)
+            out[key] = out.get(key, 0) + w
+        return FiniteDistribution._from_weights(out, self._total)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteDistribution):
             return NotImplemented
-        keys = set(self._probs) | set(other._probs)
-        return all(self.prob(k) == other.prob(k) for k in keys)
+        return stat_distance(self, other) == 0
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return len(self._weights)
 
     def __repr__(self) -> str:
-        return f"FiniteDistribution(<{len(self._probs)} outcomes>)"
+        return f"FiniteDistribution(<{len(self._weights)} outcomes>)"
 
 
 @dataclass(frozen=True)
@@ -160,57 +176,64 @@ def sample_flat_sources(
 
 class JointTable:
     """Finite joint distribution Pr[x, s] of an n-bit source and classical
-    side information."""
+    side information, held as rows (x value, symbol, integer weight) over one
+    common denominator."""
 
     def __init__(self, n: int, probs: Mapping[tuple[BitString, Hashable], Fraction]):
-        self.n = n
-        converted: dict[tuple[BitString, Hashable], Fraction] = {}
-        for (x, s), p in probs.items():
+        for x, _ in probs:
             if not isinstance(x, BitString) or len(x) != n:
                 raise ValueError(f"source outcome {x!r} is not an {n}-bit string")
-            p = _as_fraction(p)
-            if p < 0:
-                raise ValueError("negative probability")
-            if p:
-                converted[(x, s)] = p
-        total = sum(converted.values(), Fraction(0))
-        if abs(total - 1) > _SUM_TOLERANCE:
-            raise ValueError(f"joint probabilities sum to {total}, not 1")
-        self._probs = converted
+        weights, total = _common_weights(probs)
+        if weights and min(weights.values()) < 0:
+            raise ValueError("negative probability")
+        self._set_rows(n, {(x.to_int(), s): w for (x, s), w in weights.items()}, total)
 
-    def items(self):
-        return self._probs.items()
+    @classmethod
+    def _from_rows(cls, n: int, rows: Mapping[tuple[int, Hashable], int], total: int):
+        table = cls.__new__(cls)
+        table._set_rows(n, rows, total)
+        return table
+
+    def _set_rows(self, n: int, rows: Mapping[tuple[int, Hashable], int], total: int):
+        kept = [(key, w) for key, w in rows.items() if w]
+        self.n = n
+        self._xs = [x for (x, _), _ in kept]
+        self._symbols = [s for (_, s), _ in kept]
+        self._weights = [w for _, w in kept]
+        self._total = total
+        _check_total(sum(self._weights), total, "joint probabilities")
+
+    def items(self) -> list[tuple[tuple[BitString, Hashable], Fraction]]:
+        n, total, rows = self.n, self._total, zip(self._xs, self._symbols, self._weights)
+        return [((BitString(x, n), s), Fraction(w, total)) for x, s, w in rows]
 
     def x_marginal(self) -> FiniteDistribution:
-        out: dict[BitString, Fraction] = {}
-        for (x, _), p in self._probs.items():
-            out[x] = out.get(x, Fraction(0)) + p
-        return FiniteDistribution(out)
-
-    def side_marginal(self) -> FiniteDistribution:
-        out: dict[Hashable, Fraction] = {}
-        for (_, s), p in self._probs.items():
-            out[s] = out.get(s, Fraction(0)) + p
-        return FiniteDistribution(out)
+        out: dict[int, int] = {}
+        for x, w in zip(self._xs, self._weights):
+            out[x] = out.get(x, 0) + w
+        return FiniteDistribution._from_weights(
+            {BitString(x, self.n): w for x, w in out.items()}, self._total
+        )
 
     def alphabet(self) -> list[Hashable]:
-        return sorted({s for (_, s) in self._probs}, key=repr)
+        return sorted(set(self._symbols), key=repr)
 
     def guessing_probability(self) -> Fraction:
         """Optimal probability of guessing x from s: sum_s max_x Pr[x, s]."""
-        best: dict[Hashable, Fraction] = {}
-        for (x, s), p in self._probs.items():
-            if p > best.get(s, Fraction(0)):
-                best[s] = p
-        return sum(best.values(), Fraction(0))
+        best: dict[Hashable, int] = {}
+        for s, w in zip(self._symbols, self._weights):
+            if w > best.get(s, 0):
+                best[s] = w
+        return Fraction(sum(best.values()), self._total)
 
     def prefix_marginal(self, prefix_bits: int) -> "JointTable":
         """Joint table of (x prefix, s) after dropping the suffix."""
-        out: dict[tuple[BitString, Hashable], Fraction] = {}
-        for (x, s), p in self._probs.items():
-            key = (x[0:prefix_bits], s)
-            out[key] = out.get(key, Fraction(0)) + p
-        return JointTable(prefix_bits, out)
+        mask = (1 << prefix_bits) - 1
+        out: dict[tuple[int, Hashable], int] = {}
+        for x, s, w in zip(self._xs, self._symbols, self._weights):
+            key = (x & mask, s)
+            out[key] = out.get(key, 0) + w
+        return JointTable._from_rows(prefix_bits, out, self._total)
 
 
 def min_entropy(dist: FiniteDistribution) -> float:
@@ -225,9 +248,12 @@ def cond_min_entropy_classical(table: JointTable) -> float:
 
 def stat_distance(a: FiniteDistribution, b: FiniteDistribution) -> Fraction:
     """Variational distance (1/2) sum |a - b| over the union of supports."""
-    keys = set(dict(a.items())) | set(dict(b.items()))
-    total = sum((abs(a.prob(k) - b.prob(k)) for k in keys), Fraction(0))
-    return total / 2
+    wa, wb = a._weights, b._weights
+    total = sum(
+        abs(wa.get(k, 0) * b._total - wb.get(k, 0) * a._total)
+        for k in wa.keys() | wb.keys()
+    )
+    return Fraction(total, 2 * a._total * b._total)
 
 
 def distance_to_min_entropy(dist: FiniteDistribution, kappa: int) -> Fraction:
@@ -235,17 +261,15 @@ def distance_to_min_entropy(dist: FiniteDistribution, kappa: int) -> Fraction:
 
     Equals the probability mass exceeding the 2^-kappa cap; the nearest
     capped distribution moves exactly that mass onto fresh outcomes.
-    kappa must be an integer so the cap is an exact rational.
+    kappa must be an integer so the cap is an exact rational.  A weight w
+    over N exceeds it when w > floor(N / 2^kappa), by (w 2^kappa - N) / (N 2^kappa).
     """
     kappa = _as_integer(kappa, "kappa")
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    cap = Fraction(1, 1 << kappa)
-    excess = Fraction(0)
-    for _, p in dist.items():
-        if p > cap:
-            excess += p - cap
-    return excess
+    total, floor_cap = dist._total, dist._total >> kappa
+    heavy = [w for w in dist._weights.values() if w > floor_cap]
+    return Fraction((sum(heavy) << kappa) - len(heavy) * total, total << kappa)
 
 
 def _as_integer(value, name: str) -> int:
@@ -265,20 +289,6 @@ def _scatter(pattern: int, positions: Sequence[int]) -> int:
     return y
 
 
-def _source_items(source) -> list[tuple[BitString, Fraction]]:
-    if isinstance(source, FlatSource):
-        return [(x, Fraction(1, len(source.support))) for x in source.support]
-    if isinstance(source, FiniteDistribution):
-        items = []
-        for o, p in source.items():
-            if not isinstance(o, BitString):
-                raise TypeError("source outcomes must be BitString values")
-            if p:
-                items.append((o, p))
-        return items
-    raise TypeError(f"unsupported source type {type(source).__name__}")
-
-
 def extractor_distance(
     extractor,
     source,
@@ -290,106 +300,108 @@ def extractor_distance(
 
     ``extractor`` must expose input_bits, seed_bits, output_bits and
     extract(x, y).  If it declares ``seed_support`` (positions the output can
-    depend on), enumeration groups seeds by those positions, which is exact
-    because seeds outside the support only multiply both sides equally.  A
-    vectorized path is used when the extractor provides prepare_batch and
-    extract_table and the source is uniform with no side information.
+    depend on), enumeration runs over patterns of those positions only, which
+    is exact because the other seed bits multiply both sides equally.
+
+    One engine counts every case.  The source, or the side table if given,
+    becomes rows (x, side symbol, integer weight) over one denominator N.
+    Outputs come from prepare_batch/extract_table where the extractor has
+    them and m <= 62, else from one ``extract`` call per (x, seed pattern).
+    With c the weight in a (pattern, symbol, output) cell and W_s the
+    symbol's weight (N without a side table), the distance is
+    sum |c 2^m - W_s| / (2 N 2^m #patterns); unobserved cells add W_s each.
     """
     n = extractor.input_bits
     t = extractor.seed_bits
     m = extractor.output_bits
-    items = _source_items(source)
-    for x, _ in items:
+    if isinstance(source, FlatSource):
+        source = source.distribution()
+    if not isinstance(source, FiniteDistribution):
+        raise TypeError(f"unsupported source type {type(source).__name__}")
+    if not all(isinstance(x, BitString) for x in source._weights):
+        raise TypeError("source outcomes must be BitString values")
+    xs = [x for x, w in source._weights.items() if w]
+    for x in xs:
         if len(x) != n:
             raise ValueError(f"source element of length {len(x)}, extractor wants {n}")
-    if side is not None and side.x_marginal() != (
-        source.distribution() if isinstance(source, FlatSource) else source
-    ):
+    if side is not None and side.x_marginal() != source:
         raise ValueError("side table's x-marginal differs from the source")
 
-    support_positions = tuple(sorted(getattr(extractor, "seed_support", range(t))))
-    if len(set(support_positions)) != len(support_positions) or (
-        support_positions and support_positions[-1] >= t
-    ):
+    positions = tuple(sorted(getattr(extractor, "seed_support", range(t))))
+    if len(set(positions)) != len(positions) or (positions and positions[-1] >= t):
         raise ValueError("bad seed_support declaration")
-    ny = 1 << len(support_positions)
-    pairs = len(items) * ny
+    ny = 1 << len(positions)
+    pairs = len(xs) * ny
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
 
-    uniform_source = len({p for _, p in items}) == 1
-    if (
-        side is None
-        and uniform_source
-        and hasattr(extractor, "prepare_batch")
-        and hasattr(extractor, "extract_table")
-        and m <= 24
-    ):
-        return _distance_table_path(extractor, items, support_positions, m)
+    column_of = {x.to_int(): i for i, x in enumerate(xs)}
+    if side is None:
+        total = source._total
+        groups = [(None, [source._weights[x] for x in xs], total)]
+    else:
+        total = side._total
+        by_symbol: dict[Hashable, tuple[list, list]] = {}
+        for x, s, w in zip(side._xs, side._symbols, side._weights):
+            columns, weights = by_symbol.setdefault(s, ([], []))
+            columns.append(column_of[x])
+            weights.append(w)
+        groups = [(np.array(c), ws, sum(ws)) for c, ws in by_symbol.values()]
+    rows = sum(len(ws) for _, ws, _ in groups)
+    scale = 1 << m
+    # Each cell term below lies in [-W, c 2^m] with c <= N, and a block has
+    # at most max(_BLOCK_PAIRS, rows) pairs and cells: int64 holds a block's
+    # sum while N (2^m + 1) times that stays below 2^62.
+    dtype = np.int64 if total * (scale + 1) * max(_BLOCK_PAIRS, rows) < 1 << 62 else object
+    groups = [
+        (columns, None if all(w == 1 for w in ws) else np.array(ws, dtype=dtype), target)
+        for columns, ws, target in groups
+    ]
 
-    return _distance_scalar_path(extractor, items, side, support_positions, t, m)
-
-
-def _distance_table_path(extractor, items, positions, m) -> Fraction:
-    xs = [x.to_int() for x, _ in items]
-    nx = len(xs)
-    ny = 1 << len(positions)
-    state = extractor.prepare_batch(xs)
-    block = max(1, min(ny, (1 << 22) // max(nx, 1)))
-    total = 0
-    cells = 1 << m
+    tabled = m <= 62 and all(
+        hasattr(extractor, name) for name in ("prepare_batch", "extract_table")
+    )
+    state = extractor.prepare_batch([x.to_int() for x in xs]) if tabled else None
+    block = max(1, min(ny, _BLOCK_PAIRS // rows))
+    deviation = 0
     for start in range(0, ny, block):
         patterns = np.arange(start, min(start + block, ny), dtype=np.int64)
-        outputs = np.asarray(extractor.extract_table(state, patterns, positions))
-        if cells <= 16:
-            for e in range(cells):
-                cnt = (outputs == e).sum(axis=1, dtype=np.int64)
-                total += int(np.abs(cnt * cells - nx).sum())
+        if tabled:
+            out = np.asarray(extractor.extract_table(state, patterns, positions))
         else:
-            rows = len(patterns)
-            flat = (np.arange(rows, dtype=np.int64)[:, None] << m) | outputs.astype(
-                np.int64
+            seeds = [BitString(_scatter(int(p), positions), t) for p in patterns]
+            out = np.array(
+                [[extractor.extract(x, y).to_int() for x in xs] for y in seeds],
+                dtype=np.int64 if m <= 62 else object,
             )
-            counts = np.bincount(flat.ravel(), minlength=rows * cells)
-            total += int(np.abs(counts * cells - nx).sum())
-    return Fraction(total, 2 * ny * nx * cells)
+        for columns, weights, target in groups:
+            part = out if columns is None else out.take(columns, axis=1)
+            deviation += _cell_deviation(part, weights, target, scale, dtype)
+    return Fraction(deviation + (total << m) * ny, 2 * (total << m) * ny)
 
 
-def _distance_scalar_path(extractor, items, side, positions, t, m) -> Fraction:
-    ny = 1 << len(positions)
-    cells = Fraction(1, 1 << m)
-    if side is None:
-        side_items = None
-        target_side = None
+def _cell_deviation(out, weights, target, scale, dtype) -> int:
+    """Sum of |c 2^m - W| - W over the (pattern, output) cells of one
+    symbol's block, c being the exact weight in the cell: 0 where c = 0."""
+    rows = out.shape[0]
+    cells = rows * scale
+    if cells <= max(out.size, _BLOCK_PAIRS):
+        keys = out.astype(np.int64)
+        keys += np.arange(rows, dtype=np.int64)[:, None] * scale
     else:
-        side_items = list(side.items())
-        target_side = side.side_marginal()
-
-    total = Fraction(0)
-    for pattern in range(ny):
-        y = BitString(_scatter(pattern, positions), t)
-        acc: dict = {}
-        if side_items is None:
-            for x, px in items:
-                e = extractor.extract(x, y).to_int()
-                acc[e] = acc.get(e, Fraction(0)) + px
-            observed = Fraction(0)
-            for e, p in acc.items():
-                total += abs(p - cells)
-                observed += cells
-            total += 1 - observed
-        else:
-            for (x, s), pxs in side_items:
-                e = extractor.extract(x, y).to_int()
-                key = (e, s)
-                acc[key] = acc.get(key, Fraction(0)) + pxs
-            observed = Fraction(0)
-            for (e, s), p in acc.items():
-                q = cells * target_side.prob(s)
-                total += abs(p - q)
-                observed += q
-            total += 1 - observed
-    return total / (2 * ny)
+        # Too many cells to address: label the observed ones densely.
+        values, labels = np.unique(out, return_inverse=True)
+        keys = labels.reshape(out.shape)
+        keys += np.arange(rows, dtype=np.int64)[:, None] * len(values)
+        used, keys = np.unique(keys, return_inverse=True)
+        cells = len(used)
+    index = keys.ravel()
+    if weights is None:
+        sums = np.bincount(index, minlength=cells).astype(dtype, copy=False)
+    else:
+        sums = np.zeros(cells, dtype=dtype)
+        np.add.at(sums, index, np.broadcast_to(weights, out.shape).ravel())
+    return int((np.abs(sums * scale - target) - target).sum())
 
 
 def injective_fraction(
@@ -403,10 +415,11 @@ def injective_fraction(
     """Fraction of (x, y) pairs whose image under the strong-form map has a
     unique preimage in support x seeds.
 
-    ``cprime`` maps (x: BitString, y: BitString) to a BitString.  An optional
-    precomputed ``image_table`` (shape (support, 2^seed_bits), any integer
-    encoding of images) accelerates the count; a deterministic spot check
-    confirms the table against ``cprime`` before it is trusted.
+    ``cprime`` maps (x: BitString, y: BitString) to a BitString.  Images are
+    counted from one array of shape (support, 2^seed_bits): the optional
+    precomputed ``image_table`` (any integer encoding of images), which a
+    deterministic spot check confirms against ``cprime`` before it is
+    trusted, or else the images of ``cprime`` at every pair.
     """
     nx = len(source.support)
     ny = 1 << seed_bits
@@ -414,7 +427,14 @@ def injective_fraction(
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "injectivity enumeration")
 
-    if image_table is not None:
+    if image_table is None:
+        table = np.array(
+            [
+                [cprime(x, BitString(y, seed_bits)).to_int() for y in range(ny)]
+                for x in source.support
+            ]
+        )
+    else:
         table = np.asarray(image_table)
         if table.shape != (nx, ny):
             raise ValueError(f"image table shape {table.shape}, want {(nx, ny)}")
@@ -425,19 +445,8 @@ def injective_fraction(
             img = cprime(source.support[i], BitString(y, seed_bits)).to_int()
             if int(table[i, y]) != img:
                 raise ValueError("image table disagrees with the map")
-        values, counts = np.unique(table.ravel(), return_counts=True)
-        unique_pairs = int(counts[counts == 1].sum())
-        return Fraction(unique_pairs, pairs)
-
-    counts: dict = {}
-    images = []
-    for x in source.support:
-        for yv in range(ny):
-            img = cprime(x, BitString(yv, seed_bits)).to_int()
-            images.append(img)
-            counts[img] = counts.get(img, 0) + 1
-    unique_pairs = sum(1 for img in images if counts[img] == 1)
-    return Fraction(unique_pairs, pairs)
+    _, counts = np.unique(table.ravel(), return_counts=True)
+    return Fraction(int(counts[counts == 1].sum()), pairs)
 
 
 @dataclass(frozen=True)
@@ -546,26 +555,26 @@ def lemma_suite(
 
     # Mass of prefixes whose conditional guessing probability is at least v
     # is bounded by 2^prefix * guess_full / v, for every threshold v.
-    prefix_mass: dict[BitString, Fraction] = {}
-    cond_best: dict[tuple[BitString, Hashable], Fraction] = {}
-    for (x, s), p in table.items():
-        x1 = x[0:prefix_bits]
-        prefix_mass[x1] = prefix_mass.get(x1, Fraction(0)) + p
+    prefix_mask = (1 << prefix_bits) - 1
+    prefix_mass: dict[int, int] = {}
+    cond_best: dict[tuple[int, Hashable], int] = {}
+    for x, s, w in zip(table._xs, table._symbols, table._weights):
+        x1 = x & prefix_mask
+        prefix_mass[x1] = prefix_mass.get(x1, 0) + w
         key = (x1, s)
-        if p > cond_best.get(key, Fraction(0)):
-            cond_best[key] = p
-    cond_guess: dict[BitString, Fraction] = {}
-    for (x1, _), p in cond_best.items():
-        cond_guess[x1] = cond_guess.get(x1, Fraction(0)) + p
-    # cond_guess[x1] currently holds sum_s max_x2 Pr[x1, x2, s]; divide by
-    # the prefix mass to condition on X1 = x1.
+        if w > cond_best.get(key, 0):
+            cond_best[key] = w
+    best_mass: dict[int, int] = {}
+    for (x1, _), w in cond_best.items():
+        best_mass[x1] = best_mass.get(x1, 0) + w
+    # sum_s max_x2 Pr[x1, x2, s] over Pr[x1]: the guessing probability
+    # conditioned on X1 = x1.
+    cond_guess = {x1: Fraction(w, prefix_mass[x1]) for x1, w in best_mass.items()}
     worst = None
-    for x1 in cond_guess:
-        cond_guess[x1] /= prefix_mass[x1]
     for v in sorted(set(cond_guess.values()), reverse=True):
-        bad_mass = sum(
-            (prefix_mass[x1] for x1, g in cond_guess.items() if g >= v),
-            Fraction(0),
+        bad_mass = Fraction(
+            sum(prefix_mass[x1] for x1, g in cond_guess.items() if g >= v),
+            table._total,
         )
         lhs = bad_mass * v
         rhs = (1 << prefix_bits) * guess_full
@@ -615,19 +624,9 @@ def sample_joint_table(
 ) -> JointTable:
     """Deterministic pseudorandom joint table over {0,1}^n x alphabet."""
     rng = CounterRng(_TABLE_STREAM_KEY, seed, n, alphabet_size, index)
-    weights = []
-    for x in range(1 << n):
-        for s in range(alphabet_size):
-            weights.append(rng.below(1 << 16))
-    total = sum(weights)
-    if total == 0:
-        weights[0] = 1
-        total = 1
-    probs = {}
-    i = 0
-    for x in range(1 << n):
-        for s in range(alphabet_size):
-            if weights[i]:
-                probs[(BitString(x, n), s)] = Fraction(weights[i], total)
-            i += 1
-    return JointTable(n, probs)
+    weights = {
+        (x, s): rng.below(1 << 16) for x in range(1 << n) for s in range(alphabet_size)
+    }
+    if not any(weights.values()):
+        weights[(0, 0)] = 1
+    return JointTable._from_rows(n, weights, sum(weights.values()))

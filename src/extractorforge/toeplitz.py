@@ -40,8 +40,9 @@ class ToeplitzSpec:
         return cls(input_bits=data["n"], output_bits=data["m"])
 
 
-def _row_masks(spec: ToeplitzSpec, seed_value: int) -> list[int]:
-    """Row i of T as an n-bit mask with bit j = T[i][j] = seed[i - j + n - 1]."""
+def _row_masks(spec: ToeplitzSpec, seed_value):
+    """Row i of T as an n-bit mask with bit j = T[i][j] = seed[i - j + n - 1],
+    for one integer seed or elementwise for an int64 array of seeds."""
     n, m = spec.input_bits, spec.output_bits
     total = spec.seed_bits
     reversed_seed = 0
@@ -88,16 +89,17 @@ class ToeplitzExtractor:
     def extract_table(self, state, patterns: np.ndarray, positions) -> np.ndarray:
         """Outputs for every (seed, x) pair; shape (len(patterns), len(xs)).
 
-        The seed support covers every position, so patterns are full seeds.
+        The seed support covers every position, so patterns are full seeds;
+        outputs are packed into int64, so m must be at most 62.
         """
+        if self.output_bits > 62:
+            raise ValueError(f"{self.output_bits} output bits do not fit the int64 table")
         if tuple(positions) != self.seed_support:
             raise ValueError("toeplitz seeds have no unused positions")
         xs, parity = state
-        out = np.zeros((len(patterns), len(xs)), dtype=np.uint8)
-        for row_index, y in enumerate(patterns):
-            rows = _row_masks(self.spec, int(y))
-            acc = np.zeros(len(xs), dtype=np.uint8)
-            for i, row in enumerate(rows):
-                acc |= parity[(xs & row).astype(np.intp)] << np.uint8(i)
-            out[row_index] = acc
+        dtype = np.uint8 if self.output_bits <= 8 else np.int64
+        out = np.zeros((len(patterns), len(xs)), dtype=dtype)
+        rows = _row_masks(self.spec, np.asarray(patterns, dtype=np.int64))
+        for i, row in enumerate(rows):
+            out |= parity[row[:, None] & xs].astype(dtype, copy=False) << dtype(i)
         return out

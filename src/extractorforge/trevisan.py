@@ -199,8 +199,11 @@ class TrevisanExtractor:
         return np.ascontiguousarray(codewords.T)
 
     def extract_table(self, state, patterns: np.ndarray, positions) -> np.ndarray:
-        """Outputs for scattered seeds; shape (len(patterns), len(xs))."""
+        """Outputs for scattered seeds; shape (len(patterns), len(xs)), packed
+        into int64, so m must be at most 62."""
         spec = self.spec
+        if spec.m > 62:
+            raise ValueError(f"{spec.m} output bits do not fit the int64 table")
         by_position = state  # (codeword bits, messages)
         pos_index = {p: k for k, p in enumerate(positions)}
         dtype = np.uint8 if spec.m <= 8 else np.int64

@@ -169,3 +169,27 @@ def grid_min_distance_to_capped(probs: list[Fraction], kappa: int, steps: int):
         if best is None or dist < best:
             best = dist
     return best
+
+
+def ref_side_distance(extract, t, m, joint):
+    """Exact distance of (Y, E(X, Y), S) from (uniform, uniform, S) for a
+    joint distribution given as {(x, s): probability}, by direct enumeration
+    of every seed, output and symbol; written independently of the oracle
+    module.  A source without side information is a joint table with one
+    symbol."""
+    side = {}
+    for (_, s), p in joint.items():
+        side[s] = side.get(s, Fraction(0)) + Fraction(p)
+    probs = {}
+    for (x, s), p in joint.items():
+        for y in range(1 << t):
+            e = extract(x, BitString(y, t)).to_int()
+            key = (y, e, s)
+            probs[key] = probs.get(key, Fraction(0)) + Fraction(p) / (1 << t)
+    cell = Fraction(1, (1 << t) * (1 << m))
+    dist = Fraction(0)
+    for y in range(1 << t):
+        for e in range(1 << m):
+            for s, ps in side.items():
+                dist += abs(probs.get((y, e, s), Fraction(0)) - ps * cell)
+    return dist / 2

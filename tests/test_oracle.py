@@ -22,11 +22,44 @@ from extractorforge.oracle import (
 )
 from extractorforge.toeplitz import ToeplitzExtractor, ToeplitzSpec
 
-from helpers import grid_min_distance_to_capped, ref_joint_seed_output_distance
+from helpers import (
+    grid_min_distance_to_capped,
+    ref_joint_seed_output_distance,
+    ref_side_distance,
+)
 
 
 def _uniform(n):
     return FiniteDistribution.uniform(range(n))
+
+
+@st.composite
+def weighted_side_tables(draw):
+    """Small joint tables with arbitrary integer weights per (x, s)."""
+    n = draw(st.integers(2, 3))
+    symbols = draw(st.integers(1, 3))
+    cells = (1 << n) * symbols
+    weights = draw(
+        st.lists(st.integers(0, 6), min_size=cells, max_size=cells).filter(
+            lambda w: sum(w) > 0
+        )
+    )
+    total = sum(weights)
+    return JointTable(
+        n,
+        {
+            (BitString(i // symbols, n), i % symbols): Fraction(w, total)
+            for i, w in enumerate(weights)
+            if w
+        },
+    )
+
+
+def _odd_multiplier(n, m):
+    """An extractor with only extract: x * (2y + 1) >> 1, truncated to m bits."""
+    return _FnExtractor(
+        n, 3, m, lambda x, y: BitString((x.to_int() * (2 * y.to_int() + 1) >> 1) % (1 << m), m)
+    )
 
 
 small_dists = st.lists(
@@ -128,6 +161,12 @@ class TestDistanceToMinEntropy:
         got = distance_to_min_entropy(d, 1)
         best = grid_min_distance_to_capped(probs, 1, steps=8)
         assert got == best
+
+    @pytest.mark.parametrize("weights", [(2, 2, 1), (3, 1, 1)])
+    def test_non_dyadic_weights_near_the_cap(self, weights):
+        probs = [Fraction(w, 5) for w in weights]
+        d = FiniteDistribution(dict(enumerate(probs)))
+        assert distance_to_min_entropy(d, 1) == grid_min_distance_to_capped(probs, 1, steps=10)
 
     def test_monotone_in_kappa(self):
         d = FiniteDistribution({0: Fraction(1, 2), 1: Fraction(3, 8), 2: Fraction(1, 8)})
@@ -240,12 +279,57 @@ class TestExtractorDistance:
         assert extractor_distance(fast, src) == extractor_distance(slow, src)
 
 
+class TestWeightedAndSideDistance:
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_side_tables(), st.integers(1, 2), st.booleans())
+    def test_matches_reference(self, table, m, use_side):
+        n = table.n
+        source = table.x_marginal()
+        if use_side:
+            joint, side = dict(table.items()), table
+        else:
+            joint, side = {(x, 0): p for x, p in source.items()}, None
+        for ext in (ToeplitzExtractor(ToeplitzSpec(n, m)), _odd_multiplier(n, m)):
+            expect = ref_side_distance(ext.extract, ext.seed_bits, m, joint)
+            assert extractor_distance(ext, source, side=side) == expect
+
+    @pytest.mark.parametrize("m", [40, 70])
+    def test_wide_output_closed_forms(self, m):
+        k = 3
+        src = sample_flat_sources(6, k, 1, seed=4)[0]
+        injective = _FnExtractor(6, 2, m, lambda x, y: BitString(x.to_int() << 2 | y.to_int(), m))
+        constant = _FnExtractor(6, 2, m, lambda x, y: BitString(0, m))
+        assert extractor_distance(injective, src) == 1 - Fraction(1 << k, 1 << m)
+        assert extractor_distance(constant, src) == 1 - Fraction(1, 1 << m)
+
+    def test_float_source_with_large_denominator(self):
+        third = 1 / 3
+        probs = {BitString(1, 3): third, BitString(2, 3): third, BitString(6, 3): 1 - 2 * third}
+        source = FiniteDistribution(probs)
+        assert sum(p for _, p in source.items()) == 1
+        assert max(p.denominator for _, p in source.items()) >= 1 << 53
+        table = JointTable(3, {(x, s): p / 2 for x, p in probs.items() for s in (0, 1)})
+        for ext in (ToeplitzExtractor(ToeplitzSpec(3, 2)), _odd_multiplier(3, 2)):
+            plain = {(x, 0): p for x, p in probs.items()}
+            assert extractor_distance(ext, source) == ref_side_distance(
+                ext.extract, ext.seed_bits, 2, plain
+            )
+            assert extractor_distance(ext, source, side=table) == ref_side_distance(
+                ext.extract, ext.seed_bits, 2, dict(table.items())
+            )
+
+
 class TestInjectiveFraction:
     def test_injective_map_scores_one(self):
-        fn = lambda x, y: x + y
-        fn = _FnExtractor(3, 2, 5, fn)
         src = FlatSource.from_ints(3, range(8))
         assert injective_fraction(lambda x, y: x + y, src, 2) == 1
+
+    def test_images_wider_than_int64(self):
+        src = FlatSource.from_ints(3, range(8))
+        wide = lambda x, y: BitString((x.to_int() << 2 | y.to_int()) << 70, 80)
+        seed_blind = lambda x, y: BitString(x.to_int() << 70 | 1, 80)
+        assert injective_fraction(wide, src, 2) == 1
+        assert injective_fraction(seed_blind, src, 2) == 0
 
     def test_constant_map_scores_zero(self):
         src = FlatSource.from_ints(3, range(8))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extractorforge.bits import BitString
@@ -100,4 +101,17 @@ def test_batch_path_matches_scalar():
     for row, seed in enumerate(patterns):
         for col, x in enumerate(xs):
             expect = ext.extract(BitString(x, 6), BitString(int(seed), spec.seed_bits))
+            assert table[row, col] == expect.to_int()
+
+
+def test_batch_path_keeps_outputs_wider_than_a_byte():
+    spec = ToeplitzSpec(10, 10)
+    ext = ToeplitzExtractor(spec)
+    xs = [1, 513, 1023]
+    state = ext.prepare_batch(xs)
+    patterns = np.array([0, 1, 1 << 18, (1 << 19) - 1], dtype=np.int64)
+    table = ext.extract_table(state, patterns, ext.seed_support)
+    for row, seed in enumerate(patterns):
+        for col, x in enumerate(xs):
+            expect = ext.extract(BitString(x, 10), BitString(int(seed), spec.seed_bits))
             assert table[row, col] == expect.to_int()

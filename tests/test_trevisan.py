@@ -180,3 +180,11 @@ def test_desk_scale_distance_within_target_presets():
         ext = TrevisanExtractor(spec)
         for source in sample_flat_sources(12, 9, 10, seed=22):
             assert extractor_distance(ext, source) <= spec.epsilon_target
+
+
+def test_batch_table_rejects_outputs_wider_than_int64():
+    spec = build_trevisan("thm42", 4, 63, Fraction(1, 2))
+    ext = TrevisanExtractor(spec)
+    state = ext.prepare_batch([0, 1])
+    with pytest.raises(ValueError):
+        ext.extract_table(state, np.arange(2, dtype=np.int64), ext.seed_support)
