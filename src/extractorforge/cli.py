@@ -25,8 +25,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from .bits import BitString
 from .codes import CodeSpec, code_distance, encode_all_positions, encode_bit
 from .compose import BlockSpec, PipelineSpec, build_high_entropy_extractor, build_pipeline
@@ -36,14 +34,14 @@ from .designs import build_greedy_weak_design, build_poly_design, verify_design
 from .errors import BudgetExceededError, InfeasibleParameterError
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
-    FiniteDistribution,
     JointTable,
     distance_to_min_entropy,
     extractor_distance,
-    injective_fraction,
+    image_counts,
     lemma_suite,
     sample_flat_sources,
     sample_joint_table,
+    unique_fraction,
 )
 from .serialize import spec_digest, spec_from_json, spec_to_json
 from .toeplitz import ToeplitzExtractor, ToeplitzSpec
@@ -408,19 +406,12 @@ def _verify_condenser_target(spec, budget, test_seed, checks):
     worst_dist = Fraction(0)
     for source in sources:
         xs = [x.to_int() for x in source.support]
-        table = cmap.image_table(xs)
-        worst_inj = min(
-            worst_inj,
-            injective_fraction(
-                cmap, source, spec.seed_bits, budget=budget, image_table=table
-            ),
+        counts = image_counts(
+            cmap, source, spec.seed_bits, budget=budget, image_table=cmap.image_table(xs)
         )
-        values, counts = np.unique(table.ravel(), return_counts=True)
-        dist = FiniteDistribution.from_counts(
-            dict(zip(values.tolist(), counts.tolist())), table.size
-        )
+        worst_inj = min(worst_inj, unique_fraction(counts))
         worst_dist = max(
-            worst_dist, distance_to_min_entropy(dist, spec.seed_bits + spec.k)
+            worst_dist, distance_to_min_entropy(counts, spec.seed_bits + spec.k)
         )
     checks.append(
         {

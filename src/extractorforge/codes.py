@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .bits import BitString
-from .gf2 import get_field
+from .gf2 import get_field, horner
 
 
 @dataclass(frozen=True)
@@ -90,51 +89,18 @@ def code_distance(spec: CodeSpec) -> Fraction:
     return (1 - Fraction(spec.message_symbols - 1, 1 << spec.field_width)) / 2
 
 
-_BATCH_WIDTH_LIMIT = 8
-
-
-@lru_cache(maxsize=None)
-def _vector_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mul, parity) lookup tables for vectorized encoding; width <= 8."""
-    q = 1 << width
-    field = get_field(width)
-    mul = np.zeros((q, q), dtype=np.uint16)
-    for a in range(q):
-        for b in range(q):
-            mul[a, b] = field.mul(a, b)
-    masked = np.bitwise_and(np.arange(q, dtype=np.uint16)[:, None], np.arange(q, dtype=np.uint16)[None, :])
-    parity = np.zeros((q, q), dtype=np.uint8)
-    v = masked.astype(np.uint32)
-    while v.max() > 0:
-        parity ^= (v & 1).astype(np.uint8)
-        v >>= 1
-    return mul, parity
-
-
 def evaluate_messages(spec: CodeSpec, xs: Sequence[int]) -> np.ndarray:
     """Polynomial evaluations p_x(alpha) for every message and every alpha.
 
-    Returns an array of shape (len(xs), 2^w) of field elements.  Requires
-    field width <= 8 so lookup tables stay small; larger widths take the
-    scalar path through :func:`encode_bit`.
+    Returns an array of shape (len(xs), 2^w) of field elements.
     """
     w = spec.field_width
-    if w > _BATCH_WIDTH_LIMIT:
-        raise ValueError(f"vectorized encoding supports width <= {_BATCH_WIDTH_LIMIT}")
-    q = 1 << w
-    mul, _ = _vector_tables(w)
     values = np.asarray(list(xs), dtype=np.int64)
     if values.size and (values.min() < 0 or values.max() >> spec.message_bits):
         raise ValueError("message out of range for spec")
-    coeffs = [
-        ((values >> (i * w)) & (q - 1)).astype(np.uint16)
-        for i in range(spec.message_symbols)
-    ]
-    alphas = np.arange(q, dtype=np.uint16)
-    acc = np.zeros((len(values), q), dtype=np.uint16)
-    for c in reversed(coeffs):
-        acc = mul[acc, alphas[None, :]] ^ c[:, None]
-    return acc
+    shifts = np.arange(spec.message_symbols, dtype=np.int64) * w
+    coeffs = (values[:, None] >> shifts) & ((1 << w) - 1)
+    return horner(coeffs, np.arange(1 << w), w)
 
 
 def encode_all_positions(spec: CodeSpec, xs: Sequence[int]) -> np.ndarray:
@@ -143,9 +109,9 @@ def encode_all_positions(spec: CodeSpec, xs: Sequence[int]) -> np.ndarray:
     Position alpha * 2^w + z holds the parity of p_x(alpha) AND z, exactly
     as :func:`encode_bit` computes it one bit at a time.
     """
-    w = spec.field_width
-    q = 1 << w
-    _, parity = _vector_tables(w)
-    evals = evaluate_messages(spec, xs)
-    out = parity[evals.astype(np.intp)]
+    q = 1 << spec.field_width
+    symbol = np.min_scalar_type(q - 1)
+    evals = evaluate_messages(spec, xs).astype(symbol)
+    out = np.bitwise_count(evals[:, :, None] & np.arange(q, dtype=symbol))
+    out &= 1
     return out.reshape(len(evals), q * q)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bits import BitString
 from .errors import InfeasibleParameterError
-from .gf2 import get_field
+from .gf2 import horner, mul_arrays
 from .poly import FieldPoly, find_irreducible, poly_pow_mod
 
 _MAX_SEED_WIDTH = 24
@@ -224,29 +224,40 @@ class StrongCondenserMap:
         """Packed strong-form images for every (x, y), shape (len(xs), 2^d).
 
         Entry [i, y] equals strong_form(spec, x_i, y).to_int(); the packed
-        value must fit in a signed 64-bit integer.
+        value must fit in a signed 64-bit integer.  Every source's residues
+        are powered together, then evaluated at every seed in one kernel call
+        per output symbol.
         """
         spec = self.spec
         w = spec.field_width
         if self.output_bits > 62:
             raise ValueError("packed strong-form image does not fit in int64")
-        field = get_field(w)
-        exp, log = field.exp_log_tables()
-        exp_arr = np.asarray(exp, dtype=np.int64)
-        log_arr = np.asarray(log, dtype=np.int64)
-        q = 1 << w
-        ys = np.arange(q, dtype=np.int64)
-        out = np.zeros((len(xs), q), dtype=np.int64)
-        for row, xv in enumerate(xs):
-            polys = residue_powers(spec, BitString(xv, spec.n))
-            packed = ys << spec.output_bits
-            for i, poly in enumerate(polys):
-                acc = np.zeros(q, dtype=np.int64)
-                for c in reversed(poly.coeffs):
-                    nz = (acc != 0) & (ys != 0)
-                    prod = np.zeros(q, dtype=np.int64)
-                    prod[nz] = exp_arr[log_arr[acc[nz]] + log_arr[ys[nz]]]
-                    acc = prod ^ c
-                packed = packed | (acc << (i * w))
-            out[row] = packed
+        mask = (1 << w) - 1
+        rows = np.array(
+            [[(xv >> (i * w)) & mask for i in range(spec.message_symbols)] for xv in xs],
+            dtype=np.int64,
+        ).reshape(len(xs), spec.message_symbols)
+        ys = np.arange(1 << w, dtype=np.int64)
+        out = np.broadcast_to(ys << spec.output_bits, (len(xs), len(ys)))
+        for i in range(spec.output_symbols):
+            if i:
+                for _ in range(spec.power.bit_length() - 1):
+                    rows = _square_mod(rows, spec.modulus)
+            out = out | (horner(rows, ys, w) << (i * w))
         return out
+
+
+def _square_mod(rows: np.ndarray, modulus: FieldPoly) -> np.ndarray:
+    """Row-wise square modulo E of polynomials of degree below deg E.
+
+    Over characteristic 2 the square of sum c_j Z^j is sum c_j^2 Z^(2j); each
+    Z^top with top >= deg E is then replaced by Z^(top - deg E) times the
+    low part of the monic E.
+    """
+    degree, w = modulus.degree, modulus.width
+    low = np.array(modulus.monic().coeffs[:degree], dtype=np.int64)
+    wide = np.zeros((len(rows), 2 * degree - 1), dtype=np.int64)
+    wide[:, ::2] = mul_arrays(rows, rows, w)
+    for top in range(2 * degree - 2, degree - 1, -1):
+        wide[:, top - degree : top] ^= mul_arrays(wide[:, top : top + 1], low, w)
+    return wide[:, :degree]

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import FieldMismatchError
 
 MAX_FIELD_WIDTH = 32
@@ -231,6 +233,61 @@ class GF2Field:
 @lru_cache(maxsize=None)
 def get_field(width: int) -> GF2Field:
     return GF2Field(width)
+
+
+@lru_cache(maxsize=None)
+def _array_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The field's (exp, log) tables as arrays, with zero folded in.
+
+    log[0] is 2(q - 1) and exp is 0 from index 2(q - 1) on, so
+    exp[log[a] + log[b]] is the product a b for every pair, zero included.
+    """
+    exp, log = get_field(width).exp_log_tables()
+    size = (1 << width) - 1
+    exp_arr = np.zeros(4 * size + 1, dtype=np.intp)
+    exp_arr[: 2 * size] = exp
+    log_arr = np.array(log, dtype=np.intp)
+    log_arr[0] = 2 * size
+    # Cached and shared by every caller.
+    exp_arr.flags.writeable = log_arr.flags.writeable = False
+    return exp_arr, log_arr
+
+
+def mul_arrays(a, b, width: int) -> np.ndarray:
+    """Elementwise product in GF(2^w) of integer arrays, with broadcasting.
+
+    Widths up to 16 gather from the exp/log tables; larger widths run
+    shift-and-xor over all elements at once, one pass per bit of b.
+    """
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    if width <= _TABLE_WIDTH_LIMIT:
+        exp, log = _array_tables(width)
+        return exp[log[a] + log[b]]
+    modulus = get_field(width).modulus
+    a, b = (v.copy() for v in np.broadcast_arrays(a, b))
+    out = np.zeros_like(a)
+    for _ in range(width):
+        out ^= a * (b & 1)
+        b >>= 1
+        a <<= 1
+        a ^= (a >> width) * modulus
+    return out
+
+
+def horner(coeffs, points, width: int) -> np.ndarray:
+    """Evaluate many polynomials over GF(2^w) at many points.
+
+    Row r of ``coeffs`` holds the coefficients of p_r, lowest degree first;
+    entry [r, j] of the result is p_r(points[j]).
+    """
+    coeffs = np.asarray(coeffs, dtype=np.intp)
+    points = np.asarray(points, dtype=np.intp)
+    acc = np.repeat(coeffs[:, -1:], len(points), axis=1)
+    for d in range(coeffs.shape[1] - 2, -1, -1):
+        acc = mul_arrays(acc, points, width)
+        acc ^= coeffs[:, d : d + 1]
+    return acc
 
 
 @dataclass(frozen=True)

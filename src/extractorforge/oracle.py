@@ -256,9 +256,11 @@ def stat_distance(a: FiniteDistribution, b: FiniteDistribution) -> Fraction:
     return Fraction(total, 2 * a._total * b._total)
 
 
-def distance_to_min_entropy(dist: FiniteDistribution, kappa: int) -> Fraction:
+def distance_to_min_entropy(dist: FiniteDistribution | np.ndarray, kappa: int) -> Fraction:
     """Exact distance to the nearest distribution with min-entropy >= kappa.
 
+    ``dist`` is a FiniteDistribution or an array of nonnegative integer
+    weights over their sum, such as the counts of :func:`image_counts`.
     Equals the probability mass exceeding the 2^-kappa cap; the nearest
     capped distribution moves exactly that mass onto fresh outcomes.
     kappa must be an integer so the cap is an exact rational.  A weight w
@@ -267,9 +269,14 @@ def distance_to_min_entropy(dist: FiniteDistribution, kappa: int) -> Fraction:
     kappa = _as_integer(kappa, "kappa")
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    total, floor_cap = dist._total, dist._total >> kappa
-    heavy = [w for w in dist._weights.values() if w > floor_cap]
-    return Fraction((sum(heavy) << kappa) - len(heavy) * total, total << kappa)
+    if isinstance(dist, FiniteDistribution):
+        weights = np.array(list(dist._weights.values()), dtype=object)
+        total = dist._total
+    else:
+        weights = np.asarray(dist)
+        total = int(weights.sum())
+    heavy = weights[weights > total >> kappa]
+    return Fraction((int(heavy.sum()) << kappa) - len(heavy) * total, total << kappa)
 
 
 def _as_integer(value, name: str) -> int:
@@ -306,7 +313,8 @@ def extractor_distance(
     One engine counts every case.  The source, or the side table if given,
     becomes rows (x, side symbol, integer weight) over one denominator N.
     Outputs come from prepare_batch/extract_table where the extractor has
-    them and m <= 62, else from one ``extract`` call per (x, seed pattern).
+    them, m <= 62 and prepare_batch does not decline by returning None, else
+    from one ``extract`` call per (x, seed pattern).
     With c the weight in a (pattern, symbol, output) cell and W_s the
     symbol's weight (N without a side table), the distance is
     sum |c 2^m - W_s| / (2 N 2^m #patterns); unobserved cells add W_s each.
@@ -362,6 +370,7 @@ def extractor_distance(
         hasattr(extractor, name) for name in ("prepare_batch", "extract_table")
     )
     state = extractor.prepare_batch([x.to_int() for x in xs]) if tabled else None
+    tabled = state is not None
     block = max(1, min(ny, _BLOCK_PAIRS // rows))
     deviation = 0
     for start in range(0, ny, block):
@@ -386,8 +395,8 @@ def _cell_deviation(out, weights, target, scale, dtype) -> int:
     rows = out.shape[0]
     cells = rows * scale
     if cells <= max(out.size, _BLOCK_PAIRS):
-        keys = out.astype(np.int64)
-        keys += np.arange(rows, dtype=np.int64)[:, None] * scale
+        offsets = np.arange(0, cells, scale, dtype=np.int64)[:, None]
+        keys = np.add(out, offsets, dtype=np.int64)
     else:
         # Too many cells to address: label the observed ones densely.
         values, labels = np.unique(out, return_inverse=True)
@@ -404,16 +413,17 @@ def _cell_deviation(out, weights, target, scale, dtype) -> int:
     return int((np.abs(sums * scale - target) - target).sum())
 
 
-def injective_fraction(
+def image_counts(
     cprime,
     source: FlatSource,
     seed_bits: int,
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
     image_table: np.ndarray | None = None,
-) -> Fraction:
-    """Fraction of (x, y) pairs whose image under the strong-form map has a
-    unique preimage in support x seeds.
+) -> np.ndarray:
+    """How often each image of the strong-form map occurs over support x
+    seeds, one entry per distinct image (an int64 array summing to the
+    pair count).
 
     ``cprime`` maps (x: BitString, y: BitString) to a BitString.  Images are
     counted from one array of shape (support, 2^seed_bits): the optional
@@ -445,8 +455,27 @@ def injective_fraction(
             img = cprime(source.support[i], BitString(y, seed_bits)).to_int()
             if int(table[i, y]) != img:
                 raise ValueError("image table disagrees with the map")
-    _, counts = np.unique(table.ravel(), return_counts=True)
-    return Fraction(int(counts[counts == 1].sum()), pairs)
+    return np.unique(table.ravel(), return_counts=True)[1]
+
+
+def unique_fraction(counts: np.ndarray) -> Fraction:
+    """Fraction of pairs whose image no other pair shares, from image counts."""
+    return Fraction(int((counts == 1).sum()), int(counts.sum()))
+
+
+def injective_fraction(
+    cprime,
+    source: FlatSource,
+    seed_bits: int,
+    *,
+    budget: int = DEFAULT_ENUM_BUDGET,
+    image_table: np.ndarray | None = None,
+) -> Fraction:
+    """Fraction of (x, y) pairs whose image under the strong-form map has a
+    unique preimage in support x seeds; arguments as for :func:`image_counts`."""
+    return unique_fraction(
+        image_counts(cprime, source, seed_bits, budget=budget, image_table=image_table)
+    )
 
 
 @dataclass(frozen=True)

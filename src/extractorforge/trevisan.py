@@ -35,6 +35,8 @@ PRESET_CUSTOM = "custom"
 
 _WEAK_DESIGN_RHO = 2
 _MAX_FIELD_WIDTH = 24
+# Widest code the batch path tabulates: at w = 17 one codeword has 2^34 bits.
+_BATCH_WIDTH_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -189,14 +191,36 @@ class TrevisanExtractor:
         for i in range(spec.m):
             support.update(spec.design.sets[i])
         self.seed_support = tuple(sorted(support))
+        self._index_tables: dict[tuple[int, ...], np.ndarray] = {}
 
     def extract(self, x: BitString, y: BitString) -> BitString:
         return trevisan_extract(self.spec, x, y)
 
     def prepare_batch(self, xs: Sequence[int]):
+        """Codeword table (codeword bits, messages); None, which sends the
+        oracle to the per-pair path, for codes wider than 16 bits."""
+        if self.spec.code.field_width > _BATCH_WIDTH_LIMIT:
+            return None
         # zero padding to the code's message length leaves the integers unchanged
         codewords = encode_all_positions(self.spec.code, list(xs))
         return np.ascontiguousarray(codewords.T)
+
+    def _index_table(self, positions) -> np.ndarray:
+        """Codeword index contributions, shape (chunks, m, 256): entry
+        [c, i, v] is the part of output bit i's codeword index read from
+        pattern bits 8c .. 8c + 7 when they hold v.  Cached per positions."""
+        positions = tuple(positions)
+        table = self._index_tables.get(positions)
+        if table is None:
+            pos_index = {p: k for k, p in enumerate(positions)}
+            byte = np.arange(256, dtype=np.int64)
+            table = np.zeros((-(-len(positions) // 8), self.spec.m, 256), dtype=np.int64)
+            for i in range(self.spec.m):
+                for bit, pos in enumerate(self.spec.design.sets[i]):
+                    chunk, shift = divmod(pos_index[pos], 8)
+                    table[chunk, i] |= ((byte >> shift) & 1) << bit
+            self._index_tables[positions] = table
+        return table
 
     def extract_table(self, state, patterns: np.ndarray, positions) -> np.ndarray:
         """Outputs for scattered seeds; shape (len(patterns), len(xs)), packed
@@ -205,13 +229,14 @@ class TrevisanExtractor:
         if spec.m > 62:
             raise ValueError(f"{spec.m} output bits do not fit the int64 table")
         by_position = state  # (codeword bits, messages)
-        pos_index = {p: k for k, p in enumerate(positions)}
-        dtype = np.uint8 if spec.m <= 8 else np.int64
-        out = np.zeros((len(patterns), by_position.shape[1]), dtype=dtype)
+        table = self._index_table(positions)
         patterns = np.asarray(patterns, dtype=np.int64)
-        for i in range(spec.m):
-            j = np.zeros(len(patterns), dtype=np.int64)
-            for bit, pos in enumerate(spec.design.sets[i]):
-                j |= ((patterns >> pos_index[pos]) & 1) << bit
-            out |= by_position[j].astype(dtype) << dtype(i)
+        index = table[0][:, patterns & 255]
+        for chunk in range(1, len(table)):
+            index |= table[chunk][:, (patterns >> (8 * chunk)) & 255]
+        dtype = np.uint8 if spec.m <= 8 else np.int64
+        out = by_position[index[0]].astype(dtype, copy=False)
+        for i in range(1, spec.m):
+            # a multiply, not a shift: numpy shifts uint8 several times slower
+            out |= by_position[index[i]] * dtype(1 << i)
         return out

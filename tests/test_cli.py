@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from extractorforge import cli
+from extractorforge.codes import CodeSpec
 from extractorforge.condenser import build_condenser
+from extractorforge.designs import build_poly_design
 from extractorforge.serialize import spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
+from extractorforge.trevisan import custom_spec
 
 
 def _run(capsys, argv):
@@ -76,6 +79,27 @@ def test_verify_toeplitz_extractor_report(capsys, tmp_path, test_seed, worst):
             "detail": {"worstDistance": worst, "bound": "1/4"},
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "target, spec, budget, name",
+    [
+        # w = 9 code: 2^6 source points x 2^18 seed patterns, one source
+        ("extractor",
+         custom_spec(9, CodeSpec(9, 1), build_poly_design(1, 18), 1, Fraction(1, 4)),
+         1 << 24, "extraction distance on 1 flat sources (k=6)"),
+        # w = 17 condenser: 2^4 source points x 2^17 seeds, one source
+        ("condenser", build_condenser(17, 4, Fraction(1, 32), 1), 1 << 21,
+         "unique-preimage fraction on 1 flat sources"),
+    ],
+    ids=["trevisan-w9", "condenser-w17"],
+)
+def test_verify_wide_fields_report(capsys, tmp_path, target, spec, budget, name):
+    path = _spec_file(tmp_path, target, spec)
+    rc, report, _ = _run(capsys, ["verify", target, "--spec", path, "--budget", str(budget)])
+    assert rc in (cli.EXIT_PASS, cli.EXIT_FAIL)
+    assert report["allPassed"] is (rc == cli.EXIT_PASS)
+    assert report["checks"][0]["name"] == name
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ from extractorforge.codes import (
     code_distance,
     encode_all_positions,
     encode_bit,
+    evaluate_messages,
 )
+from extractorforge.detrand import CounterRng
 
 from helpers import ref_codeword
 
@@ -87,6 +89,25 @@ def test_batch_encoder_matches_scalar():
     for row, x in enumerate(xs):
         for idx in range(64):
             assert table[row, idx] == encode_bit(spec, BitString(x, 9), idx)
+
+
+def test_batch_encoder_matches_scalar_width_9():
+    # wider than a byte: the codeword table gathers from 16-bit symbols
+    spec = CodeSpec(9, 2)
+    rng = CounterRng(0xC9)
+    xs = [0, (1 << 18) - 1] + [rng.below(1 << 18) for _ in range(3)]
+    evals = evaluate_messages(spec, xs)
+    assert evals.shape == (5, 512)
+    table = encode_all_positions(spec, xs[:2])
+    assert table.shape == (2, 1 << 18)
+    for row, x in enumerate(xs):
+        message = BitString(x, 18)
+        for _ in range(200):
+            idx = rng.below(1 << 18)
+            bit = encode_bit(spec, message, idx)
+            assert (int(evals[row, idx >> 9]) & idx & 511).bit_count() % 2 == bit
+            if row < 2:
+                assert table[row, idx] == bit
 
 
 def test_hadamard_page_weight():

@@ -160,14 +160,38 @@ def test_build_deterministic():
 
 
 def test_image_table_matches_strong_form():
-    spec = build_condenser(12, 6, Fraction(1, 4), 1)
+    for args, sources in (
+        ((12, 6, Fraction(1, 4), 1), 3),
+        # w = 14, n_tilde = 3, m' = 2: squarings modulo E of degree 3
+        ((40, 10, Fraction(1, 4), Fraction(1, 2)), 1),
+    ):
+        _check_image_table(args, sources)
+
+
+def _check_image_table(args, sources):
+    spec = build_condenser(*args)
     cmap = StrongCondenserMap(spec)
-    rng = CounterRng(0x1A81E)
-    xs = [rng.below(1 << 12) for _ in range(6)]
+    rng = CounterRng(0x1A81E, spec.n)
+    xs = [0] + [rng.below(1 << spec.n) for _ in range(sources)]
+    table = cmap.image_table(xs)
+    assert table.shape == (len(xs), 1 << spec.seed_bits)
+    for row, xv in enumerate(xs):
+        for yv in range(1 << spec.seed_bits):
+            expect = strong_form(spec, BitString(xv, spec.n), BitString(yv, spec.seed_bits))
+            assert int(table[row, yv]) == expect.to_int()
+
+
+def test_image_table_above_table_width():
+    # w = 17: no exp/log tables for the field
+    spec = build_condenser(17, 4, Fraction(1, 32), 1)
+    assert spec.field_width == 17
+    cmap = StrongCondenserMap(spec)
+    rng = CounterRng(0x17)
+    xs = [0, (1 << 17) - 1] + [rng.below(1 << 17) for _ in range(4)]
     table = cmap.image_table(xs)
     for row, xv in enumerate(xs):
-        for yv in (0, 1, 100, (1 << spec.seed_bits) - 1):
-            expect = strong_form(spec, BitString(xv, 12), BitString(yv, spec.seed_bits))
+        for yv in [0, 1, (1 << 17) - 1] + [rng.below(1 << 17) for _ in range(30)]:
+            expect = strong_form(spec, BitString(xv, 17), BitString(yv, 17))
             assert int(table[row, yv]) == expect.to_int()
 
 

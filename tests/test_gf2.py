@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extractorforge.detrand import CounterRng
 from extractorforge.errors import FieldMismatchError
 from extractorforge.gf2 import (
     FieldElement,
@@ -9,9 +11,12 @@ from extractorforge.gf2 import (
     gf2x_irreducible,
     gf_inv,
     gf_mul,
+    horner,
+    mul_arrays,
 )
+from extractorforge.poly import FieldPoly
 
-from helpers import trial_division_irreducible
+from helpers import ref_field_mul, trial_division_irreducible
 
 
 def test_modulus_small_widths_frozen():
@@ -81,6 +86,35 @@ def test_tableless_path_matches_tables():
             assert small._mul_raw(a, b) == small.mul(a, b)
     for a in (1, 57, 300, 511):
         assert small.mul(a, small.inv(a)) == 1
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 9, 16, 17, 20])
+def test_mul_arrays_matches_reference(width):
+    # widths up to 16 take the exp/log tables, wider ones shift-and-xor
+    rng = CounterRng(0xA11A, width)
+    top = (1 << width) - 1
+    a = [0, 0, 1, top] + [rng.below(1 << width) for _ in range(60)]
+    b = [0, top, 1, top] + [rng.below(1 << width) for _ in range(60)]
+    got = mul_arrays(np.array(a), np.array(b), width)
+    modulus = field_modulus(width)
+    assert got.tolist() == [ref_field_mul(x, y, width, modulus) for x, y in zip(a, b)]
+    # broadcasting: one column times one row
+    grid = mul_arrays(np.array(a[:8])[:, None], np.array(b[:5]), width)
+    assert grid.tolist() == [[get_field(width).mul(x, y) for y in b[:5]] for x in a[:8]]
+
+
+@pytest.mark.parametrize("width", [1, 4, 9, 16, 17])
+def test_horner_matches_scalar_evaluation(width):
+    rng = CounterRng(0x4042, width)
+    for degree in (1, 2, 4):
+        rows = [[rng.below(1 << width) for _ in range(degree)] for _ in range(5)]
+        rows.append([0] * degree)
+        points = [0, 1, (1 << width) - 1] + [rng.below(1 << width) for _ in range(20)]
+        got = horner(np.array(rows), np.array(points), width)
+        assert got.shape == (len(rows), len(points))
+        for r, coeffs in enumerate(rows):
+            poly = FieldPoly(tuple(coeffs), width)
+            assert got[r].tolist() == [poly.eval_int(p) for p in points]
 
 
 def test_gf_mul_spec_values():

@@ -5,7 +5,7 @@ import pytest
 
 from extractorforge.bits import BitString
 from extractorforge.codes import CodeSpec, encode_bit
-from extractorforge.designs import build_greedy_weak_design, restrict_seed
+from extractorforge.designs import build_greedy_weak_design, build_poly_design, restrict_seed
 from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
 from extractorforge.oracle import extractor_distance, sample_flat_sources
@@ -147,20 +147,58 @@ def test_spec_wiring_validated():
         )
 
 
+def _wide_code_spec():
+    # w = 9: one 18-position design set, a codeword table wider than a byte
+    return custom_spec(9, CodeSpec(9, 1), build_poly_design(1, 18), 1, Fraction(1, 4))
+
+
 def test_batch_table_matches_scalar_extract():
-    spec = build_trevisan("thm43", 8, 2, Fraction(1, 4))
+    for spec in (
+        build_trevisan("thm43", 8, 2, Fraction(1, 4)),
+        # m > 8: outputs packed into int64; 24 support positions
+        custom_spec(
+            12, CodeSpec(3, 4), build_greedy_weak_design(10, 6, 2, 24), 10, Fraction(1, 4)
+        ),
+        _wide_code_spec(),
+    ):
+        _check_batch_table(spec)
+
+
+def _check_batch_table(spec):
     ext = TrevisanExtractor(spec)
-    xs = [0, 1, 77, 200, 255]
+    s = len(ext.seed_support)
+    rng = CounterRng(0xBA7C, s)
+    xs = [0, 1, (1 << spec.n) - 1] + [rng.below(1 << spec.n) for _ in range(3)]
     state = ext.prepare_batch(xs)
-    patterns = np.arange(33, dtype=np.int64)
+    # every pattern byte position, not just the low byte
+    patterns = np.array(
+        list(range(33)) + [(1 << s) - 1] + [rng.below(1 << s) for _ in range(60)],
+        dtype=np.int64,
+    )
     table = ext.extract_table(state, patterns, ext.seed_support)
+    assert table.shape == (len(patterns), len(xs))
     for row, pattern in enumerate(patterns):
         y_val = 0
         for bit, pos in enumerate(ext.seed_support):
             y_val |= ((int(pattern) >> bit) & 1) << pos
         y = BitString(y_val, spec.t)
         for col, x in enumerate(xs):
-            assert table[row, col] == ext.extract(BitString(x, 8), y).to_int()
+            assert table[row, col] == ext.extract(BitString(x, spec.n), y).to_int()
+
+
+def test_wide_code_distance_matches_closed_form():
+    # One symbol, so output bit <x, z> with z uniform over the seed patterns:
+    # the distance is sum_z |sum_x (-1)^<x, z>| / (2 |S| 2^9).
+    ext = TrevisanExtractor(_wide_code_spec())
+    for source in sample_flat_sources(9, 3, 4, seed=9):
+        xs = [x.to_int() for x in source.support]
+        bias = sum(abs(sum(1 - 2 * ((x & z).bit_count() & 1) for x in xs)) for z in range(512))
+        assert extractor_distance(ext, source) == Fraction(bias, 2 * len(xs) * 512)
+
+
+def test_batch_path_declined_above_width_16():
+    spec = custom_spec(17, CodeSpec(17, 1), build_poly_design(1, 34), 1, Fraction(1, 4))
+    assert TrevisanExtractor(spec).prepare_batch([0, 1]) is None
 
 
 def test_desk_scale_distance_within_target_custom_t16():
