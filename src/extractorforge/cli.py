@@ -72,14 +72,26 @@ def _parse_fraction(text: str, option: str) -> Fraction:
         raise _UsageError(f"{option} expects a fraction, got {text!r}") from None
 
 
-def _effective_budget(requested: int | None) -> int:
+# Peak bytes of memory per enumerated pair, by verify target, as measured
+# with tracemalloc on one source at a budget of exactly its pairs:
+# ``condenser`` 41-43 (the int64 image table plus np.unique's sorted copy,
+# distinct values, run starts and counts) on build_condenser(12, 6, 1/4, 1)
+# and build_condenser(17, 4, 1/32, 1); ``extractor`` at most 3.0 (the
+# Trevisan codeword table; scratch arrays are bounded per block) on
+# ToeplitzSpec(10, 2) and a w = 9 Trevisan spec at 2^20 and 2^24 pairs.
+# The other targets enumerate at most a few thousand pairs per call.
+_BYTES_PER_PAIR = {"condenser": 48, "extractor": 4}
+_DEFAULT_BYTES_PER_PAIR = 16
+
+
+def _effective_budget(requested: int | None, target: str) -> int:
     budget = requested if requested is not None else DEFAULT_ENUM_BUDGET
     mem = os.environ.get(MAX_MEM_ENV)
     if mem:
         if not mem.isdecimal():
             raise _UsageError(f"{MAX_MEM_ENV} expects a byte count, got {mem!r}")
-        # Each enumerated pair costs on the order of 16 bytes of table space.
-        budget = min(budget, max(1, int(mem) // 16))
+        per_pair = _BYTES_PER_PAIR.get(target, _DEFAULT_BYTES_PER_PAIR)
+        budget = min(budget, max(1, int(mem) // per_pair))
     return budget
 
 
@@ -494,7 +506,7 @@ def _random_wide(rng, bits: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = _effective_budget(args.budget)
+    budget = _effective_budget(args.budget, args.target)
     test_seed = args.test_seed if args.test_seed is not None else DEFAULT_TEST_SEED
     checks: list[dict] = []
     spec = None

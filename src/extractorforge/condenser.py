@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -171,11 +170,6 @@ def _message_poly(spec: CondenserSpec, x: BitString) -> FieldPoly:
     mask = (1 << w) - 1
     coeffs = tuple((value >> (i * w)) & mask for i in range(spec.message_symbols))
     return FieldPoly(coeffs, w)
-
-
-@lru_cache(maxsize=8)
-def _power_exponents(power: int, count: int) -> tuple[int, ...]:
-    return tuple(power**i for i in range(count))
 
 
 def residue_powers(spec: CondenserSpec, x: BitString) -> list[FieldPoly]:

@@ -311,13 +311,19 @@ def extractor_distance(
     is exact because the other seed bits multiply both sides equally.
 
     One engine counts every case.  The source, or the side table if given,
-    becomes rows (x, side symbol, integer weight) over one denominator N.
+    becomes rows (x, side symbol, integer weight) over one denominator N;
+    without a side table every row carries the one symbol, with W = N.
     Outputs come from prepare_batch/extract_table where the extractor has
     them, m <= 62 and prepare_batch does not decline by returning None, else
     from one ``extract`` call per (x, seed pattern).
     With c the weight in a (pattern, symbol, output) cell and W_s the
-    symbol's weight (N without a side table), the distance is
+    symbol's weight, the distance is
     sum |c 2^m - W_s| / (2 N 2^m #patterns); unobserved cells add W_s each.
+    Each block of patterns is counted in one pass over all symbols, cells
+    keyed by (pattern, symbol, output).  Since the distance with side
+    information is sum_s Pr[s] d_s, d_s that of X | S = s, a side table
+    whose symbols are the pieces of a mixture yields the weighted sum of the
+    pieces' distances in one call (see :func:`lemma_suite`).
     """
     n = extractor.input_bits
     t = extractor.seed_bits
@@ -343,28 +349,30 @@ def extractor_distance(
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
 
-    column_of = {x.to_int(): i for i, x in enumerate(xs)}
     if side is None:
-        total = source._total
-        groups = [(None, [source._weights[x] for x in xs], total)]
+        total, columns = source._total, None
+        symbols = [0] * len(xs)
+        weights = [source._weights[x] for x in xs]
+        targets = [total]
     else:
         total = side._total
-        by_symbol: dict[Hashable, tuple[list, list]] = {}
-        for x, s, w in zip(side._xs, side._symbols, side._weights):
-            columns, weights = by_symbol.setdefault(s, ([], []))
-            columns.append(column_of[x])
-            weights.append(w)
-        groups = [(np.array(c), ws, sum(ws)) for c, ws in by_symbol.values()]
-    rows = sum(len(ws) for _, ws, _ in groups)
+        column_of = {x.to_int(): i for i, x in enumerate(xs)}
+        columns = np.array([column_of[x] for x in side._xs], dtype=np.int64)
+        index_of: dict[Hashable, int] = {}
+        symbols = [index_of.setdefault(s, len(index_of)) for s in side._symbols]
+        weights = side._weights
+        targets = [0] * len(index_of)
+        for s, w in zip(symbols, weights):
+            targets[s] += w
+    rows = len(weights)
     scale = 1 << m
-    # Each cell term below lies in [-W, c 2^m] with c <= N, and a block has
+    # Each cell term below lies in [-W_s, c 2^m] with c <= N, and a block has
     # at most max(_BLOCK_PAIRS, rows) pairs and cells: int64 holds a block's
     # sum while N (2^m + 1) times that stays below 2^62.
     dtype = np.int64 if total * (scale + 1) * max(_BLOCK_PAIRS, rows) < 1 << 62 else object
-    groups = [
-        (columns, None if all(w == 1 for w in ws) else np.array(ws, dtype=dtype), target)
-        for columns, ws, target in groups
-    ]
+    symbols = np.array(symbols, dtype=np.int64)
+    weights = None if all(w == 1 for w in weights) else np.array(weights, dtype=dtype)
+    targets = np.array(targets, dtype=dtype)
 
     tabled = m <= 62 and all(
         hasattr(extractor, name) for name in ("prepare_batch", "extract_table")
@@ -383,25 +391,34 @@ def extractor_distance(
                 [[extractor.extract(x, y).to_int() for x in xs] for y in seeds],
                 dtype=np.int64 if m <= 62 else object,
             )
-        for columns, weights, target in groups:
-            part = out if columns is None else out.take(columns, axis=1)
-            deviation += _cell_deviation(part, weights, target, scale, dtype)
+        part = out if columns is None else out.take(columns, axis=1)
+        deviation += _cell_deviation(part, symbols, weights, targets, scale, dtype)
     return Fraction(deviation + (total << m) * ny, 2 * (total << m) * ny)
 
 
-def _cell_deviation(out, weights, target, scale, dtype) -> int:
-    """Sum of |c 2^m - W| - W over the (pattern, output) cells of one
-    symbol's block, c being the exact weight in the cell: 0 where c = 0."""
-    rows = out.shape[0]
-    cells = rows * scale
-    if cells <= max(out.size, _BLOCK_PAIRS):
-        offsets = np.arange(0, cells, scale, dtype=np.int64)[:, None]
-        keys = np.add(out, offsets, dtype=np.int64)
+def _cell_deviation(out, symbols, weights, targets, scale, dtype) -> int:
+    """Sum of |c 2^m - W_s| - W_s over the (pattern, symbol, output) cells of
+    a block, in one counting pass for every symbol.
+
+    ``out`` holds one output per (pattern, row), ``symbols`` and ``weights``
+    each row's symbol index and weight (None for all ones), and ``targets``
+    each symbol's weight W_s.  c is the exact weight in the cell, so cells
+    with c = 0 add 0 and only observed cells matter.
+    """
+    patterns, symbol_count = out.shape[0], len(targets)
+    # cells are numbered by (pattern, symbol) group, then output
+    groups = patterns * symbol_count
+    first_group = np.arange(0, groups, symbol_count, dtype=np.int64)[:, None]
+    addressable = groups * scale <= max(out.size, _BLOCK_PAIRS)
+    if addressable:
+        keys = np.add(out, first_group * scale, dtype=np.int64)
+        if symbol_count > 1:  # one symbol adds only zeros; skip that pass
+            keys += symbols * scale
+        cells = groups * scale
     else:
         # Too many cells to address: label the observed ones densely.
         values, labels = np.unique(out, return_inverse=True)
-        keys = labels.reshape(out.shape)
-        keys += np.arange(rows, dtype=np.int64)[:, None] * len(values)
+        keys = labels.reshape(out.shape) + (first_group + symbols) * len(values)
         used, keys = np.unique(keys, return_inverse=True)
         cells = len(used)
     index = keys.ravel()
@@ -410,7 +427,12 @@ def _cell_deviation(out, weights, target, scale, dtype) -> int:
     else:
         sums = np.zeros(cells, dtype=dtype)
         np.add.at(sums, index, np.broadcast_to(weights, out.shape).ravel())
-    return int((np.abs(sums * scale - target) - target).sum())
+    if addressable:
+        sums = sums.reshape(patterns, symbol_count, scale)
+        cell_targets = targets[:, None]
+    else:
+        cell_targets = targets[(used // len(values)) % symbol_count]
+    return int((np.abs(sums * scale - cell_targets) - cell_targets).sum())
 
 
 def image_counts(
@@ -516,24 +538,30 @@ class LemmaSuiteReport:
         }
 
 
+def _flat_levels(
+    outcome_weights: Iterable[tuple[Hashable, int]],
+) -> tuple[list[Hashable], list[tuple[int, int]]]:
+    """Outcomes by decreasing integer weight, ties kept in the given order,
+    and the nonzero levels (i, w_i - w_(i+1)) of their flat decomposition:
+    level i puts w_i - w_(i+1) on each of the top-i outcomes."""
+    ordered = sorted(outcome_weights, key=lambda ow: -ow[1])
+    weights = [w for _, w in ordered] + [0]
+    levels = [(i, weights[i - 1] - weights[i]) for i in range(1, len(weights))]
+    return [o for o, _ in ordered], [(i, step) for i, step in levels if step]
+
+
 def flat_decomposition(
     dist: FiniteDistribution,
 ) -> list[tuple[Fraction, tuple[Hashable, ...]]]:
     """Write a distribution as a convex combination of uniform distributions.
 
-    Outcomes sorted by decreasing probability; level i contributes weight
-    i * (p_i - p_(i+1)) on the top-i outcomes.  Weights are exact and sum
-    to one.
+    Outcomes sorted by decreasing probability, ties by repr; level i
+    contributes weight i * (p_i - p_(i+1)) on the top-i outcomes.  Weights
+    are exact and sum to one.
     """
-    ordered = sorted(dist.items(), key=lambda op: (-op[1], repr(op[0])))
-    out = []
-    for i in range(1, len(ordered) + 1):
-        p_here = ordered[i - 1][1]
-        p_next = ordered[i][1] if i < len(ordered) else Fraction(0)
-        weight = i * (p_here - p_next)
-        if weight:
-            out.append((weight, tuple(o for o, _ in ordered[:i])))
-    return out
+    by_repr = sorted(dist._weights.items(), key=lambda ow: repr(ow[0]))
+    outcomes, levels = _flat_levels(by_repr)
+    return [(Fraction(i * step, dist._total), tuple(outcomes[:i])) for i, step in levels]
 
 
 def lemma_suite(
@@ -546,7 +574,10 @@ def lemma_suite(
     information, with x split as (prefix, suffix) at ``prefix_bits``.
 
     All inequalities are evaluated in the guessing-probability domain, where
-    every quantity is an exact rational.
+    every quantity is an exact rational.  The convexity probe costs two
+    :func:`extractor_distance` calls: one on the mixture and one on the
+    side table whose symbols are its flat pieces, which gives
+    sum_i weight_i d(piece_i) exactly.
     """
     if not 0 <= prefix_bits <= table.n:
         raise ValueError(f"prefix length {prefix_bits} outside [0, {table.n}]")
@@ -629,12 +660,24 @@ def lemma_suite(
     n = table.n
     m = max(1, min(2, n - 1)) if n > 1 else 1
     ext = ToeplitzExtractor(ToeplitzSpec(n, m))
+    # The flat pieces become the symbols of one side table: symbol i holds
+    # the top-i outcomes, each with weight w_i - w_(i+1), so that
+    # d(Y, E(X, Y), S) = sum_i Pr[S = i] d_i is the weighted sum of the
+    # pieces' distances, counted in one engine call.
     mixture = x_marginal
     lhs_total = extractor_distance(ext, mixture, budget=budget)
-    rhs_total = Fraction(0)
-    for weight, outcomes in flat_decomposition(mixture):
-        piece = FiniteDistribution.uniform(outcomes)
-        rhs_total += weight * extractor_distance(ext, piece, budget=budget)
+    # A level that splits tied outcomes has weight 0, so ties need no order.
+    outcomes, levels = _flat_levels(mixture._weights.items())
+    pieces = JointTable._from_rows(
+        n,
+        {
+            (x.to_int(), symbol): step
+            for symbol, (i, step) in enumerate(levels)
+            for x in outcomes[:i]
+        },
+        mixture._total,
+    )
+    rhs_total = extractor_distance(ext, mixture, side=pieces, budget=budget)
     checks.append(
         LemmaCheck(
             name="mixture_convexity",

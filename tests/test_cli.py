@@ -5,7 +5,7 @@ import pytest
 
 from extractorforge import cli
 from extractorforge.codes import CodeSpec
-from extractorforge.condenser import build_condenser
+from extractorforge.condenser import StrongCondenserMap, build_condenser
 from extractorforge.designs import build_poly_design
 from extractorforge.serialize import spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
@@ -149,3 +149,61 @@ def test_unreadable_spec(capsys, tmp_path):
     rc, _, err = _run(capsys, ["verify", "extractor", "--spec", str(path)])
     assert rc == cli.EXIT_BAD_SPEC
     assert err.startswith("unreadable spec")
+
+
+def test_memory_limit_charges_condenser_pairs(capsys, monkeypatch, tmp_path):
+    # 2^4 points x 2^20 seeds: 2^24 pairs fit 256 MB at 16 bytes a pair, but
+    # the condenser check needs about 48
+    spec = build_condenser(20, 4, Fraction(1, 64), 1)
+    assert spec.k + spec.seed_bits == 24
+    path = _spec_file(tmp_path, "condenser", spec)
+
+    def enumerated(*args):
+        raise AssertionError("image table built")
+
+    monkeypatch.setattr(StrongCondenserMap, "image_table", enumerated)
+    monkeypatch.setenv(cli.MAX_MEM_ENV, str(256 << 20))
+    rc, report, _ = _run(capsys, ["verify", "condenser", "--spec", path])
+    assert rc == cli.EXIT_INCONCLUSIVE
+    assert report["budget"] < 1 << 24
+
+
+@pytest.fixture
+def extract_args(tmp_path):
+    """extract on ToeplitzSpec(10, 2): 10 input bits, 11 seed bits."""
+    spec = _spec_file(tmp_path, "toeplitz", ToeplitzSpec(10, 2))
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(b"\xa5\x3c")
+    return ["extract", "--spec", spec, "--in", str(infile), "--out", str(tmp_path / "out.bin")]
+
+
+def test_extract_passes(capsys, extract_args):
+    rc, report, _ = _run(capsys, extract_args + ["--seed", "0fa5"])
+    assert rc == cli.EXIT_PASS
+    assert (report["inputBits"], report["seedBits"], report["outputBits"]) == (10, 11, 2)
+
+
+def test_extract_short_input(capsys, tmp_path, extract_args):
+    (tmp_path / "input.bin").write_bytes(b"\xa5")
+    rc, report, err = _run(capsys, extract_args + ["--seed", "0fa5"])
+    assert rc == cli.EXIT_SHORT_INPUT
+    assert report is None
+    assert "input holds 8 bits, spec needs 10" in err
+
+
+def test_extract_missing_input(capsys, tmp_path, extract_args):
+    (tmp_path / "input.bin").unlink()
+    rc, report, err = _run(capsys, extract_args + ["--seed", "0fa5"])
+    assert rc == cli.EXIT_SHORT_INPUT
+    assert report is None
+    assert err.startswith("cannot read input")
+
+
+def test_extract_seed_file_too_short(capsys, tmp_path, extract_args):
+    seed_file = tmp_path / "seed.bin"
+    seed_file.write_bytes(b"\x0f")
+    rc, report, err = _run(capsys, extract_args + ["--seed-file", str(seed_file)])
+    assert rc == cli.EXIT_SEED_MISMATCH
+    assert report is None
+    assert "seed provides 8 bits, spec needs 11" in err
+    assert not (tmp_path / "out.bin").exists()

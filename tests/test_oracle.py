@@ -318,6 +318,40 @@ class TestWeightedAndSideDistance:
                 ext.extract, ext.seed_bits, 2, dict(table.items())
             )
 
+    # unit weights take bincount, small weights add.at, and weights over a
+    # denominator near 2^57 the Python-integer (object) counts
+    @pytest.mark.parametrize(
+        "weight",
+        [lambda x, s: 1, lambda x, s: (3 * x + 5 * s) % 7, lambda x, s: 10**15 + 7 * x + s],
+        ids=["unit", "small", "object-dtype"],
+    )
+    def test_many_symbols_one_pass(self, weight):
+        table = _many_symbol_table(4, 9, weight)
+        joint = dict(table.items())
+        if weight(1, 1) > 1 << 40:
+            assert max(p.denominator for p in joint.values()) >= 1 << 56
+        for ext in (ToeplitzExtractor(ToeplitzSpec(4, 2)), _odd_multiplier(4, 2)):
+            expect = ref_side_distance(ext.extract, ext.seed_bits, 2, joint)
+            assert extractor_distance(ext, table.x_marginal(), side=table) == expect
+
+    def test_many_symbols_dense_labels(self):
+        # 4 seeds x 8 symbols x 2^12 outputs is more than 2^16 cells, so the
+        # engine labels the observed cells instead of addressing them all
+        m = 12
+        ext = _FnExtractor(
+            4, 2, m, lambda x, y: BitString(x.to_int() >> 1 | y.to_int() << 10, m)
+        )
+        table = _many_symbol_table(4, 8, lambda x, s: (x + 2 * s) % 5 + s)
+        expect = ref_side_distance(ext.extract, 2, m, dict(table.items()))
+        assert extractor_distance(ext, table.x_marginal(), side=table) == expect
+
+
+def _many_symbol_table(n, symbols, weight):
+    """Joint table Pr[x, s] proportional to weight(x, s)."""
+    rows = {(BitString(x, n), s): weight(x, s) for x in range(1 << n) for s in range(symbols)}
+    total = sum(rows.values())
+    return JointTable(n, {key: Fraction(w, total) for key, w in rows.items() if w})
+
 
 class TestInjectiveFraction:
     def test_injective_map_scores_one(self):
@@ -356,18 +390,63 @@ class TestFlatDecomposition:
         assert FiniteDistribution(rebuilt) == dist
 
 
-class TestLemmaSuite:
-    def _uniform_table(self, n, side_fn):
-        p = Fraction(1, 1 << n)
-        return JointTable(n, {(BitString(x, n), side_fn(x)): p for x in range(1 << n)})
+def _uniform_side_table(n, side_fn):
+    p = Fraction(1, 1 << n)
+    return JointTable(n, {(BitString(x, n), side_fn(x)): p for x in range(1 << n)})
 
+
+_TIED = (2, 2, 2, 1, 1, 3, 3, 2)
+
+_CONVEXITY_TABLES = {
+    **{
+        f"sampled-n{n}-a{a}-seed{seed}": sample_joint_table(n, a, seed=seed, index=seed)
+        for n, a in ((4, 4), (3, 2), (5, 3), (2, 5))
+        for seed in (1, 2)
+    },
+    "tied-weights": JointTable(
+        3,
+        {(BitString(x, 3), x % 2): Fraction(w, sum(_TIED)) for x, w in enumerate(_TIED)},
+    ),
+    # the adversarial tables of ``verify lemmas``
+    "independent-side": _uniform_side_table(3, lambda x: 0),
+    "full-copy": _uniform_side_table(3, lambda x: x),
+    "one-bit-leak": _uniform_side_table(3, lambda x: x & 1),
+}
+
+
+class TestMixtureConvexity:
+    @pytest.mark.parametrize("table", _CONVEXITY_TABLES.values(), ids=list(_CONVEXITY_TABLES))
+    def test_rhs_is_the_weighted_sum_over_flat_pieces(self, table):
+        n = table.n
+        m = max(1, min(2, n - 1)) if n > 1 else 1
+        report = lemma_suite(table, max(1, n // 2))
+        check = next(c for c in report.checks if c.name == "mixture_convexity")
+        assert check.note == f"toeplitz probe n={n} m={m}"
+        ext = ToeplitzExtractor(ToeplitzSpec(n, m))
+        mixture = table.x_marginal()
+        assert check.lhs == extractor_distance(ext, mixture)
+        pieces = flat_decomposition(mixture)
+        assert check.rhs == sum(
+            (w * extractor_distance(ext, FiniteDistribution.uniform(piece)) for w, piece in pieces),
+            Fraction(0),
+        )
+        assert check.passed
+
+    def test_tied_weights_skip_splitting_levels(self):
+        mixture = _CONVEXITY_TABLES["tied-weights"].x_marginal()
+        sizes = [len(piece) for _, piece in flat_decomposition(mixture)]
+        # weights 3, 3, 2, 2, 2, 2, 1, 1: levels end only where a weight drops
+        assert sizes == [2, 6, 8]
+
+
+class TestLemmaSuite:
     def test_independent_side_info(self):
-        table = self._uniform_table(4, lambda x: 0)
+        table = _uniform_side_table(4, lambda x: 0)
         report = lemma_suite(table, 2)
         assert report.all_passed
 
     def test_full_copy_tight_for_storage(self):
-        table = self._uniform_table(3, lambda x: x)
+        table = _uniform_side_table(3, lambda x: x)
         report = lemma_suite(table, 1)
         assert report.all_passed
         storage = next(c for c in report.checks if c.name == "storage_bound")
@@ -375,7 +454,7 @@ class TestLemmaSuite:
         assert storage.lhs == storage.rhs == 1
 
     def test_one_bit_leak(self):
-        table = self._uniform_table(4, lambda x: x & 1)
+        table = _uniform_side_table(4, lambda x: x & 1)
         assert lemma_suite(table, 2).all_passed
 
     def test_random_tables(self):
@@ -385,7 +464,7 @@ class TestLemmaSuite:
             assert report.all_passed, report.to_json_dict()
 
     def test_report_shape(self):
-        report = lemma_suite(self._uniform_table(3, lambda x: x >> 2), 1)
+        report = lemma_suite(_uniform_side_table(3, lambda x: x >> 2), 1)
         names = [c.name for c in report.checks]
         assert names == [
             "storage_bound",
