@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import BitString
-from .gf2 import get_field, horner
+from .gf2 import get_field, horner, split_symbols
 
 
 @dataclass(frozen=True)
@@ -59,29 +59,18 @@ class CodeSpec:
         return cls(field_width=data["w"], message_symbols=data["messageSymbols"])
 
 
-def _message_coeffs(spec: CodeSpec, x: BitString) -> list[int]:
-    w = spec.field_width
-    if len(x) != spec.message_bits:
-        raise ValueError(
-            f"message is {len(x)} bits, spec wants {spec.message_bits}"
-        )
-    value = x.to_int()
-    mask = (1 << w) - 1
-    return [(value >> (i * w)) & mask for i in range(spec.message_symbols)]
-
-
 def encode_bit(spec: CodeSpec, x: BitString, index: int) -> int:
     """Codeword bit at ``index`` for message ``x``."""
     if not 0 <= index < spec.codeword_bits:
         raise ValueError(f"index {index} outside [0, {spec.codeword_bits})")
+    if len(x) != spec.message_bits:
+        raise ValueError(
+            f"message is {len(x)} bits, spec wants {spec.message_bits}"
+        )
     w = spec.field_width
-    alpha = index >> w
-    z = index & ((1 << w) - 1)
-    field = get_field(w)
-    acc = 0
-    for c in reversed(_message_coeffs(spec, x)):
-        acc = field.mul(acc, alpha) ^ c
-    return (acc & z).bit_count() & 1
+    coeffs = split_symbols(x.to_int(), w, spec.message_symbols)
+    alpha, z = index >> w, index & ((1 << w) - 1)
+    return (get_field(w).eval_poly(coeffs, alpha) & z).bit_count() & 1
 
 
 def code_distance(spec: CodeSpec) -> Fraction:
@@ -94,13 +83,9 @@ def evaluate_messages(spec: CodeSpec, xs: Sequence[int]) -> np.ndarray:
 
     Returns an array of shape (len(xs), 2^w) of field elements.
     """
-    w = spec.field_width
-    values = np.asarray(list(xs), dtype=np.int64)
-    if values.size and (values.min() < 0 or values.max() >> spec.message_bits):
-        raise ValueError("message out of range for spec")
-    shifts = np.arange(spec.message_symbols, dtype=np.int64) * w
-    coeffs = (values[:, None] >> shifts) & ((1 << w) - 1)
-    return horner(coeffs, np.arange(1 << w), w)
+    w, k = spec.field_width, spec.message_symbols
+    coeffs = np.array([split_symbols(x, w, k) for x in xs], dtype=np.intp)
+    return horner(coeffs.reshape(-1, k), np.arange(1 << w), w)
 
 
 def encode_all_positions(spec: CodeSpec, xs: Sequence[int]) -> np.ndarray:

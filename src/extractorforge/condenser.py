@@ -30,7 +30,7 @@ import numpy as np
 
 from .bits import BitString
 from .errors import InfeasibleParameterError
-from .gf2 import horner, mul_arrays
+from .gf2 import horner, mul_arrays, split_symbols
 from .poly import FieldPoly, find_irreducible, poly_pow_mod
 
 _MAX_SEED_WIDTH = 24
@@ -166,10 +166,7 @@ def _message_poly(spec: CondenserSpec, x: BitString) -> FieldPoly:
     if len(x) != spec.n:
         raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
     w = spec.field_width
-    value = x.to_int()
-    mask = (1 << w) - 1
-    coeffs = tuple((value >> (i * w)) & mask for i in range(spec.message_symbols))
-    return FieldPoly(coeffs, w)
+    return FieldPoly(tuple(split_symbols(x.to_int(), w, spec.message_symbols)), w)
 
 
 def residue_powers(spec: CondenserSpec, x: BitString) -> list[FieldPoly]:
@@ -226,10 +223,8 @@ class StrongCondenserMap:
         w = spec.field_width
         if self.output_bits > 62:
             raise ValueError("packed strong-form image does not fit in int64")
-        mask = (1 << w) - 1
         rows = np.array(
-            [[(xv >> (i * w)) & mask for i in range(spec.message_symbols)] for xv in xs],
-            dtype=np.int64,
+            [split_symbols(xv, w, spec.message_symbols) for xv in xs], dtype=np.int64
         ).reshape(len(xs), spec.message_symbols)
         ys = np.arange(1 << w, dtype=np.int64)
         out = np.broadcast_to(ys << spec.output_bits, (len(xs), len(ys)))

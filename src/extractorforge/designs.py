@@ -19,7 +19,7 @@ import numpy as np
 from .bits import BitString
 from .detrand import CounterRng
 from .errors import InfeasibleParameterError
-from .gf2 import get_field
+from .gf2 import horner, split_symbols
 
 STANDARD = "standard"
 WEAK = "weak"
@@ -177,24 +177,14 @@ def build_poly_design(num_sets: int, set_size: int) -> Design:
         raise ValueError("need num_sets >= 1 and set_size >= 1")
     q_width = max(1, (set_size - 1).bit_length())
     q = 1 << q_width
-    field = get_field(q_width)
     c = 1
     while q**c < num_sets:
         c += 1
-    sets = []
-    for index in range(num_sets):
-        digits = []
-        v = index
-        for _ in range(c):
-            digits.append(v % q)
-            v //= q
-        members = []
-        for b in range(set_size):
-            acc = 0
-            for coeff in reversed(digits):
-                acc = field.mul(acc, b) ^ coeff
-            members.append(b * q + acc)
-        sets.append(tuple(sorted(members)))
+    coeffs = np.array([split_symbols(index, q_width, c) for index in range(num_sets)])
+    points = np.arange(set_size)
+    # b q + p(b) rises with b, so each row is already sorted
+    members = points * q + horner(coeffs, points, q_width)
+    sets = [tuple(row) for row in members.tolist()]
 
     max_overlap, _ = _design_stats(sets, q * q)
     design = Design(

@@ -9,12 +9,22 @@ The modulus for each width is not taken from a table; it is found by a
 deterministic scan (smallest polynomial with constant term 1 that passes a
 gcd-based irreducibility test), so any independent implementation of the
 same rule lands on the same field.
+
+This module alone decides how the fields are represented.  Up to width 16
+each field builds, once, exp/log tables over its smallest generator (the
+first g >= 2 of order 2^w - 1) by doubling runs of powers with the
+table-free shift-and-xor product; the array kernel (:func:`mul_arrays`,
+:func:`horner`) gathers from them as arrays and the scalar methods read the
+same tables as lists.  Wider fields use shift-and-xor throughout.  An
+integer holds symbols of w bits lowest first, symbol i in bits
+[i w, (i + 1) w); :func:`split_symbols` is the one place that reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +32,10 @@ from .errors import FieldMismatchError
 
 MAX_FIELD_WIDTH = 32
 
-# Widths up to this get full exp/log tables; larger fields fall back to
-# shift-and-xor multiplication and extended-gcd inversion.
+# Widths up to this hold exp/log tables, built once per field with zero
+# folded in: log 0 = 2(q - 1) and exp is 0 from index 2(q - 1) on, so
+# exp[log a + log b] is the product a b for every pair, zero included.
+# Wider fields multiply by shift-and-xor and invert by extended gcd.
 _TABLE_WIDTH_LIMIT = 16
 
 
@@ -138,6 +150,48 @@ def field_modulus(width: int) -> int:
     raise AssertionError(f"no irreducible polynomial of degree {width}")
 
 
+def _gf2x_powmod(a: int, e: int, m: int) -> int:
+    result = 1
+    while e:
+        if e & 1:
+            result = _gf2x_mulmod(result, a, m)
+        a = _gf2x_mulmod(a, a, m)
+        e >>= 1
+    return result
+
+
+def _generator(modulus: int, order: int) -> int:
+    """Smallest g >= 2 of multiplicative order q - 1; 1 in GF(2)."""
+    size = order - 1
+    factors = _prime_factors(size)
+    for g in range(2, order):
+        if all(_gf2x_powmod(g, size // p, modulus) != 1 for p in factors):
+            return g
+    return 1
+
+
+def _shift_xor_mul(a: np.ndarray, b: np.ndarray, width: int, modulus: int) -> np.ndarray:
+    """Elementwise products modulo ``modulus`` with no tables, broadcasting
+    a against b: one shift-and-xor pass per bit of b."""
+    a, b = (v.copy() for v in np.broadcast_arrays(a, b))
+    out = np.zeros_like(a)
+    for _ in range(width):
+        out ^= a * (b & 1)
+        b >>= 1
+        a <<= 1
+        a ^= (a >> width) * modulus
+    return out
+
+
+def split_symbols(value: int, width: int, count: int) -> list[int]:
+    """The ``count`` w-bit symbols of ``value``, lowest first: symbol i is
+    bits [i w, (i + 1) w).  Raises ValueError if value does not fit."""
+    if value < 0 or value >> (width * count):
+        raise ValueError(f"{value} does not fit in {count} symbols of {width} bits")
+    mask = (1 << width) - 1
+    return [(value >> (i * width)) & mask for i in range(count)]
+
+
 class GF2Field:
     """Arithmetic in GF(2^w) on plain integers below 2^w."""
 
@@ -145,50 +199,34 @@ class GF2Field:
         self.width = width
         self.modulus = field_modulus(width)
         self.order = 1 << width
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
+        # The exp/log tables as arrays for the array kernel and as lists for
+        # scalar calls; None above the table limit.
+        self.exp_array = self.log_array = self._exp = self._log = None
         if width <= _TABLE_WIDTH_LIMIT:
             self._build_tables()
 
     def _mul_raw(self, a: int, b: int) -> int:
-        result = 0
-        top = self.order
-        while b:
-            if b & 1:
-                result ^= a
-            a <<= 1
-            if a & top:
-                a ^= self.modulus
-            b >>= 1
-        return result
+        return _gf2x_mulmod(a, b, self.modulus)
 
     def _build_tables(self):
-        # z = 0b10 need not generate the whole multiplicative group, so scan
-        # for the first element that does.
         size = self.order - 1
-        for g in range(2, self.order):
-            exp = [1] * (2 * size)
-            log = [0] * self.order
-            v = 1
-            ok = True
-            for i in range(size):
-                exp[i] = v
-                if v == 1 and i > 0:
-                    ok = False
-                    break
-                log[v] = i
-                v = self._mul_raw(v, g)
-            if ok and v == 1:
-                for i in range(size, 2 * size):
-                    exp[i] = exp[i - size]
-                self._exp = exp
-                self._log = log
-                return
-        if self.order == 2:
-            self._exp = [1, 1]
-            self._log = [0, 0]
-            return
-        raise AssertionError(f"no generator found for GF(2^{self.width})")
+        # g^0 .. g^(2^j - 1), doubled with g^(2^j) until every power is in
+        powers = np.ones(1, dtype=np.intp)
+        step = _generator(self.modulus, self.order)
+        while len(powers) < size:
+            shifted = _shift_xor_mul(powers, np.intp(step), self.width, self.modulus)
+            powers = np.concatenate([powers, shifted])
+            step = _gf2x_mulmod(step, step, self.modulus)
+        exp = np.zeros(4 * size + 1, dtype=np.intp)
+        exp[:size] = exp[size : 2 * size] = powers[:size]
+        log = np.empty(self.order, dtype=np.intp)
+        log[exp[:size]] = np.arange(size)
+        log[0] = 2 * size
+        cycle = exp[:size].tolist()
+        self._exp, self._log = cycle + cycle + [0] * (2 * size + 1), log.tolist()
+        # Shared by every caller of the cached field.
+        exp.flags.writeable = log.flags.writeable = False
+        self.exp_array, self.log_array = exp, log
 
     def check(self, a: int) -> int:
         if a < 0 or a >= self.order:
@@ -196,20 +234,16 @@ class GF2Field:
         return a
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        if self._exp is None:
+            return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^w)")
-        if a == 1:
-            return 1
-        if self._exp is not None:
-            return self._exp[(self.order - 1) - self._log[a]]
-        return _gf2x_invmod(a, self.modulus)
+        if self._exp is None:
+            return _gf2x_invmod(a, self.modulus)
+        return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -223,11 +257,19 @@ class GF2Field:
             e >>= 1
         return result
 
-    def exp_log_tables(self) -> tuple[list[int], list[int]]:
-        """(exp, log) tables for vectorized callers; width must be small."""
+    def eval_poly(self, coeffs: Sequence[int], x: int) -> int:
+        """Horner evaluation at x of the polynomial with these
+        coefficients, lowest degree first."""
+        acc = 0
         if self._exp is None:
-            raise ValueError(f"no tables for width {self.width} > {_TABLE_WIDTH_LIMIT}")
-        return self._exp, self._log
+            for c in reversed(coeffs):
+                acc = self._mul_raw(acc, x) ^ c
+            return acc
+        exp, log = self._exp, self._log
+        log_x = log[x]
+        for c in reversed(coeffs):
+            acc = exp[log[acc] + log_x] ^ c
+        return acc
 
 
 @lru_cache(maxsize=None)
@@ -235,44 +277,18 @@ def get_field(width: int) -> GF2Field:
     return GF2Field(width)
 
 
-@lru_cache(maxsize=None)
-def _array_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The field's (exp, log) tables as arrays, with zero folded in.
-
-    log[0] is 2(q - 1) and exp is 0 from index 2(q - 1) on, so
-    exp[log[a] + log[b]] is the product a b for every pair, zero included.
-    """
-    exp, log = get_field(width).exp_log_tables()
-    size = (1 << width) - 1
-    exp_arr = np.zeros(4 * size + 1, dtype=np.intp)
-    exp_arr[: 2 * size] = exp
-    log_arr = np.array(log, dtype=np.intp)
-    log_arr[0] = 2 * size
-    # Cached and shared by every caller.
-    exp_arr.flags.writeable = log_arr.flags.writeable = False
-    return exp_arr, log_arr
-
-
 def mul_arrays(a, b, width: int) -> np.ndarray:
     """Elementwise product in GF(2^w) of integer arrays, with broadcasting.
 
-    Widths up to 16 gather from the exp/log tables; larger widths run
-    shift-and-xor over all elements at once, one pass per bit of b.
+    Widths up to 16 gather from the field's exp/log tables; larger widths
+    run shift-and-xor over all elements at once, one pass per bit of b.
     """
     a = np.asarray(a, dtype=np.intp)
     b = np.asarray(b, dtype=np.intp)
-    if width <= _TABLE_WIDTH_LIMIT:
-        exp, log = _array_tables(width)
-        return exp[log[a] + log[b]]
-    modulus = get_field(width).modulus
-    a, b = (v.copy() for v in np.broadcast_arrays(a, b))
-    out = np.zeros_like(a)
-    for _ in range(width):
-        out ^= a * (b & 1)
-        b >>= 1
-        a <<= 1
-        a ^= (a >> width) * modulus
-    return out
+    field = get_field(width)
+    if field.exp_array is None:
+        return _shift_xor_mul(a, b, width, field.modulus)
+    return field.exp_array[field.log_array[a] + field.log_array[b]]
 
 
 def horner(coeffs, points, width: int) -> np.ndarray:

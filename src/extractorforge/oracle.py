@@ -338,7 +338,7 @@ def extractor_distance(
     for x in xs:
         if len(x) != n:
             raise ValueError(f"source element of length {len(x)}, extractor wants {n}")
-    if side is not None and side.x_marginal() != source:
+    if side is not None and (side.n != n or not _marginal_matches(side, source, xs)):
         raise ValueError("side table's x-marginal differs from the source")
 
     positions = tuple(sorted(getattr(extractor, "seed_support", range(t))))
@@ -394,6 +394,19 @@ def extractor_distance(
         part = out if columns is None else out.take(columns, axis=1)
         deviation += _cell_deviation(part, symbols, weights, targets, scale, dtype)
     return Fraction(deviation + (total << m) * ny, 2 * (total << m) * ny)
+
+
+def _marginal_matches(side: JointTable, source: FiniteDistribution, xs) -> bool:
+    """Whether the side table's x-marginal equals the source: the same
+    support ``xs`` and w_side(x) N_source = w_source(x) N_side on it, with
+    the side weights summed per x value."""
+    marginal: dict[int, int] = {}
+    for x, w in zip(side._xs, side._weights):
+        marginal[x] = marginal.get(x, 0) + w
+    return len(marginal) == len(xs) and all(
+        marginal.get(x.to_int(), 0) * source._total == source._weights[x] * side._total
+        for x in xs
+    )
 
 
 def _cell_deviation(out, symbols, weights, targets, scale, dtype) -> int:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import FieldMismatchError
-from .gf2 import FieldElement, get_field, _prime_factors
+from .gf2 import FieldElement, get_field, split_symbols, _prime_factors
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,7 @@ class FieldPoly:
     def eval_int(self, alpha: int) -> int:
         """Horner evaluation at a raw field element."""
         field = get_field(self.width)
-        field.check(alpha)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = field.mul(acc, alpha) ^ c
-        return acc
+        return field.eval_poly(self.coeffs, field.check(alpha))
 
     def __repr__(self) -> str:
         return f"FieldPoly({list(self.coeffs)}, width={self.width})"
@@ -218,14 +214,8 @@ def find_irreducible(width: int, degree: int) -> FieldPoly:
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    q = 1 << width
-    for counter in range(q**degree):
-        digits = []
-        v = counter
-        for _ in range(degree):
-            digits.append(v % q)
-            v //= q
-        candidate = FieldPoly(tuple(digits) + (1,), width)
+    for counter in range(1 << (width * degree)):
+        candidate = FieldPoly(tuple(split_symbols(counter, width, degree)) + (1,), width)
         if poly_irreducible(candidate):
             return candidate
     raise AssertionError(f"no irreducible of degree {degree} over GF(2^{width})")

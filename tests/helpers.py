@@ -8,7 +8,7 @@ matrices.  Tests compare package results against these.
 from fractions import Fraction
 
 from extractorforge.bits import BitString
-from extractorforge.gf2 import get_field
+from extractorforge.gf2 import field_modulus, get_field
 
 
 def ref_gf2x_mul(a: int, b: int) -> int:
@@ -44,6 +44,16 @@ def trial_division_irreducible(f: int) -> bool:
 
 def ref_field_mul(a: int, b: int, width: int, modulus: int) -> int:
     return ref_gf2x_mod(ref_gf2x_mul(a, b), modulus)
+
+
+def ref_horner(coeffs: list[int], x: int, width: int) -> int:
+    """p(x) over GF(2^w) for coefficients lowest degree first, with every
+    product taken by :func:`ref_field_mul`."""
+    modulus = field_modulus(width)
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ref_field_mul(acc, x, width, modulus) ^ c
+    return acc
 
 
 def ref_poly_divmod(num: list[int], den: list[int], width: int):

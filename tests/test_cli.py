@@ -9,7 +9,7 @@ from extractorforge.condenser import StrongCondenserMap, build_condenser
 from extractorforge.designs import build_poly_design
 from extractorforge.serialize import spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
-from extractorforge.trevisan import custom_spec
+from extractorforge.trevisan import build_trevisan, custom_spec
 
 
 def _run(capsys, argv):
@@ -141,6 +141,20 @@ def test_budget_too_small_is_inconclusive(capsys, tmp_path, condenser_spec):
     assert rc == cli.EXIT_INCONCLUSIVE
     assert report["budget"] == 10
     assert "inconclusive" in report
+
+
+def test_failed_recertification_exits_one(capsys, tmp_path):
+    data = json.loads(spec_to_json(build_trevisan("thm42", 8, 2, Fraction(1, 4))))
+    data["design"]["certifiedOverlap"] = 99
+    path = tmp_path / "trevisan.json"
+    path.write_text(json.dumps(data) + "\n")
+    rc, report, _ = _run(capsys, ["verify", "design", "--spec", str(path)])
+    assert rc == cli.EXIT_FAIL
+    assert report["allPassed"] is False
+    [check] = report["checks"]
+    assert check["name"] == "design recertification: spec design"
+    assert check["passed"] is False
+    assert check["detail"]["reason"] == "certified overlap 99 but recomputed 0"
 
 
 def test_unreadable_spec(capsys, tmp_path):

@@ -11,6 +11,8 @@ from extractorforge.designs import (
     verify_design,
 )
 
+from helpers import ref_horner
+
 
 def _pairwise_overlaps(design):
     out = []
@@ -131,3 +133,18 @@ def test_design_json_roundtrip():
         data = d.to_json_dict()
         assert set(data) == {"t", "l", "kind", "sets", "certifiedOverlap"}
         assert Design.from_json_dict(data) == d
+
+
+@pytest.mark.parametrize("num_sets, set_size", [(16, 4), (64, 8), (11, 14), (300, 9)])
+def test_poly_design_matches_horner_reference(num_sets, set_size):
+    # set p is {b q + p(b)}, p's coefficients the base-q digits of p
+    q_width = max(1, (set_size - 1).bit_length())
+    q = 1 << q_width
+    c = 1
+    while q**c < num_sets:
+        c += 1
+    expected = []
+    for index in range(num_sets):
+        digits = [(index // q**i) % q for i in range(c)]
+        expected.append(tuple(b * q + ref_horner(digits, b, q_width) for b in range(set_size)))
+    assert build_poly_design(num_sets, set_size).sets == tuple(expected)

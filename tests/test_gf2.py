@@ -13,10 +13,11 @@ from extractorforge.gf2 import (
     gf_mul,
     horner,
     mul_arrays,
+    split_symbols,
 )
 from extractorforge.poly import FieldPoly
 
-from helpers import ref_field_mul, trial_division_irreducible
+from helpers import ref_field_mul, ref_horner, trial_division_irreducible
 
 
 def test_modulus_small_widths_frozen():
@@ -86,6 +87,82 @@ def test_tableless_path_matches_tables():
             assert small._mul_raw(a, b) == small.mul(a, b)
     for a in (1, 57, 300, 511):
         assert small.mul(a, small.inv(a)) == 1
+
+
+@pytest.mark.parametrize("width", range(9, 17))
+def test_scalar_mul_and_inv_match_reference(width):
+    field = get_field(width)
+    modulus = field_modulus(width)
+    rng = CounterRng(0x5CA1, width)
+    top = (1 << width) - 1
+    pairs = [(0, 0), (0, top), (1, top), (top, top)]
+    pairs += [(rng.below(1 << width), rng.below(1 << width)) for _ in range(200)]
+    for a, b in pairs:
+        assert field.mul(a, b) == ref_field_mul(a, b, width, modulus)
+        if a:
+            assert ref_field_mul(a, field.inv(a), width, modulus) == 1
+
+
+def _ref_is_generator(g, width, modulus):
+    # g generates iff g^((q-1)/p) != 1 for every prime p dividing q - 1
+    size = (1 << width) - 1
+    primes = [p for p in range(2, size + 1) if size % p == 0 and all(p % d for d in range(2, p))]
+    return all(_ref_pow(g, size // p, width, modulus) != 1 for p in primes)
+
+
+def _ref_pow(a, e, width, modulus):
+    # square and multiply over ref_field_mul
+    result = 1
+    for bit in bin(e)[2:]:
+        result = ref_field_mul(result, result, width, modulus)
+        if bit == "1":
+            result = ref_field_mul(result, a, width, modulus)
+    return result
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_tables_are_powers_of_smallest_generator(width):
+    field = get_field(width)
+    modulus = field_modulus(width)
+    size = field.order - 1
+    exp, log = field.exp_array, field.log_array
+    g = int(exp[1 % size])
+    assert g == next((h for h in range(2, field.order) if _ref_is_generator(h, width, modulus)), 1)
+    # the powers of g, twice over, then zeros; log inverts them
+    rng = CounterRng(0x9E7, width)
+    for i in [0, size - 1] + [rng.below(size) for _ in range(50)]:
+        assert int(exp[i]) == _ref_pow(g, i, width, modulus)
+    assert sorted(exp[:size].tolist()) == list(range(1, field.order))
+    assert exp[size : 2 * size].tolist() == exp[:size].tolist()
+    assert len(exp) == 4 * size + 1 and not exp[2 * size :].any()
+    assert log[exp[:size]].tolist() == list(range(size)) and log[0] == 2 * size
+    # the scalar methods read the same tables
+    assert field._exp == exp.tolist() and field._log == log.tolist()
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 8, 9, 14, 16, 17, 20])
+def test_eval_poly_matches_reference(width):
+    field = get_field(width)
+    rng = CounterRng(0xE7A1, width)
+    for degree in (0, 1, 3, 6):
+        coeffs = [rng.below(1 << width) for _ in range(degree)]
+        for x in [0, 1, (1 << width) - 1, rng.below(1 << width)]:
+            assert field.eval_poly(coeffs, x) == ref_horner(coeffs, x, width)
+
+
+@pytest.mark.parametrize("width, count", [(1, 70), (5, 14), (8, 9), (14, 6), (31, 3)])
+def test_split_symbols_round_trips_wide_values(width, count):
+    rng = CounterRng(0x5B17, width)
+    top = (1 << (width * count)) - 1
+    # below() draws at most 64 bits, so wide values are built from 32-bit parts
+    drawn = [sum(rng.below(1 << 32) << (32 * i) for i in range(3)) & top for _ in range(20)]
+    for value in [0, 1, top, (1 << 64) & top, ((1 << 69) | 5) & top] + drawn:
+        symbols = split_symbols(value, width, count)
+        assert len(symbols) == count and all(0 <= s < 1 << width for s in symbols)
+        assert sum(s << (i * width) for i, s in enumerate(symbols)) == value
+    for bad in (-1, top + 1):
+        with pytest.raises(ValueError):
+            split_symbols(bad, width, count)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 9, 16, 17, 20])

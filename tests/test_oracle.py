@@ -265,6 +265,33 @@ class TestExtractorDistance:
         with pytest.raises(ValueError):
             extractor_distance(ext, src, side=table)
 
+    @pytest.mark.parametrize(
+        "n, probs, matches",
+        [
+            # the source's marginal (1/2 each) over denominators 4 and 6
+            (3, {(1, "a"): Fraction(1, 4), (1, "b"): Fraction(1, 4), (6, "a"): Fraction(1, 2)}, True),
+            (3, {(1, "a"): Fraction(1, 6), (1, "b"): Fraction(1, 3), (6, "b"): Fraction(1, 2)}, True),
+            # same support, other weights
+            (3, {(1, "a"): Fraction(1, 3), (6, "a"): Fraction(2, 3)}, False),
+            # a support point missing, or one added
+            (3, {(1, "a"): Fraction(1)}, False),
+            (3, {(1, "a"): Fraction(1, 3), (6, "a"): Fraction(1, 3), (7, "a"): Fraction(1, 3)}, False),
+            # the same values as 4-bit strings
+            (4, {(1, "a"): Fraction(1, 2), (6, "a"): Fraction(1, 2)}, False),
+        ],
+    )
+    def test_side_marginal_compared_by_weight(self, n, probs, matches):
+        ext = ToeplitzExtractor(ToeplitzSpec(3, 1))
+        src = FlatSource.from_ints(3, (1, 6))
+        joint = {(BitString(x, n), s): p for (x, s), p in probs.items()}
+        table = JointTable(n, joint)
+        if matches:
+            expect = ref_side_distance(ext.extract, ext.seed_bits, 1, joint)
+            assert extractor_distance(ext, src, side=table) == expect
+        else:
+            with pytest.raises(ValueError):
+                extractor_distance(ext, src, side=table)
+
     def test_budget_enforced(self):
         ext = _FnExtractor(4, 8, 1, lambda x, y: BitString(0, 1))
         src = FlatSource.from_ints(4, range(16))

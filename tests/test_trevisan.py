@@ -8,7 +8,7 @@ from extractorforge.codes import CodeSpec, encode_bit
 from extractorforge.designs import build_greedy_weak_design, build_poly_design, restrict_seed
 from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
-from extractorforge.oracle import extractor_distance, sample_flat_sources
+from extractorforge.oracle import FlatSource, extractor_distance, sample_flat_sources
 from extractorforge.trevisan import (
     ExtractorSpec,
     TrevisanExtractor,
@@ -226,3 +226,21 @@ def test_batch_table_rejects_outputs_wider_than_int64():
     state = ext.prepare_batch([0, 1])
     with pytest.raises(ValueError):
         ext.extract_table(state, np.arange(2, dtype=np.int64), ext.seed_support)
+
+
+class _ExtractOnly:
+    """The extractor without its table methods: the oracle calls extract
+    once per (x, seed pattern)."""
+
+    def __init__(self, ext):
+        self.input_bits, self.seed_bits = ext.input_bits, ext.seed_bits
+        self.output_bits, self.seed_support = ext.output_bits, ext.seed_support
+        self.extract = ext.extract
+
+
+def test_table_path_on_sources_of_70_bits():
+    # 14 symbols of 5 bits: messages wider than int64
+    ext = TrevisanExtractor(build_trevisan("thm42", 70, 1, Fraction(1, 4)))
+    source = FlatSource.from_ints(70, [1, 2**69 | 5])
+    assert extractor_distance(ext, source) == extractor_distance(_ExtractOnly(ext), source)
+    assert extractor_distance(ext, source) == Fraction(33, 128)
