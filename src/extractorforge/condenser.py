@@ -2,8 +2,9 @@
 
 The source is read as a polynomial f of degree below n_tilde over GF(2^w).
 A seed y in GF(2^w) maps to the output symbols f^(h^i)(y) mod E for
-i = 0 .. m' - 1, where E is a fixed irreducible polynomial of degree
-n_tilde and h is a power of two.  The strong form appends the seed.
+i = 0 .. m' - 1, where h is a power of two and E, monic irreducible of
+degree n_tilde, is checked by :class:`CondenserSpec` (built or read from
+JSON).  The strong form appends the seed.
 
 Parameter resolution, smallest field width w such that
 
@@ -30,8 +31,8 @@ import numpy as np
 
 from .bits import BitString
 from .errors import InfeasibleParameterError
-from .gf2 import horner, mul_arrays, split_symbols
-from .poly import FieldPoly, find_irreducible, poly_pow_mod
+from .gf2 import horner, split_symbols
+from .poly import FieldPoly, find_irreducible, poly_irreducible, pow_mod_rows
 
 _MAX_SEED_WIDTH = 24
 
@@ -57,6 +58,9 @@ class CondenserSpec:
             raise ValueError("output symbols must be in [1, message symbols]")
         if self.modulus.degree != self.message_symbols:
             raise ValueError("modulus degree must equal the message symbol count")
+        e = self.modulus
+        if e.width != self.field_width or e.coeffs[-1] != 1 or not poly_irreducible(e):
+            raise ValueError("modulus E must be monic and irreducible over GF(2^w)")
         if self.output_bits < self.k:
             raise ValueError("output shorter than the entropy it must preserve")
 
@@ -162,24 +166,26 @@ def build_condenser(
     )
 
 
-def _message_poly(spec: CondenserSpec, x: BitString) -> FieldPoly:
-    if len(x) != spec.n:
-        raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
+def _residue_rows(spec: CondenserSpec, xs: list[int]):
+    """For i = 0 .. m' - 1, the rows f^(h^i) mod E of every source in xs,
+    lowest degree first; each power is log2(h) squarings of the last."""
     w = spec.field_width
-    return FieldPoly(tuple(split_symbols(x.to_int(), w, spec.message_symbols)), w)
+    low = np.array(spec.modulus.coeffs[:-1], dtype=np.intp)
+    rows = np.array(
+        [split_symbols(xv, w, spec.message_symbols) for xv in xs], dtype=np.intp
+    ).reshape(len(xs), spec.message_symbols)
+    for i in range(spec.output_symbols):
+        if i:
+            rows = pow_mod_rows(rows, spec.power, low, w)
+        yield rows
 
 
 def residue_powers(spec: CondenserSpec, x: BitString) -> list[FieldPoly]:
-    """The polynomials f^(h^i) mod E for i = 0 .. m' - 1.
-
-    Each is derived from the previous by an h-th power, so the chain costs
-    m' * log2(h) squarings.
-    """
-    f = _message_poly(spec, x) % spec.modulus
-    out = [f]
-    for _ in range(1, spec.output_symbols):
-        out.append(poly_pow_mod(out[-1], spec.power, spec.modulus))
-    return out
+    """The polynomials f^(h^i) mod E for i = 0 .. m' - 1, one row each."""
+    if len(x) != spec.n:
+        raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
+    w = spec.field_width
+    return [FieldPoly(tuple(rows[0].tolist()), w) for rows in _residue_rows(spec, [x.to_int()])]
 
 
 def guv_condense(spec: CondenserSpec, x: BitString, y: BitString) -> BitString:
@@ -223,30 +229,9 @@ class StrongCondenserMap:
         w = spec.field_width
         if self.output_bits > 62:
             raise ValueError("packed strong-form image does not fit in int64")
-        rows = np.array(
-            [split_symbols(xv, w, spec.message_symbols) for xv in xs], dtype=np.int64
-        ).reshape(len(xs), spec.message_symbols)
         ys = np.arange(1 << w, dtype=np.int64)
         out = np.broadcast_to(ys << spec.output_bits, (len(xs), len(ys)))
-        for i in range(spec.output_symbols):
-            if i:
-                for _ in range(spec.power.bit_length() - 1):
-                    rows = _square_mod(rows, spec.modulus)
+        for i, rows in enumerate(_residue_rows(spec, xs)):
             out = out | (horner(rows, ys, w) << (i * w))
         return out
 
-
-def _square_mod(rows: np.ndarray, modulus: FieldPoly) -> np.ndarray:
-    """Row-wise square modulo E of polynomials of degree below deg E.
-
-    Over characteristic 2 the square of sum c_j Z^j is sum c_j^2 Z^(2j); each
-    Z^top with top >= deg E is then replaced by Z^(top - deg E) times the
-    low part of the monic E.
-    """
-    degree, w = modulus.degree, modulus.width
-    low = np.array(modulus.monic().coeffs[:degree], dtype=np.int64)
-    wide = np.zeros((len(rows), 2 * degree - 1), dtype=np.int64)
-    wide[:, ::2] = mul_arrays(rows, rows, w)
-    for top in range(2 * degree - 2, degree - 1, -1):
-        wide[:, top - degree : top] ^= mul_arrays(wide[:, top : top + 1], low, w)
-    return wide[:, :degree]

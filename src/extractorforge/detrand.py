@@ -52,12 +52,19 @@ class CounterRng:
         return value
 
     def below(self, n: int) -> int:
-        """Uniform draw from [0, n) by rejection; unbiased and deterministic."""
+        """Uniform draw from [0, n) by rejection over as many 64-bit words as
+        n needs, lowest first; unbiased and deterministic."""
         if n <= 0:
             raise ValueError(f"below() needs n >= 1, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        span = 1 << 64
+        while span < n:
+            span <<= 64
+        limit = span - span % n
         while True:
-            v = self.next_u64()
+            v, drawn = self.next_u64(), 1 << 64
+            while drawn < span:
+                v |= self.next_u64() * drawn
+                drawn <<= 64
             if v < limit:
                 return v % n
 

@@ -5,6 +5,7 @@ list-based polynomial arithmetic, trial-division irreducibility, explicit
 matrices.  Tests compare package results against these.
 """
 
+import itertools
 from fractions import Fraction
 
 from extractorforge.bits import BitString
@@ -82,26 +83,42 @@ def ref_poly_divmod(num: list[int], den: list[int], width: int):
     return quot, num
 
 
+def ref_poly_mul(p: list[int], q: list[int], width: int) -> list[int]:
+    """Schoolbook product of coefficient lists over GF(2^w)."""
+    field = get_field(width)
+    out = [0] * (len(p) + len(q) - 1 if p and q else 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] ^= field.mul(a, b)
+    return out
+
+
 def ref_poly_pow_mod(f: list[int], e: int, modulus: list[int], width: int) -> list[int]:
     """f^e mod modulus by plain repeated multiplication (no squaring trick)."""
-    field = get_field(width)
-
-    def mul(p, q):
-        out = [0] * (len(p) + len(q) - 1 if p and q else 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] ^= field.mul(a, b)
-        return out
-
     result = [1]
     _, result = ref_poly_divmod(result, modulus, width)
     for _ in range(e):
-        result = mul(result, f)
+        result = ref_poly_mul(result, f, width)
         _, result = ref_poly_divmod(result, modulus, width)
     # strip trailing zeros for comparison
     while len(result) > 0 and result[-1] == 0:
         result.pop()
     return result
+
+
+def ref_poly_irreducible(coeffs: list[int], width: int) -> bool:
+    """Irreducibility over GF(2^w) of the polynomial with these coefficients
+    (lowest degree first) by trial division by every monic polynomial of
+    degree 1 .. deg/2."""
+    degree = max((i for i, c in enumerate(coeffs) if c), default=-1)
+    if degree < 1:
+        return False
+    for d in range(1, degree // 2 + 1):
+        for low in itertools.product(range(1 << width), repeat=d):
+            _, rem = ref_poly_divmod(coeffs, list(low) + [1], width)
+            if not any(rem):
+                return False
+    return True
 
 
 def ref_codeword(width: int, symbols: int, x: int) -> list[int]:

@@ -165,6 +165,27 @@ def test_unreadable_spec(capsys, tmp_path):
     assert err.startswith("unreadable spec")
 
 
+@pytest.mark.parametrize("modulus", [[1, 0, 1], [2, 2, 2]], ids=["reducible", "not-monic"])
+@pytest.mark.parametrize("command", ["extract", "verify"])
+def test_bad_condenser_modulus_is_a_bad_spec(capsys, tmp_path, condenser_spec, modulus, command):
+    # E = Z^2 + 1 = (Z + 1)^2, or 2 Z^2 + 2 Z + 2, over GF(2^11)
+    data = json.loads(spec_to_json(condenser_spec))
+    data["modulusE"] = modulus
+    path = tmp_path / "condenser.json"
+    path.write_text(json.dumps(data) + "\n")
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(b"\xa5\x3c")
+    argv = {
+        "extract": ["extract", "--spec", str(path), "--in", str(infile),
+                    "--out", str(tmp_path / "out.bin"), "--seed", "0fa5"],
+        "verify": ["verify", "condenser", "--spec", str(path)],
+    }[command]
+    rc, report, err = _run(capsys, argv)
+    assert rc == cli.EXIT_BAD_SPEC
+    assert report is None
+    assert err.startswith("unreadable spec") and "monic and irreducible" in err
+
+
 def test_memory_limit_charges_condenser_pairs(capsys, monkeypatch, tmp_path):
     # 2^4 points x 2^20 seeds: 2^24 pairs fit 256 MB at 16 bytes a pair, but
     # the condenser check needs about 48

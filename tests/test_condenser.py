@@ -17,7 +17,7 @@ from extractorforge.errors import InfeasibleParameterError
 from extractorforge.oracle import injective_fraction, sample_flat_sources
 from extractorforge.poly import FieldPoly, find_irreducible
 
-from helpers import ref_poly_pow_mod
+from helpers import ref_horner, ref_poly_pow_mod
 
 
 def _manual_spec():
@@ -160,25 +160,47 @@ def test_build_deterministic():
 
 
 def test_image_table_matches_strong_form():
-    for args, sources in (
-        ((12, 6, Fraction(1, 4), 1), 3),
+    for args, sources, seeds in (
+        ((12, 6, Fraction(1, 4), 1), 3, None),
         # w = 14, n_tilde = 3, m' = 2: squarings modulo E of degree 3
-        ((40, 10, Fraction(1, 4), Fraction(1, 2)), 1),
+        ((40, 10, Fraction(1, 4), Fraction(1, 2)), 1, None),
+        # w = 14, n_tilde = 4: E from the search past the skipped counters
+        ((48, 10, Fraction(1, 4), Fraction(1, 2)), 2, 64),
     ):
-        _check_image_table(args, sources)
+        _check_image_table(args, sources, seeds)
 
 
-def _check_image_table(args, sources):
+def _check_image_table(args, sources, seeds):
+    """image_table against strong_form on every seed, or on ``seeds``
+    seeded ones."""
     spec = build_condenser(*args)
     cmap = StrongCondenserMap(spec)
     rng = CounterRng(0x1A81E, spec.n)
     xs = [0] + [rng.below(1 << spec.n) for _ in range(sources)]
     table = cmap.image_table(xs)
     assert table.shape == (len(xs), 1 << spec.seed_bits)
+    ys = range(1 << spec.seed_bits)
+    if seeds is not None:
+        ys = [rng.below(1 << spec.seed_bits) for _ in range(seeds)]
     for row, xv in enumerate(xs):
-        for yv in range(1 << spec.seed_bits):
+        for yv in ys:
             expect = strong_form(spec, BitString(xv, spec.n), BitString(yv, spec.seed_bits))
             assert int(table[row, yv]) == expect.to_int()
+
+
+def test_guv_condense_matches_reference_at_degree_four():
+    spec = build_condenser(48, 10, Fraction(1, 4), Fraction(1, 2))
+    assert (spec.field_width, spec.message_symbols, spec.output_symbols) == (14, 4, 2)
+    w, modulus = spec.field_width, list(spec.modulus.coeffs)
+    rng = CounterRng(0x48A)
+    for _ in range(6):
+        xv, yv = rng.below(1 << spec.n), rng.below(1 << w)
+        coeffs = [(xv >> (i * w)) & ((1 << w) - 1) for i in range(spec.message_symbols)]
+        expected = 0
+        for i in range(spec.output_symbols):
+            residue = ref_poly_pow_mod(coeffs, spec.power**i, modulus, w)
+            expected |= ref_horner(residue, yv, w) << (i * w)
+        assert guv_condense(spec, BitString(xv, spec.n), BitString(yv, w)).to_int() == expected
 
 
 def test_image_table_above_table_width():
@@ -231,3 +253,21 @@ def test_spec_validation():
             output_symbols=3,  # more outputs than message symbols
             modulus=find_irreducible(3, 2),
         )
+    # E must be monic and irreducible over GF(2^w) of the spec
+    for modulus in (
+        FieldPoly((1, 0, 1), 3),  # (Z + 1)^2
+        FieldPoly((2, 2, 2), 3),  # not monic
+        find_irreducible(2, 2),  # another field
+    ):
+        with pytest.raises(ValueError, match="monic and irreducible"):
+            CondenserSpec(
+                n=6,
+                k=3,
+                epsilon=Fraction(1, 2),
+                alpha=Fraction(4),
+                field_width=3,
+                message_symbols=2,
+                power=2,
+                output_symbols=2,
+                modulus=modulus,
+            )
