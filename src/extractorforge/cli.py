@@ -28,7 +28,7 @@ from fractions import Fraction
 from .bits import BitString
 from .codes import CodeSpec, code_distance, encode_all_positions, encode_bit
 from .compose import BlockSpec, PipelineSpec, build_high_entropy_extractor, build_pipeline
-from .condenser import CondenserSpec, StrongCondenserMap, guv_condense, strong_form
+from .condenser import CondenserSpec, StrongCondenserMap, guv_condense
 from .detrand import CounterRng
 from .designs import build_greedy_weak_design, build_poly_design, verify_design
 from .errors import BudgetExceededError, InfeasibleParameterError
@@ -327,6 +327,10 @@ def _verify_design_target(spec, budget, checks):
             ("poly m=64 l=8", build_poly_design(64, 8)),
             ("greedy m=16 l=6", build_greedy_weak_design(16, 6, 2)),
         ]
+    _recertify_designs(designs, checks)
+
+
+def _recertify_designs(designs, checks):
     for name, design in designs:
         report = verify_design(design)
         checks.append(
@@ -464,45 +468,23 @@ def _verify_lemmas_target(budget, test_seed, checks):
     )
 
 
-def _verify_pipeline_target(spec, budget, test_seed, checks):
+def _verify_pipeline_target(spec, checks):
     if not isinstance(spec, PipelineSpec):
         raise _BadSpec("pipeline verification expects a pipeline spec")
-    pipeline = spec.pipeline()
-    rng = CounterRng(0x917E, test_seed)
-    trials = min(2000, max(100, budget // 10000))
-    mismatches = 0
-    for _ in range(trials):
-        x = BitString(_random_wide(rng, spec.n), spec.n)
-        y = BitString(_random_wide(rng, pipeline.seed_bits), pipeline.seed_bits)
-        d = spec.condenser.seed_bits
-        replay_input = strong_form(spec.condenser, x, y[0:d])
-        if pipeline.pad:
-            replay_input = replay_input + BitString.zeros(pipeline.pad)
-        replay = pipeline.extractor.extract(replay_input, y[d:])
-        if pipeline.extract(x, y) != replay:
-            mismatches += 1
-    checks.append(
-        {
-            "name": f"pipeline replay equality on {trials} random inputs",
-            "passed": mismatches == 0,
-            "detail": {"mismatches": mismatches},
-        }
-    )
-    rebuilt = build_pipeline(spec.n, spec.k, spec.beta, spec.epsilon)
+    blocks = spec.extractor
+    _recertify_designs([("e1 design", blocks.e1.design), ("e2 design", blocks.e2.design)], checks)
+    digest = spec_digest(spec)
+    try:
+        rebuilt = spec_digest(build_pipeline(spec.n, spec.k, spec.beta, spec.epsilon))
+    except InfeasibleParameterError as exc:
+        rebuilt = f"infeasible: {exc}"
     checks.append(
         {
             "name": "pipeline rebuild digest determinism",
-            "passed": spec_digest(rebuilt) == spec_digest(spec),
-            "detail": {"digest": spec_digest(spec)},
+            "passed": rebuilt == digest,
+            "detail": {"digest": digest, "rebuilt": rebuilt},
         }
     )
-
-
-def _random_wide(rng, bits: int) -> int:
-    value = 0
-    for shift in range(0, bits, 63):
-        value |= rng.below(1 << 63) << shift
-    return value % (1 << bits)
 
 
 def cmd_verify(args) -> int:
@@ -530,7 +512,7 @@ def cmd_verify(args) -> int:
         elif args.target == "pipeline":
             if spec is None:
                 raise _BadSpec("pipeline verification needs --spec")
-            _verify_pipeline_target(spec, budget, test_seed, checks)
+            _verify_pipeline_target(spec, checks)
         else:
             print(f"unknown target {args.target}", file=sys.stderr)
             return EXIT_USAGE

@@ -51,13 +51,6 @@ class CodeSpec:
     def codeword_bits(self) -> int:
         return 1 << self.index_bits
 
-    def to_json_dict(self) -> dict:
-        return {"w": self.field_width, "messageSymbols": self.message_symbols}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CodeSpec":
-        return cls(field_width=data["w"], message_symbols=data["messageSymbols"])
-
 
 def encode_bit(spec: CodeSpec, x: BitString, index: int) -> int:
     """Codeword bit at ``index`` for message ``x``."""

@@ -142,30 +142,6 @@ class BlockSpec:
     def extractor(self) -> BlockComposedExtractor:
         return block_compose(TrevisanExtractor(self.e1), TrevisanExtractor(self.e2))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "blockComposed",
-            "n": self.n,
-            "b": self.b,
-            "epsilon": [self.epsilon.numerator, self.epsilon.denominator],
-            "errorBudget": [
-                self.error_budget.numerator,
-                self.error_budget.denominator,
-            ],
-            "e1": self.e1.to_json_dict(),
-            "e2": self.e2.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BlockSpec":
-        return cls(
-            n=data["n"],
-            b=data["b"],
-            epsilon=Fraction(*data["epsilon"]),
-            e1=ExtractorSpec.from_json_dict(data["e1"]),
-            e2=ExtractorSpec.from_json_dict(data["e2"]),
-        )
-
 
 def build_high_entropy_extractor(
     n: int, b: int, epsilon: Fraction | float
@@ -235,40 +211,6 @@ class PipelineSpec:
 
     def pipeline(self) -> CondenseExtractExtractor:
         return condense_extract(self.condenser, self.extractor.extractor())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "pipeline",
-            "n": self.n,
-            "k": self.k,
-            "beta": [self.beta.numerator, self.beta.denominator],
-            "zeta": [self.zeta.numerator, self.zeta.denominator],
-            "alpha": [self.alpha.numerator, self.alpha.denominator],
-            "epsilon": [self.epsilon.numerator, self.epsilon.denominator],
-            "errorBudget": [
-                self.error_budget.numerator,
-                self.error_budget.denominator,
-            ],
-            "seedBits": self.seed_bits,
-            "outputBits": self.output_bits,
-            "condenser": self.condenser.to_json_dict(),
-            "extractor": self.extractor.to_json_dict(),
-            "rounding": list(self.rounding),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PipelineSpec":
-        return cls(
-            n=data["n"],
-            k=data["k"],
-            beta=Fraction(*data["beta"]),
-            zeta=Fraction(*data["zeta"]),
-            alpha=Fraction(*data["alpha"]),
-            epsilon=Fraction(*data["epsilon"]),
-            condenser=CondenserSpec.from_json_dict(data["condenser"]),
-            extractor=BlockSpec.from_json_dict(data["extractor"]),
-            rounding=tuple(data["rounding"]),
-        )
 
 
 def default_zeta(beta: Fraction) -> Fraction:

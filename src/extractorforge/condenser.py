@@ -72,34 +72,6 @@ class CondenserSpec:
     def output_bits(self) -> int:
         return self.output_symbols * self.field_width
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "guv",
-            "n": self.n,
-            "k": self.k,
-            "epsilon": [self.epsilon.numerator, self.epsilon.denominator],
-            "alpha": [self.alpha.numerator, self.alpha.denominator],
-            "w": self.field_width,
-            "messageSymbols": self.message_symbols,
-            "h": self.power,
-            "outputSymbols": self.output_symbols,
-            "modulusE": list(self.modulus.coeffs),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CondenserSpec":
-        return cls(
-            n=data["n"],
-            k=data["k"],
-            epsilon=Fraction(*data["epsilon"]),
-            alpha=Fraction(*data["alpha"]),
-            field_width=data["w"],
-            message_symbols=data["messageSymbols"],
-            power=data["h"],
-            output_symbols=data["outputSymbols"],
-            modulus=FieldPoly(tuple(data["modulusE"]), data["w"]),
-        )
-
 
 def _ceil_log2(value: Fraction) -> int:
     if value <= 0:

@@ -57,32 +57,6 @@ class Design:
     def num_sets(self) -> int:
         return len(self.sets)
 
-    def to_json_dict(self) -> dict:
-        overlap = self.certified_overlap
-        if overlap.denominator == 1:
-            certified = int(overlap)
-        else:
-            certified = [overlap.numerator, overlap.denominator]
-        return {
-            "t": self.universe_size,
-            "l": self.set_size,
-            "kind": self.kind,
-            "sets": [list(s) for s in self.sets],
-            "certifiedOverlap": certified,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Design":
-        raw = data["certifiedOverlap"]
-        overlap = Fraction(raw[0], raw[1]) if isinstance(raw, list) else Fraction(raw)
-        return cls(
-            universe_size=data["t"],
-            set_size=data["l"],
-            kind=data["kind"],
-            sets=tuple(tuple(s) for s in data["sets"]),
-            certified_overlap=overlap,
-        )
-
 
 @dataclass(frozen=True)
 class DesignReport:

@@ -1,35 +1,160 @@
-"""Canonical JSON serialization and content addressing for specs.
+"""The JSON form of every spec, and content addressing by its sha256.
 
-Specs serialize through their ``to_json_dict`` methods; this module fixes
-the byte-level form (sorted keys, no whitespace) so that equal specs always
-produce identical bytes and therefore identical digests.
+This module is the one owner of the spec format.  ``_CODEC`` holds one
+entry per spec class: its type tag (None for the nested ``Design`` and
+``CodeSpec``, which carry none) and, per JSON key, the attribute the key
+holds and the (write, read) pair that converts its value.  Nested specs
+recurse through the same entries.  ``spec_to_json`` fixes the byte-level
+form (sorted keys, no whitespace), so equal specs give identical bytes and
+therefore identical digests.
+
+Quirks of the format, kept so that every digest stays what it was:
+
+* a Fraction is written as ``[numerator, denominator]`` even when it is
+  integral (``"alpha": [1, 1]``), except a design's ``certifiedOverlap``,
+  which is a bare int when integral;
+* ``modulusE`` is the list of E's coefficients, lowest degree first, and
+  is read back as a ``FieldPoly`` over the spec's ``w``;
+* ``sets`` and ``rounding`` are lists in JSON and tuples in Python;
+* ``errorBudget``, ``seedBits`` and ``outputBits`` are stated, not read:
+  the spec derives them, so an entry whose read is None is recomputed from
+  the decoded spec and must equal what the file states, or the load raises
+  ``ValueError`` naming the key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
+from .codes import CodeSpec
 from .compose import BlockSpec, PipelineSpec
 from .condenser import CondenserSpec
+from .designs import Design
+from .poly import FieldPoly
 from .toeplitz import ToeplitzSpec
 from .trevisan import ExtractorSpec
 
-_SPEC_TYPES = {
-    "trevisan": ExtractorSpec,
-    "toeplitz": ToeplitzSpec,
-    "guv": CondenserSpec,
-    "blockComposed": BlockSpec,
-    "pipeline": PipelineSpec,
+
+def _same(value):
+    return value
+
+
+def _pair(value: Fraction) -> list[int]:
+    return [value.numerator, value.denominator]
+
+
+def _read_overlap(raw, data) -> Fraction:
+    return Fraction(*raw) if isinstance(raw, list) else Fraction(raw)
+
+
+def _encode(spec) -> dict:
+    tag, fields = _CODEC[type(spec)]
+    data = {} if tag is None else {"type": tag}
+    for key, attr, (write, _) in fields:
+        data[key] = write(getattr(spec, attr))
+    return data
+
+
+def _decode(cls, data):
+    tag, fields = _CODEC[cls]
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object")
+    if tag is not None and data.get("type") != tag:
+        raise ValueError(f"{cls.__name__} wants type tag {tag!r}, got {data.get('type')!r}")
+    spec = cls(**{attr: read(data[key], data) for key, attr, (_, read) in fields if read})
+    for key, attr, (write, read) in fields:
+        if read is None and write(getattr(spec, attr)) != data[key]:
+            raise ValueError(
+                f"{key} is {data[key]!r} but the spec gives {write(getattr(spec, attr))!r}"
+            )
+    return spec
+
+
+def _nested(cls):
+    return (_encode, lambda raw, data: _decode(cls, raw))
+
+
+# (write, read) pairs; read gets the raw value and the enclosing JSON object.
+_PLAIN = (_same, lambda raw, data: raw)
+_FRACTION = (_pair, lambda raw, data: Fraction(*raw))
+_OVERLAP = (lambda value: int(value) if value.denominator == 1 else _pair(value), _read_overlap)
+_SETS = (
+    lambda sets: [list(s) for s in sets],
+    lambda raw, data: tuple(tuple(s) for s in raw),
+)
+_STRINGS = (list, lambda raw, data: tuple(raw))
+_MODULUS = (lambda e: list(e.coeffs), lambda raw, data: FieldPoly(tuple(raw), data["w"]))
+_STATED = (_same, None)
+_STATED_FRACTION = (_pair, None)
+
+# class -> (type tag, ((JSON key, attribute, (write, read)), ...))
+_CODEC = {
+    CodeSpec: (None, (
+        ("w", "field_width", _PLAIN),
+        ("messageSymbols", "message_symbols", _PLAIN),
+    )),
+    Design: (None, (
+        ("t", "universe_size", _PLAIN),
+        ("l", "set_size", _PLAIN),
+        ("kind", "kind", _PLAIN),
+        ("sets", "sets", _SETS),
+        ("certifiedOverlap", "certified_overlap", _OVERLAP),
+    )),
+    ExtractorSpec: ("trevisan", (
+        ("n", "n", _PLAIN),
+        ("t", "t", _PLAIN),
+        ("m", "m", _PLAIN),
+        ("preset", "preset", _PLAIN),
+        ("epsilonTarget", "epsilon_target", _FRACTION),
+        ("code", "code", _nested(CodeSpec)),
+        ("design", "design", _nested(Design)),
+    )),
+    ToeplitzSpec: ("toeplitz", (
+        ("n", "input_bits", _PLAIN),
+        ("m", "output_bits", _PLAIN),
+    )),
+    CondenserSpec: ("guv", (
+        ("n", "n", _PLAIN),
+        ("k", "k", _PLAIN),
+        ("epsilon", "epsilon", _FRACTION),
+        ("alpha", "alpha", _FRACTION),
+        ("w", "field_width", _PLAIN),
+        ("messageSymbols", "message_symbols", _PLAIN),
+        ("h", "power", _PLAIN),
+        ("outputSymbols", "output_symbols", _PLAIN),
+        ("modulusE", "modulus", _MODULUS),
+    )),
+    BlockSpec: ("blockComposed", (
+        ("n", "n", _PLAIN),
+        ("b", "b", _PLAIN),
+        ("epsilon", "epsilon", _FRACTION),
+        ("errorBudget", "error_budget", _STATED_FRACTION),
+        ("e1", "e1", _nested(ExtractorSpec)),
+        ("e2", "e2", _nested(ExtractorSpec)),
+    )),
+    PipelineSpec: ("pipeline", (
+        ("n", "n", _PLAIN),
+        ("k", "k", _PLAIN),
+        ("beta", "beta", _FRACTION),
+        ("zeta", "zeta", _FRACTION),
+        ("alpha", "alpha", _FRACTION),
+        ("epsilon", "epsilon", _FRACTION),
+        ("errorBudget", "error_budget", _STATED_FRACTION),
+        ("seedBits", "seed_bits", _STATED),
+        ("outputBits", "output_bits", _STATED),
+        ("condenser", "condenser", _nested(CondenserSpec)),
+        ("extractor", "extractor", _nested(BlockSpec)),
+        ("rounding", "rounding", _STRINGS),
+    )),
 }
 
-
-def canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+_SPEC_TYPES = {tag: cls for cls, (tag, _) in _CODEC.items() if tag is not None}
 
 
 def spec_to_json(spec) -> str:
-    return canonical_json(spec.to_json_dict())
+    return json.dumps(_encode(spec), sort_keys=True, separators=(",", ":"))
 
 
 def spec_digest(spec) -> str:
@@ -37,13 +162,15 @@ def spec_digest(spec) -> str:
 
 
 def spec_from_json_dict(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError("spec must be a JSON object")
     kind = data.get("type")
     if kind is None:
         raise ValueError("spec missing its type tag")
     cls = _SPEC_TYPES.get(kind)
     if cls is None:
         raise ValueError(f"unknown spec type {kind!r}")
-    return cls.from_json_dict(data)
+    return _decode(cls, data)
 
 
 def spec_from_json(text: str):

@@ -32,13 +32,6 @@ class ToeplitzSpec:
     def seed_bits(self) -> int:
         return self.input_bits + self.output_bits - 1
 
-    def to_json_dict(self) -> dict:
-        return {"type": "toeplitz", "n": self.input_bits, "m": self.output_bits}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ToeplitzSpec":
-        return cls(input_bits=data["n"], output_bits=data["m"])
-
 
 def _row_masks(spec: ToeplitzSpec, seed_value):
     """Row i of T as an n-bit mask with bit j = T[i][j] = seed[i - j + n - 1],

@@ -69,33 +69,6 @@ class ExtractorSpec:
         if self.code.message_bits < self.n:
             raise ValueError("code message is shorter than the source")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "trevisan",
-            "n": self.n,
-            "t": self.t,
-            "m": self.m,
-            "preset": self.preset,
-            "epsilonTarget": [
-                self.epsilon_target.numerator,
-                self.epsilon_target.denominator,
-            ],
-            "code": self.code.to_json_dict(),
-            "design": self.design.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExtractorSpec":
-        return cls(
-            n=data["n"],
-            t=data["t"],
-            m=data["m"],
-            design=Design.from_json_dict(data["design"]),
-            code=CodeSpec.from_json_dict(data["code"]),
-            preset=data["preset"],
-            epsilon_target=Fraction(*data["epsilonTarget"]),
-        )
-
 
 def _resolve_field_width(n: int, m: int, epsilon: Fraction) -> int:
     for w in range(2, _MAX_FIELD_WIDTH + 1):

@@ -5,6 +5,7 @@ import pytest
 
 from extractorforge import cli
 from extractorforge.codes import CodeSpec
+from extractorforge.compose import build_pipeline
 from extractorforge.condenser import StrongCondenserMap, build_condenser
 from extractorforge.designs import build_poly_design
 from extractorforge.serialize import spec_to_json
@@ -242,3 +243,103 @@ def test_extract_seed_file_too_short(capsys, tmp_path, extract_args):
     assert report is None
     assert "seed provides 8 bits, spec needs 11" in err
     assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def pipeline_spec():
+    return build_pipeline(24, 8, Fraction(1, 4), Fraction(1, 4))
+
+
+def _edited_spec_file(tmp_path, spec, edit):
+    data = json.loads(spec_to_json(spec))
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data) + "\n")
+    return str(path)
+
+
+def test_verify_pipeline_passes(capsys, tmp_path, pipeline_spec):
+    path = _spec_file(tmp_path, "pipeline", pipeline_spec)
+    rc, report, _ = _run(capsys, ["verify", "pipeline", "--spec", path])
+    assert rc == cli.EXIT_PASS
+    assert report["specDigest"] == (
+        "939ea1c9da7f1132fa43fec721cf1a255ae2d16e5efe2e8a079da21ceaf6d94e"
+    )
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("design recertification: e1 design", True),
+        ("design recertification: e2 design", True),
+        ("pipeline rebuild digest determinism", True),
+    ]
+
+
+def test_verify_pipeline_false_design_overlap_fails(capsys, tmp_path, pipeline_spec):
+    def edit(data):
+        data["extractor"]["e1"]["design"]["certifiedOverlap"] = 99
+
+    path = _edited_spec_file(tmp_path, pipeline_spec, edit)
+    rc, report, _ = _run(capsys, ["verify", "pipeline", "--spec", path])
+    assert rc == cli.EXIT_FAIL
+    e1, e2, rebuild = report["checks"]
+    assert e1["passed"] is False
+    assert e1["detail"]["reason"] == "certified overlap 99 but recomputed 0"
+    assert e2["passed"] is True and rebuild["passed"] is False
+
+
+def test_verify_pipeline_infeasible_parameters_fail_the_rebuild(capsys, tmp_path, pipeline_spec):
+    def edit(data):
+        data["k"] = 0
+
+    path = _edited_spec_file(tmp_path, pipeline_spec, edit)
+    rc, report, _ = _run(capsys, ["verify", "pipeline", "--spec", path])
+    assert rc == cli.EXIT_FAIL
+    rebuild = report["checks"][-1]
+    assert rebuild["passed"] is False
+    assert rebuild["detail"]["rebuilt"] == "infeasible: need 0 < k <= n, got k=0, n=24"
+
+
+_FALSE_NUMBERS = {"errorBudget": [1, 1000], "seedBits": 40, "outputBits": 99}
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [(), *((key,) for key in _FALSE_NUMBERS), tuple(_FALSE_NUMBERS)],
+    ids=lambda keys: "+".join(keys) or "honest",
+)
+@pytest.mark.parametrize("command", ["extract", "verify"])
+def test_pipeline_must_agree_with_its_stated_numbers(capsys, tmp_path, pipeline_spec, command, keys):
+    path = _edited_spec_file(
+        tmp_path, pipeline_spec, lambda data: data.update({k: _FALSE_NUMBERS[k] for k in keys})
+    )
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(b"\xa5\x3c\x0f")
+    argv = {
+        "extract": ["extract", "--spec", path, "--in", str(infile),
+                    "--out", str(tmp_path / "out.bin"),
+                    "--seed", "5a" * -(-pipeline_spec.seed_bits // 8)],
+        "verify": ["verify", "pipeline", "--spec", path],
+    }[command]
+    rc, report, err = _run(capsys, argv)
+    if not keys:
+        assert rc == cli.EXIT_PASS
+        return
+    assert rc == cli.EXIT_BAD_SPEC
+    assert report is None
+    assert err.startswith(f"unreadable spec: {keys[0]} is ")
+
+
+@pytest.mark.parametrize("budget, rc", [([3, 4], cli.EXIT_PASS), ([1, 1000], cli.EXIT_BAD_SPEC)])
+def test_extract_block_spec_must_agree_with_its_error_budget(capsys, tmp_path, budget, rc):
+    spec_path = tmp_path / "block.json"
+    params = ["params", "--mode", "qproof", "--n", "16", "--b", "1", "--eps", "1/4"]
+    assert cli.main(params + ["--out", str(spec_path)]) == cli.EXIT_PASS
+    capsys.readouterr()
+    data = json.loads(spec_path.read_text())
+    assert data["errorBudget"] == [3, 4]
+    data["errorBudget"] = budget
+    spec_path.write_text(json.dumps(data) + "\n")
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(b"\xa5\x3c")
+    seed = "5a" * -(-data["e2"]["t"] // 8)
+    argv = ["extract", "--spec", str(spec_path), "--in", str(infile),
+            "--out", str(tmp_path / "out.bin"), "--seed", seed]
+    assert _run(capsys, argv)[0] == rc

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from extractorforge.bits import BitString
+from extractorforge.codes import CodeSpec
 from extractorforge.designs import (
     Design,
     build_greedy_weak_design,
@@ -10,6 +12,8 @@ from extractorforge.designs import (
     restrict_seed,
     verify_design,
 )
+from extractorforge.serialize import spec_from_json, spec_to_json
+from extractorforge.trevisan import custom_spec
 
 from helpers import ref_horner
 
@@ -129,10 +133,12 @@ def test_restrict_seed_ignores_outside_bits():
 
 
 def test_design_json_roundtrip():
+    # a design has no type tag of its own; it travels inside an extractor spec
     for d in (build_poly_design(16, 4), build_greedy_weak_design(8, 4, 2, 16)):
-        data = d.to_json_dict()
+        spec = custom_spec(8, CodeSpec(2, 4), d, d.num_sets, Fraction(1, 4))
+        data = json.loads(spec_to_json(spec))["design"]
         assert set(data) == {"t", "l", "kind", "sets", "certifiedOverlap"}
-        assert Design.from_json_dict(data) == d
+        assert spec_from_json(spec_to_json(spec)).design == d
 
 
 @pytest.mark.parametrize("num_sets, set_size", [(16, 4), (64, 8), (11, 14), (300, 9)])

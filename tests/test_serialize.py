@@ -1,0 +1,147 @@
+import dataclasses
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from extractorforge import serialize
+from extractorforge.compose import build_high_entropy_extractor, build_pipeline
+from extractorforge.condenser import build_condenser
+from extractorforge.poly import FieldPoly
+from extractorforge.serialize import spec_digest, spec_from_json, spec_from_json_dict, spec_to_json
+from extractorforge.toeplitz import ToeplitzSpec
+from extractorforge.trevisan import build_trevisan
+
+QUARTER = Fraction(1, 4)
+
+# sha256 of the canonical JSON of one spec of each type, as written before
+# the format moved behind one codec; the first three are also pinned by the
+# benchmark's workloads.
+PINNED = {
+    "guv": (
+        lambda: build_condenser(12, 6, QUARTER, 1),
+        "6414c04bc6da496fc69380834a2361e4fc7c7e642194780ff70536b74a22764d",
+    ),
+    "trevisan": (
+        lambda: build_trevisan("thm43", 12, 2, QUARTER),
+        "ec44e8aba610544f055f039801660de652e434c7d50f087ed8cee205163fd1ef",
+    ),
+    "toeplitz": (
+        lambda: ToeplitzSpec(10, 2),
+        "f91fe1ec1c4cc38cb600b12e4e1de8460a36fa0ed261ffc188d71e5f3e765425",
+    ),
+    "blockComposed": (
+        lambda: build_high_entropy_extractor(16, 1, QUARTER),
+        "4a012380bfa4731f35a03b3802940cbe2b4caa0377ae604067f32e03dde45d32",
+    ),
+    "pipeline": (
+        lambda: build_pipeline(24, 8, QUARTER, QUARTER),
+        "939ea1c9da7f1132fa43fec721cf1a255ae2d16e5efe2e8a079da21ceaf6d94e",
+    ),
+}
+
+CANONICAL = {
+    "guv": '{"alpha":[1,1],"epsilon":[1,4],"h":16,"k":6,"messageSymbols":2,'
+    '"modulusE":[1,1,1],"n":12,"outputSymbols":2,"type":"guv","w":11}',
+    "trevisan": '{"code":{"messageSymbols":3,"w":4},"design":{"certifiedOverlap":1,'
+    '"kind":"weak","l":8,"sets":[[5,6,8,14,16,21,23,27],[0,1,10,17,19,25,26,31]],'
+    '"t":32},"epsilonTarget":[1,4],"m":2,"n":12,"preset":"thm43","t":32,'
+    '"type":"trevisan"}',
+    "toeplitz": '{"m":2,"n":10,"type":"toeplitz"}',
+}
+
+
+@pytest.fixture(scope="module")
+def specs():
+    return {tag: build() for tag, (build, _) in PINNED.items()}
+
+
+@pytest.mark.parametrize("tag", PINNED)
+def test_pinned_digest_round_trips(specs, tag):
+    spec = specs[tag]
+    text = spec_to_json(spec)
+    assert json.loads(text)["type"] == tag
+    assert spec_digest(spec) == hashlib.sha256(text.encode()).hexdigest() == PINNED[tag][1]
+    back = spec_from_json(text)
+    assert type(back) is type(spec) and back == spec
+    assert spec_to_json(back) == text
+
+
+@pytest.mark.parametrize("tag", CANONICAL)
+def test_canonical_bytes(specs, tag):
+    assert spec_to_json(specs[tag]) == CANONICAL[tag]
+
+
+def test_format_quirks(specs):
+    pipeline = specs["pipeline"]
+    data = json.loads(spec_to_json(pipeline))
+    designs = data["extractor"]["e1"]["design"], data["extractor"]["e2"]["design"]
+    # an integral certified overlap is a bare int, any other Fraction a pair
+    assert [d["certifiedOverlap"] for d in designs] == [0, [509, 255]]
+    assert data["extractor"]["e1"]["epsilonTarget"] == [1, 4]
+    assert data["errorBudget"] == [5, 4]
+    assert (data["seedBits"], data["outputBits"]) == (pipeline.seed_bits, pipeline.output_bits)
+    assert isinstance(data["rounding"], list)
+    back = spec_from_json_dict(data)
+    assert isinstance(back.rounding, tuple)
+    assert all(isinstance(s, tuple) for s in back.extractor.e2.design.sets)
+    assert back.condenser.modulus == FieldPoly(
+        tuple(data["condenser"]["modulusE"]), data["condenser"]["w"]
+    )
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 10, "m": 2}, "missing its type tag"),
+        ({"type": "hadamard", "n": 10, "m": 2}, "unknown spec type 'hadamard'"),
+        ([], "must be a JSON object"),
+    ],
+    ids=["missing", "unknown", "not-an-object"],
+)
+def test_tag_errors(data, message):
+    with pytest.raises(ValueError, match=message):
+        spec_from_json_dict(data)
+
+
+def test_nested_spec_needs_its_own_tag(specs):
+    data = json.loads(spec_to_json(specs["blockComposed"]))
+    data["e1"]["type"] = "toeplitz"
+    with pytest.raises(ValueError, match="ExtractorSpec wants type tag 'trevisan'"):
+        spec_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "tag, path, value",
+    [
+        ("blockComposed", ("errorBudget",), [1, 1000]),
+        ("pipeline", ("errorBudget",), [1, 1000]),
+        ("pipeline", ("seedBits",), 40),
+        ("pipeline", ("outputBits",), 99),
+        ("pipeline", ("extractor", "errorBudget"), [3, 5]),
+    ],
+)
+def test_stated_numbers_must_agree(specs, tag, path, value):
+    data = json.loads(spec_to_json(specs[tag]))
+    *parents, key = path
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ValueError, match=f"^{key} is "):
+        spec_from_json_dict(data)
+
+
+@pytest.mark.parametrize("cls", list(serialize._CODEC), ids=lambda cls: cls.__name__)
+def test_codec_covers_every_field(cls):
+    # a field without an entry would drop out of the JSON and the digest
+    tag, entries = serialize._CODEC[cls]
+    keys = [key for key, _, _ in entries]
+    assert len(set(keys)) == len(keys) and "type" not in keys
+    fields = {f.name for f in dataclasses.fields(cls)}
+    assert {attr for _, attr, (_, read) in entries if read} == fields
+    # stated numbers are derived properties, never fields
+    for _, attr, (_, read) in entries:
+        if read is None:
+            assert isinstance(getattr(cls, attr), property)
