@@ -347,7 +347,12 @@ def _recertify_designs(designs, checks):
 
 
 def _verify_code_target(spec, budget, checks):
-    code = spec.code if isinstance(spec, ExtractorSpec) else CodeSpec(3, 4)
+    if spec is None:
+        code = CodeSpec(3, 4)
+    elif isinstance(spec, ExtractorSpec):
+        code = spec.code
+    else:
+        raise _BadSpec("code verification expects an extractor spec")
     rng = CounterRng(0xC0DE, code.field_width, code.message_symbols)
     trials = min(2000, max(100, budget // 1000))
     bad = 0

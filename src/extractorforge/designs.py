@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import BitString
-from .detrand import CounterRng
+from .detrand import CounterRng, sample_distinct_rows
 from .errors import InfeasibleParameterError
 from .gf2 import horner, split_symbols
 
@@ -190,11 +190,23 @@ def build_greedy_weak_design(
     """Weak design by greedy acceptance over a deterministic candidate stream.
 
     Candidate sets are drawn from the counter-based stream keyed by the
-    universe size, the set index, and the trial number.  A candidate is kept
-    only if sum(2^|S_i intersect S_j|, j < i) <= rho * (num_sets - 1); if no
+    universe size, the set index, and the trial number.  Set i keeps its
+    first candidate, in trial order, with weak sum
+    sum(2^|S_i intersect S_j|, j < i) <= rho * (num_sets - 1); if no
     candidate passes within the trial budget the universe doubles and the
     construction restarts.  The returned design therefore satisfies the weak
     bound by construction, and is recertified before being returned.
+
+    The candidates are those of the scalar stream, word for word (see
+    :mod:`detrand`), and the acceptance rule is unchanged, so every design
+    and the final universe size t, which the same failures decide, are those
+    of a loop that draws and scores one candidate at a time.  Only the
+    order of work differs: trial 0 of every set is drawn in one block per
+    universe, and the weak sum of each pending trial-0 candidate is kept up
+    to date with one gather per accepted set; later trials are drawn in
+    growing chunks only for sets whose earlier trials fail, and scored
+    against the accepted sets with one gather.  Weak sums are integers
+    compared with floor(rho * (num_sets - 1)).
     """
     rho = Fraction(rho)
     if rho < 1:
@@ -204,40 +216,25 @@ def build_greedy_weak_design(
     t = t_initial if t_initial is not None else 4 * set_size
     if t < set_size:
         raise ValueError(f"universe {t} smaller than set size {set_size}")
-    bound = rho * (num_sets - 1)
+    # a weak sum is an integer of at most (num_sets - 1) 2^set_size, so
+    # capping floor(rho (num_sets - 1)) there leaves every comparison as it is
+    most = (num_sets - 1) << set_size
+    bound = min(rho.numerator * (num_sets - 1) // rho.denominator, most)
+    # 2^overlap, exact: past int64, Python ints
+    powers = np.array(
+        [1 << k for k in range(set_size + 1)], dtype=np.int64 if most < 1 << 63 else object
+    )
 
     for _ in range(_GREEDY_MAX_DOUBLINGS):
-        sets: list[tuple[int, ...]] = []
-        masks: list[int] = []
-        max_ratio = Fraction(0)
-        ok = True
-        for i in range(num_sets):
-            accepted = None
-            for trial in range(_GREEDY_TRIALS_PER_SET):
-                rng = CounterRng(_GREEDY_STREAM_KEY, t, i, trial)
-                candidate = tuple(sorted(rng.sample_distinct(set_size, t)))
-                cmask = _mask(candidate)
-                weak_sum = sum(1 << (cmask & m).bit_count() for m in masks)
-                if Fraction(weak_sum) <= bound:
-                    accepted = (candidate, cmask, weak_sum)
-                    break
-            if accepted is None:
-                ok = False
-                break
-            candidate, cmask, weak_sum = accepted
-            sets.append(candidate)
-            masks.append(cmask)
-            if num_sets > 1:
-                ratio = Fraction(weak_sum, num_sets - 1)
-                if ratio > max_ratio:
-                    max_ratio = ratio
-        if ok:
+        found = _greedy_sets(num_sets, set_size, t, bound, powers)
+        if found is not None:
+            sets, max_sum = found
             design = Design(
                 universe_size=t,
                 set_size=set_size,
                 kind=WEAK,
-                sets=tuple(sets),
-                certified_overlap=max_ratio,
+                sets=tuple(map(tuple, sets.tolist())),
+                certified_overlap=Fraction(max_sum, max(num_sets - 1, 1)),
             )
             report = verify_design(design)
             if not report.valid:
@@ -251,6 +248,62 @@ def build_greedy_weak_design(
         f"within {_GREEDY_MAX_DOUBLINGS} universe doublings",
         constraint="weak design trial budget",
     )
+
+
+def _greedy_sets(num_sets, set_size, t, bound, powers) -> tuple[np.ndarray, int] | None:
+    """The greedy sets in universe t as a (num_sets, set_size) array, with
+    their largest weak sum; None if some set exhausts its trials."""
+    stream = CounterRng(_GREEDY_STREAM_KEY, t)
+    first = _candidates(stream.derive_bases(np.arange(num_sets), 0), set_size, t)
+    # incidence columns: [e, j] says element e lies in set j's trial-0
+    # candidate, or in accepted set j
+    first_incidence = np.zeros((t, num_sets), dtype=bool)
+    first_incidence[first, np.arange(num_sets)[:, None]] = True
+    accepted = np.zeros((t, num_sets), dtype=bool)
+    first_sums = np.zeros(num_sets, dtype=powers.dtype)
+    overlap_type = np.min_scalar_type(set_size)
+    sets = np.empty_like(first)
+    max_sum = 0
+    for i in range(num_sets):
+        if first_sums[i] <= bound:
+            chosen, weak_sum = first[i], first_sums[i]
+        else:
+            found = _later_trial(stream.derive(i), accepted[:, :i], set_size, t, bound, powers)
+            if found is None:
+                return None
+            chosen, weak_sum = found
+        sets[i] = chosen
+        accepted[chosen, i] = True
+        max_sum = max(max_sum, int(weak_sum))
+        overlaps = np.add.reduce(first_incidence[chosen, i + 1 :], axis=0, dtype=overlap_type)
+        first_sums[i + 1 :] += powers[overlaps]
+    return sets, max_sum
+
+
+def _later_trial(stream, accepted, set_size, t, bound, powers):
+    """(candidate, weak sum) of the first passing trial after trial 0 of the
+    set whose candidates ``stream`` derives, or None.  Trials are drawn in
+    chunks of 8, 32, 128, ... up to the budget."""
+    overlap_type = np.min_scalar_type(set_size)
+    trial, chunk = 1, 8
+    while trial < _GREEDY_TRIALS_PER_SET:
+        trials = np.arange(trial, min(trial + chunk, _GREEDY_TRIALS_PER_SET))
+        candidates = _candidates(stream.derive_bases(trials), set_size, t)
+        overlaps = np.add.reduce(accepted[candidates], axis=1, dtype=overlap_type)
+        weak_sums = powers[overlaps].sum(axis=1)
+        passing = np.flatnonzero(weak_sums <= bound)
+        if passing.size:
+            return candidates[passing[0]], weak_sums[passing[0]]
+        trial += chunk
+        chunk *= 4
+    return None
+
+
+def _candidates(bases: np.ndarray, set_size: int, t: int) -> np.ndarray:
+    """Sorted candidate sets, one row per candidate stream."""
+    values, _ = sample_distinct_rows(bases, set_size, t)
+    return np.sort(values.astype(np.int64), axis=1)
+
 
 
 def restrict_seed(y: BitString, positions: Sequence[int]) -> int:

@@ -709,9 +709,10 @@ def sample_joint_table(
 ) -> JointTable:
     """Deterministic pseudorandom joint table over {0,1}^n x alphabet."""
     rng = CounterRng(_TABLE_STREAM_KEY, seed, n, alphabet_size, index)
-    weights = {
-        (x, s): rng.below(1 << 16) for x in range(1 << n) for s in range(alphabet_size)
-    }
+    # word i & 0xFFFF is the i-th below(2^16) draw: a power of two rejects no word
+    draws = (rng.next_words((1 << n) * alphabet_size) & 0xFFFF).tolist()
+    cells = ((x, s) for x in range(1 << n) for s in range(alphabet_size))
+    weights = dict(zip(cells, draws))
     if not any(weights.values()):
         weights[(0, 0)] = 1
     return JointTable._from_rows(n, weights, sum(weights.values()))

@@ -8,7 +8,9 @@ matrices.  Tests compare package results against these.
 import itertools
 from fractions import Fraction
 
+from extractorforge import designs
 from extractorforge.bits import BitString
+from extractorforge.detrand import CounterRng
 from extractorforge.gf2 import field_modulus, get_field
 
 
@@ -220,3 +222,57 @@ def ref_side_distance(extract, t, m, joint):
             for s, ps in side.items():
                 dist += abs(probs.get((y, e, s), Fraction(0)) - ps * cell)
     return dist / 2
+
+
+def ref_sample_distinct(rng: CounterRng, count: int, n: int) -> tuple[int, ...]:
+    """``count`` distinct values from [0, n) in draw order, one scalar
+    ``below`` call at a time."""
+    seen: set[int] = set()
+    out: list[int] = []
+    while len(out) < count:
+        v = rng.below(n)
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return tuple(out)
+
+
+def _ref_mask(s) -> int:
+    m = 0
+    for v in s:
+        m |= 1 << v
+    return m
+
+
+def ref_greedy_weak_design(num_sets, set_size, rho=2, t_initial=None):
+    """(universe size, sets, certified ratio) of the greedy weak design,
+    drawing and scoring one candidate at a time with exact Fractions."""
+    rho = Fraction(rho)
+    t = t_initial if t_initial is not None else 4 * set_size
+    bound = rho * (num_sets - 1)
+    for _ in range(designs._GREEDY_MAX_DOUBLINGS):
+        sets, masks = [], []
+        max_ratio = Fraction(0)
+        ok = True
+        for i in range(num_sets):
+            accepted = None
+            for trial in range(designs._GREEDY_TRIALS_PER_SET):
+                rng = CounterRng(designs._GREEDY_STREAM_KEY, t, i, trial)
+                candidate = tuple(sorted(ref_sample_distinct(rng, set_size, t)))
+                cmask = _ref_mask(candidate)
+                weak_sum = sum(1 << (cmask & m).bit_count() for m in masks)
+                if Fraction(weak_sum) <= bound:
+                    accepted = (candidate, cmask, weak_sum)
+                    break
+            if accepted is None:
+                ok = False
+                break
+            candidate, cmask, weak_sum = accepted
+            sets.append(candidate)
+            masks.append(cmask)
+            if num_sets > 1:
+                max_ratio = max(max_ratio, Fraction(weak_sum, num_sets - 1))
+        if ok:
+            return t, tuple(sets), max_ratio
+        t *= 2
+    raise ValueError("no weak design within the doubling budget")

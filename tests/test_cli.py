@@ -158,6 +158,16 @@ def test_failed_recertification_exits_one(capsys, tmp_path):
     assert check["detail"]["reason"] == "certified overlap 99 but recomputed 0"
 
 
+@pytest.mark.parametrize("target", ["design", "code"])
+def test_design_and_code_targets_reject_a_toeplitz_spec(capsys, tmp_path, target):
+    # a Toeplitz spec has neither a design nor a code to check
+    path = _spec_file(tmp_path, "toeplitz", ToeplitzSpec(10, 2))
+    rc, report, err = _run(capsys, ["verify", target, "--spec", path])
+    assert rc == cli.EXIT_BAD_SPEC
+    assert report is None
+    assert err == f"unreadable spec: {target} verification expects an extractor spec\n"
+
+
 def test_unreadable_spec(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -12,10 +12,10 @@ from extractorforge.designs import (
     restrict_seed,
     verify_design,
 )
-from extractorforge.serialize import spec_from_json, spec_to_json
-from extractorforge.trevisan import custom_spec
+from extractorforge.serialize import spec_digest, spec_from_json, spec_to_json
+from extractorforge.trevisan import build_trevisan, custom_spec
 
-from helpers import ref_horner
+from helpers import ref_greedy_weak_design, ref_horner
 
 
 def _pairwise_overlaps(design):
@@ -154,3 +154,31 @@ def test_poly_design_matches_horner_reference(num_sets, set_size):
         digits = [(index // q**i) % q for i in range(c)]
         expected.append(tuple(b * q + ref_horner(digits, b, q_width) for b in range(set_size)))
     assert build_poly_design(num_sets, set_size).sets == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "num_sets, set_size, rho, t_initial",
+    [
+        (256, 22, 2, 88),  # thm43's design at m = 256: 88, 176 and 352 fail
+        (64, 8, 1, None),  # rho = 1, five doublings
+        (40, 6, 1, 8),
+        (100, 10, Fraction(3, 2), None),
+        (300, 9, 2, None),
+        (8, 4, 2, 16),
+        (1, 4, 2, None),
+        (3, 62, 2, None),  # weak sums past int64 are Python ints
+    ],
+)
+def test_greedy_matches_one_candidate_at_a_time(num_sets, set_size, rho, t_initial):
+    d = build_greedy_weak_design(num_sets, set_size, rho, t_initial)
+    assert (d.universe_size, d.sets, d.certified_overlap) == ref_greedy_weak_design(
+        num_sets, set_size, rho, t_initial
+    )
+
+
+def test_thm43_spec_digest_pinned():
+    spec = build_trevisan("thm43", 21, 256, Fraction(1, 4))
+    assert spec.design.universe_size == 704
+    assert spec_digest(spec) == (
+        "adb513b44d6a6a185efbbc9f728103dcf7b3fb2ac0457cff82535b33ee093f09"
+    )

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extractorforge import oracle
 from extractorforge.bits import BitString
+from extractorforge.detrand import CounterRng
 from extractorforge.errors import BudgetExceededError
 from extractorforge.oracle import (
     FiniteDistribution,
@@ -26,6 +28,7 @@ from helpers import (
     grid_min_distance_to_capped,
     ref_joint_seed_output_distance,
     ref_side_distance,
+    ref_sample_distinct,
 )
 
 
@@ -513,6 +516,21 @@ class TestSampling:
         for s in a:
             assert len(s.support) == 8
             assert s.entropy_bits == 3
+
+    @pytest.mark.parametrize("n, k, seed", [(6, 3, 9), (12, 9, 21), (10, 10, 2)])
+    def test_flat_sources_are_the_scalar_draws(self, n, k, seed):
+        for index, source in enumerate(sample_flat_sources(n, k, 3, seed=seed)):
+            rng = CounterRng(oracle._SOURCE_STREAM_KEY, seed, n, k, index)
+            expected = ref_sample_distinct(rng, 1 << k, 1 << n)
+            assert tuple(x.to_int() for x in source.support) == expected
+
+    @pytest.mark.parametrize("n, a, seed, index", [(4, 4, 1, 0), (3, 2, 5, 7), (0, 3, 2, 1)])
+    def test_joint_table_weights_are_the_scalar_draws(self, n, a, seed, index):
+        rng = CounterRng(oracle._TABLE_STREAM_KEY, seed, n, a, index)
+        weights = {(x, s): rng.below(1 << 16) for x in range(1 << n) for s in range(a)}
+        total = sum(weights.values())
+        expected = [((BitString(x, n), s), Fraction(w, total)) for (x, s), w in weights.items() if w]
+        assert sample_joint_table(n, a, seed=seed, index=index).items() == expected
 
     def test_flat_source_validation(self):
         with pytest.raises(ValueError):
