@@ -163,7 +163,7 @@ def cmd_params(args) -> int:
                     "reported but not enforced at desk scale"
                 )
             report_lines.append(f"total error budget: {spec.error_budget} (= 5 eps)")
-        elif args.mode == "qproof":
+        else:  # qproof
             if args.b is None:
                 print("qproof mode needs --b", file=sys.stderr)
                 return EXIT_USAGE
@@ -176,9 +176,6 @@ def cmd_params(args) -> int:
                 f"{args.n // 2 - args.b} - log2(1/eps)"
             )
             report_lines.append(f"total error budget: {spec.error_budget} (= 3 eps)")
-        else:
-            print(f"unknown mode {args.mode}", file=sys.stderr)
-            return EXIT_USAGE
     except InfeasibleParameterError as exc:
         print(f"infeasible parameters: {exc} [{exc.constraint}]", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -316,7 +313,7 @@ def cmd_extract(args) -> int:
     return EXIT_PASS
 
 
-def _verify_design_target(spec, budget, checks):
+def _verify_design_target(spec, budget, test_seed, checks):
     if spec is not None:
         if not isinstance(spec, ExtractorSpec):
             raise _BadSpec("design verification expects an extractor spec")
@@ -346,7 +343,7 @@ def _recertify_designs(designs, checks):
         )
 
 
-def _verify_code_target(spec, budget, checks):
+def _verify_code_target(spec, budget, test_seed, checks):
     if spec is None:
         code = CodeSpec(3, 4)
     elif isinstance(spec, ExtractorSpec):
@@ -399,7 +396,7 @@ def _verify_extractor_target(spec, budget, test_seed, checks):
         raise _BadSpec("extractor verification expects a trevisan or toeplitz spec")
     pairs = (1 << len(ext.seed_support)) * (1 << k)
     count = min(50, max(1, budget // max(pairs, 1)))
-    if count < 1 or pairs > budget:
+    if pairs > budget:
         raise BudgetExceededError(pairs, budget, "extractor verification")
     sources = sample_flat_sources(ext.input_bits, k, count, seed=test_seed)
     worst = Fraction(0)
@@ -426,10 +423,7 @@ def _verify_condenser_target(spec, budget, test_seed, checks):
     worst_inj = Fraction(1)
     worst_dist = Fraction(0)
     for source in sources:
-        xs = [x.to_int() for x in source.support]
-        counts = image_counts(
-            cmap, source, spec.seed_bits, budget=budget, image_table=cmap.image_table(xs)
-        )
+        counts = image_counts(cmap, source, spec.seed_bits, budget=budget)
         worst_inj = min(worst_inj, unique_fraction(counts))
         worst_dist = max(
             worst_dist, distance_to_min_entropy(counts, spec.seed_bits + spec.k)
@@ -450,7 +444,7 @@ def _verify_condenser_target(spec, budget, test_seed, checks):
     )
 
 
-def _verify_lemmas_target(budget, test_seed, checks):
+def _verify_lemmas_target(spec, budget, test_seed, checks):
     tables = [sample_joint_table(4, 4, seed=test_seed, index=i) for i in range(200)]
     # adversarial cases: independent side, full copy, one-bit leak
     n = 3
@@ -473,7 +467,7 @@ def _verify_lemmas_target(budget, test_seed, checks):
     )
 
 
-def _verify_pipeline_target(spec, checks):
+def _verify_pipeline_target(spec, budget, test_seed, checks):
     if not isinstance(spec, PipelineSpec):
         raise _BadSpec("pipeline verification expects a pipeline spec")
     blocks = spec.extractor
@@ -492,6 +486,17 @@ def _verify_pipeline_target(spec, checks):
     )
 
 
+# verify target -> (check(spec, budget, test_seed, checks), needs --spec)
+_TARGETS = {
+    "design": (_verify_design_target, False),
+    "code": (_verify_code_target, False),
+    "extractor": (_verify_extractor_target, True),
+    "condenser": (_verify_condenser_target, True),
+    "lemmas": (_verify_lemmas_target, False),
+    "pipeline": (_verify_pipeline_target, True),
+}
+
+
 def cmd_verify(args) -> int:
     budget = _effective_budget(args.budget, args.target)
     test_seed = args.test_seed if args.test_seed is not None else DEFAULT_TEST_SEED
@@ -500,27 +505,10 @@ def cmd_verify(args) -> int:
     try:
         if args.spec:
             spec = _load_spec(args.spec)
-        if args.target == "design":
-            _verify_design_target(spec, budget, checks)
-        elif args.target == "code":
-            _verify_code_target(spec, budget, checks)
-        elif args.target == "extractor":
-            if spec is None:
-                raise _BadSpec("extractor verification needs --spec")
-            _verify_extractor_target(spec, budget, test_seed, checks)
-        elif args.target == "condenser":
-            if spec is None:
-                raise _BadSpec("condenser verification needs --spec")
-            _verify_condenser_target(spec, budget, test_seed, checks)
-        elif args.target == "lemmas":
-            _verify_lemmas_target(budget, test_seed, checks)
-        elif args.target == "pipeline":
-            if spec is None:
-                raise _BadSpec("pipeline verification needs --spec")
-            _verify_pipeline_target(spec, checks)
-        else:
-            print(f"unknown target {args.target}", file=sys.stderr)
-            return EXIT_USAGE
+        check, needs_spec = _TARGETS[args.target]
+        if needs_spec and spec is None:
+            raise _BadSpec(f"{args.target} verification needs --spec")
+        check(spec, budget, test_seed, checks)
     except _BadSpec as exc:
         print(f"unreadable spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
@@ -581,10 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_extract)
 
     v = sub.add_parser("verify", help="run exact verification suites")
-    v.add_argument(
-        "target",
-        choices=["design", "code", "extractor", "condenser", "lemmas", "pipeline"],
-    )
+    v.add_argument("target", choices=list(_TARGETS))
     v.add_argument("--spec")
     v.add_argument("--budget", type=int)
     v.add_argument("--test-seed", type=int, dest="test_seed")

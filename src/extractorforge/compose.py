@@ -168,9 +168,7 @@ def build_high_entropy_extractor(
     m1 = -(-(half - b) // 2)
     e1 = build_trevisan(PRESET_THM42, half, m1, epsilon)
     e2 = build_trevisan(PRESET_THM43, half, e1.t, epsilon)
-    spec = BlockSpec(n=n, b=b, epsilon=epsilon, e1=e1, e2=e2)
-    spec.extractor()  # dimension chain self-check
-    return spec
+    return BlockSpec(n=n, b=b, epsilon=epsilon, e1=e1, e2=e2)
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,7 @@ def build_pipeline(
         rounding.append(f"rounded storage bound b = beta*k = {b_exact} up to {b}")
 
     extractor = build_high_entropy_extractor(inner_n, b, epsilon)
-    spec = PipelineSpec(
+    return PipelineSpec(
         n=n,
         k=k,
         beta=beta,
@@ -259,5 +257,3 @@ def build_pipeline(
         extractor=extractor,
         rounding=tuple(rounding),
     )
-    spec.pipeline()  # dimension chain self-check
-    return spec

@@ -189,18 +189,19 @@ class StrongCondenserMap:
     def __call__(self, x: BitString, y: BitString) -> BitString:
         return strong_form(self.spec, x, y)
 
-    def image_table(self, xs: list[int]) -> np.ndarray:
+    def image_table(self, xs: list[int]) -> np.ndarray | None:
         """Packed strong-form images for every (x, y), shape (len(xs), 2^d).
 
-        Entry [i, y] equals strong_form(spec, x_i, y).to_int(); the packed
-        value must fit in a signed 64-bit integer.  Every source's residues
-        are powered together, then evaluated at every seed in one kernel call
-        per output symbol.
+        Entry [i, y] equals strong_form(spec, x_i, y).to_int(); None, which
+        sends :func:`oracle.image_counts` to the per-pair path, when the
+        packed image does not fit in a signed 64-bit integer.  Every source's
+        residues are powered together, then evaluated at every seed in one
+        kernel call per output symbol.
         """
         spec = self.spec
         w = spec.field_width
         if self.output_bits > 62:
-            raise ValueError("packed strong-form image does not fit in int64")
+            return None
         ys = np.arange(1 << w, dtype=np.int64)
         out = np.broadcast_to(ys << spec.output_bits, (len(xs), len(ys)))
         for i, rows in enumerate(_residue_rows(spec, xs)):

@@ -79,43 +79,34 @@ def _sets_well_formed(universe_size, set_size, sets) -> str | None:
     return None
 
 
+def _exact_powers(num_sets: int, set_size: int) -> np.ndarray:
+    """2^k for k = 0 .. set_size, exact for every weak sum of num_sets sets:
+    such a sum is an integer of at most (num_sets - 1) 2^set_size, so int64
+    while that stays below 2^63, and Python ints past it."""
+    most = (num_sets - 1) << set_size
+    return np.array(
+        [1 << k for k in range(set_size + 1)], dtype=np.int64 if most < 1 << 63 else object
+    )
+
+
 def _design_stats(sets, universe_size) -> tuple[int, Fraction]:
     """Exhaustive (max pairwise overlap, max weak-sum ratio) for a family.
 
-    Uses an incidence-matrix product, which is exact for the integer counts
-    involved; integers stay far below 2^53 so the float path is lossless.
+    Overlaps come from an incidence-matrix product, which float32 holds
+    exactly: every partial sum is an integer of at most the set size, far
+    below 2^24.  Weak sums add exact powers 2^overlap.
     """
     m = len(sets)
     if m <= 1:
         return 0, Fraction(0)
-    set_size = len(sets[0])
-    # The float path is used only while every intermediate integer is
-    # exactly representable in float64.
-    if universe_size > 0 and (m - 1) * (1 << min(set_size, 60)) < 2**53:
-        incidence = np.zeros((m, universe_size), dtype=np.float32)
-        for i, s in enumerate(sets):
-            incidence[i, list(s)] = 1.0
-        overlaps = np.rint(incidence @ incidence.T).astype(np.int64)
-        off_diag = overlaps[~np.eye(m, dtype=bool)]
-        max_overlap = int(off_diag.max()) if off_diag.size else 0
-        powers = np.exp2(overlaps.astype(np.float64))
-        weak_sums = np.tril(powers, k=-1).sum(axis=1)
-        max_weak = int(np.rint(weak_sums.max()))
-    else:
-        masks = [_mask(s) for s in sets]
-        max_overlap = 0
-        max_weak = 0
-        for i in range(1, m):
-            mi = masks[i]
-            weak_sum = 0
-            for j in range(i):
-                ov = (mi & masks[j]).bit_count()
-                if ov > max_overlap:
-                    max_overlap = ov
-                weak_sum += 1 << ov
-            if weak_sum > max_weak:
-                max_weak = weak_sum
-    return max_overlap, Fraction(max_weak, m - 1)
+    incidence = np.zeros((m, universe_size), dtype=np.float32)
+    for i, s in enumerate(sets):
+        incidence[i, list(s)] = 1.0
+    overlaps = np.rint(incidence @ incidence.T).astype(np.int64)
+    below = np.tri(m, k=-1, dtype=bool)
+    max_overlap = int(overlaps[below].max())
+    weak_sums = np.where(below, _exact_powers(m, len(sets[0]))[overlaps], 0).sum(axis=1)
+    return max_overlap, Fraction(int(weak_sums.max()), m - 1)
 
 
 def verify_design(design: Design) -> DesignReport:
@@ -161,24 +152,13 @@ def build_poly_design(num_sets: int, set_size: int) -> Design:
     sets = [tuple(row) for row in members.tolist()]
 
     max_overlap, _ = _design_stats(sets, q * q)
-    design = Design(
+    return Design(
         universe_size=q * q,
         set_size=set_size,
         kind=STANDARD,
         sets=tuple(sets),
         certified_overlap=Fraction(max_overlap),
     )
-    report = verify_design(design)
-    if not report.valid:
-        raise AssertionError(f"polynomial design failed self-check: {report.reason}")
-    return design
-
-
-def _mask(s: Sequence[int]) -> int:
-    m = 0
-    for v in s:
-        m |= 1 << v
-    return m
 
 
 def build_greedy_weak_design(
@@ -220,10 +200,7 @@ def build_greedy_weak_design(
     # capping floor(rho (num_sets - 1)) there leaves every comparison as it is
     most = (num_sets - 1) << set_size
     bound = min(rho.numerator * (num_sets - 1) // rho.denominator, most)
-    # 2^overlap, exact: past int64, Python ints
-    powers = np.array(
-        [1 << k for k in range(set_size + 1)], dtype=np.int64 if most < 1 << 63 else object
-    )
+    powers = _exact_powers(num_sets, set_size)
 
     for _ in range(_GREEDY_MAX_DOUBLINGS):
         found = _greedy_sets(num_sets, set_size, t, bound, powers)

@@ -305,17 +305,20 @@ def extractor_distance(
 ) -> Fraction:
     """Exact distance of (seed, output[, side]) from (uniform[, side marginal]).
 
-    ``extractor`` must expose input_bits, seed_bits, output_bits and
-    extract(x, y).  If it declares ``seed_support`` (positions the output can
-    depend on), enumeration runs over patterns of those positions only, which
+    The table protocol: ``extractor`` exposes input_bits, seed_bits,
+    output_bits and extract(x, y), and may declare ``seed_support``, the
+    ascending seed positions the output can depend on.  Seeds are enumerated
+    as patterns over it, pattern bit k being seed bit seed_support[k], which
     is exact because the other seed bits multiply both sides equally.
+    Outputs come from ``extract_table(state, patterns)``, packed into ints
+    with shape (len(patterns), len(xs)), state = ``prepare_batch(xs)`` for
+    the source values xs as ints, where both methods exist, m <= 62 and
+    prepare_batch does not decline by returning None; else from one
+    ``extract`` call per (x, seed pattern).
 
     One engine counts every case.  The source, or the side table if given,
     becomes rows (x, side symbol, integer weight) over one denominator N;
     without a side table every row carries the one symbol, with W = N.
-    Outputs come from prepare_batch/extract_table where the extractor has
-    them, m <= 62 and prepare_batch does not decline by returning None, else
-    from one ``extract`` call per (x, seed pattern).
     With c the weight in a (pattern, symbol, output) cell and W_s the
     symbol's weight, the distance is
     sum |c 2^m - W_s| / (2 N 2^m #patterns); unobserved cells add W_s each.
@@ -341,8 +344,8 @@ def extractor_distance(
     if side is not None and (side.n != n or not _marginal_matches(side, source, xs)):
         raise ValueError("side table's x-marginal differs from the source")
 
-    positions = tuple(sorted(getattr(extractor, "seed_support", range(t))))
-    if len(set(positions)) != len(positions) or (positions and positions[-1] >= t):
+    positions = tuple(getattr(extractor, "seed_support", range(t)))
+    if list(positions) != sorted(set(positions)) or (positions and positions[-1] >= t):
         raise ValueError("bad seed_support declaration")
     ny = 1 << len(positions)
     pairs = len(xs) * ny
@@ -384,7 +387,7 @@ def extractor_distance(
     for start in range(0, ny, block):
         patterns = np.arange(start, min(start + block, ny), dtype=np.int64)
         if tabled:
-            out = np.asarray(extractor.extract_table(state, patterns, positions))
+            out = np.asarray(extractor.extract_table(state, patterns))
         else:
             seeds = [BitString(_scatter(int(p), positions), t) for p in patterns]
             out = np.array(
@@ -454,17 +457,15 @@ def image_counts(
     seed_bits: int,
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
-    image_table: np.ndarray | None = None,
 ) -> np.ndarray:
     """How often each image of the strong-form map occurs over support x
     seeds, one entry per distinct image (an int64 array summing to the
     pair count).
 
     ``cprime`` maps (x: BitString, y: BitString) to a BitString.  Images are
-    counted from one array of shape (support, 2^seed_bits): the optional
-    precomputed ``image_table`` (any integer encoding of images), which a
-    deterministic spot check confirms against ``cprime`` before it is
-    trusted, or else the images of ``cprime`` at every pair.
+    counted from one array of shape (support, 2^seed_bits), which the map is
+    asked for as ``cprime.image_table(xs)``, xs the support as ints (any
+    integer encoding of images; None declines), else from ``cprime`` per pair.
     """
     nx = len(source.support)
     ny = 1 << seed_bits
@@ -472,24 +473,16 @@ def image_counts(
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "injectivity enumeration")
 
-    if image_table is None:
+    table = None
+    if hasattr(cprime, "image_table"):
+        table = cprime.image_table([x.to_int() for x in source.support])
+    if table is None:
         table = np.array(
             [
                 [cprime(x, BitString(y, seed_bits)).to_int() for y in range(ny)]
                 for x in source.support
             ]
         )
-    else:
-        table = np.asarray(image_table)
-        if table.shape != (nx, ny):
-            raise ValueError(f"image table shape {table.shape}, want {(nx, ny)}")
-        rng = CounterRng(_TABLE_STREAM_KEY, nx, ny)
-        for _ in range(min(32, pairs)):
-            i = rng.below(nx)
-            y = rng.below(ny)
-            img = cprime(source.support[i], BitString(y, seed_bits)).to_int()
-            if int(table[i, y]) != img:
-                raise ValueError("image table disagrees with the map")
     return np.unique(table.ravel(), return_counts=True)[1]
 
 
@@ -504,13 +497,10 @@ def injective_fraction(
     seed_bits: int,
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
-    image_table: np.ndarray | None = None,
 ) -> Fraction:
     """Fraction of (x, y) pairs whose image under the strong-form map has a
     unique preimage in support x seeds; arguments as for :func:`image_counts`."""
-    return unique_fraction(
-        image_counts(cprime, source, seed_bits, budget=budget, image_table=image_table)
-    )
+    return unique_fraction(image_counts(cprime, source, seed_bits, budget=budget))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ class ToeplitzExtractor:
         parity = np.bitwise_count(np.arange(1 << self.input_bits, dtype=np.int64)) & 1
         return np.asarray(list(xs), dtype=np.int64), parity
 
-    def extract_table(self, state, patterns: np.ndarray, positions) -> np.ndarray:
+    def extract_table(self, state, patterns: np.ndarray) -> np.ndarray:
         """Outputs for every (seed, x) pair; shape (len(patterns), len(xs)).
 
         The seed support covers every position, so patterns are full seeds;
@@ -82,8 +82,6 @@ class ToeplitzExtractor:
         """
         if self.output_bits > 62:
             raise ValueError(f"{self.output_bits} output bits do not fit the int64 table")
-        if tuple(positions) != self.seed_support:
-            raise ValueError("toeplitz seeds have no unused positions")
         xs, parity = state
         dtype = np.uint8 if self.output_bits <= 8 else np.int64
         out = np.zeros((len(patterns), len(xs)), dtype=dtype)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -164,7 +165,6 @@ class TrevisanExtractor:
         for i in range(spec.m):
             support.update(spec.design.sets[i])
         self.seed_support = tuple(sorted(support))
-        self._index_tables: dict[tuple[int, ...], np.ndarray] = {}
 
     def extract(self, x: BitString, y: BitString) -> BitString:
         return trevisan_extract(self.spec, x, y)
@@ -178,31 +178,29 @@ class TrevisanExtractor:
         codewords = encode_all_positions(self.spec.code, list(xs))
         return np.ascontiguousarray(codewords.T)
 
-    def _index_table(self, positions) -> np.ndarray:
+    @cached_property
+    def _index_table(self) -> np.ndarray:
         """Codeword index contributions, shape (chunks, m, 256): entry
         [c, i, v] is the part of output bit i's codeword index read from
-        pattern bits 8c .. 8c + 7 when they hold v.  Cached per positions."""
-        positions = tuple(positions)
-        table = self._index_tables.get(positions)
-        if table is None:
-            pos_index = {p: k for k, p in enumerate(positions)}
-            byte = np.arange(256, dtype=np.int64)
-            table = np.zeros((-(-len(positions) // 8), self.spec.m, 256), dtype=np.int64)
-            for i in range(self.spec.m):
-                for bit, pos in enumerate(self.spec.design.sets[i]):
-                    chunk, shift = divmod(pos_index[pos], 8)
-                    table[chunk, i] |= ((byte >> shift) & 1) << bit
-            self._index_tables[positions] = table
+        pattern bits 8c .. 8c + 7 when they hold v.  Built on first use."""
+        pos_index = {p: k for k, p in enumerate(self.seed_support)}
+        byte = np.arange(256, dtype=np.int64)
+        table = np.zeros((-(-len(pos_index) // 8), self.spec.m, 256), dtype=np.int64)
+        for i in range(self.spec.m):
+            for bit, pos in enumerate(self.spec.design.sets[i]):
+                chunk, shift = divmod(pos_index[pos], 8)
+                table[chunk, i] |= ((byte >> shift) & 1) << bit
         return table
 
-    def extract_table(self, state, patterns: np.ndarray, positions) -> np.ndarray:
-        """Outputs for scattered seeds; shape (len(patterns), len(xs)), packed
-        into int64, so m must be at most 62."""
+    def extract_table(self, state, patterns: np.ndarray) -> np.ndarray:
+        """Outputs for the seeds whose bit seed_support[k] is pattern bit k;
+        shape (len(patterns), len(xs)), packed into int64, so m must be at
+        most 62."""
         spec = self.spec
         if spec.m > 62:
             raise ValueError(f"{spec.m} output bits do not fit the int64 table")
         by_position = state  # (codeword bits, messages)
-        table = self._index_table(positions)
+        table = self._index_table
         patterns = np.asarray(patterns, dtype=np.int64)
         index = table[0][:, patterns & 255]
         for chunk in range(1, len(table)):

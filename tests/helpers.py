@@ -244,6 +244,45 @@ def _ref_mask(s) -> int:
     return m
 
 
+def ref_design_stats(sets) -> tuple[int, Fraction]:
+    """(max pairwise overlap, max over i of sum(2^|S_i & S_j|, j < i) / (m - 1))
+    by bitmask intersection, one pair at a time, in Python ints."""
+    masks = [_ref_mask(s) for s in sets]
+    max_overlap, max_weak = 0, 0
+    for i in range(1, len(masks)):
+        overlaps = [(masks[i] & masks[j]).bit_count() for j in range(i)]
+        max_overlap = max(max_overlap, *overlaps)
+        max_weak = max(max_weak, sum(1 << ov for ov in overlaps))
+    return max_overlap, Fraction(max_weak, max(len(masks) - 1, 1))
+
+
+def ref_trevisan_extract(spec, x: int, y: int) -> int:
+    """Trevisan output by the definition, one bit at a time: bit i is the
+    parity of p_x(alpha) AND z, where the seed bits at design set i, read
+    low bit first, give the index alpha * 2^w + z, and p_x(alpha) is taken
+    by :func:`ref_horner`."""
+    w = spec.code.field_width
+    coeffs = [(x >> (i * w)) & ((1 << w) - 1) for i in range(spec.code.message_symbols)]
+    out = 0
+    for i in range(spec.m):
+        index = sum(((y >> pos) & 1) << k for k, pos in enumerate(spec.design.sets[i]))
+        alpha, z = index >> w, index & ((1 << w) - 1)
+        out |= (bin(ref_horner(coeffs, alpha, w) & z).count("1") & 1) << i
+    return out
+
+
+def ref_guv_condense(spec, x: int, y: int) -> int:
+    """Condenser output symbols f^(h^i) mod E at y, by plain repeated
+    multiplication and :func:`ref_horner`, lowest symbol first."""
+    w = spec.field_width
+    coeffs = [(x >> (i * w)) & ((1 << w) - 1) for i in range(spec.message_symbols)]
+    out = 0
+    for i in range(spec.output_symbols):
+        residue = ref_poly_pow_mod(coeffs, spec.power**i, list(spec.modulus.coeffs), w)
+        out |= ref_horner(residue, y, w) << (i * w)
+    return out
+
+
 def ref_greedy_weak_design(num_sets, set_size, rho=2, t_initial=None):
     """(universe size, sets, certified ratio) of the greedy weak design,
     drawing and scoring one candidate at a time with exact Fractions."""

@@ -14,7 +14,7 @@ from extractorforge.condenser import (
 )
 from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
-from extractorforge.oracle import injective_fraction, sample_flat_sources
+from extractorforge.oracle import image_counts, injective_fraction, sample_flat_sources
 from extractorforge.poly import FieldPoly, find_irreducible
 
 from helpers import ref_horner, ref_poly_pow_mod
@@ -221,11 +221,41 @@ def test_injectivity_on_sampled_sources():
     spec = build_condenser(12, 6, Fraction(1, 4), 1)
     cmap = StrongCondenserMap(spec)
     for source in sample_flat_sources(12, 6, 5, seed=8):
-        xs = [x.to_int() for x in source.support]
-        frac = injective_fraction(
-            cmap, source, spec.seed_bits, image_table=cmap.image_table(xs)
+        assert injective_fraction(cmap, source, spec.seed_bits) >= 1 - spec.epsilon
+
+
+def test_image_counts_asks_the_map_for_its_table():
+    # w = 11: 2^11 seeds per point; the lambda has no image_table, so it is
+    # counted one pair at a time
+    spec = build_condenser(12, 6, Fraction(1, 4), 1)
+    assert spec.field_width == 11
+    cmap = StrongCondenserMap(spec)
+    per_pair = lambda x, y: cmap(x, y)
+    for k, seed in ((1, 4), (2, 5)):
+        source = sample_flat_sources(12, k, 1, seed=seed)[0]
+        assert np.array_equal(
+            image_counts(cmap, source, spec.seed_bits),
+            image_counts(per_pair, source, spec.seed_bits),
         )
-        assert frac >= 1 - spec.epsilon
+        assert injective_fraction(cmap, source, spec.seed_bits) == injective_fraction(
+            per_pair, source, spec.seed_bits
+        )
+
+
+def test_image_table_declines_images_wider_than_int64():
+    # 2 output symbols and the seed at w = 21: 63 bits
+    spec = CondenserSpec(
+        n=42,
+        k=10,
+        epsilon=Fraction(1, 4),
+        alpha=Fraction(1),
+        field_width=21,
+        message_symbols=2,
+        power=2,
+        output_symbols=2,
+        modulus=find_irreducible(21, 2),
+    )
+    assert StrongCondenserMap(spec).image_table([0, 1]) is None
 
 
 def test_spec_validation():

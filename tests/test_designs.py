@@ -15,7 +15,7 @@ from extractorforge.designs import (
 from extractorforge.serialize import spec_digest, spec_from_json, spec_to_json
 from extractorforge.trevisan import build_trevisan, custom_spec
 
-from helpers import ref_greedy_weak_design, ref_horner
+from helpers import ref_design_stats, ref_greedy_weak_design, ref_horner
 
 
 def _pairwise_overlaps(design):
@@ -182,3 +182,36 @@ def test_thm43_spec_digest_pinned():
     assert spec_digest(spec) == (
         "adb513b44d6a6a185efbbc9f728103dcf7b3fb2ac0457cff82535b33ee093f09"
     )
+
+
+def _wide_families():
+    """(kind, universe, sets) with set sizes 46 to 62, where a weak sum can
+    pass 2^53 or 2^63.  In the first three the last set meets the first in
+    l - 2 elements and the second in none: its weak sum is 2^(l - 2) + 1."""
+    families = []
+    for size in (48, 56, 62):
+        first = tuple(range(size))
+        second = tuple(range(size, 2 * size))
+        last = tuple(range(2, size)) + (2 * size, 2 * size + 1)
+        families.append(("weak", 2 * size + 2, (first, second, last)))
+    # three equal sets: the last weak sum is 2^63, past int64
+    families.append(("weak", 62, (tuple(range(62)),) * 3))
+    greedy = build_greedy_weak_design(3, 62, 2)
+    families.append(("weak", greedy.universe_size, greedy.sets))
+    families.append(("standard", 96, (tuple(range(46)), tuple(range(46, 92)), tuple(range(20, 66)))))
+    return families
+
+
+@pytest.mark.parametrize("kind, universe, sets", _wide_families())
+def test_verify_wide_designs_against_bitmask_reference(kind, universe, sets):
+    max_overlap, max_ratio = ref_design_stats(sets)
+    certified = Fraction(max_overlap) if kind == "standard" else max_ratio
+    report = verify_design(Design(universe, len(sets[0]), kind, sets, certified))
+    assert report.valid
+    assert (report.max_overlap, report.max_weak_sum_ratio) == (max_overlap, max_ratio)
+    # one unit off in the last place of the weak sum, which float64 drops
+    # past 2^53, must be reported
+    wrong = certified - Fraction(1, len(sets) - 1)
+    report = verify_design(Design(universe, len(sets[0]), kind, sets, wrong))
+    assert not report.valid
+    assert "recomputed" in report.reason

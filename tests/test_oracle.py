@@ -193,6 +193,15 @@ class _FnExtractor:
 
 
 class TestExtractorDistance:
+    def test_seed_support_must_be_ascending_and_inside_the_seed(self):
+        # pattern bit k is seed bit seed_support[k], so the order is the protocol's
+        src = FlatSource.from_ints(3, range(8))
+        for support in ((1, 0), (0, 0), (0, 2)):
+            ext = _FnExtractor(3, 2, 1, lambda x, y: BitString(y[0], 1))
+            ext.seed_support = support
+            with pytest.raises(ValueError, match="seed_support"):
+                extractor_distance(ext, src)
+
     def test_constant_extractor_distance_half(self):
         ext = _FnExtractor(3, 2, 1, lambda x, y: BitString(0, 1))
         src = FlatSource.from_ints(3, range(8))

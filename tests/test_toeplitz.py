@@ -97,7 +97,7 @@ def test_batch_path_matches_scalar():
     xs = [0, 5, 9, 63, 32]
     state = ext.prepare_batch(xs)
     patterns = np.arange(19, dtype=np.int64)
-    table = ext.extract_table(state, patterns, ext.seed_support)
+    table = ext.extract_table(state, patterns)
     for row, seed in enumerate(patterns):
         for col, x in enumerate(xs):
             expect = ext.extract(BitString(x, 6), BitString(int(seed), spec.seed_bits))
@@ -110,7 +110,7 @@ def test_batch_path_keeps_outputs_wider_than_a_byte():
     xs = [1, 513, 1023]
     state = ext.prepare_batch(xs)
     patterns = np.array([0, 1, 1 << 18, (1 << 19) - 1], dtype=np.int64)
-    table = ext.extract_table(state, patterns, ext.seed_support)
+    table = ext.extract_table(state, patterns)
     for row, seed in enumerate(patterns):
         for col, x in enumerate(xs):
             expect = ext.extract(BitString(x, 10), BitString(int(seed), spec.seed_bits))

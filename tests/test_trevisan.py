@@ -175,7 +175,7 @@ def _check_batch_table(spec):
         list(range(33)) + [(1 << s) - 1] + [rng.below(1 << s) for _ in range(60)],
         dtype=np.int64,
     )
-    table = ext.extract_table(state, patterns, ext.seed_support)
+    table = ext.extract_table(state, patterns)
     assert table.shape == (len(patterns), len(xs))
     for row, pattern in enumerate(patterns):
         y_val = 0
@@ -225,7 +225,7 @@ def test_batch_table_rejects_outputs_wider_than_int64():
     ext = TrevisanExtractor(spec)
     state = ext.prepare_batch([0, 1])
     with pytest.raises(ValueError):
-        ext.extract_table(state, np.arange(2, dtype=np.int64), ext.seed_support)
+        ext.extract_table(state, np.arange(2, dtype=np.int64))
 
 
 class _ExtractOnly:
