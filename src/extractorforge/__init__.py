@@ -25,7 +25,7 @@ from .designs import (
     verify_design,
 )
 from .errors import BudgetExceededError, FieldMismatchError, InfeasibleParameterError
-from .gf2 import FieldElement, field_modulus, gf_inv, gf_mul
+from .gf2 import field_modulus
 from .oracle import (
     FiniteDistribution,
     FlatSource,
@@ -39,7 +39,7 @@ from .oracle import (
     sample_flat_sources,
     stat_distance,
 )
-from .poly import FieldPoly, poly_eval, poly_pow_mod
+from .poly import FieldPoly, poly_pow_mod
 from .serialize import spec_digest, spec_from_json, spec_to_json
 from .toeplitz import ToeplitzSpec, toeplitz_extract
 from .trevisan import ExtractorSpec, build_trevisan, custom_spec, trevisan_extract
@@ -54,7 +54,6 @@ __all__ = [
     "CondenserSpec",
     "Design",
     "ExtractorSpec",
-    "FieldElement",
     "FieldMismatchError",
     "FieldPoly",
     "FiniteDistribution",
@@ -78,13 +77,10 @@ __all__ = [
     "encode_bit",
     "extractor_distance",
     "field_modulus",
-    "gf_inv",
-    "gf_mul",
     "guv_condense",
     "injective_fraction",
     "lemma_suite",
     "min_entropy",
-    "poly_eval",
     "poly_pow_mod",
     "restrict_seed",
     "sample_flat_sources",

@@ -383,6 +383,15 @@ def _verify_code_target(spec, budget, test_seed, checks):
         )
 
 
+def _flat_sources(n, k, seed_bits, budget, test_seed, label):
+    """Up to 50 flat k-sources on n bits, as many as the budget covers at
+    2^(seed_bits + k) pairs each; BudgetExceededError if one does not fit."""
+    pairs = (1 << seed_bits) * (1 << k)
+    if pairs > budget:
+        raise BudgetExceededError(pairs, budget, label)
+    return sample_flat_sources(n, k, min(50, budget // pairs), seed=test_seed)
+
+
 def _verify_extractor_target(spec, budget, test_seed, checks):
     if isinstance(spec, ExtractorSpec):
         ext = TrevisanExtractor(spec)
@@ -394,17 +403,15 @@ def _verify_extractor_target(spec, budget, test_seed, checks):
         bound = Fraction(1, 1 << ((k - spec.output_bits) // 2))
     else:
         raise _BadSpec("extractor verification expects a trevisan or toeplitz spec")
-    pairs = (1 << len(ext.seed_support)) * (1 << k)
-    count = min(50, max(1, budget // max(pairs, 1)))
-    if pairs > budget:
-        raise BudgetExceededError(pairs, budget, "extractor verification")
-    sources = sample_flat_sources(ext.input_bits, k, count, seed=test_seed)
+    sources = _flat_sources(
+        ext.input_bits, k, len(ext.seed_support), budget, test_seed, "extractor verification"
+    )
     worst = Fraction(0)
     for source in sources:
         worst = max(worst, extractor_distance(ext, source, budget=budget))
     checks.append(
         {
-            "name": f"extraction distance on {count} flat sources (k={k})",
+            "name": f"extraction distance on {len(sources)} flat sources (k={k})",
             "passed": worst <= bound,
             "detail": {"worstDistance": str(worst), "bound": str(bound)},
         }
@@ -415,11 +422,9 @@ def _verify_condenser_target(spec, budget, test_seed, checks):
     if not isinstance(spec, CondenserSpec):
         raise _BadSpec("condenser verification expects a condenser spec")
     cmap = StrongCondenserMap(spec)
-    pairs = (1 << spec.k) * (1 << spec.seed_bits)
-    count = min(50, max(1, budget // max(pairs, 1)))
-    if pairs > budget:
-        raise BudgetExceededError(pairs, budget, "condenser verification")
-    sources = sample_flat_sources(spec.n, spec.k, count, seed=test_seed)
+    sources = _flat_sources(
+        spec.n, spec.k, spec.seed_bits, budget, test_seed, "condenser verification"
+    )
     worst_inj = Fraction(1)
     worst_dist = Fraction(0)
     for source in sources:
@@ -430,7 +435,7 @@ def _verify_condenser_target(spec, budget, test_seed, checks):
         )
     checks.append(
         {
-            "name": f"unique-preimage fraction on {count} flat sources",
+            "name": f"unique-preimage fraction on {len(sources)} flat sources",
             "passed": worst_inj >= 1 - spec.epsilon,
             "detail": {"worst": str(worst_inj), "bound": f">= {1 - spec.epsilon}"},
         }
@@ -445,6 +450,8 @@ def _verify_condenser_target(spec, budget, test_seed, checks):
 
 
 def _verify_lemmas_target(spec, budget, test_seed, checks):
+    if spec is not None:
+        raise _BadSpec("lemma verification takes no spec")
     tables = [sample_joint_table(4, 4, seed=test_seed, index=i) for i in range(200)]
     # adversarial cases: independent side, full copy, one-bit leak
     n = 3

@@ -94,13 +94,10 @@ class CondenseExtractExtractor:
         if len(y) != self.seed_bits:
             raise ValueError(f"seed is {len(y)} bits, want {self.seed_bits}")
         d = self.condenser.seed_bits
-        return self.extract_parts(x, y[0:d], y[d:])
-
-    def extract_parts(self, x: BitString, y1: BitString, y2: BitString) -> BitString:
-        condensed = strong_form(self.condenser, x, y1)
+        condensed = strong_form(self.condenser, x, y[0:d])
         if self.pad:
             condensed = condensed + BitString.zeros(self.pad)
-        return self.extractor.extract(condensed, y2)
+        return self.extractor.extract(condensed, y[d:])
 
 
 def condense_extract(condenser: CondenserSpec, extractor) -> CondenseExtractExtractor:

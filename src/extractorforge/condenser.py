@@ -31,7 +31,7 @@ import numpy as np
 
 from .bits import BitString
 from .errors import InfeasibleParameterError
-from .gf2 import horner, split_symbols
+from .gf2 import get_field, horner, split_symbols
 from .poly import FieldPoly, find_irreducible, poly_irreducible, pow_mod_rows
 
 _MAX_SEED_WIDTH = 24
@@ -152,23 +152,17 @@ def _residue_rows(spec: CondenserSpec, xs: list[int]):
         yield rows
 
 
-def residue_powers(spec: CondenserSpec, x: BitString) -> list[FieldPoly]:
-    """The polynomials f^(h^i) mod E for i = 0 .. m' - 1, one row each."""
-    if len(x) != spec.n:
-        raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
-    w = spec.field_width
-    return [FieldPoly(tuple(rows[0].tolist()), w) for rows in _residue_rows(spec, [x.to_int()])]
-
-
 def guv_condense(spec: CondenserSpec, x: BitString, y: BitString) -> BitString:
     """Output symbols f^(h^i)(y), concatenated least-significant-symbol first."""
     if len(y) != spec.seed_bits:
         raise ValueError(f"seed is {len(y)} bits, spec wants {spec.seed_bits}")
-    yv = y.to_int()
+    if len(x) != spec.n:
+        raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
     w = spec.field_width
+    field, yv = get_field(w), y.to_int()
     value = 0
-    for i, poly in enumerate(residue_powers(spec, x)):
-        value |= poly.eval_int(yv) << (i * w)
+    for i, rows in enumerate(_residue_rows(spec, [x.to_int()])):
+        value |= field.eval_poly(rows[0].tolist(), yv) << (i * w)
     return BitString(value, spec.output_bits)
 
 

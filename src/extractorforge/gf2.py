@@ -22,13 +22,10 @@ integer holds symbols of w bits lowest first, symbol i in bits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-
-from .errors import FieldMismatchError
 
 MAX_FIELD_WIDTH = 32
 
@@ -150,26 +147,6 @@ def field_modulus(width: int) -> int:
     raise AssertionError(f"no irreducible polynomial of degree {width}")
 
 
-def _gf2x_powmod(a: int, e: int, m: int) -> int:
-    result = 1
-    while e:
-        if e & 1:
-            result = _gf2x_mulmod(result, a, m)
-        a = _gf2x_mulmod(a, a, m)
-        e >>= 1
-    return result
-
-
-def _generator(modulus: int, order: int) -> int:
-    """Smallest g >= 2 of multiplicative order q - 1; 1 in GF(2)."""
-    size = order - 1
-    factors = _prime_factors(size)
-    for g in range(2, order):
-        if all(_gf2x_powmod(g, size // p, modulus) != 1 for p in factors):
-            return g
-    return 1
-
-
 def _shift_xor_mul(a: np.ndarray, b: np.ndarray, width: int, modulus: int) -> np.ndarray:
     """Elementwise products modulo ``modulus`` with no tables, broadcasting
     a against b: one shift-and-xor pass per bit of b."""
@@ -208,11 +185,21 @@ class GF2Field:
     def _mul_raw(self, a: int, b: int) -> int:
         return _gf2x_mulmod(a, b, self.modulus)
 
+    def _generator(self) -> int:
+        """Smallest g >= 2 of multiplicative order q - 1; 1 in GF(2).  Runs
+        before the tables exist, so its powers use shift-and-xor."""
+        size = self.order - 1
+        factors = _prime_factors(size)
+        for g in range(2, self.order):
+            if all(self.pow(g, size // p) != 1 for p in factors):
+                return g
+        return 1
+
     def _build_tables(self):
         size = self.order - 1
         # g^0 .. g^(2^j - 1), doubled with g^(2^j) until every power is in
         powers = np.ones(1, dtype=np.intp)
-        step = _generator(self.modulus, self.order)
+        step = self._generator()
         while len(powers) < size:
             shifted = _shift_xor_mul(powers, np.intp(step), self.width, self.modulus)
             powers = np.concatenate([powers, shifted])
@@ -247,7 +234,7 @@ class GF2Field:
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(a), -e)
+            raise ValueError(f"exponent must be nonnegative, got {e}")
         result = 1
         base = a
         while e:
@@ -304,61 +291,3 @@ def horner(coeffs, points, width: int) -> np.ndarray:
         acc = mul_arrays(acc, points, width)
         acc ^= coeffs[:, d : d + 1]
     return acc
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(2^w), tagged with its field width.
-
-    Mixing widths in arithmetic raises :class:`FieldMismatchError`; there is
-    no implicit embedding between fields.
-    """
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1 or self.width > MAX_FIELD_WIDTH:
-            raise ValueError(f"bad field width {self.width}")
-        if self.value < 0 or self.value >> self.width:
-            raise ValueError(
-                f"value {self.value} outside GF(2^{self.width})"
-            )
-
-    def _check_same_field(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.width != other.width:
-            raise FieldMismatchError(
-                f"cannot mix GF(2^{self.width}) and GF(2^{other.width})"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same_field(other)
-        return FieldElement(self.value ^ other.value, self.width)
-
-    __sub__ = __add__
-    __xor__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same_field(other)
-        return FieldElement(get_field(self.width).mul(self.value, other.value), self.width)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(get_field(self.width).inv(self.value), self.width)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(get_field(self.width).pow(self.value, e), self.width)
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value:#x}, width={self.width})"
-
-
-def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product in GF(2^w); widths must match."""
-    return a * b
-
-
-def gf_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
-    return a.inverse()

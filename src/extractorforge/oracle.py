@@ -99,9 +99,6 @@ class FiniteDistribution:
     def items(self) -> list[tuple[Hashable, Fraction]]:
         return [(o, Fraction(w, self._total)) for o, w in self._weights.items()]
 
-    def support(self) -> list[Hashable]:
-        return [o for o, w in self._weights.items() if w > 0]
-
     @property
     def max_prob(self) -> Fraction:
         if not self._weights:

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 import numpy as np
 
 from .errors import FieldMismatchError
-from .gf2 import FieldElement, _prime_factors, get_field, mul_arrays
+from .gf2 import _prime_factors, get_field, mul_arrays
 
 
 @dataclass(frozen=True)
 class FieldPoly:
+    """A coefficient record over GF(2^w); evaluate it with
+    ``get_field(w).eval_poly(p.coeffs, x)``."""
+
     coeffs: tuple[int, ...]
     width: int
 
@@ -35,56 +37,12 @@ class FieldPoly:
             trimmed = trimmed[:-1]
         object.__setattr__(self, "coeffs", trimmed)
 
-    @classmethod
-    def zero(cls, width: int) -> "FieldPoly":
-        return cls((), width)
-
-    @classmethod
-    def one(cls, width: int) -> "FieldPoly":
-        return cls((1,), width)
-
-    @classmethod
-    def identity(cls, width: int) -> "FieldPoly":
-        """The polynomial Z."""
-        return cls((0, 1), width)
-
-    @classmethod
-    def constant(cls, c: int, width: int) -> "FieldPoly":
-        return cls((c,), width)
-
-    @classmethod
-    def from_field_elements(cls, elems: Sequence[FieldElement]) -> "FieldPoly":
-        if not elems:
-            raise ValueError("empty coefficient list; use FieldPoly.zero(width)")
-        width = elems[0].width
-        for e in elems:
-            if e.width != width:
-                raise FieldMismatchError("mixed widths in coefficient list")
-        return cls(tuple(e.value for e in elems), width)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def eval_int(self, alpha: int) -> int:
-        """Horner evaluation at a raw field element."""
-        field = get_field(self.width)
-        return field.eval_poly(self.coeffs, field.check(alpha))
-
     def __repr__(self) -> str:
         return f"FieldPoly({list(self.coeffs)}, width={self.width})"
-
-
-def poly_eval(p: FieldPoly, alpha: FieldElement) -> FieldElement:
-    """Evaluate p at alpha; widths must match."""
-    if p.width != alpha.width:
-        raise FieldMismatchError(
-            f"polynomial over GF(2^{p.width}) evaluated at GF(2^{alpha.width}) point"
-        )
-    return FieldElement(p.eval_int(alpha.value), p.width)
 
 
 def _reduce(wide: np.ndarray, low, width: int) -> np.ndarray:
@@ -180,7 +138,7 @@ def poly_pow_mod(f: FieldPoly, e: int, modulus: FieldPoly) -> FieldPoly:
     if not poly_irreducible(modulus):
         raise ValueError("modulus is reducible or degenerate")
     if e == 0:
-        return FieldPoly.one(f.width)
+        return FieldPoly((1,), f.width)
     low = _monic_low(modulus)
     wide = np.array([f.coeffs + (0,) * modulus.degree], dtype=np.intp)
     row = pow_mod_rows(_reduce(wide, low, f.width), e, low, f.width)

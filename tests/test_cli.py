@@ -353,3 +353,26 @@ def test_extract_block_spec_must_agree_with_its_error_budget(capsys, tmp_path, b
     argv = ["extract", "--spec", str(spec_path), "--in", str(infile),
             "--out", str(tmp_path / "out.bin"), "--seed", seed]
     assert _run(capsys, argv)[0] == rc
+
+
+def test_lemmas_target_rejects_a_spec(capsys, tmp_path):
+    # the lemma suite draws its own tables; a spec would be reported but unused
+    path = _spec_file(tmp_path, "toeplitz", ToeplitzSpec(10, 2))
+    rc, report, err = _run(capsys, ["verify", "lemmas", "--spec", path])
+    assert rc == cli.EXIT_BAD_SPEC
+    assert report is None
+    assert err == "unreadable spec: lemma verification takes no spec\n"
+    rc, report, _ = _run(capsys, ["verify", "lemmas"])
+    assert rc == cli.EXIT_PASS
+    assert report["allPassed"] is True and report["specDigest"] is None
+
+
+@pytest.mark.parametrize(
+    "budget, count", [(50 << 17, 50), ((51 << 17) - 1, 50), ((50 << 17) - 1, 49)]
+)
+def test_verify_samples_at_most_fifty_sources(capsys, tmp_path, budget, count):
+    # ToeplitzSpec(10, 2) at k = 6: 2^6 source points x 2^11 seeds per source
+    path = _spec_file(tmp_path, "toeplitz", ToeplitzSpec(10, 2))
+    rc, report, _ = _run(capsys, ["verify", "extractor", "--spec", path, "--budget", str(budget)])
+    assert rc == cli.EXIT_PASS
+    assert report["checks"][0]["name"] == f"extraction distance on {count} flat sources (k=6)"

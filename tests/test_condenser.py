@@ -7,9 +7,9 @@ from extractorforge.bits import BitString
 from extractorforge.condenser import (
     CondenserSpec,
     StrongCondenserMap,
+    _residue_rows,
     build_condenser,
     guv_condense,
-    residue_powers,
     strong_form,
 )
 from extractorforge.detrand import CounterRng
@@ -55,10 +55,9 @@ def test_single_symbol_output_is_one_evaluation():
         modulus=find_irreducible(3, 2),
     )
     x = BitString(0b110101, 6)
-    f = FieldPoly((0b101, 0b110), 3)
     for y in range(8):
         out = guv_condense(spec, x, BitString(y, 3))
-        assert out.to_int() == f.eval_int(y)
+        assert out.to_int() == ref_horner([0b101, 0b110], y, 3)
 
 
 def test_small_instance_matches_naive_powering():
@@ -83,13 +82,20 @@ def test_small_instance_matches_naive_powering():
         assert out.to_int() == expected
 
 
-def test_residue_powers_chain():
+def test_residue_rows_chain():
     spec = _manual_spec()
-    x = BitString(0b110101, 6)
-    polys = residue_powers(spec, x)
-    assert len(polys) == 2
+    rows = list(_residue_rows(spec, [0b110101]))
+    assert len(rows) == 2
     expect = ref_poly_pow_mod([0b101, 0b110], 2, list(spec.modulus.coeffs), 3)
-    assert list(polys[1].coeffs) == expect
+    assert rows[1][0].tolist() == expect + [0] * (2 - len(expect))
+
+
+def test_condense_rejects_wrong_lengths():
+    spec = _manual_spec()
+    with pytest.raises(ValueError, match="source"):
+        guv_condense(spec, BitString(0, 5), BitString(0, 3))
+    with pytest.raises(ValueError, match="seed"):
+        guv_condense(spec, BitString(0, 6), BitString(0, 4))
 
 
 def test_strong_form_appends_seed():

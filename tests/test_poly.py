@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extractorforge.errors import FieldMismatchError
-from extractorforge.gf2 import FieldElement, field_modulus, get_field
+from extractorforge.gf2 import field_modulus, get_field
 from extractorforge.poly import (
     FieldPoly,
     find_irreducible,
     irreducible_rows,
-    poly_eval,
     poly_irreducible,
     poly_pow_mod,
 )
@@ -26,28 +25,22 @@ from helpers import (
 def test_normalization_and_degree():
     assert FieldPoly((1, 2, 0, 0), 3).coeffs == (1, 2)
     assert FieldPoly((1, 2), 3).degree == 1
-    assert FieldPoly.zero(3).degree == -1
-    assert FieldPoly.zero(3).is_zero()
+    assert FieldPoly((0, 0), 3).coeffs == ()
+    assert FieldPoly((), 3).degree == -1
+    with pytest.raises(ValueError):
+        FieldPoly((8,), 3)
 
 
 def test_eval_constant_and_identity():
-    c = FieldPoly.constant(0b101, 3)
-    z = FieldPoly.identity(3)
+    field = get_field(3)
     for a in range(8):
-        alpha = FieldElement(a, 3)
-        assert poly_eval(c, alpha) == FieldElement(0b101, 3)
-        assert poly_eval(z, alpha) == alpha
+        assert field.eval_poly((0b101,), a) == 0b101
+        assert field.eval_poly((0, 1), a) == a
 
 
 def test_eval_derived_example():
     # Z^2 + 0b011 at alpha = 0b010 over GF(2^3)
-    p = FieldPoly((0b011, 0, 1), 3)
-    assert poly_eval(p, FieldElement(0b010, 3)) == FieldElement(0b111, 3)
-
-
-def test_eval_width_mismatch():
-    with pytest.raises(FieldMismatchError):
-        poly_eval(FieldPoly.identity(3), FieldElement(1, 4))
+    assert get_field(3).eval_poly((0b011, 0, 1), 0b010) == 0b111
 
 
 def _ref_mod(coeffs, modulus: FieldPoly) -> FieldPoly:
@@ -64,13 +57,13 @@ def _irreducible_quadratic_gf4():
 def test_pow_mod_trivial_cases():
     e_mod = _irreducible_quadratic_gf4()
     f = FieldPoly((0b11, 0b01), 2)
-    assert poly_pow_mod(f, 0, e_mod) == FieldPoly.one(2)
+    assert poly_pow_mod(f, 0, e_mod) == FieldPoly((1,), 2)
     assert poly_pow_mod(f, 1, e_mod) == _ref_mod(f.coeffs, e_mod)
 
 
 def test_pow_mod_small_case_vs_long_division():
     e_mod = _irreducible_quadratic_gf4()
-    got = poly_pow_mod(FieldPoly.identity(2), 3, e_mod)
+    got = poly_pow_mod(FieldPoly((0, 1), 2), 3, e_mod)
     expect = ref_poly_pow_mod([0, 1], 3, [0b10, 1, 1], 2)
     assert list(got.coeffs) == expect
 
@@ -78,9 +71,14 @@ def test_pow_mod_small_case_vs_long_division():
 def test_pow_mod_rejects_reducible_modulus():
     # Z^2 + 1 = (Z + 1)^2 over GF(4)
     with pytest.raises(ValueError):
-        poly_pow_mod(FieldPoly.identity(2), 3, FieldPoly((1, 0, 1), 2))
+        poly_pow_mod(FieldPoly((0, 1), 2), 3, FieldPoly((1, 0, 1), 2))
     with pytest.raises(ValueError):
-        poly_pow_mod(FieldPoly.identity(2), -1, _irreducible_quadratic_gf4())
+        poly_pow_mod(FieldPoly((0, 1), 2), -1, _irreducible_quadratic_gf4())
+
+
+def test_pow_mod_width_mismatch():
+    with pytest.raises(FieldMismatchError):
+        poly_pow_mod(FieldPoly((0, 1), 3), 3, _irreducible_quadratic_gf4())
 
 
 def test_pow_mod_matches_naive_on_random_instances():
@@ -125,7 +123,7 @@ def test_irreducibility_matches_root_and_factor_scan_gf4():
     for c0 in range(4):
         for c1 in range(4):
             p = FieldPoly((c0, c1, 1), 2)
-            has_root = any(p.eval_int(a) == 0 for a in range(4))
+            has_root = any(field.eval_poly(p.coeffs, a) == 0 for a in range(4))
             assert poly_irreducible(p) == (not has_root)
 
 
@@ -134,7 +132,7 @@ def test_find_irreducible_deterministic_and_valid():
     assert first == find_irreducible(2, 2)
     assert poly_irreducible(first)
     # linear monic polynomials are irreducible; the scan returns Z itself
-    assert find_irreducible(3, 1) == FieldPoly.identity(3)
+    assert find_irreducible(3, 1) == FieldPoly((0, 1), 3)
 
 
 def _candidate(counter: int, width: int, degree: int) -> list[int]:
