@@ -7,7 +7,8 @@ Three commands:
 * ``verify``  runs exact verification suites against a target.
 
 Exit codes are a stable contract: 0 pass, 1 verification failure, 2 usage
-error, 3 infeasible parameters, 4 inconclusive (budget exhausted), and for
+error (also an output file that cannot be written, or a --budget below 1),
+3 infeasible parameters, 4 inconclusive (budget exhausted), and for
 ``extract`` specifically 5 short input, 6 seed mismatch, 7 unreadable spec.
 
 Extraction seeds are never generated silently: pass --seed/--seed-file, or
@@ -24,6 +25,8 @@ import secrets
 import sys
 import time
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 from .bits import BitString
 from .codes import CodeSpec, code_distance, encode_all_positions, encode_bit
@@ -61,15 +64,27 @@ DEFAULT_TEST_SEED = 1
 MAX_MEM_ENV = "EXTRACTORFORGE_MAX_MEM"
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """Ends a command: ``main`` prints the message to stderr and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _parse_fraction(text: str, option: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"{option} expects a fraction, got {text!r}") from None
+        raise _Exit(EXIT_USAGE, f"usage error: {option} expects a fraction, got {text!r}") from None
+
+
+def _bad_spec(reason) -> _Exit:
+    return _Exit(EXIT_BAD_SPEC, f"unreadable spec: {reason}")
+
+
+def _seed_problem(reason) -> _Exit:
+    return _Exit(EXIT_SEED_MISMATCH, f"seed problem: {reason}")
 
 
 # Peak bytes of memory per enumerated pair, by verify target, as measured
@@ -84,62 +99,61 @@ _BYTES_PER_PAIR = {"condenser": 48, "extractor": 4}
 _DEFAULT_BYTES_PER_PAIR = 16
 
 
-def _effective_budget(requested: int | None, target: str) -> int:
-    budget = requested if requested is not None else DEFAULT_ENUM_BUDGET
+def _effective_budget(budget: int, target: str) -> int:
+    if budget < 1:
+        raise _Exit(EXIT_USAGE, f"usage error: --budget must be at least 1, got {budget}")
     mem = os.environ.get(MAX_MEM_ENV)
     if mem:
         if not mem.isdecimal():
-            raise _UsageError(f"{MAX_MEM_ENV} expects a byte count, got {mem!r}")
+            raise _Exit(EXIT_USAGE, f"usage error: {MAX_MEM_ENV} expects a byte count, got {mem!r}")
         per_pair = _BYTES_PER_PAIR.get(target, _DEFAULT_BYTES_PER_PAIR)
         budget = min(budget, max(1, int(mem) // per_pair))
     return budget
 
 
+def _write(path: str, data: bytes) -> None:
+    """The one writer of output files: params --out, extract --out, --report."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"cannot write output: {exc}") from None
+
+
 def _write_report(report: dict, path: str | None):
     text = json.dumps(report, indent=2, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write(path, (text + "\n").encode())
     else:
         print(text)
 
 
+_EVALUATORS = {
+    ExtractorSpec: TrevisanExtractor,
+    ToeplitzSpec: ToeplitzExtractor,
+    BlockSpec: BlockSpec.extractor,
+    PipelineSpec: PipelineSpec.pipeline,
+}
+
+
 def make_evaluator(spec):
     """Extractor adapter for any serialized spec type."""
-    if isinstance(spec, ExtractorSpec):
-        return TrevisanExtractor(spec)
-    if isinstance(spec, ToeplitzSpec):
-        return ToeplitzExtractor(spec)
-    if isinstance(spec, BlockSpec):
-        return spec.extractor()
-    if isinstance(spec, PipelineSpec):
-        return spec.pipeline()
-    if isinstance(spec, CondenserSpec):
-        return _CondenserEvaluator(spec)
-    raise ValueError(f"no evaluator for {type(spec).__name__}")
-
-
-class _CondenserEvaluator:
-    """Treats a condenser as a length-preserving map for file processing."""
-
-    def __init__(self, spec: CondenserSpec):
-        self.spec = spec
-        self.input_bits = spec.n
-        self.seed_bits = spec.seed_bits
-        self.output_bits = spec.output_bits
-
-    def extract(self, x: BitString, y: BitString) -> BitString:
-        return guv_condense(self.spec, x, y)
+    if isinstance(spec, CondenserSpec):  # C(x, y) without the seed, unlike StrongCondenserMap
+        return SimpleNamespace(input_bits=spec.n, seed_bits=spec.seed_bits,
+                               output_bits=spec.output_bits, extract=partial(guv_condense, spec))
+    build = _EVALUATORS.get(type(spec))
+    if build is None:
+        raise ValueError(f"no evaluator for {type(spec).__name__}")
+    return build(spec)
 
 
 def cmd_params(args) -> int:
     epsilon = _parse_fraction(args.eps, "--eps")
     report_lines = []
     try:
-        if args.mode in ("flat", "storage"):
+        if args.mode == "flat":
             if args.beta is None or args.k is None:
-                print("flat/storage modes need --k and --beta", file=sys.stderr)
-                return EXIT_USAGE
+                raise _Exit(EXIT_USAGE, "flat mode needs --k and --beta")
             beta = _parse_fraction(args.beta, "--beta")
             spec = build_pipeline(args.n, args.k, beta, epsilon)
             report_lines.append(
@@ -148,9 +162,7 @@ def cmd_params(args) -> int:
             report_lines.append(
                 f"zeta={spec.zeta} alpha={spec.alpha} (alpha = 2(1-beta)(1-zeta)-1)"
             )
-            if args.mode == "storage":
-                bexact = beta * args.k
-                report_lines.append(f"storage bound beta*k = {bexact}")
+            report_lines.append(f"storage bound beta*k = {beta * args.k}")
             report_lines.append(
                 f"condenser: seed {spec.condenser.seed_bits} bits, output "
                 f"{spec.condenser.output_bits} bits"
@@ -165,8 +177,7 @@ def cmd_params(args) -> int:
             report_lines.append(f"total error budget: {spec.error_budget} (= 5 eps)")
         else:  # qproof
             if args.b is None:
-                print("qproof mode needs --b", file=sys.stderr)
-                return EXIT_USAGE
+                raise _Exit(EXIT_USAGE, "qproof mode needs --b")
             spec = build_high_entropy_extractor(args.n, args.b, epsilon)
             report_lines.append(
                 f"two-block extractor for n={args.n} b={args.b} eps={epsilon}"
@@ -177,22 +188,17 @@ def cmd_params(args) -> int:
             )
             report_lines.append(f"total error budget: {spec.error_budget} (= 3 eps)")
     except InfeasibleParameterError as exc:
-        print(f"infeasible parameters: {exc} [{exc.constraint}]", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise _Exit(EXIT_INFEASIBLE, f"infeasible parameters: {exc} [{exc.constraint}]") from None
 
     text = spec_to_json(spec)
     digest = spec_digest(spec)
     report_lines.append(f"seed bits: {spec.seed_bits}  output bits: {spec.output_bits}")
     report_lines.append(f"spec digest: sha256:{digest}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        for line in report_lines:
-            print(line)
+        _write(args.out, (text + "\n").encode())
     else:
         print(text)
-        for line in report_lines:
-            print(line, file=sys.stderr)
+    print("\n".join(report_lines), file=sys.stdout if args.out else sys.stderr)
     if args.report:
         _write_report(
             {
@@ -210,88 +216,64 @@ def _load_spec(path: str):
     try:
         with open(path) as fh:
             return spec_from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _BadSpec(str(exc)) from exc
-
-
-class _BadSpec(Exception):
-    pass
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise _bad_spec(exc) from None
 
 
 def _resolve_seed(args, needed_bits: int) -> tuple[BitString, str]:
-    chosen = [
-        name
-        for name, value in (
-            ("--seed", args.seed),
-            ("--seed-file", args.seed_file),
-            ("--seed-system", args.seed_system),
-        )
-        if value
-    ]
-    if len(chosen) != 1:
-        raise _SeedProblem("exactly one of --seed, --seed-file, --seed-system required")
+    if sum(1 for value in (args.seed, args.seed_file, args.seed_system) if value) != 1:
+        raise _seed_problem("exactly one of --seed, --seed-file, --seed-system required")
     if args.seed:
         try:
             data = bytes.fromhex(args.seed)
         except ValueError as exc:
-            raise _SeedProblem(f"bad hex seed: {exc}") from exc
+            raise _seed_problem(f"bad hex seed: {exc}") from None
         provenance = "hex literal"
     elif args.seed_file:
         try:
             with open(args.seed_file, "rb") as fh:
                 data = fh.read()
         except OSError as exc:
-            raise _SeedProblem(str(exc)) from exc
+            raise _seed_problem(exc) from None
         provenance = f"file {args.seed_file}"
     else:
         data = secrets.token_bytes((needed_bits + 7) // 8)
         provenance = f"system entropy (logged): {data.hex()}"
         print(f"seed drawn from system entropy: {data.hex()}", file=sys.stderr)
     if 8 * len(data) < needed_bits:
-        raise _SeedProblem(
-            f"seed provides {8 * len(data)} bits, spec needs {needed_bits}"
-        )
+        raise _seed_problem(f"seed provides {8 * len(data)} bits, spec needs {needed_bits}")
     return BitString.from_bytes(data, needed_bits), provenance
 
 
-class _SeedProblem(Exception):
-    pass
+def _evaluator(spec):
+    """make_evaluator, exiting 7 on a spec that is inconsistent or too large to run."""
+    try:
+        return make_evaluator(spec)
+    except (ValueError, OverflowError) as exc:
+        raise _bad_spec(exc) from None
 
 
 def cmd_extract(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-        evaluator = make_evaluator(spec)
-    except (_BadSpec, ValueError) as exc:
-        print(f"unreadable spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+    spec = _load_spec(args.spec)
+    evaluator = _evaluator(spec)
 
     try:
         with open(args.infile, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_SHORT_INPUT
+        raise _Exit(EXIT_SHORT_INPUT, f"cannot read input: {exc}") from None
     if 8 * len(data) < evaluator.input_bits:
-        print(
-            f"input holds {8 * len(data)} bits, spec needs {evaluator.input_bits}",
-            file=sys.stderr,
+        raise _Exit(
+            EXIT_SHORT_INPUT, f"input holds {8 * len(data)} bits, spec needs {evaluator.input_bits}"
         )
-        return EXIT_SHORT_INPUT
     x = BitString.from_bytes(data, evaluator.input_bits)
-
-    try:
-        seed, provenance = _resolve_seed(args, evaluator.seed_bits)
-    except _SeedProblem as exc:
-        print(f"seed problem: {exc}", file=sys.stderr)
-        return EXIT_SEED_MISMATCH
+    seed, provenance = _resolve_seed(args, evaluator.seed_bits)
 
     start = time.perf_counter()
     out = evaluator.extract(x, seed)
     elapsed = time.perf_counter() - start
     out_bytes = out.to_bytes()
-    with open(args.out, "wb") as fh:
-        fh.write(out_bytes)
+    _write(args.out, out_bytes)
 
     report = {
         "command": "extract",
@@ -316,7 +298,7 @@ def cmd_extract(args) -> int:
 def _verify_design_target(spec, budget, test_seed, checks):
     if spec is not None:
         if not isinstance(spec, ExtractorSpec):
-            raise _BadSpec("design verification expects an extractor spec")
+            raise _bad_spec("design verification expects an extractor spec")
         designs = [("spec design", spec.design)]
     else:
         designs = [
@@ -349,7 +331,7 @@ def _verify_code_target(spec, budget, test_seed, checks):
     elif isinstance(spec, ExtractorSpec):
         code = spec.code
     else:
-        raise _BadSpec("code verification expects an extractor spec")
+        raise _bad_spec("code verification expects an extractor spec")
     rng = CounterRng(0xC0DE, code.field_width, code.message_symbols)
     trials = min(2000, max(100, budget // 1000))
     bad = 0
@@ -394,15 +376,14 @@ def _flat_sources(n, k, seed_bits, budget, test_seed, label):
 
 def _verify_extractor_target(spec, budget, test_seed, checks):
     if isinstance(spec, ExtractorSpec):
-        ext = TrevisanExtractor(spec)
-        k = max(1, min(spec.n - 1, spec.n - 3))
+        k = max(1, spec.n - 3)
         bound = spec.epsilon_target
     elif isinstance(spec, ToeplitzSpec):
-        ext = ToeplitzExtractor(spec)
         k = min(spec.input_bits - 1, spec.output_bits + 4)
         bound = Fraction(1, 1 << ((k - spec.output_bits) // 2))
     else:
-        raise _BadSpec("extractor verification expects a trevisan or toeplitz spec")
+        raise _bad_spec("extractor verification expects a trevisan or toeplitz spec")
+    ext = _evaluator(spec)
     sources = _flat_sources(
         ext.input_bits, k, len(ext.seed_support), budget, test_seed, "extractor verification"
     )
@@ -420,7 +401,7 @@ def _verify_extractor_target(spec, budget, test_seed, checks):
 
 def _verify_condenser_target(spec, budget, test_seed, checks):
     if not isinstance(spec, CondenserSpec):
-        raise _BadSpec("condenser verification expects a condenser spec")
+        raise _bad_spec("condenser verification expects a condenser spec")
     cmap = StrongCondenserMap(spec)
     sources = _flat_sources(
         spec.n, spec.k, spec.seed_bits, budget, test_seed, "condenser verification"
@@ -451,7 +432,7 @@ def _verify_condenser_target(spec, budget, test_seed, checks):
 
 def _verify_lemmas_target(spec, budget, test_seed, checks):
     if spec is not None:
-        raise _BadSpec("lemma verification takes no spec")
+        raise _bad_spec("lemma verification takes no spec")
     tables = [sample_joint_table(4, 4, seed=test_seed, index=i) for i in range(200)]
     # adversarial cases: independent side, full copy, one-bit leak
     n = 3
@@ -476,7 +457,7 @@ def _verify_lemmas_target(spec, budget, test_seed, checks):
 
 def _verify_pipeline_target(spec, budget, test_seed, checks):
     if not isinstance(spec, PipelineSpec):
-        raise _BadSpec("pipeline verification expects a pipeline spec")
+        raise _bad_spec("pipeline verification expects a pipeline spec")
     blocks = spec.extractor
     _recertify_designs([("e1 design", blocks.e1.design), ("e2 design", blocks.e2.design)], checks)
     digest = spec_digest(spec)
@@ -506,32 +487,25 @@ _TARGETS = {
 
 def cmd_verify(args) -> int:
     budget = _effective_budget(args.budget, args.target)
-    test_seed = args.test_seed if args.test_seed is not None else DEFAULT_TEST_SEED
     checks: list[dict] = []
-    spec = None
+    spec = _load_spec(args.spec) if args.spec else None
+    check, needs_spec = _TARGETS[args.target]
+    if needs_spec and spec is None:
+        raise _bad_spec(f"{args.target} verification needs --spec")
     try:
-        if args.spec:
-            spec = _load_spec(args.spec)
-        check, needs_spec = _TARGETS[args.target]
-        if needs_spec and spec is None:
-            raise _BadSpec(f"{args.target} verification needs --spec")
-        check(spec, budget, test_seed, checks)
-    except _BadSpec as exc:
-        print(f"unreadable spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+        check(spec, budget, args.test_seed, checks)
     except BudgetExceededError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
         _write_report(
             {
                 "command": "verify",
                 "target": args.target,
                 "inconclusive": str(exc),
                 "budget": budget,
-                "testSeed": test_seed,
+                "testSeed": args.test_seed,
             },
             args.report,
         )
-        return EXIT_INCONCLUSIVE
+        raise _Exit(EXIT_INCONCLUSIVE, f"inconclusive: {exc}") from None
 
     all_passed = all(c["passed"] for c in checks)
     report = {
@@ -539,7 +513,7 @@ def cmd_verify(args) -> int:
         "target": args.target,
         "allPassed": all_passed,
         "budget": budget,
-        "testSeed": test_seed,
+        "testSeed": args.test_seed,
         "specDigest": spec_digest(spec) if spec is not None else None,
         "checks": checks,
     }
@@ -555,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="resolve and serialize a spec")
-    p.add_argument("--mode", required=True, choices=["flat", "storage", "qproof"])
+    p.add_argument("--mode", required=True, choices=["flat", "qproof"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--beta")
@@ -578,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run exact verification suites")
     v.add_argument("target", choices=list(_TARGETS))
     v.add_argument("--spec")
-    v.add_argument("--budget", type=int)
-    v.add_argument("--test-seed", type=int, dest="test_seed")
+    v.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    v.add_argument("--test-seed", type=int, dest="test_seed", default=DEFAULT_TEST_SEED)
     v.add_argument("--report")
     v.set_defaults(func=cmd_verify)
 
@@ -590,9 +564,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

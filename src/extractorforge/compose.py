@@ -153,6 +153,10 @@ def build_high_entropy_extractor(
         raise InfeasibleParameterError(
             f"epsilon must be in (0, 1), got {epsilon}", constraint="0 < epsilon < 1"
         )
+    if b < 0:
+        raise InfeasibleParameterError(
+            f"the storage bound b must be >= 0, got {b}", constraint="b >= 0"
+        )
     half = n // 2
     log_eps_inv = _ceil_log2(1 / epsilon)
     inner_entropy = half - b - log_eps_inv

@@ -52,6 +52,8 @@ class CondenserSpec:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
+        if not 0 < self.k <= self.n:
+            raise ValueError(f"need 0 < k <= n, got k={self.k}, n={self.n}")
         if self.power < 2 or self.power & (self.power - 1):
             raise ValueError(f"power must be a power of two >= 2, got {self.power}")
         if not 1 <= self.output_symbols <= self.message_symbols:

@@ -93,9 +93,6 @@ class FiniteDistribution:
             total = sum(weights.values())
         return cls._from_weights(weights, total)
 
-    def prob(self, outcome: Hashable) -> Fraction:
-        return Fraction(self._weights.get(outcome, 0), self._total)
-
     def items(self) -> list[tuple[Hashable, Fraction]]:
         return [(o, Fraction(w, self._total)) for o, w in self._weights.items()]
 
@@ -630,7 +627,7 @@ def lemma_suite(
     # sum_s max_x2 Pr[x1, x2, s] over Pr[x1]: the guessing probability
     # conditioned on X1 = x1.
     cond_guess = {x1: Fraction(w, prefix_mass[x1]) for x1, w in best_mass.items()}
-    worst = None
+    worst = None  # set on the first pass: a JointTable always has a positive row
     for v in sorted(set(cond_guess.values()), reverse=True):
         bad_mass = Fraction(
             sum(prefix_mass[x1] for x1, g in cond_guess.items() if g >= v),
@@ -649,8 +646,6 @@ def lemma_suite(
         if lhs > rhs:
             worst = LemmaCheck("bad_prefix_mass", lhs, rhs, False, f"violated at v={v}")
             break
-    if worst is None:
-        worst = LemmaCheck("bad_prefix_mass", Fraction(0), Fraction(0), True, "empty")
     checks.append(worst)
 
     # Convexity: extraction distance of a mixture of uniform pieces is at

@@ -16,6 +16,9 @@ Quirks of the format, kept so that every digest stays what it was:
 * ``modulusE`` is the list of E's coefficients, lowest degree first, and
   is read back as a ``FieldPoly`` over the spec's ``w``;
 * ``sets`` and ``rounding`` are lists in JSON and tuples in Python;
+* an integer key holds a JSON integer, a Fraction key a pair of them, and
+  a design's ``sets`` sorted, distinct integers in its universe; anything
+  else fails the load with ``ValueError``;
 * ``errorBudget``, ``seedBits`` and ``outputBits`` are stated, not read:
   the spec derives them, so an entry whose read is None is recomputed from
   the decoded spec and must equal what the file states, or the load raises
@@ -31,7 +34,7 @@ from fractions import Fraction
 from .codes import CodeSpec
 from .compose import BlockSpec, PipelineSpec
 from .condenser import CondenserSpec
-from .designs import Design
+from .designs import Design, _sets_well_formed
 from .poly import FieldPoly
 from .toeplitz import ToeplitzSpec
 from .trevisan import ExtractorSpec
@@ -45,8 +48,30 @@ def _pair(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 
 
+def _read_int(raw, data) -> int:
+    if type(raw) is not int:  # bool is an int subclass, and rejected too
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return raw
+
+
+def _read_sets(raw, data) -> tuple[tuple[int, ...], ...]:
+    sets = tuple(tuple(s) for s in raw)
+    if any(type(v) is not int for s in sets for v in s):
+        raise ValueError("design sets must hold integers")
+    reason = _sets_well_formed(data["t"], data["l"], sets)
+    if reason is not None:
+        raise ValueError(f"malformed design: {reason}")
+    return sets
+
+
+def _read_pair(raw, data) -> Fraction:
+    if type(raw) is not list or len(raw) != 2 or any(type(v) is not int for v in raw):
+        raise ValueError(f"expected [numerator, denominator], got {raw!r}")
+    return Fraction(*raw)
+
+
 def _read_overlap(raw, data) -> Fraction:
-    return Fraction(*raw) if isinstance(raw, list) else Fraction(raw)
+    return _read_pair(raw, data) if isinstance(raw, list) else Fraction(_read_int(raw, data))
 
 
 def _encode(spec) -> dict:
@@ -78,12 +103,10 @@ def _nested(cls):
 
 # (write, read) pairs; read gets the raw value and the enclosing JSON object.
 _PLAIN = (_same, lambda raw, data: raw)
-_FRACTION = (_pair, lambda raw, data: Fraction(*raw))
+_INT = (_same, _read_int)
+_FRACTION = (_pair, _read_pair)
 _OVERLAP = (lambda value: int(value) if value.denominator == 1 else _pair(value), _read_overlap)
-_SETS = (
-    lambda sets: [list(s) for s in sets],
-    lambda raw, data: tuple(tuple(s) for s in raw),
-)
+_SETS = (lambda sets: [list(s) for s in sets], _read_sets)
 _STRINGS = (list, lambda raw, data: tuple(raw))
 _MODULUS = (lambda e: list(e.coeffs), lambda raw, data: FieldPoly(tuple(raw), data["w"]))
 _STATED = (_same, None)
@@ -92,51 +115,51 @@ _STATED_FRACTION = (_pair, None)
 # class -> (type tag, ((JSON key, attribute, (write, read)), ...))
 _CODEC = {
     CodeSpec: (None, (
-        ("w", "field_width", _PLAIN),
-        ("messageSymbols", "message_symbols", _PLAIN),
+        ("w", "field_width", _INT),
+        ("messageSymbols", "message_symbols", _INT),
     )),
     Design: (None, (
-        ("t", "universe_size", _PLAIN),
-        ("l", "set_size", _PLAIN),
+        ("t", "universe_size", _INT),
+        ("l", "set_size", _INT),
         ("kind", "kind", _PLAIN),
         ("sets", "sets", _SETS),
         ("certifiedOverlap", "certified_overlap", _OVERLAP),
     )),
     ExtractorSpec: ("trevisan", (
-        ("n", "n", _PLAIN),
-        ("t", "t", _PLAIN),
-        ("m", "m", _PLAIN),
+        ("n", "n", _INT),
+        ("t", "t", _INT),
+        ("m", "m", _INT),
         ("preset", "preset", _PLAIN),
         ("epsilonTarget", "epsilon_target", _FRACTION),
         ("code", "code", _nested(CodeSpec)),
         ("design", "design", _nested(Design)),
     )),
     ToeplitzSpec: ("toeplitz", (
-        ("n", "input_bits", _PLAIN),
-        ("m", "output_bits", _PLAIN),
+        ("n", "input_bits", _INT),
+        ("m", "output_bits", _INT),
     )),
     CondenserSpec: ("guv", (
-        ("n", "n", _PLAIN),
-        ("k", "k", _PLAIN),
+        ("n", "n", _INT),
+        ("k", "k", _INT),
         ("epsilon", "epsilon", _FRACTION),
         ("alpha", "alpha", _FRACTION),
-        ("w", "field_width", _PLAIN),
-        ("messageSymbols", "message_symbols", _PLAIN),
-        ("h", "power", _PLAIN),
-        ("outputSymbols", "output_symbols", _PLAIN),
+        ("w", "field_width", _INT),
+        ("messageSymbols", "message_symbols", _INT),
+        ("h", "power", _INT),
+        ("outputSymbols", "output_symbols", _INT),
         ("modulusE", "modulus", _MODULUS),
     )),
     BlockSpec: ("blockComposed", (
-        ("n", "n", _PLAIN),
-        ("b", "b", _PLAIN),
+        ("n", "n", _INT),
+        ("b", "b", _INT),
         ("epsilon", "epsilon", _FRACTION),
         ("errorBudget", "error_budget", _STATED_FRACTION),
         ("e1", "e1", _nested(ExtractorSpec)),
         ("e2", "e2", _nested(ExtractorSpec)),
     )),
     PipelineSpec: ("pipeline", (
-        ("n", "n", _PLAIN),
-        ("k", "k", _PLAIN),
+        ("n", "n", _INT),
+        ("k", "k", _INT),
         ("beta", "beta", _FRACTION),
         ("zeta", "zeta", _FRACTION),
         ("alpha", "alpha", _FRACTION),

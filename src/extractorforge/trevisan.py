@@ -54,8 +54,8 @@ class ExtractorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon_target", Fraction(self.epsilon_target))
-        if self.m < 1:
-            raise ValueError("need at least one output bit")
+        if self.n < 1 or self.m < 1:
+            raise ValueError("need at least one input bit and one output bit")
         if self.design.set_size != self.code.index_bits:
             raise ValueError(
                 f"design set size {self.design.set_size} does not match "
@@ -104,9 +104,7 @@ def build_trevisan(preset: str, n: int, m: int, epsilon: Fraction | float) -> Ex
     if preset == PRESET_THM42:
         design = build_poly_design(m, set_size)
     elif preset == PRESET_THM43:
-        design = build_greedy_weak_design(
-            m, set_size, rho=_WEAK_DESIGN_RHO, t_initial=4 * set_size
-        )
+        design = build_greedy_weak_design(m, set_size, rho=_WEAK_DESIGN_RHO)
     else:
         raise ValueError(f"unknown preset {preset!r}; use custom_spec for custom designs")
     return ExtractorSpec(

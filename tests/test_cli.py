@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from extractorforge import cli
+from extractorforge.bits import BitString
 from extractorforge.codes import CodeSpec
-from extractorforge.compose import build_pipeline
-from extractorforge.condenser import StrongCondenserMap, build_condenser
+from extractorforge.compose import build_high_entropy_extractor, build_pipeline
+from extractorforge.condenser import StrongCondenserMap, build_condenser, guv_condense
 from extractorforge.designs import build_poly_design
 from extractorforge.serialize import spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
@@ -376,3 +381,161 @@ def test_verify_samples_at_most_fifty_sources(capsys, tmp_path, budget, count):
     rc, report, _ = _run(capsys, ["verify", "extractor", "--spec", path, "--budget", str(budget)])
     assert rc == cli.EXIT_PASS
     assert report["checks"][0]["name"] == f"extraction distance on {count} flat sources (k=6)"
+
+
+def test_params_rejects_a_negative_storage_bound(capsys):
+    rc, report, err = _run(
+        capsys, ["params", "--mode", "qproof", "--n", "16", "--b", "-3", "--eps", "1/4"]
+    )
+    assert rc == cli.EXIT_INFEASIBLE
+    assert report is None
+    assert err == "infeasible parameters: the storage bound b must be >= 0, got -3 [b >= 0]\n"
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_budget_below_one_is_a_usage_error(capsys, budget):
+    rc, report, err = _run(capsys, ["verify", "lemmas", "--budget", budget])
+    assert rc == cli.EXIT_USAGE
+    assert report is None
+    assert err == f"usage error: --budget must be at least 1, got {budget}\n"
+
+
+_QPROOF = ["params", "--mode", "qproof", "--n", "16", "--b", "1", "--eps", "1/4"]
+
+
+@pytest.mark.parametrize(
+    "option", ["params --out", "params --report", "extract --out", "extract --report",
+               "verify --report", "inconclusive verify --report"]
+)
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, extract_args, condenser_spec, option):
+    missing = str(tmp_path / "no-such-dir" / "file")
+    argv = {
+        "params --out": _QPROOF + ["--out", missing],
+        # with --out, the notes go to stdout and stderr holds the error alone
+        "params --report": _QPROOF + ["--out", str(tmp_path / "spec.json"), "--report", missing],
+        "extract --out": extract_args[:-1] + [missing, "--seed", "0fa5"],
+        "extract --report": extract_args + ["--seed", "0fa5", "--report", missing],
+        "verify --report": ["verify", "design", "--report", missing],
+        "inconclusive verify --report": [
+            "verify", "condenser", "--spec", _spec_file(tmp_path, "condenser", condenser_spec),
+            "--budget", "10", "--report", missing,
+        ],
+    }[option]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", list(cli._TARGETS))
+def test_zero_denominator_is_a_bad_spec(capsys, tmp_path, target):
+    spec = build_trevisan("thm42", 8, 2, Fraction(1, 4))
+    path = _edited_spec_file(tmp_path, spec, lambda data: data.update(epsilonTarget=[1, 0]))
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(b"\xa5")
+    for argv in (["verify", target, "--spec", path],
+                 ["extract", "--spec", path, "--in", str(infile),
+                  "--out", str(tmp_path / "out.bin"), "--seed", "5a" * spec.t]):
+        rc, report, err = _run(capsys, argv)
+        assert rc == cli.EXIT_BAD_SPEC
+        assert report is None
+        assert err.startswith("unreadable spec: ") and err.count("\n") == 1
+
+
+def test_flat_mode_reports_the_storage_bound(capsys):
+    flat = ["params", "--mode", "flat", "--n", "24", "--k", "8", "--beta", "1/3", "--eps", "1/4"]
+    assert cli.main(flat) == cli.EXIT_PASS
+    notes = capsys.readouterr().err.splitlines()
+    assert notes[:3] == [
+        "pipeline for n=24 k=8 beta=1/3 eps=1/4",
+        "zeta=1/8 alpha=1/6 (alpha = 2(1-beta)(1-zeta)-1)",
+        "storage bound beta*k = 8/3",
+    ]
+    rc, report, err = _run(capsys, flat[:5] + flat[7:])
+    assert (rc, report, err) == (cli.EXIT_USAGE, None, "flat mode needs --k and --beta\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["params", "--mode", "storage"] + flat[3:])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "invalid choice: 'storage'" in capsys.readouterr().err
+
+
+def test_extract_condenser_writes_the_condensed_source(capsys, tmp_path, condenser_spec):
+    path = _spec_file(tmp_path, "condenser", condenser_spec)
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(b"\xa5\x3c")
+    out = tmp_path / "out.bin"
+    rc, report, _ = _run(capsys, ["extract", "--spec", path, "--in", str(infile),
+                                  "--out", str(out), "--seed", "0fa5"])
+    assert rc == cli.EXIT_PASS
+    x = BitString.from_bytes(b"\xa5\x3c", condenser_spec.n)
+    y = BitString.from_bytes(b"\x0f\xa5", condenser_spec.seed_bits)
+    # C(x, y) alone: the seed is not appended as in the strong form
+    assert out.read_bytes() == guv_condense(condenser_spec, x, y).to_bytes()
+    assert (report["inputBits"], report["seedBits"], report["outputBits"]) == (
+        condenser_spec.n, condenser_spec.seed_bits, condenser_spec.output_bits
+    )
+
+
+_MALFORMED_VALUES = [0, -1, 1.5, "x", None, [], [1, 0], True, 10**30]
+
+
+def _leaves(data, path=()):
+    """Paths to every value in the JSON objects of a spec, nested objects aside."""
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+@pytest.mark.parametrize(
+    "spec, target",
+    [
+        (build_trevisan("thm42", 8, 2, Fraction(1, 4)), "extractor"),
+        (ToeplitzSpec(10, 2), "extractor"),
+        (build_condenser(12, 6, Fraction(1, 4), 1), "condenser"),
+        (build_high_entropy_extractor(16, 1, Fraction(1, 4)), "design"),
+    ],
+    ids=["trevisan", "toeplitz", "condenser", "block"],
+)
+def test_malformed_spec_exits_with_a_code(capsys, tmp_path, spec, target):
+    # every value of every key set to each malformed value, one at a time
+    base = spec_to_json(spec)
+    path = tmp_path / "spec.json"
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(bytes(range(64)))
+    commands = [
+        ["verify", "design", "--spec", str(path)],
+        ["extract", "--spec", str(path), "--in", str(infile),
+         "--out", str(tmp_path / "out.bin"), "--seed", "a5" * 128],
+    ]
+    if target != "design":
+        commands.append(["verify", target, "--spec", str(path), "--budget", "1"])
+    exit_codes = {cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE, cli.EXIT_SHORT_INPUT,
+                  cli.EXIT_SEED_MISMATCH, cli.EXIT_BAD_SPEC}
+    for *parents, key in _leaves(json.loads(base)):
+        for value in _MALFORMED_VALUES:
+            data = json.loads(base)
+            target_object = data
+            for name in parents:
+                target_object = target_object[name]
+            target_object[key] = value
+            path.write_text(json.dumps(data))
+            for argv in commands:
+                assert cli.main(argv) in exit_codes, (parents, key, value, argv[:2])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("eps, rc", [("1/4", cli.EXIT_PASS), ("abc", cli.EXIT_USAGE)])
+def test_module_entry_point_exits_with_the_code_of_main(capsys, eps, rc):
+    argv = ["params", "--mode", "qproof", "--n", "16", "--b", "1", "--eps", eps]
+    assert cli.main(argv) == rc
+    capsys.readouterr()
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "extractorforge.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == rc
+    assert "Traceback" not in proc.stderr

@@ -116,3 +116,9 @@ def test_pipeline_specs_compose(n, k, beta, epsilon):
         spec.seed_bits,
         spec.output_bits,
     )
+
+
+def test_high_entropy_extractor_rejects_a_negative_storage_bound():
+    # b < 0 would publish E1 for more entropy than a half holds
+    with pytest.raises(InfeasibleParameterError, match="b must be >= 0, got -3"):
+        build_high_entropy_extractor(16, -3, QUARTER)

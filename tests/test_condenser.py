@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -307,3 +308,10 @@ def test_spec_validation():
                 output_symbols=2,
                 modulus=modulus,
             )
+
+
+@pytest.mark.parametrize("n, k", [(6, 0), (6, -1), (6, 7), (0, 3), (-1, 3)])
+def test_spec_needs_entropy_within_the_source(n, k):
+    # the builder's 0 < k <= n holds for a spec read from a file too
+    with pytest.raises(ValueError, match="need 0 < k <= n"):
+        dataclasses.replace(_manual_spec(), n=n, k=k)

@@ -145,3 +145,36 @@ def test_codec_covers_every_field(cls):
     for _, attr, (_, read) in entries:
         if read is None:
             assert isinstance(getattr(cls, attr), property)
+
+
+@pytest.mark.parametrize("value", [1.5, "10", True, None, [10]])
+@pytest.mark.parametrize(
+    "tag, path",
+    [("toeplitz", ("n",)), ("trevisan", ("code", "w")), ("guv", ("h",)), ("pipeline", ("k",))],
+)
+def test_integer_keys_hold_integers(specs, tag, path, value):
+    data = json.loads(spec_to_json(specs[tag]))
+    *parents, key = path
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        spec_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda sets: sets[0].__setitem__(0, 1.0), "design sets must hold integers"),
+        (lambda sets: sets[0].reverse(), "set 0 is not sorted"),
+        (lambda sets: sets[1].__setitem__(-1, 10**6), r"set 1 leaves the universe \[0, 32\)"),
+        (lambda sets: sets[1].pop(), "set 1 has 7 elements, expected 8"),
+    ],
+    ids=["float", "unsorted", "outside", "short"],
+)
+def test_design_sets_must_be_well_formed(specs, edit, message):
+    data = json.loads(spec_to_json(specs["trevisan"]))
+    edit(data["design"]["sets"])
+    with pytest.raises(ValueError, match=message):
+        spec_from_json_dict(data)

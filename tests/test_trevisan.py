@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,14 @@ def test_spec_wiring_validated():
             preset="custom",
             epsilon_target=good.epsilon_target,
         )
+
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_spec_needs_an_input_bit(n):
+    good = build_trevisan("thm42", 8, 2, Fraction(1, 4))
+    with pytest.raises(ValueError, match="at least one input bit"):
+        dataclasses.replace(good, n=n)
 
 
 def _wide_code_spec():
