@@ -81,10 +81,6 @@ class FiniteDistribution:
         return cls._from_weights(dict.fromkeys(outcomes, 1), len(outcomes))
 
     @classmethod
-    def point_mass(cls, outcome: Hashable) -> "FiniteDistribution":
-        return cls._from_weights({outcome: 1}, 1)
-
-    @classmethod
     def from_counts(
         cls, counts: Mapping[Hashable, int], total: int | None = None
     ) -> "FiniteDistribution":
@@ -144,10 +140,6 @@ class FlatSource:
     @classmethod
     def from_ints(cls, n: int, values: Iterable[int]) -> "FlatSource":
         return cls(n, tuple(BitString(v, n) for v in values))
-
-    @property
-    def entropy_bits(self) -> int:
-        return (len(self.support) - 1).bit_length()
 
     def distribution(self) -> FiniteDistribution:
         return FiniteDistribution.uniform(self.support)
@@ -310,17 +302,28 @@ def extractor_distance(
     prepare_batch does not decline by returning None; else from one
     ``extract`` call per (x, seed pattern).
 
-    One engine counts every case.  The source, or the side table if given,
-    becomes rows (x, side symbol, integer weight) over one denominator N;
-    without a side table every row carries the one symbol, with W = N.
-    With c the weight in a (pattern, symbol, output) cell and W_s the
-    symbol's weight, the distance is
+    The source, or the side table if given, becomes rows (x, side symbol,
+    integer weight) over one denominator N; without a side table every row
+    carries the one symbol, with W = N.  With c the weight in a (pattern,
+    symbol, output) cell and W_s the symbol's weight, the distance is
     sum |c 2^m - W_s| / (2 N 2^m #patterns); unobserved cells add W_s each.
     Each block of patterns is counted in one pass over all symbols, cells
     keyed by (pattern, symbol, output).  Since the distance with side
     information is sum_s Pr[s] d_s, d_s that of X | S = s, a side table
     whose symbols are the pieces of a mixture yields the weighted sum of the
     pieces' distances in one call (see :func:`lemma_suite`).
+
+    A tabled extractor may skip the outputs and give the cell weights
+    directly through an optional ``cell_counts(state, weights)``, weights
+    an (S, len(xs)) integer array of each (symbol, x) row's weight.  It
+    returns None to decline, and otherwise an iterable of integer arrays of
+    shape (k, S, cells), axis 1 the symbol, that together hold the exact
+    weight c of every (pattern, symbol, output) cell once, zeros included.
+    An evaluator that counts in float64 must decline once N reaches 2^53,
+    past which its sums may round; Trevisan's (see
+    :meth:`TrevisanExtractor.cell_counts`) also declines where its matrix
+    products would cost more than the pairs they replace.  Both sources of
+    counts go through one deviation formula.
     """
     n = extractor.input_bits
     t = extractor.seed_bits
@@ -376,20 +379,35 @@ def extractor_distance(
     )
     state = extractor.prepare_batch([x.to_int() for x in xs]) if tabled else None
     tabled = state is not None
-    block = max(1, min(ny, _BLOCK_PAIRS // rows))
+    counted = None
+    if tabled and hasattr(extractor, "cell_counts"):
+        # assignment suffices: a source or a side table has one row per (x, symbol)
+        by_symbol = np.zeros((len(targets), len(xs)), dtype=dtype)
+        by_symbol[symbols, np.arange(len(xs)) if columns is None else columns] = (
+            1 if weights is None else weights
+        )
+        counted = extractor.cell_counts(state, by_symbol)
     deviation = 0
-    for start in range(0, ny, block):
-        patterns = np.arange(start, min(start + block, ny), dtype=np.int64)
-        if tabled:
-            out = np.asarray(extractor.extract_table(state, patterns))
-        else:
-            seeds = [BitString(_scatter(int(p), positions), t) for p in patterns]
-            out = np.array(
-                [[extractor.extract(x, y).to_int() for x in xs] for y in seeds],
-                dtype=np.int64 if m <= 62 else object,
-            )
-        part = out if columns is None else out.take(columns, axis=1)
-        deviation += _cell_deviation(part, symbols, weights, targets, scale, dtype)
+    if counted is not None:
+        for counts in counted:
+            # as for dtype above, with the block's cells in place of its pairs
+            exact = np.int64 if total * (scale + 1) * counts.size < 1 << 62 else object
+            cell_targets = targets.astype(exact)[:, None]
+            deviation += _deviation(counts.astype(exact, copy=False), cell_targets, scale)
+    else:
+        block = max(1, min(ny, _BLOCK_PAIRS // rows))
+        for start in range(0, ny, block):
+            patterns = np.arange(start, min(start + block, ny), dtype=np.int64)
+            if tabled:
+                out = np.asarray(extractor.extract_table(state, patterns))
+            else:
+                seeds = [BitString(_scatter(int(p), positions), t) for p in patterns]
+                out = np.array(
+                    [[extractor.extract(x, y).to_int() for x in xs] for y in seeds],
+                    dtype=np.int64 if m <= 62 else object,
+                )
+            part = out if columns is None else out.take(columns, axis=1)
+            deviation += _cell_deviation(part, symbols, weights, targets, scale, dtype)
     return Fraction(deviation + (total << m) * ny, 2 * (total << m) * ny)
 
 
@@ -442,7 +460,15 @@ def _cell_deviation(out, symbols, weights, targets, scale, dtype) -> int:
         cell_targets = targets[:, None]
     else:
         cell_targets = targets[(used // len(values)) % symbol_count]
-    return int((np.abs(sums * scale - cell_targets) - cell_targets).sum())
+    return _deviation(sums, cell_targets, scale)
+
+
+def _deviation(counts, cell_targets, scale) -> int:
+    """Sum of |c 2^m - W_s| - W_s over cells, ``counts`` holding each
+    cell's weight c and ``cell_targets`` (broadcast against it) its symbol's
+    weight W_s.  A cell with c = 0 adds 0, so dense and observed-only counts
+    give the same sum."""
+    return int((np.abs(counts * scale - cell_targets) - cell_targets).sum())
 
 
 def image_counts(

@@ -21,8 +21,9 @@ Quirks of the format, kept so that every digest stays what it was:
   else fails the load with ``ValueError``;
 * ``errorBudget``, ``seedBits`` and ``outputBits`` are stated, not read:
   the spec derives them, so an entry whose read is None is recomputed from
-  the decoded spec and must equal what the file states, or the load raises
-  ``ValueError`` naming the key.
+  the decoded spec; what the file states must pass the integer or pair
+  check of the derived value and equal it, or the load raises
+  ``ValueError``.
 """
 
 from __future__ import annotations
@@ -90,10 +91,12 @@ def _decode(cls, data):
         raise ValueError(f"{cls.__name__} wants type tag {tag!r}, got {data.get('type')!r}")
     spec = cls(**{attr: read(data[key], data) for key, attr, (_, read) in fields if read})
     for key, attr, (write, read) in fields:
-        if read is None and write(getattr(spec, attr)) != data[key]:
-            raise ValueError(
-                f"{key} is {data[key]!r} but the spec gives {write(getattr(spec, attr))!r}"
-            )
+        if read is None:
+            derived = write(getattr(spec, attr))
+            # the type check of the derived value's kind: 728.0 is not 728
+            (_read_pair if isinstance(derived, list) else _read_int)(data[key], data)
+            if derived != data[key]:
+                raise ValueError(f"{key} is {data[key]!r} but the spec gives {derived!r}")
     return spec
 
 

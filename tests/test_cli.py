@@ -342,6 +342,15 @@ def test_pipeline_must_agree_with_its_stated_numbers(capsys, tmp_path, pipeline_
     assert err.startswith(f"unreadable spec: {keys[0]} is ")
 
 
+@pytest.mark.parametrize("preset", [None, [1, 2], 0])
+def test_unknown_trevisan_preset_is_an_unreadable_spec(capsys, tmp_path, preset):
+    spec = build_trevisan("thm43", 12, 2, Fraction(1, 4))
+    path = _edited_spec_file(tmp_path, spec, lambda data: data.update(preset=preset))
+    rc, report, err = _run(capsys, ["verify", "extractor", "--spec", path])
+    assert (rc, report) == (cli.EXIT_BAD_SPEC, None)
+    assert err.startswith("unreadable spec: unknown preset")
+
+
 @pytest.mark.parametrize("budget, rc", [([3, 4], cli.EXIT_PASS), ([1, 1000], cli.EXIT_BAD_SPEC)])
 def test_extract_block_spec_must_agree_with_its_error_budget(capsys, tmp_path, budget, rc):
     spec_path = tmp_path / "block.json"

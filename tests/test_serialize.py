@@ -133,6 +133,36 @@ def test_stated_numbers_must_agree(specs, tag, path, value):
         spec_from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, retyped",
+    [
+        ("seedBits", float),
+        ("outputBits", float),
+        ("errorBudget", lambda pair: [float(v) for v in pair]),
+    ],
+)
+def test_stated_numbers_pass_their_type_check(specs, key, retyped):
+    # the true value as floats compares equal, so the type check must catch it
+    data = json.loads(spec_to_json(specs["pipeline"]))
+    honest = data[key]
+    data[key] = retyped(honest)
+    assert data[key] == honest
+    with pytest.raises(ValueError, match=r"^expected (an integer|\[numerator, denominator\])"):
+        spec_from_json_dict(data)
+
+
+@pytest.mark.parametrize("preset", [None, [1, 2], 0, "thm44"])
+@pytest.mark.parametrize("path", [("extractor", "e1"), ("extractor", "e2")])
+def test_trevisan_preset_must_be_known(specs, path, preset):
+    data = json.loads(spec_to_json(specs["pipeline"]))
+    target = data
+    for name in path:
+        target = target[name]
+    target["preset"] = preset
+    with pytest.raises(ValueError, match="^unknown preset"):
+        spec_from_json_dict(data)
+
+
 @pytest.mark.parametrize("cls", list(serialize._CODEC), ids=lambda cls: cls.__name__)
 def test_codec_covers_every_field(cls):
     # a field without an entry would drop out of the JSON and the digest

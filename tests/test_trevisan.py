@@ -6,10 +6,21 @@ import pytest
 
 from extractorforge.bits import BitString
 from extractorforge.codes import CodeSpec, encode_bit
-from extractorforge.designs import build_greedy_weak_design, build_poly_design, restrict_seed
+from extractorforge.designs import (
+    Design,
+    build_greedy_weak_design,
+    build_poly_design,
+    restrict_seed,
+)
 from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
-from extractorforge.oracle import FlatSource, extractor_distance, sample_flat_sources
+from extractorforge.oracle import (
+    FiniteDistribution,
+    FlatSource,
+    JointTable,
+    extractor_distance,
+    sample_flat_sources,
+)
 from extractorforge.trevisan import (
     ExtractorSpec,
     TrevisanExtractor,
@@ -17,6 +28,8 @@ from extractorforge.trevisan import (
     custom_spec,
     trevisan_extract,
 )
+
+from helpers import ref_side_distance, ref_trevisan_extract
 
 
 def test_build_resolves_consistent_dimensions():
@@ -253,3 +266,163 @@ def test_table_path_on_sources_of_70_bits():
     source = FlatSource.from_ints(70, [1, 2**69 | 5])
     assert extractor_distance(ext, source) == extractor_distance(_ExtractOnly(ext), source)
     assert extractor_distance(ext, source) == Fraction(33, 128)
+
+
+class _TableOnly(_ExtractOnly):
+    """The extractor without its cell counts: the oracle counts every pair
+    of its output table."""
+
+    def __init__(self, ext):
+        super().__init__(ext)
+        self.prepare_batch, self.extract_table = ext.prepare_batch, ext.extract_table
+
+
+class _ProductOnly(_TableOnly):
+    """The extractor whose cell counts always come from the matrix
+    products, whatever they cost."""
+
+    def __init__(self, ext):
+        super().__init__(ext)
+        plan = ext._product_plan
+        self.cell_counts = lambda state, weights: plan.counts(state, weights.astype(np.float64))
+
+
+def _spied(ext):
+    """``ext`` with cell_counts recording, per call, whether it declined."""
+    declined = []
+    counts = ext.cell_counts
+
+    def spy(state, weights):
+        result = counts(state, weights)
+        declined.append(result is None)
+        return result
+
+    ext.cell_counts = spy
+    return ext, declined
+
+
+def _explicit_spec(n, w, sets, t):
+    """A custom spec over a width-w code whose design is ``sets`` as given."""
+    design = Design(t, 2 * w, "standard", tuple(sets), Fraction(2 * w))
+    return custom_spec(n, CodeSpec(w, -(-n // w)), design, len(sets), Fraction(1, 4))
+
+
+# t <= 9 seed bits: every path, the reference too, enumerates every seed.
+_SMALL_SPECS = {
+    "m1": _explicit_spec(6, 2, [(1, 2, 4, 6)], 7),
+    "m2-disjoint": _explicit_spec(6, 2, [(0, 1, 2, 3), (4, 5, 6, 7)], 8),
+    # S_2 shares index bits 0 and 1 with S_1; bits 2 and 3 are new
+    "m2-overlap": _explicit_spec(6, 2, [(0, 1, 2, 3), (1, 3, 4, 5)], 6),
+    # S_3 shares position 0 with S_1 and 4 with S_2, at index bits 0 and 1
+    "m3-overlap": _explicit_spec(5, 2, [(0, 1, 2, 3), (2, 3, 4, 5), (0, 4, 6, 7)], 8),
+    # S_3 shares position 8 with S_2 at index bit 3, its highest
+    "m3-shared-high": _explicit_spec(5, 2, [(0, 1, 2, 3), (2, 3, 4, 8), (5, 6, 7, 8)], 9),
+}
+
+
+def _reference(spec):
+    """Trevisan's extractor by the definition, as an extract function."""
+    return lambda x, y: BitString(ref_trevisan_extract(spec, x.to_int(), y.to_int()), spec.m)
+
+
+def _side_table(n, symbols, seed):
+    """A joint table over 12 seeded strings and ``symbols`` symbols with
+    weights in [0, 6], so some (x, s) rows are absent."""
+    rng = CounterRng(0x51DE, n, symbols, seed)
+    xs = rng.sample_distinct(12, 1 << n)
+    rows = {(x, s): rng.below(7) for x in xs for s in range(symbols)}
+    for x in xs:  # every string keeps some weight
+        rows[x, 0] += 1
+    total = sum(rows.values())
+    return JointTable(
+        n, {(BitString(x, n), s): Fraction(w, total) for (x, s), w in rows.items() if w}
+    )
+
+
+@pytest.mark.parametrize("name", _SMALL_SPECS)
+@pytest.mark.parametrize("symbols", [1, 3])
+@pytest.mark.parametrize("use_side", [False, True], ids=["source", "side"])
+def test_product_table_and_pair_paths_agree(name, symbols, use_side):
+    spec = _SMALL_SPECS[name]
+    table = _side_table(spec.n, symbols, seed=len(name))
+    source = table.x_marginal()
+    side = table if use_side else None
+    ext = TrevisanExtractor(spec)
+    got = extractor_distance(_ProductOnly(ext), source, side=side)
+    assert got == extractor_distance(ext, source, side=side)
+    assert got == extractor_distance(_TableOnly(ext), source, side=side)
+    assert got == extractor_distance(_ExtractOnly(ext), source, side=side)
+    joint = dict(table.items()) if use_side else {(x, 0): p for x, p in source.items()}
+    assert got == ref_side_distance(_reference(spec), spec.t, spec.m, joint)
+
+
+def test_product_path_on_the_benchmark_instances():
+    # thm43(12, 2): m = 2 over disjoint sets, a flat source of 2^9 strings
+    ext, declined = _spied(TrevisanExtractor(build_trevisan("thm43", 12, 2, Fraction(1, 4))))
+    source = sample_flat_sources(12, 9, 1, seed=3)[0]
+    assert extractor_distance(ext, source) == extractor_distance(_TableOnly(ext), source)
+    # thm42(24, 1): m = 1, and X flat on a piece of 2^7 strings given each
+    # of 4 symbols, here of unequal weights
+    ext2, declined2 = _spied(TrevisanExtractor(build_trevisan("thm42", 24, 1, Fraction(1, 4))))
+    pieces = sample_flat_sources(24, 7, 4, seed=8)
+    weights = {(x, s): Fraction(s + 1, 10 << 7) for s, p in enumerate(pieces) for x in p.support}
+    table = JointTable(24, weights)
+    source = table.x_marginal()
+    got = extractor_distance(ext2, source, side=table)
+    assert got == extractor_distance(_TableOnly(ext2), source, side=table)
+    assert got == extractor_distance(_ExtractOnly(ext2), source, side=table)
+    assert declined == declined2 == [False]
+
+
+def test_product_path_below_2_53_with_python_int_weights():
+    # a denominator of 2^50 makes the oracle hold weights as Python ints
+    spec = _SMALL_SPECS["m2-disjoint"]
+    d = 1 << 50
+    probs = {BitString(1, 6): Fraction(d // 3, d), BitString(22, 6): Fraction(d // 5, d)}
+    probs[BitString(45, 6)] = 1 - sum(probs.values())
+    source = FiniteDistribution(probs)
+    ext, declined = _spied(TrevisanExtractor(spec))
+    got = extractor_distance(ext, source)
+    assert declined == [False]
+    assert got == extractor_distance(_TableOnly(ext), source)
+    joint = {(x, 0): p for x, p in probs.items()}
+    assert got == ref_side_distance(_reference(spec), spec.t, spec.m, joint)
+
+
+def test_product_declines_weights_past_float64():
+    # a denominator of 2^54 or more: float64 sums would round
+    spec = _SMALL_SPECS["m2-overlap"]
+    third = 1 / 3
+    probs = {BitString(1, 6): third, BitString(22, 6): third, BitString(45, 6): 1 - 2 * third}
+    source = FiniteDistribution(probs)
+    ext, declined = _spied(TrevisanExtractor(spec))
+    got = extractor_distance(ext, source)
+    assert declined == [True]
+    joint = {(x, 0): p for x, p in probs.items()}
+    assert got == ref_side_distance(_reference(spec), spec.t, spec.m, joint)
+
+
+_EIGHT_POSITIONS_IN_SIX_SETS = [
+    (0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (2, 3, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # S_3 inside S_1 and S_2: one product column per partial pattern
+        _explicit_spec(5, 2, [(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 4, 5)], 6),
+        # 2^6 values of the first six bits: 64 rows per partial pattern
+        _explicit_spec(8, 2, _EIGHT_POSITIONS_IN_SIX_SETS + [(8, 9, 10, 11)], 12),
+        # S_2 shares six positions: 64 runs of tiny products
+        _explicit_spec(16, 4, [tuple(range(8)), (0, 1, 2, 3, 4, 5, 8, 9)], 10),
+    ],
+    ids=["no-new-positions", "m7", "six-shared"],
+)
+def test_product_declines_where_pairs_cost_less(spec):
+    ext, declined = _spied(TrevisanExtractor(spec))
+    source = sample_flat_sources(spec.n, 2, 1, seed=6)[0]
+    got = extractor_distance(ext, source)
+    assert declined == [True]
+    assert got == extractor_distance(_ProductOnly(ext), source)
+    assert got == extractor_distance(_ExtractOnly(ext), source)
