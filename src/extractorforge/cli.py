@@ -94,6 +94,9 @@ def _seed_problem(reason) -> _Exit:
 # and build_condenser(17, 4, 1/32, 1); ``extractor`` at most 3.0 (the
 # Trevisan codeword table; scratch arrays are bounded per block) on
 # ToeplitzSpec(10, 2) and a w = 9 Trevisan spec at 2^20 and 2^24 pairs.
+# Toeplitz keeps no table over its 2^n inputs (ToeplitzSpec(20, 2) on two
+# strings: 0.8).  A block's scratch reaches ~6 MB, so a source of fewer
+# than ~2^21 pairs can peak above 4 bytes a pair.
 # The other targets enumerate at most a few thousand pairs per call.
 _BYTES_PER_PAIR = {"condenser": 48, "extractor": 4}
 _DEFAULT_BYTES_PER_PAIR = 16
@@ -380,7 +383,8 @@ def _verify_extractor_target(spec, budget, test_seed, checks):
         bound = spec.epsilon_target
     elif isinstance(spec, ToeplitzSpec):
         k = min(spec.input_bits - 1, spec.output_bits + 4)
-        bound = Fraction(1, 1 << ((k - spec.output_bits) // 2))
+        # the leftover-hash bound says nothing once k < m: cap it at 1
+        bound = Fraction(1, 1 << max(0, (k - spec.output_bits) // 2))
     else:
         raise _bad_spec("extractor verification expects a trevisan or toeplitz spec")
     ext = _evaluator(spec)

@@ -8,14 +8,20 @@ that raises :class:`BudgetExceededError` instead of degrading.
 Side information is classical throughout: a joint table Pr[x, s] stands in
 for an encoding of the source, and the optimal guessing strategy is the
 pointwise maximum over x for each s.
+
+Distributions and tables are rows (key, integer weight).  Every
+aggregation over them, a marginal, a guessing probability, a per-symbol
+weight, is one :func:`_group` of such rows by a key, summed or maxed, in
+the order the keys are first seen.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -29,6 +35,9 @@ _SUM_TOLERANCE_BITS = 40
 
 # Pairs counted per block of seed patterns; bounds the scratch arrays.
 _BLOCK_PAIRS = 1 << 16
+# Cells a block may address directly, one int64 sum each (2 MB), past its
+# pair count; blocks with more cells label the observed ones instead.
+_ADDRESSED_CELLS = 1 << 18
 
 _SOURCE_STREAM_KEY = 0xF1A75EED
 _TABLE_STREAM_KEY = 0x70B1E5
@@ -42,6 +51,19 @@ def _common_weights(probs: Mapping) -> tuple[dict, int]:
     converted = {o: Fraction(p) for o, p in probs.items()}
     total = math.lcm(*(p.denominator for p in converted.values()))
     return {o: p.numerator * (total // p.denominator) for o, p in converted.items()}, total
+
+
+def _group(keys: Iterable[Hashable], weights: Iterable[int], combine=operator.add) -> dict:
+    """The combined weight of each distinct key, in first-seen order."""
+    out: dict = {}
+    for key, w in zip(keys, weights):
+        prev = out.get(key)
+        out[key] = w if prev is None else combine(prev, w)
+    return out
+
+
+def _larger(a: int, b: int) -> int:  # a third of the builtin max's call cost
+    return a if a >= b else b
 
 
 def _check_total(weight_sum: int, total: int, what: str) -> None:
@@ -99,10 +121,7 @@ class FiniteDistribution:
         return Fraction(max(self._weights.values()), self._total)
 
     def map(self, fn: Callable[[Hashable], Hashable]) -> "FiniteDistribution":
-        out: dict[Hashable, int] = {}
-        for o, w in self._weights.items():
-            key = fn(o)
-            out[key] = out.get(key, 0) + w
+        out = _group(map(fn, self._weights), self._weights.values())
         return FiniteDistribution._from_weights(out, self._total)
 
     def __eq__(self, other) -> bool:
@@ -194,32 +213,21 @@ class JointTable:
         return [((BitString(x, n), s), Fraction(w, total)) for x, s, w in rows]
 
     def x_marginal(self) -> FiniteDistribution:
-        out: dict[int, int] = {}
-        for x, w in zip(self._xs, self._weights):
-            out[x] = out.get(x, 0) + w
+        out = _group(self._xs, self._weights)
         return FiniteDistribution._from_weights(
             {BitString(x, self.n): w for x, w in out.items()}, self._total
         )
 
-    def alphabet(self) -> list[Hashable]:
-        return sorted(set(self._symbols), key=repr)
-
     def guessing_probability(self) -> Fraction:
         """Optimal probability of guessing x from s: sum_s max_x Pr[x, s]."""
-        best: dict[Hashable, int] = {}
-        for s, w in zip(self._symbols, self._weights):
-            if w > best.get(s, 0):
-                best[s] = w
+        best = _group(self._symbols, self._weights, _larger)
         return Fraction(sum(best.values()), self._total)
 
     def prefix_marginal(self, prefix_bits: int) -> "JointTable":
         """Joint table of (x prefix, s) after dropping the suffix."""
         mask = (1 << prefix_bits) - 1
-        out: dict[tuple[int, Hashable], int] = {}
-        for x, s, w in zip(self._xs, self._symbols, self._weights):
-            key = (x & mask, s)
-            out[key] = out.get(key, 0) + w
-        return JointTable._from_rows(prefix_bits, out, self._total)
+        keys = zip([x & mask for x in self._xs], self._symbols)
+        return JointTable._from_rows(prefix_bits, _group(keys, self._weights), self._total)
 
 
 def min_entropy(dist: FiniteDistribution) -> float:
@@ -275,13 +283,6 @@ def _as_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer for exact arithmetic, got {value!r}")
 
 
-def _scatter(pattern: int, positions: Sequence[int]) -> int:
-    y = 0
-    for k, pos in enumerate(positions):
-        y |= ((pattern >> k) & 1) << pos
-    return y
-
-
 def extractor_distance(
     extractor,
     source,
@@ -302,16 +303,15 @@ def extractor_distance(
     prepare_batch does not decline by returning None; else from one
     ``extract`` call per (x, seed pattern).
 
-    The source, or the side table if given, becomes rows (x, side symbol,
-    integer weight) over one denominator N; without a side table every row
-    carries the one symbol, with W = N.  With c the weight in a (pattern,
-    symbol, output) cell and W_s the symbol's weight, the distance is
-    sum |c 2^m - W_s| / (2 N 2^m #patterns); unobserved cells add W_s each.
-    Each block of patterns is counted in one pass over all symbols, cells
-    keyed by (pattern, symbol, output).  Since the distance with side
-    information is sum_s Pr[s] d_s, d_s that of X | S = s, a side table
-    whose symbols are the pieces of a mixture yields the weighted sum of the
-    pieces' distances in one call (see :func:`lemma_suite`).
+    The side table, or the source as a one-symbol side table, becomes rows
+    (x, symbol, integer weight) over one denominator N.  With c the weight in
+    a (pattern, symbol, output) cell and W_s the symbol's weight, the
+    distance is sum |c 2^m - W_s| / (2 N 2^m #patterns); unobserved cells
+    add W_s each.  Each block of patterns is counted in one pass over all
+    symbols, cells keyed by (pattern, symbol, output).  Since the distance
+    with side information is sum_s Pr[s] d_s, d_s that of X | S = s, a side
+    table whose symbols are the pieces of a mixture yields the weighted sum
+    of the pieces' distances in one call (see :func:`lemma_suite`).
 
     A tabled extractor may skip the outputs and give the cell weights
     directly through an optional ``cell_counts(state, weights)``, weights
@@ -338,7 +338,11 @@ def extractor_distance(
     for x in xs:
         if len(x) != n:
             raise ValueError(f"source element of length {len(x)}, extractor wants {n}")
-    if side is not None and (side.n != n or not _marginal_matches(side, source, xs)):
+    values = [x.to_int() for x in xs]
+    if side is None:  # the source as a side table with one symbol
+        one_symbol = {(x.to_int(), 0): w for x, w in source._weights.items() if w}
+        side = JointTable._from_rows(n, one_symbol, source._total)
+    elif side.n != n or not _marginal_matches(side, source, xs):
         raise ValueError("side table's x-marginal differs from the source")
 
     positions = tuple(getattr(extractor, "seed_support", range(t)))
@@ -349,49 +353,34 @@ def extractor_distance(
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
 
-    if side is None:
-        total, columns = source._total, None
-        symbols = [0] * len(xs)
-        weights = [source._weights[x] for x in xs]
-        targets = [total]
-    else:
-        total = side._total
-        column_of = {x.to_int(): i for i, x in enumerate(xs)}
-        columns = np.array([column_of[x] for x in side._xs], dtype=np.int64)
-        index_of: dict[Hashable, int] = {}
-        symbols = [index_of.setdefault(s, len(index_of)) for s in side._symbols]
-        weights = side._weights
-        targets = [0] * len(index_of)
-        for s, w in zip(symbols, weights):
-            targets[s] += w
-    rows = len(weights)
-    scale = 1 << m
-    # Each cell term below lies in [-W_s, c 2^m] with c <= N, and a block has
-    # at most max(_BLOCK_PAIRS, rows) pairs and cells: int64 holds a block's
-    # sum while N (2^m + 1) times that stays below 2^62.
-    dtype = np.int64 if total * (scale + 1) * max(_BLOCK_PAIRS, rows) < 1 << 62 else object
-    symbols = np.array(symbols, dtype=np.int64)
-    weights = None if all(w == 1 for w in weights) else np.array(weights, dtype=dtype)
-    targets = np.array(targets, dtype=dtype)
+    # one row (x column, symbol index, weight) per row of the side table
+    total, rows, scale = side._total, len(side._xs), 1 << m
+    column_of = {v: i for i, v in enumerate(values)}
+    columns = np.array([column_of[x] for x in side._xs], dtype=np.int64)
+    targets = _group(side._symbols, side._weights)
+    index_of = {s: i for i, s in enumerate(targets)}
+    symbols = np.array([index_of[s] for s in side._symbols], dtype=np.int64)
+    # a block has at most max(_BLOCK_PAIRS, rows) pairs, so as many nonzero terms
+    dtype = _sum_dtype(total, scale, max(_BLOCK_PAIRS, rows))
+    weights = None if all(w == 1 for w in side._weights) else np.array(side._weights, dtype=dtype)
+    targets = np.array(list(targets.values()), dtype=dtype)
 
     tabled = m <= 62 and all(
         hasattr(extractor, name) for name in ("prepare_batch", "extract_table")
     )
-    state = extractor.prepare_batch([x.to_int() for x in xs]) if tabled else None
+    state = extractor.prepare_batch(values) if tabled else None
     tabled = state is not None
     counted = None
     if tabled and hasattr(extractor, "cell_counts"):
-        # assignment suffices: a source or a side table has one row per (x, symbol)
+        # assignment suffices: a side table has one row per (x, symbol)
         by_symbol = np.zeros((len(targets), len(xs)), dtype=dtype)
-        by_symbol[symbols, np.arange(len(xs)) if columns is None else columns] = (
-            1 if weights is None else weights
-        )
+        by_symbol[symbols, columns] = 1 if weights is None else weights
         counted = extractor.cell_counts(state, by_symbol)
     deviation = 0
     if counted is not None:
         for counts in counted:
-            # as for dtype above, with the block's cells in place of its pairs
-            exact = np.int64 if total * (scale + 1) * counts.size < 1 << 62 else object
+            # dense counts: every cell of the block is a term
+            exact = _sum_dtype(total, scale, counts.size)
             cell_targets = targets.astype(exact)[:, None]
             deviation += _deviation(counts.astype(exact, copy=False), cell_targets, scale)
     else:
@@ -401,23 +390,24 @@ def extractor_distance(
             if tabled:
                 out = np.asarray(extractor.extract_table(state, patterns))
             else:
-                seeds = [BitString(_scatter(int(p), positions), t) for p in patterns]
+                seeds = [
+                    BitString(sum(((p >> k) & 1) << pos for k, pos in enumerate(positions)), t)
+                    for p in patterns.tolist()
+                ]
                 out = np.array(
                     [[extractor.extract(x, y).to_int() for x in xs] for y in seeds],
                     dtype=np.int64 if m <= 62 else object,
                 )
-            part = out if columns is None else out.take(columns, axis=1)
+            part = out.take(columns, axis=1)
             deviation += _cell_deviation(part, symbols, weights, targets, scale, dtype)
-    return Fraction(deviation + (total << m) * ny, 2 * (total << m) * ny)
+    return Fraction(deviation + (sum(side._weights) << m) * ny, 2 * (total << m) * ny)
 
 
 def _marginal_matches(side: JointTable, source: FiniteDistribution, xs) -> bool:
     """Whether the side table's x-marginal equals the source: the same
     support ``xs`` and w_side(x) N_source = w_source(x) N_side on it, with
     the side weights summed per x value."""
-    marginal: dict[int, int] = {}
-    for x, w in zip(side._xs, side._weights):
-        marginal[x] = marginal.get(x, 0) + w
+    marginal = _group(side._xs, side._weights)
     return len(marginal) == len(xs) and all(
         marginal.get(x.to_int(), 0) * source._total == source._weights[x] * side._total
         for x in xs
@@ -434,19 +424,20 @@ def _cell_deviation(out, symbols, weights, targets, scale, dtype) -> int:
     with c = 0 add 0 and only observed cells matter.
     """
     patterns, symbol_count = out.shape[0], len(targets)
-    # cells are numbered by (pattern, symbol) group, then output
+    # cells are numbered by (symbol, pattern) group, then output: each
+    # symbol's cells form one run, so its target applies to a long row
     groups = patterns * symbol_count
-    first_group = np.arange(0, groups, symbol_count, dtype=np.int64)[:, None]
-    addressable = groups * scale <= max(out.size, _BLOCK_PAIRS)
+    pattern_group = np.arange(patterns, dtype=np.int64)[:, None]
+    addressable = groups * scale <= max(out.size, _ADDRESSED_CELLS)
     if addressable:
-        keys = np.add(out, first_group * scale, dtype=np.int64)
+        keys = np.add(out, pattern_group * scale, dtype=np.int64)
         if symbol_count > 1:  # one symbol adds only zeros; skip that pass
-            keys += symbols * scale
+            keys += symbols * (patterns * scale)
         cells = groups * scale
     else:
         # Too many cells to address: label the observed ones densely.
         values, labels = np.unique(out, return_inverse=True)
-        keys = labels.reshape(out.shape) + (first_group + symbols) * len(values)
+        keys = labels.reshape(out.shape) + (pattern_group + symbols * patterns) * len(values)
         used, keys = np.unique(keys, return_inverse=True)
         cells = len(used)
     index = keys.ravel()
@@ -456,19 +447,28 @@ def _cell_deviation(out, symbols, weights, targets, scale, dtype) -> int:
         sums = np.zeros(cells, dtype=dtype)
         np.add.at(sums, index, np.broadcast_to(weights, out.shape).ravel())
     if addressable:
-        sums = sums.reshape(patterns, symbol_count, scale)
+        sums = sums.reshape(symbol_count, patterns * scale)
         cell_targets = targets[:, None]
     else:
-        cell_targets = targets[(used // len(values)) % symbol_count]
+        cell_targets = targets[used // len(values) // patterns]
     return _deviation(sums, cell_targets, scale)
+
+
+def _sum_dtype(total: int, scale: int, terms: int):
+    """int64 if ``terms`` nonzero cell terms of :func:`_deviation` sum
+    exactly in it, else object.  Each term lies in [-W_s, c 2^m] with
+    c <= N, so int64 holds the sum while N (2^m + 1) terms stays below 2^62."""
+    return np.int64 if total * (scale + 1) * terms < 1 << 62 else object
 
 
 def _deviation(counts, cell_targets, scale) -> int:
     """Sum of |c 2^m - W_s| - W_s over cells, ``counts`` holding each
     cell's weight c and ``cell_targets`` (broadcast against it) its symbol's
     weight W_s.  A cell with c = 0 adds 0, so dense and observed-only counts
-    give the same sum."""
-    return int((np.abs(counts * scale - cell_targets) - cell_targets).sum())
+    give the same sum.  Summed as c 2^m - 2 min(c 2^m, W_s), the same term
+    for c 2^m and W_s >= 0, with one scratch array."""
+    scaled = counts * scale
+    return int(scaled.sum()) - 2 * int(np.minimum(scaled, cell_targets, out=scaled).sum())
 
 
 def image_counts(
@@ -528,8 +528,11 @@ class LemmaCheck:
     name: str
     lhs: Fraction
     rhs: Fraction
-    passed: bool
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs
 
     @property
     def slack(self) -> Fraction:
@@ -597,119 +600,84 @@ def lemma_suite(
     information, with x split as (prefix, suffix) at ``prefix_bits``.
 
     All inequalities are evaluated in the guessing-probability domain, where
-    every quantity is an exact rational.  The convexity probe costs two
-    :func:`extractor_distance` calls: one on the mixture and one on the
-    side table whose symbols are its flat pieces, which gives
-    sum_i weight_i d(piece_i) exactly.
+    every quantity is an exact rational, and a check passes when lhs <= rhs.
+    The bad-prefix check takes the thresholds v in one descending pass with
+    a running mass of the prefixes at or above v, and reports the first v
+    with the largest lhs, or the first v at which the bound fails.  The
+    convexity probe costs two :func:`extractor_distance` calls: one on the
+    mixture and one on the side table whose symbols are its flat pieces,
+    which gives sum_i weight_i d(piece_i) exactly.
     """
-    if not 0 <= prefix_bits <= table.n:
-        raise ValueError(f"prefix length {prefix_bits} outside [0, {table.n}]")
-    suffix_bits = table.n - prefix_bits
-    checks: list[LemmaCheck] = []
-
+    n = table.n
+    if n < 1:
+        raise ValueError(f"lemma suite needs a source of at least 1 bit, got a {n}-bit table")
+    if not 0 <= prefix_bits <= n:
+        raise ValueError(f"prefix length {prefix_bits} outside [0, {n}]")
+    suffix_bits = n - prefix_bits
     guess_full = table.guessing_probability()
-    x_marginal = table.x_marginal()
+    mixture = table.x_marginal()
 
     # Bounded storage: side information over an alphabet of size A cannot
     # raise the guessing probability by more than a factor A.
-    alphabet_size = len(table.alphabet())
-    checks.append(
-        LemmaCheck(
-            name="storage_bound",
-            lhs=guess_full,
-            rhs=alphabet_size * x_marginal.max_prob,
-            passed=guess_full <= alphabet_size * x_marginal.max_prob,
-            note=f"alphabet size {alphabet_size}",
-        )
-    )
+    alphabet_size = len(set(table._symbols))
+    rhs = alphabet_size * mixture.max_prob
+    storage = LemmaCheck("storage_bound", guess_full, rhs, f"alphabet size {alphabet_size}")
 
     # Cutting the suffix costs at most 2^suffix in guessing probability.
-    prefix_table = table.prefix_marginal(prefix_bits)
-    guess_prefix = prefix_table.guessing_probability()
-    checks.append(
-        LemmaCheck(
-            name="suffix_cut",
-            lhs=guess_prefix,
-            rhs=(1 << suffix_bits) * guess_full,
-            passed=guess_prefix <= (1 << suffix_bits) * guess_full,
-            note=f"suffix of {suffix_bits} bits",
-        )
-    )
+    guess_prefix = table.prefix_marginal(prefix_bits).guessing_probability()
+    rhs = (1 << suffix_bits) * guess_full
+    suffix_cut = LemmaCheck("suffix_cut", guess_prefix, rhs, f"suffix of {suffix_bits} bits")
 
     # Mass of prefixes whose conditional guessing probability is at least v
     # is bounded by 2^prefix * guess_full / v, for every threshold v.
     prefix_mask = (1 << prefix_bits) - 1
-    prefix_mass: dict[int, int] = {}
-    cond_best: dict[tuple[int, Hashable], int] = {}
-    for x, s, w in zip(table._xs, table._symbols, table._weights):
-        x1 = x & prefix_mask
-        prefix_mass[x1] = prefix_mass.get(x1, 0) + w
-        key = (x1, s)
-        if w > cond_best.get(key, 0):
-            cond_best[key] = w
-    best_mass: dict[int, int] = {}
-    for (x1, _), w in cond_best.items():
-        best_mass[x1] = best_mass.get(x1, 0) + w
+    prefixes = [x & prefix_mask for x in table._xs]
+    prefix_mass = _group(prefixes, table._weights)
+    cond_best = _group(zip(prefixes, table._symbols), table._weights, _larger)
+    best_mass = _group((x1 for x1, _ in cond_best), cond_best.values())
     # sum_s max_x2 Pr[x1, x2, s] over Pr[x1]: the guessing probability
-    # conditioned on X1 = x1.
-    cond_guess = {x1: Fraction(w, prefix_mass[x1]) for x1, w in best_mass.items()}
+    # conditioned on X1 = x1, and the mass of the prefixes at each value.
+    cond_guess = [Fraction(w, prefix_mass[x1]) for x1, w in best_mass.items()]
+    mass_at = _group(cond_guess, (prefix_mass[x1] for x1 in best_mass))
+    rhs = (1 << prefix_bits) * guess_full
     worst = None  # set on the first pass: a JointTable always has a positive row
-    for v in sorted(set(cond_guess.values()), reverse=True):
-        bad_mass = Fraction(
-            sum(prefix_mass[x1] for x1, g in cond_guess.items() if g >= v),
-            table._total,
-        )
-        lhs = bad_mass * v
-        rhs = (1 << prefix_bits) * guess_full
-        if worst is None or rhs - lhs < worst.rhs - worst.lhs:
-            worst = LemmaCheck(
-                name="bad_prefix_mass",
-                lhs=lhs,
-                rhs=rhs,
-                passed=lhs <= rhs,
-                note=f"tightest threshold v={v}",
-            )
+    bad_mass = 0
+    for v in sorted(mass_at, reverse=True):
+        bad_mass += mass_at[v]
+        lhs = Fraction(bad_mass, table._total) * v
         if lhs > rhs:
-            worst = LemmaCheck("bad_prefix_mass", lhs, rhs, False, f"violated at v={v}")
+            worst = LemmaCheck("bad_prefix_mass", lhs, rhs, f"violated at v={v}")
             break
-    checks.append(worst)
+        if worst is None or lhs > worst.lhs:
+            worst = LemmaCheck("bad_prefix_mass", lhs, rhs, f"tightest threshold v={v}")
 
     # Convexity: extraction distance of a mixture of uniform pieces is at
     # most the weighted sum of the pieces' distances.
     from .toeplitz import ToeplitzExtractor, ToeplitzSpec
 
-    n = table.n
-    m = max(1, min(2, n - 1)) if n > 1 else 1
+    m = max(1, min(2, n - 1))
     ext = ToeplitzExtractor(ToeplitzSpec(n, m))
     # The flat pieces become the symbols of one side table: symbol i holds
     # the top-i outcomes, each with weight w_i - w_(i+1), so that
     # d(Y, E(X, Y), S) = sum_i Pr[S = i] d_i is the weighted sum of the
     # pieces' distances, counted in one engine call.
-    mixture = x_marginal
     lhs_total = extractor_distance(ext, mixture, budget=budget)
     # A level that splits tied outcomes has weight 0, so ties need no order.
-    outcomes, levels = _flat_levels(mixture._weights.items())
+    outcomes, levels = _flat_levels((x.to_int(), w) for x, w in mixture._weights.items())
     pieces = JointTable._from_rows(
         n,
         {
-            (x.to_int(), symbol): step
+            (x, symbol): step
             for symbol, (i, step) in enumerate(levels)
             for x in outcomes[:i]
         },
         mixture._total,
     )
     rhs_total = extractor_distance(ext, mixture, side=pieces, budget=budget)
-    checks.append(
-        LemmaCheck(
-            name="mixture_convexity",
-            lhs=lhs_total,
-            rhs=rhs_total,
-            passed=lhs_total <= rhs_total,
-            note=f"toeplitz probe n={n} m={m}",
-        )
+    convexity = LemmaCheck(
+        "mixture_convexity", lhs_total, rhs_total, f"toeplitz probe n={n} m={m}"
     )
-
-    return LemmaSuiteReport(tuple(checks))
+    return LemmaSuiteReport((storage, suffix_cut, worst, convexity))
 
 
 def sample_joint_table(

@@ -71,8 +71,7 @@ class ToeplitzExtractor:
         return toeplitz_extract(self.spec, x, y)
 
     def prepare_batch(self, xs: Sequence[int]):
-        parity = np.bitwise_count(np.arange(1 << self.input_bits, dtype=np.int64)) & 1
-        return np.asarray(list(xs), dtype=np.int64), parity
+        return np.asarray(list(xs), dtype=np.int64)
 
     def extract_table(self, state, patterns: np.ndarray) -> np.ndarray:
         """Outputs for every (seed, x) pair; shape (len(patterns), len(xs)).
@@ -82,11 +81,12 @@ class ToeplitzExtractor:
         """
         if self.output_bits > 62:
             raise ValueError(f"{self.output_bits} output bits do not fit the int64 table")
-        xs, parity = state
+        xs = state
         dtype = np.uint8 if self.output_bits <= 8 else np.int64
         out = np.zeros((len(patterns), len(xs)), dtype=dtype)
         rows = _row_masks(self.spec, np.asarray(patterns, dtype=np.int64))
         for i, row in enumerate(rows):
-            # a multiply, not a shift: numpy shifts uint8 several times slower
-            out |= parity[row[:, None] & xs] * dtype(1 << i)
+            # bitwise_count gives uint8; a multiply, not a shift: numpy shifts
+            # uint8 several times slower
+            out |= (np.bitwise_count(row[:, None] & xs) & 1) * dtype(1 << i)
         return out

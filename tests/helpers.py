@@ -315,3 +315,57 @@ def ref_greedy_weak_design(num_sets, set_size, rho=2, t_initial=None):
             return t, tuple(sets), max_ratio
         t *= 2
     raise ValueError("no weak design within the doubling budget")
+
+
+def ref_lemma_checks(table, prefix_bits):
+    """(name, lhs, rhs, note) of the storage-bound, suffix-cut and
+    bad-prefix-mass checks of ``lemma_suite``, by brute force over every
+    (x, s) of ``table.items()``; the prefix is the low ``prefix_bits`` bits
+    of x.  The bad-prefix check reports the largest threshold v at which
+    v Pr[g(X1) >= v] > rhs if there is one, else the threshold with the
+    largest lhs (the larger v on ties)."""
+    n = table.n
+    joint = dict(table.items())
+    symbols = {s for (_, s), p in joint.items() if p}
+    suffix_bits = n - prefix_bits
+
+    def prob(x, s):
+        return joint.get((BitString(x, n), s), Fraction(0))
+
+    def completions(x1):
+        return [x1 | x2 << prefix_bits for x2 in range(1 << suffix_bits)]
+
+    guess_full = sum(max(prob(x, s) for x in range(1 << n)) for s in symbols)
+    max_x = max(sum(prob(x, s) for s in symbols) for x in range(1 << n))
+    guess_prefix = sum(
+        max(sum(prob(x, s) for x in completions(x1)) for x1 in range(1 << prefix_bits))
+        for s in symbols
+    )
+    rhs = (1 << prefix_bits) * guess_full
+    masses, guesses = [], []
+    for x1 in range(1 << prefix_bits):
+        mass = sum(prob(x, s) for x in completions(x1) for s in symbols)
+        if mass:
+            best = sum(max(prob(x, s) for x in completions(x1)) for s in symbols)
+            masses.append(mass)
+            guesses.append(best / mass)
+    candidates = [
+        (v * sum(mass for mass, g in zip(masses, guesses) if g >= v), v) for v in set(guesses)
+    ]
+    violated = [(lhs, v) for lhs, v in candidates if lhs > rhs]
+    if violated:
+        lhs, v = max(violated, key=lambda c: c[1])
+        bad = ("bad_prefix_mass", lhs, rhs, f"violated at v={v}")
+    else:
+        lhs, v = max(candidates)
+        bad = ("bad_prefix_mass", lhs, rhs, f"tightest threshold v={v}")
+    return [
+        ("storage_bound", guess_full, len(symbols) * max_x, f"alphabet size {len(symbols)}"),
+        (
+            "suffix_cut",
+            guess_prefix,
+            (1 << suffix_bits) * guess_full,
+            f"suffix of {suffix_bits} bits",
+        ),
+        bad,
+    ]

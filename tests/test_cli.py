@@ -392,6 +392,15 @@ def test_verify_samples_at_most_fifty_sources(capsys, tmp_path, budget, count):
     assert report["checks"][0]["name"] == f"extraction distance on {count} flat sources (k=6)"
 
 
+@pytest.mark.parametrize("n", [4, 1])
+def test_verify_toeplitz_with_output_as_wide_as_input(capsys, tmp_path, n):
+    # k = min(n - 1, m + 4) < m: the leftover-hash bound says nothing, so it is 1
+    path = _spec_file(tmp_path, "toeplitz", ToeplitzSpec(n, n))
+    rc, report, _ = _run(capsys, ["verify", "extractor", "--spec", path])
+    assert rc == cli.EXIT_PASS
+    assert report["checks"][0]["detail"]["bound"] == "1"
+
+
 def test_params_rejects_a_negative_storage_bound(capsys):
     rc, report, err = _run(
         capsys, ["params", "--mode", "qproof", "--n", "16", "--b", "-3", "--eps", "1/4"]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from extractorforge.trevisan import TrevisanExtractor, custom_spec
 from helpers import (
     grid_min_distance_to_capped,
     ref_joint_seed_output_distance,
+    ref_lemma_checks,
     ref_side_distance,
     ref_sample_distinct,
 )
@@ -370,6 +373,20 @@ class TestWeightedAndSideDistance:
                 ext.extract, ext.seed_bits, 2, dict(table.items())
             )
 
+    def test_mass_short_of_one_is_measured_against_its_own_targets(self):
+        # float probabilities summing to 1 - 2^-55, inside the accepted tolerance:
+        # every cell's target, observed or not, is the mass the table holds
+        probs = {BitString(1, 3): 0.1, BitString(2, 3): 0.2, BitString(6, 3): 0.7}
+        source = FiniteDistribution(probs)
+        assert sum(p for _, p in source.items()) == 1 - Fraction(1, 1 << 55)
+        joint = {(x, 0): Fraction(p) for x, p in probs.items()}
+        one_symbol = JointTable(3, joint)
+        evaluators = ToeplitzExtractor(ToeplitzSpec(3, 2)), _odd_multiplier(3, 2), _trevisan(3, 2)
+        for ext in evaluators:
+            want = ref_side_distance(ext.extract, ext.seed_bits, 2, joint)
+            assert extractor_distance(ext, source) == want
+            assert extractor_distance(ext, source, side=one_symbol) == want
+
     # unit weights take bincount, small weights add.at, and weights over a
     # denominator near 2^57 the Python-integer (object) counts
     @pytest.mark.parametrize(
@@ -528,6 +545,61 @@ class TestLemmaSuite:
         data = report.to_json_dict()
         assert data["allPassed"] is True
         assert all({"name", "lhs", "rhs", "slack", "passed"} <= set(c) for c in data["checks"])
+
+    @pytest.mark.parametrize("table", _CONVEXITY_TABLES.values(), ids=list(_CONVEXITY_TABLES))
+    def test_first_three_checks_match_the_reference(self, table):
+        _assert_checks_match_the_reference(table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_side_tables())
+    def test_weighted_tables_match_the_reference(self, table):
+        _assert_checks_match_the_reference(table)
+
+    def test_bad_prefix_tie_keeps_the_larger_threshold(self):
+        # thresholds 1 and 1/2 both give lhs 1/2; the scan reports the first, v = 1
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        probs = {BitString(0, 2): half, BitString(1, 2): quarter, BitString(3, 2): quarter}
+        table = JointTable(2, {(x, 0): p for x, p in probs.items()})
+        check = lemma_suite(table, 1).checks[2]
+        assert (check.lhs, check.note) == (half, "tightest threshold v=1")
+        _assert_checks_match_the_reference(table)
+
+    def test_zero_bit_table_rejected(self):
+        with pytest.raises(ValueError, match="0-bit table"):
+            lemma_suite(sample_joint_table(0, 3), 0)
+
+
+def _assert_checks_match_the_reference(table):
+    for prefix_bits in range(table.n + 1):
+        checks = lemma_suite(table, prefix_bits).checks[:3]
+        got = [(c.name, c.lhs, c.rhs, c.note) for c in checks]
+        assert got == ref_lemma_checks(table, prefix_bits), prefix_bits
+
+
+def _lemma_battery():
+    """(table, prefix length) pairs: sampled tables at n <= 6 and uniform
+    tables under identity, constant, low-bit and shift side maps, each at
+    every prefix length."""
+    tables = [
+        sample_joint_table(n, a, seed=seed, index=seed)
+        for n in range(1, 7)
+        for a in (1, 2, 4)
+        for seed in (1, 2)
+    ]
+    side_maps = (lambda x: x, lambda x: 0, lambda x: x & 1, lambda x: x >> 1)
+    tables += [_uniform_side_table(n, side) for n in range(1, 6) for side in side_maps]
+    return [(table, prefix_bits) for table in tables for prefix_bits in range(table.n + 1)]
+
+
+def test_lemma_reports_digest_pinned():
+    # Any change in a lemma report's numbers, notes or verdicts moves this digest.
+    digest = hashlib.sha256()
+    for table, prefix_bits in _lemma_battery():
+        report = lemma_suite(table, prefix_bits).to_json_dict()
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "e2b75513eec4b028b5cc18dd538a3b7687440e404b1c9d193072a06445c77715"
+    )
 
 
 class TestSampling:

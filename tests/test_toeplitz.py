@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from extractorforge.bits import BitString
 from extractorforge.oracle import FlatSource, extractor_distance, sample_flat_sources
 from extractorforge.toeplitz import ToeplitzExtractor, ToeplitzSpec, toeplitz_extract
 
-from helpers import ref_matrix_vector, ref_toeplitz_matrix
+from helpers import ref_joint_seed_output_distance, ref_matrix_vector, ref_toeplitz_matrix
 
 
 def test_spec_validation():
@@ -115,3 +116,26 @@ def test_batch_path_keeps_outputs_wider_than_a_byte():
         for col, x in enumerate(xs):
             expect = ext.extract(BitString(x, 10), BitString(int(seed), spec.seed_bits))
             assert table[row, col] == expect.to_int()
+
+
+def test_batch_state_does_not_grow_with_the_input_width():
+    # at n = 24 a table over all 2^24 inputs would take tens of MB
+    ext = ToeplitzExtractor(ToeplitzSpec(24, 1))
+    tracemalloc.start()
+    try:
+        state = ext.prepare_batch([5, (1 << 24) - 3])
+        ext.extract_table(state, np.arange(1024, dtype=np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("support", [(9,), (9, 16000)])
+def test_few_strings_over_many_seeds(support):
+    # one block holds every seed, with more cells than pairs
+    spec = ToeplitzSpec(14, 2)
+    ext = ToeplitzExtractor(spec)
+    source = FlatSource.from_ints(14, support)
+    expect = ref_joint_seed_output_distance(ext.extract, 14, spec.seed_bits, 2, source.support)
+    assert extractor_distance(ext, source) == expect
