@@ -6,6 +6,10 @@ Three commands:
 * ``extract`` runs a serialized spec over a raw input file,
 * ``verify``  runs exact verification suites against a target.
 
+Each verify target is one ``_TARGETS`` row: the generator of its checks and
+its spec rule (the spec types it accepts, whether ``--spec`` is required,
+and the message for any other spec), which ``cmd_verify`` alone applies.
+
 Exit codes are a stable contract: 0 pass, 1 verification failure, 2 usage
 error (also an output file that cannot be written, or a --budget below 1),
 3 infeasible parameters, 4 inconclusive (budget exhausted), and for
@@ -96,8 +100,11 @@ def _seed_problem(reason) -> _Exit:
 # ToeplitzSpec(10, 2) and a w = 9 Trevisan spec at 2^20 and 2^24 pairs.
 # Toeplitz keeps no table over its 2^n inputs (ToeplitzSpec(20, 2) on two
 # strings: 0.8).  A block's scratch reaches ~6 MB, so a source of fewer
-# than ~2^21 pairs can peak above 4 bytes a pair.
-# The other targets enumerate at most a few thousand pairs per call.
+# than ~2^21 pairs can peak above 4 bytes a pair.  ``code`` charges every
+# (message, position) pair of its exhaustive distance check, at most 4.4
+# bytes each (the codeword table and the message list; CodeSpec(3, 4) and
+# CodeSpec(3, 6)).  The other targets enumerate at most a few thousand pairs
+# per call.
 _BYTES_PER_PAIR = {"condenser": 48, "extractor": 4}
 _DEFAULT_BYTES_PER_PAIR = 16
 
@@ -298,10 +305,21 @@ def cmd_extract(args) -> int:
     return EXIT_PASS
 
 
-def _verify_design_target(spec, budget, test_seed, checks):
+def _check(name, passed, **detail) -> dict:
+    """One entry of a verify report: the only place one is built."""
+    return {"name": name, "passed": passed, "detail": detail}
+
+
+def _design_checks(designs):
+    for name, design in designs:
+        report = verify_design(design)
+        yield _check(f"design recertification: {name}", report.valid,
+                     maxOverlap=report.max_overlap,
+                     maxWeakSumRatio=str(report.max_weak_sum_ratio), reason=report.reason)
+
+
+def _verify_design_target(spec, budget, test_seed):
     if spec is not None:
-        if not isinstance(spec, ExtractorSpec):
-            raise _bad_spec("design verification expects an extractor spec")
         designs = [("spec design", spec.design)]
     else:
         designs = [
@@ -309,32 +327,11 @@ def _verify_design_target(spec, budget, test_seed, checks):
             ("poly m=64 l=8", build_poly_design(64, 8)),
             ("greedy m=16 l=6", build_greedy_weak_design(16, 6, 2)),
         ]
-    _recertify_designs(designs, checks)
+    yield from _design_checks(designs)
 
 
-def _recertify_designs(designs, checks):
-    for name, design in designs:
-        report = verify_design(design)
-        checks.append(
-            {
-                "name": f"design recertification: {name}",
-                "passed": report.valid,
-                "detail": {
-                    "maxOverlap": report.max_overlap,
-                    "maxWeakSumRatio": str(report.max_weak_sum_ratio),
-                    "reason": report.reason,
-                },
-            }
-        )
-
-
-def _verify_code_target(spec, budget, test_seed, checks):
-    if spec is None:
-        code = CodeSpec(3, 4)
-    elif isinstance(spec, ExtractorSpec):
-        code = spec.code
-    else:
-        raise _bad_spec("code verification expects an extractor spec")
+def _verify_code_target(spec, budget, test_seed):
+    code = CodeSpec(3, 4) if spec is None else spec.code
     rng = CounterRng(0xC0DE, code.field_width, code.message_symbols)
     trials = min(2000, max(100, budget // 1000))
     bad = 0
@@ -347,25 +344,18 @@ def _verify_code_target(spec, budget, test_seed, checks):
             code, BitString(b, code.message_bits), idx
         )
         bad += lhs != rhs
-    checks.append(
-        {
-            "name": f"code linearity on {trials} random pairs",
-            "passed": bad == 0,
-            "detail": {"violations": bad},
-        }
-    )
+    yield _check(f"code linearity on {trials} random pairs", bad == 0, violations=bad)
     if code.field_width <= 4:
+        # every (message, position) pair of the code
+        pairs = code.codeword_bits << code.message_bits
+        if pairs > budget:
+            raise BudgetExceededError(pairs, budget, "code verification")
         table = encode_all_positions(code, list(range(1 << code.message_bits)))
         weights = table[1:].sum(axis=1)
         min_rel = Fraction(int(weights.min()), code.codeword_bits)
         bound = code_distance(code)
-        checks.append(
-            {
-                "name": "exhaustive minimum distance vs designed bound",
-                "passed": min_rel >= bound,
-                "detail": {"minimum": str(min_rel), "bound": str(bound)},
-            }
-        )
+        yield _check("exhaustive minimum distance vs designed bound", min_rel >= bound,
+                     minimum=str(min_rel), bound=str(bound))
 
 
 def _flat_sources(n, k, seed_bits, budget, test_seed, label):
@@ -377,16 +367,14 @@ def _flat_sources(n, k, seed_bits, budget, test_seed, label):
     return sample_flat_sources(n, k, min(50, budget // pairs), seed=test_seed)
 
 
-def _verify_extractor_target(spec, budget, test_seed, checks):
+def _verify_extractor_target(spec, budget, test_seed):
     if isinstance(spec, ExtractorSpec):
         k = max(1, spec.n - 3)
         bound = spec.epsilon_target
-    elif isinstance(spec, ToeplitzSpec):
+    else:
         k = min(spec.input_bits - 1, spec.output_bits + 4)
         # the leftover-hash bound says nothing once k < m: cap it at 1
         bound = Fraction(1, 1 << max(0, (k - spec.output_bits) // 2))
-    else:
-        raise _bad_spec("extractor verification expects a trevisan or toeplitz spec")
     ext = _evaluator(spec)
     sources = _flat_sources(
         ext.input_bits, k, len(ext.seed_support), budget, test_seed, "extractor verification"
@@ -394,49 +382,28 @@ def _verify_extractor_target(spec, budget, test_seed, checks):
     worst = Fraction(0)
     for source in sources:
         worst = max(worst, extractor_distance(ext, source, budget=budget))
-    checks.append(
-        {
-            "name": f"extraction distance on {len(sources)} flat sources (k={k})",
-            "passed": worst <= bound,
-            "detail": {"worstDistance": str(worst), "bound": str(bound)},
-        }
-    )
+    yield _check(f"extraction distance on {len(sources)} flat sources (k={k})", worst <= bound,
+                 worstDistance=str(worst), bound=str(bound))
 
 
-def _verify_condenser_target(spec, budget, test_seed, checks):
-    if not isinstance(spec, CondenserSpec):
-        raise _bad_spec("condenser verification expects a condenser spec")
+def _verify_condenser_target(spec, budget, test_seed):
     cmap = StrongCondenserMap(spec)
-    sources = _flat_sources(
-        spec.n, spec.k, spec.seed_bits, budget, test_seed, "condenser verification"
-    )
+    sources = _flat_sources(spec.n, spec.k, spec.seed_bits, budget, test_seed,
+                            "condenser verification")
     worst_inj = Fraction(1)
     worst_dist = Fraction(0)
     for source in sources:
         counts = image_counts(cmap, source, spec.seed_bits, budget=budget)
         worst_inj = min(worst_inj, unique_fraction(counts))
-        worst_dist = max(
-            worst_dist, distance_to_min_entropy(counts, spec.seed_bits + spec.k)
-        )
-    checks.append(
-        {
-            "name": f"unique-preimage fraction on {len(sources)} flat sources",
-            "passed": worst_inj >= 1 - spec.epsilon,
-            "detail": {"worst": str(worst_inj), "bound": f">= {1 - spec.epsilon}"},
-        }
-    )
-    checks.append(
-        {
-            "name": "distance to seed+k min-entropy",
-            "passed": worst_dist <= spec.epsilon,
-            "detail": {"worst": str(worst_dist), "bound": f"<= {spec.epsilon}"},
-        }
-    )
+        worst_dist = max(worst_dist, distance_to_min_entropy(counts, spec.seed_bits + spec.k))
+    yield _check(f"unique-preimage fraction on {len(sources)} flat sources",
+                 worst_inj >= 1 - spec.epsilon,
+                 worst=str(worst_inj), bound=f">= {1 - spec.epsilon}")
+    yield _check("distance to seed+k min-entropy", worst_dist <= spec.epsilon,
+                 worst=str(worst_dist), bound=f"<= {spec.epsilon}")
 
 
-def _verify_lemmas_target(spec, budget, test_seed, checks):
-    if spec is not None:
-        raise _bad_spec("lemma verification takes no spec")
+def _verify_lemmas_target(spec, budget, test_seed):
     tables = [sample_joint_table(4, 4, seed=test_seed, index=i) for i in range(200)]
     # adversarial cases: independent side, full copy, one-bit leak
     n = 3
@@ -445,59 +412,55 @@ def _verify_lemmas_target(spec, budget, test_seed, checks):
         tables.append(
             JointTable(n, {(BitString(x, n), side(x)): uniform for x in range(1 << n)})
         )
-    failures = 0
-    for i, table in enumerate(tables):
-        report = lemma_suite(table, max(1, table.n // 2), budget=budget)
-        if not report.all_passed:
-            failures += 1
-    checks.append(
-        {
-            "name": f"entropy lemma suite on {len(tables)} joint tables",
-            "passed": failures == 0,
-            "detail": {"failures": failures},
-        }
+    failures = sum(
+        not lemma_suite(table, max(1, table.n // 2), budget=budget).all_passed
+        for table in tables
+    )
+    yield _check(
+        f"entropy lemma suite on {len(tables)} joint tables", failures == 0, failures=failures
     )
 
 
-def _verify_pipeline_target(spec, budget, test_seed, checks):
-    if not isinstance(spec, PipelineSpec):
-        raise _bad_spec("pipeline verification expects a pipeline spec")
+def _verify_pipeline_target(spec, budget, test_seed):
     blocks = spec.extractor
-    _recertify_designs([("e1 design", blocks.e1.design), ("e2 design", blocks.e2.design)], checks)
+    yield from _design_checks([("e1 design", blocks.e1.design), ("e2 design", blocks.e2.design)])
     digest = spec_digest(spec)
     try:
         rebuilt = spec_digest(build_pipeline(spec.n, spec.k, spec.beta, spec.epsilon))
     except InfeasibleParameterError as exc:
         rebuilt = f"infeasible: {exc}"
-    checks.append(
-        {
-            "name": "pipeline rebuild digest determinism",
-            "passed": rebuilt == digest,
-            "detail": {"digest": digest, "rebuilt": rebuilt},
-        }
+    yield _check(
+        "pipeline rebuild digest determinism", rebuilt == digest, digest=digest, rebuilt=rebuilt
     )
 
 
-# verify target -> (check(spec, budget, test_seed, checks), needs --spec)
+# verify target -> (checks(spec, budget, test_seed), the spec types it
+# accepts, whether it needs --spec, the message for a spec of another type)
 _TARGETS = {
-    "design": (_verify_design_target, False),
-    "code": (_verify_code_target, False),
-    "extractor": (_verify_extractor_target, True),
-    "condenser": (_verify_condenser_target, True),
-    "lemmas": (_verify_lemmas_target, False),
-    "pipeline": (_verify_pipeline_target, True),
+    "design": (_verify_design_target, ExtractorSpec, False,
+               "design verification expects an extractor spec"),
+    "code": (_verify_code_target, ExtractorSpec, False,
+             "code verification expects an extractor spec"),
+    "extractor": (_verify_extractor_target, (ExtractorSpec, ToeplitzSpec), True,
+                  "extractor verification expects a trevisan or toeplitz spec"),
+    "condenser": (_verify_condenser_target, CondenserSpec, True,
+                  "condenser verification expects a condenser spec"),
+    "lemmas": (_verify_lemmas_target, (), False, "lemma verification takes no spec"),
+    "pipeline": (_verify_pipeline_target, PipelineSpec, True,
+                 "pipeline verification expects a pipeline spec"),
 }
 
 
 def cmd_verify(args) -> int:
     budget = _effective_budget(args.budget, args.target)
-    checks: list[dict] = []
     spec = _load_spec(args.spec) if args.spec else None
-    check, needs_spec = _TARGETS[args.target]
-    if needs_spec and spec is None:
+    target_checks, spec_types, needs_spec, wrong_spec = _TARGETS[args.target]
+    if spec is None and needs_spec:
         raise _bad_spec(f"{args.target} verification needs --spec")
+    if spec is not None and not isinstance(spec, spec_types):
+        raise _bad_spec(wrong_spec)
     try:
-        check(spec, budget, args.test_seed, checks)
+        checks = list(target_checks(spec, budget, args.test_seed))
     except BudgetExceededError as exc:
         _write_report(
             {

@@ -89,19 +89,21 @@ def _exact_powers(num_sets: int, set_size: int) -> np.ndarray:
     )
 
 
-def _design_stats(sets, universe_size) -> tuple[int, Fraction]:
-    """Exhaustive (max pairwise overlap, max weak-sum ratio) for a family.
+def _design_stats(sets) -> tuple[int, Fraction]:
+    """Exhaustive (max pairwise overlap, max weak-sum ratio) for a family
+    of equal-size sets.
 
-    Overlaps come from an incidence-matrix product, which float32 holds
-    exactly: every partial sum is an integer of at most the set size, far
-    below 2^24.  Weak sums add exact powers 2^overlap.
+    Overlaps come from a product of the incidence matrix over the elements
+    the sets hold (not the whole universe, which a spec may state as 2^40),
+    and float32 holds it exactly: every partial sum is an integer of at most
+    the set size, far below 2^24.  Weak sums add exact powers 2^overlap.
     """
     m = len(sets)
     if m <= 1:
         return 0, Fraction(0)
-    incidence = np.zeros((m, universe_size), dtype=np.float32)
-    for i, s in enumerate(sets):
-        incidence[i, list(s)] = 1.0
+    elements, columns = np.unique(np.array(sets), return_inverse=True)
+    incidence = np.zeros((m, len(elements)), dtype=np.float32)
+    incidence[np.arange(m)[:, None], columns.reshape(m, -1)] = 1.0
     overlaps = np.rint(incidence @ incidence.T).astype(np.int64)
     below = np.tri(m, k=-1, dtype=bool)
     max_overlap = int(overlaps[below].max())
@@ -116,7 +118,7 @@ def verify_design(design: Design) -> DesignReport:
     if reason is not None:
         return DesignReport(0, Fraction(0), False, reason)
 
-    max_overlap, max_ratio = _design_stats(design.sets, design.universe_size)
+    max_overlap, max_ratio = _design_stats(design.sets)
     expected = Fraction(max_overlap) if design.kind == STANDARD else max_ratio
     if expected != design.certified_overlap:
         return DesignReport(
@@ -151,7 +153,7 @@ def build_poly_design(num_sets: int, set_size: int) -> Design:
     members = points * q + horner(coeffs, points, q_width)
     sets = [tuple(row) for row in members.tolist()]
 
-    max_overlap, _ = _design_stats(sets, q * q)
+    max_overlap, _ = _design_stats(sets)
     return Design(
         universe_size=q * q,
         set_size=set_size,

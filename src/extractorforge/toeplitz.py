@@ -4,6 +4,10 @@ The seed of length n + m - 1 lists the diagonals of an m x n binary Toeplitz
 matrix T with T[i][j] = seed[i - j + n - 1]; the output is T x over GF(2).
 The family is XOR-universal (T d is uniform for every fixed nonzero d), which
 is exactly what the leftover-hash bound needs.
+
+Bit n - 1 - j of rev_n(x), x with its n bits reversed, is x_j, so output
+bit i is the parity of (seed >> i) & rev_n(x): each source is reversed once,
+and no row of T is ever built.
 """
 
 from __future__ import annotations
@@ -33,16 +37,15 @@ class ToeplitzSpec:
         return self.input_bits + self.output_bits - 1
 
 
-def _row_masks(spec: ToeplitzSpec, seed_value):
-    """Row i of T as an n-bit mask with bit j = T[i][j] = seed[i - j + n - 1],
-    for one integer seed or elementwise for an int64 array of seeds."""
-    n, m = spec.input_bits, spec.output_bits
-    total = spec.seed_bits
-    reversed_seed = 0
-    for p in range(total):
-        reversed_seed |= ((seed_value >> (total - 1 - p)) & 1) << p
-    mask = (1 << n) - 1
-    return [(reversed_seed >> (m - 1 - i)) & mask for i in range(m)]
+# each byte value with its eight bits in reverse order
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _reverse_inputs(spec: ToeplitzSpec, xs: np.ndarray) -> np.ndarray:
+    """rev_n(x) for every x of an int64 array: its bytes reversed bit by bit
+    through the table, then as a whole, then shifted down to n bits."""
+    flipped = _REVERSED_BYTES[xs.view(np.uint8)].view(np.uint64).byteswap()
+    return (flipped >> np.uint64(64 - spec.input_bits)).astype(np.int64)
 
 
 def toeplitz_extract(spec: ToeplitzSpec, x: BitString, seed: BitString) -> BitString:
@@ -50,10 +53,11 @@ def toeplitz_extract(spec: ToeplitzSpec, x: BitString, seed: BitString) -> BitSt
         raise ValueError(f"input is {len(x)} bits, spec wants {spec.input_bits}")
     if len(seed) != spec.seed_bits:
         raise ValueError(f"seed is {len(seed)} bits, spec wants {spec.seed_bits}")
-    xv = x.to_int()
+    reversed_x = int(f"{x.to_int():0{spec.input_bits}b}"[::-1], 2)
+    yv = seed.to_int()
     out = 0
-    for i, row in enumerate(_row_masks(spec, seed.to_int())):
-        out |= ((row & xv).bit_count() & 1) << i
+    for i in range(spec.output_bits):
+        out |= (((yv >> i) & reversed_x).bit_count() & 1) << i
     return BitString(out, spec.output_bits)
 
 
@@ -71,7 +75,7 @@ class ToeplitzExtractor:
         return toeplitz_extract(self.spec, x, y)
 
     def prepare_batch(self, xs: Sequence[int]):
-        return np.asarray(list(xs), dtype=np.int64)
+        return _reverse_inputs(self.spec, np.asarray(list(xs), dtype=np.int64))
 
     def extract_table(self, state, patterns: np.ndarray) -> np.ndarray:
         """Outputs for every (seed, x) pair; shape (len(patterns), len(xs)).
@@ -81,12 +85,12 @@ class ToeplitzExtractor:
         """
         if self.output_bits > 62:
             raise ValueError(f"{self.output_bits} output bits do not fit the int64 table")
-        xs = state
+        reversed_xs = state
         dtype = np.uint8 if self.output_bits <= 8 else np.int64
-        out = np.zeros((len(patterns), len(xs)), dtype=dtype)
-        rows = _row_masks(self.spec, np.asarray(patterns, dtype=np.int64))
-        for i, row in enumerate(rows):
+        out = np.zeros((len(patterns), len(reversed_xs)), dtype=dtype)
+        seeds = np.asarray(patterns, dtype=np.int64)
+        for i in range(self.output_bits):
             # bitwise_count gives uint8; a multiply, not a shift: numpy shifts
             # uint8 several times slower
-            out |= (np.bitwise_count(row[:, None] & xs) & 1) * dtype(1 << i)
+            out |= (np.bitwise_count((seeds >> i)[:, None] & reversed_xs) & 1) * dtype(1 << i)
         return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -557,3 +558,114 @@ def test_module_entry_point_exits_with_the_code_of_main(capsys, eps, rc):
     )
     assert proc.returncode == rc
     assert "Traceback" not in proc.stderr
+
+
+_THM42_8 = build_trevisan("thm42", 8, 2, Fraction(1, 4))
+_CONDENSER = build_condenser(12, 6, Fraction(1, 4), 1)
+
+
+# sha256 of each report's canonical JSON (sorted keys); any change to the
+# verify layer must reproduce every report byte for byte.
+@pytest.mark.parametrize(
+    "target, spec, budget, rc, digest",
+    [
+        ("design", None, None, cli.EXIT_PASS,
+         "fe810727fbaad96fd0d271f4f18cbf577db55143fdbf7d56333c62a0e08c3c37"),
+        ("design", _THM42_8, None, cli.EXIT_PASS,
+         "7ddab4ae4bc644d876ad37f26f656b8a0ea194cef1b37f6efe42c3da145fb1aa"),
+        ("code", None, None, cli.EXIT_PASS,
+         "ed6c224e566d8d629aee3af68d059ed374177f6a1a05ab750ddd596b74b16e6a"),
+        ("code", _THM42_8, None, cli.EXIT_PASS,
+         "7cce2c1b62d07219f1287c0c3d7701c3cc60d0b0189306ea98f487f9cb6c2098"),
+        ("extractor", _THM42_8, 1 << 22, cli.EXIT_PASS,
+         "76cd626edef48529622b2580d9a0b86394a7dc67b8e89f56973b014834ce05f3"),
+        ("extractor", ToeplitzSpec(10, 2), 1 << 20, cli.EXIT_PASS,
+         "2e6a948efe4415394205381358a50904071639db18fdfaac7c63c2920488cc2b"),
+        ("condenser", _CONDENSER, 2 << (_CONDENSER.k + _CONDENSER.seed_bits), cli.EXIT_PASS,
+         "aa0c12e9f91d05f2092d705ee6978e5df6a0d06923c52c71f3698833bda4da05"),
+        ("condenser", _CONDENSER, 10, cli.EXIT_INCONCLUSIVE,
+         "535f825326690ceefff4e947ba1acc696e62ae94688f6a73947771515ceda267"),
+        ("lemmas", None, None, cli.EXIT_PASS,
+         "e1380fb292d6f782506b712ec54d85bcc5ccc5c9e6a4cb8e0fd879e5ddb8c999"),
+        ("pipeline", build_pipeline(24, 8, Fraction(1, 4), Fraction(1, 4)), None, cli.EXIT_PASS,
+         "4d1b6c06be77e9b6e26fa75c0f7a7594d2ff6fd38332730fced8bcbe7e861e4d"),
+    ],
+    ids=["design", "design-spec", "code", "code-spec", "extractor-trevisan",
+         "extractor-toeplitz", "condenser", "condenser-inconclusive", "lemmas", "pipeline"],
+)
+def test_verify_report_bytes(capsys, tmp_path, target, spec, budget, rc, digest):
+    argv = ["verify", target]
+    if spec is not None:
+        argv += ["--spec", _spec_file(tmp_path, target, spec)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    got_rc, report, err = _run(capsys, argv)
+    assert got_rc == rc
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+    assert err == (f"inconclusive: {report['inconclusive']}\n" if "inconclusive" in report else "")
+
+
+@pytest.mark.parametrize(
+    "target, spec, message",
+    [
+        ("design", ToeplitzSpec(10, 2), "design verification expects an extractor spec"),
+        ("code", ToeplitzSpec(10, 2), "code verification expects an extractor spec"),
+        ("extractor", None, "extractor verification needs --spec"),
+        ("extractor", _CONDENSER, "extractor verification expects a trevisan or toeplitz spec"),
+        ("condenser", None, "condenser verification needs --spec"),
+        ("condenser", ToeplitzSpec(10, 2), "condenser verification expects a condenser spec"),
+        ("lemmas", ToeplitzSpec(10, 2), "lemma verification takes no spec"),
+        ("pipeline", None, "pipeline verification needs --spec"),
+        ("pipeline", _THM42_8, "pipeline verification expects a pipeline spec"),
+    ],
+)
+def test_verify_rejection_messages(capsys, tmp_path, target, spec, message):
+    argv = ["verify", target]
+    if spec is not None:
+        argv += ["--spec", _spec_file(tmp_path, target, spec)]
+    rc, report, err = _run(capsys, argv)
+    assert (rc, report, err) == (cli.EXIT_BAD_SPEC, None, f"unreadable spec: {message}\n")
+
+
+@pytest.mark.parametrize("n, budget", [(18, "1000"), (24, None), (64, None)],
+                         ids=["w3-k6", "w3-k8", "w4-k16"])
+def test_exhaustive_code_distance_is_charged_to_the_budget(capsys, tmp_path, n, budget):
+    # 2^message_bits messages x codeword_bits positions: 2^24, 2^30 and 2^72
+    # pairs, none of which the budget covers
+    spec = build_trevisan("thm42", n, 1, Fraction(1, 4))
+    argv = ["verify", "code", "--spec", _spec_file(tmp_path, "trevisan", spec)]
+    rc, report, err = _run(capsys, argv + (["--budget", budget] if budget else []))
+    assert rc == cli.EXIT_INCONCLUSIVE
+    pairs = spec.code.codeword_bits << spec.code.message_bits
+    assert report["inconclusive"] == (
+        f"code verification needs {pairs} items, exceeding the budget of {report['budget']}"
+    )
+    assert err == f"inconclusive: {report['inconclusive']}\n"
+
+
+@pytest.mark.parametrize(
+    "budget, rc", [(1 << 18, cli.EXIT_PASS), ((1 << 18) - 1, cli.EXIT_INCONCLUSIVE)]
+)
+def test_default_code_is_enumerated_exactly_at_its_pair_count(capsys, budget, rc):
+    # CodeSpec(3, 4): 2^12 messages x 64 positions
+    assert _run(capsys, ["verify", "code", "--budget", str(budget)])[0] == rc
+
+
+@pytest.mark.parametrize("width", [31, 40])
+def test_wide_stated_universe_keeps_the_design_certificate(capsys, tmp_path, width):
+    # only the elements the sets hold count, so a spec that states a 2^31- or
+    # 2^40-point universe (its seed length) certifies as the 64-point one does
+    spec = build_trevisan("thm42", 12, 2, Fraction(1, 4))
+    rc, plain, _ = _run(capsys, ["verify", "design", "--spec", _spec_file(tmp_path, "plain", spec)])
+    assert rc == cli.EXIT_PASS
+
+    def widen(data):
+        data["t"] = data["design"]["t"] = 1 << width
+
+    path = _edited_spec_file(tmp_path, spec, widen)
+    rc, wide, err = _run(capsys, ["verify", "design", "--spec", path])
+    assert (rc, err) == (cli.EXIT_PASS, "")
+    assert wide["specDigest"] != plain["specDigest"]
+    [check] = wide["checks"]
+    assert check == plain["checks"][0]
+    assert (check["detail"]["maxOverlap"], check["detail"]["maxWeakSumRatio"]) == (0, "1")

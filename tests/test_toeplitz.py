@@ -139,3 +139,20 @@ def test_few_strings_over_many_seeds(support):
     source = FlatSource.from_ints(14, support)
     expect = ref_joint_seed_output_distance(ext.extract, 14, spec.seed_bits, 2, source.support)
     assert extractor_distance(ext, source) == expect
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (9, 3), (17, 8), (40, 9), (62, 1)])
+def test_both_paths_match_the_explicit_matrix_at_any_width(n, m):
+    # the inputs are bit-reversed across byte boundaries and any shift down
+    spec = ToeplitzSpec(n, m)
+    ext = ToeplitzExtractor(spec)
+    xs = sorted({0, 1, (1 << n) - 1, 0x5A5A5A5A5A5A5A5A % (1 << n), 1 << (n - 1)})
+    seeds = [0, 1, (1 << spec.seed_bits) - 1, 0x123456789ABCDEF % (1 << spec.seed_bits)]
+    table = ext.extract_table(ext.prepare_batch(xs), np.array(seeds, dtype=np.int64))
+    for row, seed in enumerate(seeds):
+        matrix = ref_toeplitz_matrix([(seed >> i) & 1 for i in range(spec.seed_bits)], n, m)
+        for col, x in enumerate(xs):
+            expect = ref_matrix_vector(matrix, [(x >> j) & 1 for j in range(n)])
+            got = toeplitz_extract(spec, BitString(x, n), BitString(seed, spec.seed_bits))
+            assert list(got.bits()) == expect
+            assert table[row, col] == got.to_int()
