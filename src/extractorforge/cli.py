@@ -332,7 +332,7 @@ def _verify_design_target(spec, budget, test_seed):
 
 def _verify_code_target(spec, budget, test_seed):
     code = CodeSpec(3, 4) if spec is None else spec.code
-    rng = CounterRng(0xC0DE, code.field_width, code.message_symbols)
+    rng = CounterRng(0xC0DE, test_seed, code.field_width, code.message_symbols)
     trials = min(2000, max(100, budget // 1000))
     bad = 0
     for _ in range(trials):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import BitString
-from .gf2 import get_field, horner, split_symbols
+from .gf2 import MAX_FIELD_WIDTH, get_field, horner, split_symbols
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,10 @@ class CodeSpec:
     message_symbols: int
 
     def __post_init__(self):
-        if self.field_width < 1:
-            raise ValueError(f"field width must be >= 1, got {self.field_width}")
+        if not 1 <= self.field_width <= MAX_FIELD_WIDTH:
+            raise ValueError(
+                f"field width must be in [1, {MAX_FIELD_WIDTH}], got {self.field_width}"
+            )
         if not 1 <= self.message_symbols <= (1 << self.field_width):
             raise ValueError(
                 f"message symbols must be in [1, 2^{self.field_width}], "

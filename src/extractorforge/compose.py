@@ -112,13 +112,21 @@ class BlockSpec:
     bits from the first half at entropy n/2 - b; E2 feeds E1's seed by
     extracting from the second half at entropy n/2 - b - log2(1/eps).
     The composed error budget is eps + eps1 + eps2 with equal splits.
+    Stored: b, E1 and E2.  Derived: n is the sum of the halves and eps is
+    E1's target.
     """
 
-    n: int
     b: int
-    epsilon: Fraction
     e1: ExtractorSpec
     e2: ExtractorSpec
+
+    @property
+    def n(self) -> int:
+        return self.e1.n + self.e2.n
+
+    @property
+    def epsilon(self) -> Fraction:
+        return self.e1.epsilon_target
 
     @property
     def error_budget(self) -> Fraction:
@@ -169,28 +177,44 @@ def build_high_entropy_extractor(
     m1 = -(-(half - b) // 2)
     e1 = build_trevisan(PRESET_THM42, half, m1, epsilon)
     e2 = build_trevisan(PRESET_THM43, half, e1.t, epsilon)
-    return BlockSpec(n=n, b=b, epsilon=epsilon, e1=e1, e2=e2)
+    return BlockSpec(b=b, e1=e1, e2=e2)
 
 
 @dataclass(frozen=True)
 class PipelineSpec:
     """Condense-then-extract pipeline with its parameter bookkeeping.
 
-    zeta is fixed by formula from beta, alpha = 2(1 - beta)(1 - zeta) - 1,
-    and the total error is the condenser's 2 * eps plus the composed
-    extractor's 3 * eps.  Every rounding applied during resolution is
-    recorded in ``rounding``.
+    Stored: beta, the condenser, the block extractor and ``rounding`` (every
+    rounding applied during resolution).  Derived: n, k, alpha and eps are
+    the condenser's, and zeta is fixed by formula from beta; the builder
+    picks alpha = 2(1 - beta)(1 - zeta) - 1.  The total error is the
+    condenser's 2 * eps plus the composed extractor's 3 * eps.
     """
 
-    n: int
-    k: int
     beta: Fraction
-    zeta: Fraction
-    alpha: Fraction
-    epsilon: Fraction
     condenser: CondenserSpec
     extractor: BlockSpec
     rounding: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return self.condenser.n
+
+    @property
+    def k(self) -> int:
+        return self.condenser.k
+
+    @property
+    def alpha(self) -> Fraction:
+        return self.condenser.alpha
+
+    @property
+    def epsilon(self) -> Fraction:
+        return self.condenser.epsilon
+
+    @property
+    def zeta(self) -> Fraction:
+        return default_zeta(self.beta)
 
     @property
     def error_budget(self) -> Fraction:
@@ -228,8 +252,7 @@ def build_pipeline(
             f"beta must satisfy 0 <= beta < 1/2, got {beta}",
             constraint="beta < 1/2",
         )
-    zeta = default_zeta(beta)
-    alpha = 2 * (1 - beta) * (1 - zeta) - 1
+    alpha = 2 * (1 - beta) * (1 - default_zeta(beta)) - 1
     rounding: list[str] = []
 
     condenser = build_condenser(n, k, epsilon, alpha)
@@ -247,14 +270,4 @@ def build_pipeline(
         rounding.append(f"rounded storage bound b = beta*k = {b_exact} up to {b}")
 
     extractor = build_high_entropy_extractor(inner_n, b, epsilon)
-    return PipelineSpec(
-        n=n,
-        k=k,
-        beta=beta,
-        zeta=zeta,
-        alpha=alpha,
-        epsilon=epsilon,
-        condenser=condenser,
-        extractor=extractor,
-        rounding=tuple(rounding),
-    )
+    return PipelineSpec(beta, condenser, extractor, tuple(rounding))

@@ -163,31 +163,26 @@ def build_poly_design(num_sets: int, set_size: int) -> Design:
     )
 
 
-def build_greedy_weak_design(
-    num_sets: int,
-    set_size: int,
-    rho: Fraction | int = 2,
-    t_initial: int | None = None,
-) -> Design:
+def build_greedy_weak_design(num_sets: int, set_size: int, rho: Fraction | int = 2) -> Design:
     """Weak design by greedy acceptance over a deterministic candidate stream.
 
     Candidate sets are drawn from the counter-based stream keyed by the
     universe size, the set index, and the trial number.  Set i keeps its
     first candidate, in trial order, with weak sum
     sum(2^|S_i intersect S_j|, j < i) <= rho * (num_sets - 1); if no
-    candidate passes within the trial budget the universe doubles and the
-    construction restarts.  The returned design therefore satisfies the weak
-    bound by construction, and is recertified before being returned.
+    candidate passes within the trial budget the universe, which starts at
+    4 * set_size, doubles and the construction restarts.  The returned
+    design therefore satisfies the weak bound by construction, and is
+    recertified before being returned.
 
     The candidates are those of the scalar stream, word for word (see
     :mod:`detrand`), and the acceptance rule is unchanged, so every design
     and the final universe size t, which the same failures decide, are those
     of a loop that draws and scores one candidate at a time.  Only the
-    order of work differs: trial 0 of every set is drawn in one block per
-    universe, and the weak sum of each pending trial-0 candidate is kept up
-    to date with one gather per accepted set; later trials are drawn in
-    growing chunks only for sets whose earlier trials fail, and scored
-    against the accepted sets with one gather.  Weak sums are integers
+    order of draws differs: trial 0 of every set is drawn in one block per
+    universe, and later trials in growing chunks only for sets whose earlier
+    trials fail.  Every candidate is scored the same way, by one gather over
+    the incidence of the sets accepted so far; weak sums are integers
     compared with floor(rho * (num_sets - 1)).
     """
     rho = Fraction(rho)
@@ -195,9 +190,7 @@ def build_greedy_weak_design(
         raise ValueError(f"rho must be >= 1, got {rho}")
     if num_sets < 1 or set_size < 1:
         raise ValueError("need num_sets >= 1 and set_size >= 1")
-    t = t_initial if t_initial is not None else 4 * set_size
-    if t < set_size:
-        raise ValueError(f"universe {t} smaller than set size {set_size}")
+    t = 4 * set_size
     # a weak sum is an integer of at most (num_sets - 1) 2^set_size, so
     # capping floor(rho (num_sets - 1)) there leaves every comparison as it is
     most = (num_sets - 1) << set_size
@@ -231,58 +224,38 @@ def build_greedy_weak_design(
 
 def _greedy_sets(num_sets, set_size, t, bound, powers) -> tuple[np.ndarray, int] | None:
     """The greedy sets in universe t as a (num_sets, set_size) array, with
-    their largest weak sum; None if some set exhausts its trials."""
+    their largest weak sum; None if some set exhausts its trials.  Trials
+    after trial 0 are drawn in chunks of 8, 32, 128, ... up to the budget."""
     stream = CounterRng(_GREEDY_STREAM_KEY, t)
-    first = _candidates(stream.derive_bases(np.arange(num_sets), 0), set_size, t)
-    # incidence columns: [e, j] says element e lies in set j's trial-0
-    # candidate, or in accepted set j
-    first_incidence = np.zeros((t, num_sets), dtype=bool)
-    first_incidence[first, np.arange(num_sets)[:, None]] = True
-    accepted = np.zeros((t, num_sets), dtype=bool)
-    first_sums = np.zeros(num_sets, dtype=powers.dtype)
-    overlap_type = np.min_scalar_type(set_size)
-    sets = np.empty_like(first)
+    # row i holds set i's trial-0 candidate until set i is chosen
+    sets = _candidates(stream.derive_bases(np.arange(num_sets), 0), set_size, t)
+    # [e, j] is 1 if element e lies in accepted set j, in a type that holds any overlap
+    accepted = np.zeros((t, num_sets), dtype=np.min_scalar_type(set_size))
     max_sum = 0
     for i in range(num_sets):
-        if first_sums[i] <= bound:
-            chosen, weak_sum = first[i], first_sums[i]
-        else:
-            found = _later_trial(stream.derive(i), accepted[:, :i], set_size, t, bound, powers)
-            if found is None:
+        candidates, trial, chunk = sets[i : i + 1], 1, 8
+        while True:
+            overlaps = accepted[candidates, :i].sum(axis=1, dtype=accepted.dtype)
+            weak_sums = powers[overlaps].sum(axis=1)
+            first = int((weak_sums <= bound).argmax())  # 0 if none passes
+            if weak_sums[first] <= bound:
+                break
+            if trial >= _GREEDY_TRIALS_PER_SET:
                 return None
-            chosen, weak_sum = found
-        sets[i] = chosen
-        accepted[chosen, i] = True
-        max_sum = max(max_sum, int(weak_sum))
-        overlaps = np.add.reduce(first_incidence[chosen, i + 1 :], axis=0, dtype=overlap_type)
-        first_sums[i + 1 :] += powers[overlaps]
+            trials = np.arange(trial, min(trial + chunk, _GREEDY_TRIALS_PER_SET))
+            candidates = _candidates(stream.derive_bases(i, trials), set_size, t)
+            trial += chunk
+            chunk *= 4
+        sets[i] = candidates[first]
+        accepted[sets[i], i] = 1
+        max_sum = max(max_sum, int(weak_sums[first]))
     return sets, max_sum
-
-
-def _later_trial(stream, accepted, set_size, t, bound, powers):
-    """(candidate, weak sum) of the first passing trial after trial 0 of the
-    set whose candidates ``stream`` derives, or None.  Trials are drawn in
-    chunks of 8, 32, 128, ... up to the budget."""
-    overlap_type = np.min_scalar_type(set_size)
-    trial, chunk = 1, 8
-    while trial < _GREEDY_TRIALS_PER_SET:
-        trials = np.arange(trial, min(trial + chunk, _GREEDY_TRIALS_PER_SET))
-        candidates = _candidates(stream.derive_bases(trials), set_size, t)
-        overlaps = np.add.reduce(accepted[candidates], axis=1, dtype=overlap_type)
-        weak_sums = powers[overlaps].sum(axis=1)
-        passing = np.flatnonzero(weak_sums <= bound)
-        if passing.size:
-            return candidates[passing[0]], weak_sums[passing[0]]
-        trial += chunk
-        chunk *= 4
-    return None
 
 
 def _candidates(bases: np.ndarray, set_size: int, t: int) -> np.ndarray:
     """Sorted candidate sets, one row per candidate stream."""
     values, _ = sample_distinct_rows(bases, set_size, t)
     return np.sort(values.astype(np.int64), axis=1)
-
 
 
 def restrict_seed(y: BitString, positions: Sequence[int]) -> int:

@@ -19,11 +19,13 @@ Quirks of the format, kept so that every digest stays what it was:
 * an integer key holds a JSON integer, a Fraction key a pair of them, and
   a design's ``sets`` sorted, distinct integers in its universe; anything
   else fails the load with ``ValueError``;
-* ``errorBudget``, ``seedBits`` and ``outputBits`` are stated, not read:
-  the spec derives them, so an entry whose read is None is recomputed from
-  the decoded spec; what the file states must pass the integer or pair
-  check of the derived value and equal it, or the load raises
-  ``ValueError``.
+* a Trevisan spec's ``t``, a block composite's ``n``, ``epsilon`` and
+  ``errorBudget``, and a pipeline's ``n``, ``k``, ``epsilon``, ``alpha``,
+  ``zeta``, ``errorBudget``, ``seedBits`` and ``outputBits`` are stated,
+  not read: the spec derives them from its parts, so an entry whose read
+  is None is recomputed from the decoded spec; what the file states must
+  pass the integer or pair check of the derived value and equal it, or the
+  load raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ _CODEC = {
     )),
     ExtractorSpec: ("trevisan", (
         ("n", "n", _INT),
-        ("t", "t", _INT),
+        ("t", "t", _STATED),
         ("m", "m", _INT),
         ("preset", "preset", _PLAIN),
         ("epsilonTarget", "epsilon_target", _FRACTION),
@@ -153,20 +155,20 @@ _CODEC = {
         ("modulusE", "modulus", _MODULUS),
     )),
     BlockSpec: ("blockComposed", (
-        ("n", "n", _INT),
+        ("n", "n", _STATED),
         ("b", "b", _INT),
-        ("epsilon", "epsilon", _FRACTION),
+        ("epsilon", "epsilon", _STATED_FRACTION),
         ("errorBudget", "error_budget", _STATED_FRACTION),
         ("e1", "e1", _nested(ExtractorSpec)),
         ("e2", "e2", _nested(ExtractorSpec)),
     )),
     PipelineSpec: ("pipeline", (
-        ("n", "n", _INT),
-        ("k", "k", _INT),
+        ("n", "n", _STATED),
+        ("k", "k", _STATED),
         ("beta", "beta", _FRACTION),
-        ("zeta", "zeta", _FRACTION),
-        ("alpha", "alpha", _FRACTION),
-        ("epsilon", "epsilon", _FRACTION),
+        ("zeta", "zeta", _STATED_FRACTION),
+        ("alpha", "alpha", _STATED_FRACTION),
+        ("epsilon", "epsilon", _STATED_FRACTION),
         ("errorBudget", "error_budget", _STATED_FRACTION),
         ("seedBits", "seed_bits", _STATED),
         ("outputBits", "output_bits", _STATED),

@@ -46,7 +46,6 @@ class ExtractorSpec:
     """Fully resolved parameter bundle; spec plus (x, y) fixes every bit."""
 
     n: int
-    t: int
     m: int
     design: Design
     code: CodeSpec
@@ -64,14 +63,16 @@ class ExtractorSpec:
                 f"design set size {self.design.set_size} does not match "
                 f"code index width {self.code.index_bits}"
             )
-        if self.design.universe_size != self.t:
-            raise ValueError("design universe must equal the seed length")
         if self.design.num_sets < self.m:
             raise ValueError(
                 f"design has {self.design.num_sets} sets, need {self.m}"
             )
         if self.code.message_bits < self.n:
             raise ValueError("code message is shorter than the source")
+
+    @property
+    def t(self) -> int:  # the seed length
+        return self.design.universe_size
 
 
 def _resolve_field_width(n: int, m: int, epsilon: Fraction) -> int:
@@ -112,7 +113,6 @@ def build_trevisan(preset: str, n: int, m: int, epsilon: Fraction | float) -> Ex
         raise ValueError(f"unknown preset {preset!r}; use custom_spec for custom designs")
     return ExtractorSpec(
         n=n,
-        t=design.universe_size,
         m=m,
         design=design,
         code=code,
@@ -127,7 +127,6 @@ def custom_spec(
     """Assemble a spec from explicit parts; dimension checks still apply."""
     return ExtractorSpec(
         n=n,
-        t=design.universe_size,
         m=m,
         design=design,
         code=code,

@@ -283,11 +283,11 @@ def ref_guv_condense(spec, x: int, y: int) -> int:
     return out
 
 
-def ref_greedy_weak_design(num_sets, set_size, rho=2, t_initial=None):
+def ref_greedy_weak_design(num_sets, set_size, rho=2):
     """(universe size, sets, certified ratio) of the greedy weak design,
     drawing and scoring one candidate at a time with exact Fractions."""
     rho = Fraction(rho)
-    t = t_initial if t_initial is not None else 4 * set_size
+    t = 4 * set_size
     bound = rho * (num_sets - 1)
     for _ in range(designs._GREEDY_MAX_DOUBLINGS):
         sets, masks = [], []

@@ -10,7 +10,7 @@ import pytest
 
 from extractorforge import cli
 from extractorforge.bits import BitString
-from extractorforge.codes import CodeSpec
+from extractorforge.codes import CodeSpec, encode_bit
 from extractorforge.compose import build_high_entropy_extractor, build_pipeline
 from extractorforge.condenser import StrongCondenserMap, build_condenser, guv_condense
 from extractorforge.designs import build_poly_design
@@ -302,15 +302,16 @@ def test_verify_pipeline_false_design_overlap_fails(capsys, tmp_path, pipeline_s
 
 
 def test_verify_pipeline_infeasible_parameters_fail_the_rebuild(capsys, tmp_path, pipeline_spec):
+    # beta = 1/2 fixes zeta = 0, so the file loads, but the builder refuses it
     def edit(data):
-        data["k"] = 0
+        data.update(beta=[1, 2], zeta=[0, 1])
 
     path = _edited_spec_file(tmp_path, pipeline_spec, edit)
     rc, report, _ = _run(capsys, ["verify", "pipeline", "--spec", path])
     assert rc == cli.EXIT_FAIL
     rebuild = report["checks"][-1]
     assert rebuild["passed"] is False
-    assert rebuild["detail"]["rebuilt"] == "infeasible: need 0 < k <= n, got k=0, n=24"
+    assert rebuild["detail"]["rebuilt"] == "infeasible: beta must satisfy 0 <= beta < 1/2, got 1/2"
 
 
 _FALSE_NUMBERS = {"errorBudget": [1, 1000], "seedBits": 40, "outputBits": 99}
@@ -341,6 +342,105 @@ def test_pipeline_must_agree_with_its_stated_numbers(capsys, tmp_path, pipeline_
     assert rc == cli.EXIT_BAD_SPEC
     assert report is None
     assert err.startswith(f"unreadable spec: {keys[0]} is ")
+
+
+_DERIVED_SPECS = {
+    # name -> (builder, the verify target that loads the spec)
+    "pipeline": (lambda: build_pipeline(24, 8, Fraction(1, 4), Fraction(1, 4)), "pipeline"),
+    "block": (lambda: build_high_entropy_extractor(42, 2, Fraction(1, 4)), "design"),
+    "trevisan": (lambda: build_trevisan("thm43", 12, 2, Fraction(1, 4)), "extractor"),
+}
+
+
+@pytest.fixture(scope="module")
+def derived_specs():
+    return {name: build() for name, (build, _) in _DERIVED_SPECS.items()}
+
+
+@pytest.mark.parametrize(
+    "name, edits",
+    [
+        ("pipeline", {"n": 500}),
+        ("pipeline", {"k": 3}),
+        ("pipeline", {"k": 0}),
+        ("pipeline", {"n": 500, "k": 3}),
+        ("pipeline", {"epsilon": [1, 8]}),
+        ("pipeline", {"alpha": [1, 1]}),
+        ("pipeline", {"zeta": [1, 4]}),
+        ("block", {"n": 999}),
+        ("block", {"epsilon": [1, 8]}),
+        ("trevisan", {"t": 33}),
+    ],
+    ids=["pipeline-n", "pipeline-k", "pipeline-k0", "pipeline-n+k", "pipeline-epsilon",
+         "pipeline-alpha", "pipeline-zeta", "block-n", "block-epsilon", "trevisan-t"],
+)
+def test_number_the_parts_fix_must_agree(capsys, tmp_path, derived_specs, name, edits):
+    # n, k, epsilon, alpha and zeta of a pipeline, n and epsilon of a block
+    # composite and t of a Trevisan spec are read from the parts; a file
+    # that states another value is unreadable
+    spec = derived_specs[name]
+    path = _edited_spec_file(tmp_path, spec, lambda data: data.update(edits))
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(bytes(range(64)))
+    seed = "5a" * -(-cli.make_evaluator(spec).seed_bits // 8)
+    key = next(iter(edits))
+    for argv in (
+        ["extract", "--spec", path, "--in", str(infile), "--out", str(tmp_path / "out.bin"),
+         "--seed", seed],
+        ["verify", _DERIVED_SPECS[name][1], "--spec", path],
+    ):
+        rc, report, err = _run(capsys, argv)
+        assert (rc, report) == (cli.EXIT_BAD_SPEC, None)
+        assert err.startswith(f"unreadable spec: {key} is {edits[key]!r} but the spec gives ")
+
+
+def _wide_code_file(tmp_path):
+    """A custom Trevisan spec over CodeSpec(40, 1), wider than any field
+    the program builds, with a design that fits it (80-element sets)."""
+    design = build_poly_design(1, 80)
+    data = {
+        "type": "trevisan", "preset": "custom", "n": 40, "m": 1, "t": design.universe_size,
+        "epsilonTarget": [1, 4], "code": {"w": 40, "messageSymbols": 1},
+        "design": {"t": design.universe_size, "l": design.set_size, "kind": design.kind,
+                   "sets": [list(s) for s in design.sets], "certifiedOverlap": 0},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["extract", "verify-code"])
+def test_code_wider_than_any_field_is_an_unreadable_spec(capsys, tmp_path, command):
+    path = _wide_code_file(tmp_path)
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(bytes(range(8)))
+    argv = {
+        "extract": ["extract", "--spec", path, "--in", str(infile),
+                    "--out", str(tmp_path / "out.bin"), "--seed", "5a"],
+        "verify-code": ["verify", "code", "--spec", path],
+    }[command]
+    rc, report, err = _run(capsys, argv)
+    assert (rc, report) == (cli.EXIT_BAD_SPEC, None)
+    assert err == "unreadable spec: field width must be in [1, 32], got 40\n"
+
+
+def test_verify_code_draws_its_pairs_from_the_test_seed(capsys, monkeypatch):
+    calls = []
+
+    def spy(code, x, index):
+        calls.append((x.to_int(), index))
+        return encode_bit(code, x, index)
+
+    monkeypatch.setattr(cli, "encode_bit", spy)
+    drawn = {}
+    for test_seed in (1, 7, 1):
+        calls.clear()
+        rc, report, _ = _run(capsys, ["verify", "code", "--test-seed", str(test_seed)])
+        assert rc == cli.EXIT_PASS and report["testSeed"] == test_seed
+        assert calls
+        drawn.setdefault(test_seed, list(calls))
+        assert calls == drawn[test_seed]  # the same seed replays the same pairs
+    assert drawn[1] != drawn[7]
 
 
 @pytest.mark.parametrize("preset", [None, [1, 2], 0])

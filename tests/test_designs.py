@@ -68,13 +68,14 @@ def test_disjoint_sets_meet_rho_one_bound():
 
 
 def test_greedy_rho_one_within_bound():
-    d = build_greedy_weak_design(4, 4, rho=1, t_initial=32)
+    d = build_greedy_weak_design(4, 4, rho=1)
+    assert d.universe_size == 32  # one doubling from 4l = 16
     assert d.certified_overlap <= 1
     assert verify_design(d).valid
 
 
 def test_greedy_weak_bound_certified():
-    d = build_greedy_weak_design(8, 4, rho=2, t_initial=16)
+    d = build_greedy_weak_design(8, 4, rho=2)
     assert d.certified_overlap <= 2
     report = verify_design(d)
     assert report.valid
@@ -82,8 +83,8 @@ def test_greedy_weak_bound_certified():
 
 
 def test_greedy_deterministic():
-    a = build_greedy_weak_design(8, 4, rho=2, t_initial=16)
-    b = build_greedy_weak_design(8, 4, rho=2, t_initial=16)
+    a = build_greedy_weak_design(8, 4, rho=2)
+    b = build_greedy_weak_design(8, 4, rho=2)
     assert a == b
 
 
@@ -134,7 +135,7 @@ def test_restrict_seed_ignores_outside_bits():
 
 def test_design_json_roundtrip():
     # a design has no type tag of its own; it travels inside an extractor spec
-    for d in (build_poly_design(16, 4), build_greedy_weak_design(8, 4, 2, 16)):
+    for d in (build_poly_design(16, 4), build_greedy_weak_design(8, 4, 2)):
         spec = custom_spec(8, CodeSpec(2, 4), d, d.num_sets, Fraction(1, 4))
         data = json.loads(spec_to_json(spec))["design"]
         assert set(data) == {"t", "l", "kind", "sets", "certifiedOverlap"}
@@ -157,22 +158,22 @@ def test_poly_design_matches_horner_reference(num_sets, set_size):
 
 
 @pytest.mark.parametrize(
-    "num_sets, set_size, rho, t_initial",
+    "num_sets, set_size, rho",
     [
-        (256, 22, 2, 88),  # thm43's design at m = 256: 88, 176 and 352 fail
-        (64, 8, 1, None),  # rho = 1, five doublings
-        (40, 6, 1, 8),
-        (100, 10, Fraction(3, 2), None),
-        (300, 9, 2, None),
-        (8, 4, 2, 16),
-        (1, 4, 2, None),
-        (3, 62, 2, None),  # weak sums past int64 are Python ints
+        (256, 22, 2),  # thm43's design at m = 256: 88, 176 and 352 fail
+        (64, 8, 1),  # rho = 1, five doublings
+        (40, 6, 1),  # doubles from 24 to 384
+        (100, 10, Fraction(3, 2)),
+        (300, 9, 2),
+        (8, 4, 2),
+        (1, 4, 2),
+        (3, 62, 2),  # weak sums past int64 are Python ints
     ],
 )
-def test_greedy_matches_one_candidate_at_a_time(num_sets, set_size, rho, t_initial):
-    d = build_greedy_weak_design(num_sets, set_size, rho, t_initial)
+def test_greedy_matches_one_candidate_at_a_time(num_sets, set_size, rho):
+    d = build_greedy_weak_design(num_sets, set_size, rho)
     assert (d.universe_size, d.sets, d.certified_overlap) == ref_greedy_weak_design(
-        num_sets, set_size, rho, t_initial
+        num_sets, set_size, rho
     )
 
 

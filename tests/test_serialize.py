@@ -52,6 +52,41 @@ CANONICAL = {
 }
 
 
+# sha256 of the canonical JSON of builder outputs.  A pipeline's n, k,
+# epsilon, alpha and zeta, a block composite's n and epsilon and a Trevisan
+# spec's t are written from the spec's parts, and these files must keep
+# their bytes, and so their digests.
+BUILDER_DIGESTS = [
+    (lambda: build_trevisan("thm42", 21, 11, QUARTER),
+     "c53f1220b5d0c6d73d4677b06964ede28e480ec6b307f66f4a7a61a2ec79ef14"),
+    (lambda: build_trevisan("thm43", 21, 256, QUARTER),
+     "adb513b44d6a6a185efbbc9f728103dcf7b3fb2ac0457cff82535b33ee093f09"),
+    (lambda: build_high_entropy_extractor(42, 2, QUARTER),
+     "4f35f21f976aaa65657da1c90fd5e1b3b88f92433357442d03a510dc094b1a9c"),
+    (lambda: build_high_entropy_extractor(64, 8, QUARTER),
+     "027b0cc024bf73695a587e21dece6b9efe47dc8caefabfee52574ee003a12973"),
+    (lambda: build_high_entropy_extractor(128, 16, Fraction(1, 16)),
+     "32e60e9b764c04255e9ed3975e4e800c57306714672eba10c23ebe7c513f0532"),
+    (lambda: build_pipeline(24, 8, QUARTER, QUARTER),
+     "939ea1c9da7f1132fa43fec721cf1a255ae2d16e5efe2e8a079da21ceaf6d94e"),
+    (lambda: build_pipeline(24, 8, 0, Fraction(1, 8)),
+     "9fa381b2d066f9bef2bd3933dc7b780895e1d0356bfa63008d4be9e2d30944f3"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    BUILDER_DIGESTS,
+    ids=["thm42-21-11", "thm43-21-256", "block-42-2", "block-64-8", "block-128-16",
+         "pipeline-24-8-quarter", "pipeline-24-8-zero"],
+)
+def test_builder_output_bytes_pinned(build, digest):
+    spec = build()
+    text = spec_to_json(spec)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert spec_from_json(text) == spec
+
+
 @pytest.fixture(scope="module")
 def specs():
     return {tag: build() for tag, (build, _) in PINNED.items()}

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from extractorforge.oracle import (
     extractor_distance,
     sample_flat_sources,
 )
+from extractorforge.serialize import spec_from_json, spec_to_json
 from extractorforge.trevisan import (
     ExtractorSpec,
     TrevisanExtractor,
@@ -139,20 +141,13 @@ def test_length_checks():
 
 def test_spec_wiring_validated():
     good = build_trevisan("thm42", 8, 2, Fraction(1, 4))
+    data = json.loads(spec_to_json(good))
+    data["t"] += 1
+    with pytest.raises(ValueError, match=f"t is {good.t + 1} but the spec gives {good.t}"):
+        spec_from_json(json.dumps(data))
     with pytest.raises(ValueError):
         ExtractorSpec(
             n=good.n,
-            t=good.t + 1,
-            m=good.m,
-            design=good.design,
-            code=good.code,
-            preset="custom",
-            epsilon_target=good.epsilon_target,
-        )
-    with pytest.raises(ValueError):
-        ExtractorSpec(
-            n=good.n,
-            t=good.t,
             m=good.design.num_sets + 1,
             design=good.design,
             code=good.code,
@@ -179,7 +174,7 @@ def test_batch_table_matches_scalar_extract():
         build_trevisan("thm43", 8, 2, Fraction(1, 4)),
         # m > 8: outputs packed into int64; 24 support positions
         custom_spec(
-            12, CodeSpec(3, 4), build_greedy_weak_design(10, 6, 2, 24), 10, Fraction(1, 4)
+            12, CodeSpec(3, 4), build_greedy_weak_design(10, 6, 2), 10, Fraction(1, 4)
         ),
         _wide_code_spec(),
     ):
@@ -223,11 +218,12 @@ def test_batch_path_declined_above_width_16():
     assert TrevisanExtractor(spec).prepare_batch([0, 1]) is None
 
 
-def test_desk_scale_distance_within_target_custom_t16():
-    # n=12, t=16, m=2 with an explicit width-3 code and weak design
+def test_desk_scale_distance_within_target_custom_t24():
+    # n=12, t=24, m=2 with an explicit width-3 code and weak design; the
+    # worst of the 15 sources is 79393/524288
     code = CodeSpec(3, 4)
-    design = build_greedy_weak_design(2, 6, 2, 16)
-    assert design.universe_size == 16
+    design = build_greedy_weak_design(2, 6, 2)
+    assert design.universe_size == 24
     spec = custom_spec(12, code, design, 2, Fraction(1, 4))
     ext = TrevisanExtractor(spec)
     for source in sample_flat_sources(12, 9, 15, seed=21):
