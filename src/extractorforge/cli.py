@@ -9,6 +9,9 @@ Three commands:
 Each verify target is one ``_TARGETS`` row: the generator of its checks and
 its spec rule (the spec types it accepts, whether ``--spec`` is required,
 and the message for any other spec), which ``cmd_verify`` alone applies.
+The ``pipeline`` target takes a pipeline spec or the block composite that
+``params --mode qproof`` writes: it recertifies both designs and rebuilds
+the spec from its stated parameters to compare digests.
 
 Exit codes are a stable contract: 0 pass, 1 verification failure, 2 usage
 error (also an output file that cannot be written, or a --budget below 1),
@@ -422,15 +425,20 @@ def _verify_lemmas_target(spec, budget, test_seed):
 
 
 def _verify_pipeline_target(spec, budget, test_seed):
-    blocks = spec.extractor
+    if isinstance(spec, PipelineSpec):
+        kind, blocks = "pipeline", spec.extractor
+        rebuild = partial(build_pipeline, spec.n, spec.k, spec.beta, spec.epsilon)
+    else:
+        kind, blocks = "block", spec
+        rebuild = partial(build_high_entropy_extractor, spec.n, spec.b, spec.epsilon)
     yield from _design_checks([("e1 design", blocks.e1.design), ("e2 design", blocks.e2.design)])
     digest = spec_digest(spec)
     try:
-        rebuilt = spec_digest(build_pipeline(spec.n, spec.k, spec.beta, spec.epsilon))
+        rebuilt = spec_digest(rebuild())
     except InfeasibleParameterError as exc:
         rebuilt = f"infeasible: {exc}"
     yield _check(
-        "pipeline rebuild digest determinism", rebuilt == digest, digest=digest, rebuilt=rebuilt
+        f"{kind} rebuild digest determinism", rebuilt == digest, digest=digest, rebuilt=rebuilt
     )
 
 
@@ -446,8 +454,8 @@ _TARGETS = {
     "condenser": (_verify_condenser_target, CondenserSpec, True,
                   "condenser verification expects a condenser spec"),
     "lemmas": (_verify_lemmas_target, (), False, "lemma verification takes no spec"),
-    "pipeline": (_verify_pipeline_target, PipelineSpec, True,
-                 "pipeline verification expects a pipeline spec"),
+    "pipeline": (_verify_pipeline_target, (PipelineSpec, BlockSpec), True,
+                 "pipeline verification expects a pipeline or block spec"),
 }
 
 

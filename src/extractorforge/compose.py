@@ -9,6 +9,7 @@ Both are pure wiring; every output bit is fixed by the component specs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,19 +183,52 @@ def build_high_entropy_extractor(
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Condense-then-extract pipeline with its parameter bookkeeping.
+    """Condense-then-extract pipeline: a condenser and a block extractor.
 
-    Stored: beta, the condenser, the block extractor and ``rounding`` (every
-    rounding applied during resolution).  Derived: n, k, alpha and eps are
-    the condenser's, and zeta is fixed by formula from beta; the builder
-    picks alpha = 2(1 - beta)(1 - zeta) - 1.  The total error is the
-    condenser's 2 * eps plus the composed extractor's 3 * eps.
+    Stored: the two parts.  Derived: n, k, alpha and eps are the condenser's;
+    beta = 1/2 - alpha inverts the builder's alpha = 2(1 - beta)(1 - zeta) - 1,
+    where zeta is fixed by formula from beta; ``rounding`` notes the parity
+    pad and the rounding of b = beta k.  The parts must agree: 0 <= beta <
+    1/2, b = ceil(beta k), and the block reads the condenser's strong output
+    rounded up to even.  The total error is the condenser's 2 * eps plus the
+    composed extractor's 3 * eps.
     """
 
-    beta: Fraction
     condenser: CondenserSpec
     extractor: BlockSpec
-    rounding: tuple[str, ...]
+
+    def __post_init__(self):
+        if not 0 <= self.beta < Fraction(1, 2):
+            raise ValueError(f"beta = 1/2 - alpha = {self.beta} is outside [0, 1/2)")
+        b, strong_bits = math.ceil(self.beta * self.k), self._strong_bits
+        if self.extractor.b != b:
+            raise ValueError(f"b is {self.extractor.b} but ceil(beta*k) is {b}")
+        if self.extractor.n != strong_bits + strong_bits % 2:
+            raise ValueError(
+                f"the extractor reads {self.extractor.n} bits, not the condenser's "
+                f"{strong_bits} rounded up to even"
+            )
+
+    @property
+    def beta(self) -> Fraction:
+        return Fraction(1, 2) - self.alpha
+
+    @property
+    def _strong_bits(self) -> int:
+        return self.condenser.output_bits + self.condenser.seed_bits
+
+    @property
+    def rounding(self) -> tuple[str, ...]:
+        notes = []
+        if self.extractor.n != self._strong_bits:
+            notes.append(
+                f"padded extractor input from {self._strong_bits} to {self.extractor.n} bits"
+            )
+        if self.extractor.b != self.beta * self.k:
+            notes.append(
+                f"rounded storage bound b = beta*k = {self.beta * self.k} up to {self.extractor.b}"
+            )
+        return tuple(notes)
 
     @property
     def n(self) -> int:
@@ -253,21 +287,9 @@ def build_pipeline(
             constraint="beta < 1/2",
         )
     alpha = 2 * (1 - beta) * (1 - default_zeta(beta)) - 1
-    rounding: list[str] = []
-
     condenser = build_condenser(n, k, epsilon, alpha)
     strong_bits = condenser.output_bits + condenser.seed_bits
-    inner_n = strong_bits
-    if inner_n % 2:
-        inner_n += 1
-        rounding.append(
-            f"padded extractor input from {strong_bits} to {inner_n} bits"
-        )
-
-    b_exact = beta * k
-    b = -(-b_exact.numerator // b_exact.denominator)
-    if Fraction(b) != b_exact:
-        rounding.append(f"rounded storage bound b = beta*k = {b_exact} up to {b}")
-
-    extractor = build_high_entropy_extractor(inner_n, b, epsilon)
-    return PipelineSpec(beta, condenser, extractor, tuple(rounding))
+    extractor = build_high_entropy_extractor(
+        strong_bits + strong_bits % 2, math.ceil(beta * k), epsilon
+    )
+    return PipelineSpec(condenser, extractor)

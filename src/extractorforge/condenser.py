@@ -39,12 +39,14 @@ _MAX_SEED_WIDTH = 24
 
 @dataclass(frozen=True)
 class CondenserSpec:
+    """A resolved condenser.  Stored: n, k, eps, alpha, h, m' and E.
+    Derived: the field width w is E's field and the message symbol count
+    n_tilde is E's degree."""
+
     n: int
     k: int
     epsilon: Fraction
     alpha: Fraction
-    field_width: int
-    message_symbols: int
     power: int
     output_symbols: int
     modulus: FieldPoly
@@ -58,13 +60,23 @@ class CondenserSpec:
             raise ValueError(f"power must be a power of two >= 2, got {self.power}")
         if not 1 <= self.output_symbols <= self.message_symbols:
             raise ValueError("output symbols must be in [1, message symbols]")
-        if self.modulus.degree != self.message_symbols:
-            raise ValueError("modulus degree must equal the message symbol count")
-        e = self.modulus
-        if e.width != self.field_width or e.coeffs[-1] != 1 or not poly_irreducible(e):
+        if self.n > self.message_symbols * self.field_width:
+            raise ValueError(
+                f"a {self.n}-bit source does not fit in {self.message_symbols} "
+                f"symbols of {self.field_width} bits"
+            )
+        if self.modulus.coeffs[-1] != 1 or not poly_irreducible(self.modulus):
             raise ValueError("modulus E must be monic and irreducible over GF(2^w)")
         if self.output_bits < self.k:
             raise ValueError("output shorter than the entropy it must preserve")
+
+    @property
+    def field_width(self) -> int:
+        return self.modulus.width
+
+    @property
+    def message_symbols(self) -> int:
+        return self.modulus.degree
 
     @property
     def seed_bits(self) -> int:
@@ -127,8 +139,6 @@ def build_condenser(
             k=k,
             epsilon=epsilon,
             alpha=alpha,
-            field_width=w,
-            message_symbols=n_tilde,
             power=h,
             output_symbols=m_out,
             modulus=find_irreducible(w, n_tilde),

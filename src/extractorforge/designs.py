@@ -89,26 +89,45 @@ def _exact_powers(num_sets: int, set_size: int) -> np.ndarray:
     )
 
 
+# Sets per side of one tile of _design_stats: a tile's scratch is two
+# incidence blocks of _STATS_TILE x (elements held) float32 and a few
+# _STATS_TILE^2 arrays, whatever the set count.
+_STATS_TILE = 512
+
+
 def _design_stats(sets) -> tuple[int, Fraction]:
     """Exhaustive (max pairwise overlap, max weak-sum ratio) for a family
     of equal-size sets.
 
-    Overlaps come from a product of the incidence matrix over the elements
-    the sets hold (not the whole universe, which a spec may state as 2^40),
-    and float32 holds it exactly: every partial sum is an integer of at most
-    the set size, far below 2^24.  Weak sums add exact powers 2^overlap.
+    Overlaps come from products of incidence rows over the elements the
+    sets hold (not the whole universe, which a spec may state as 2^40), one
+    tile of sets i against sets j <= i at a time, and float32 holds them
+    exactly: every partial sum is an integer of at most the set size, far
+    below 2^24.  Weak sums add exact powers 2^overlap over j < i.
     """
     m = len(sets)
     if m <= 1:
         return 0, Fraction(0)
     elements, columns = np.unique(np.array(sets), return_inverse=True)
-    incidence = np.zeros((m, len(elements)), dtype=np.float32)
-    incidence[np.arange(m)[:, None], columns.reshape(m, -1)] = 1.0
-    overlaps = np.rint(incidence @ incidence.T).astype(np.int64)
-    below = np.tri(m, k=-1, dtype=bool)
-    max_overlap = int(overlaps[below].max())
-    weak_sums = np.where(below, _exact_powers(m, len(sets[0]))[overlaps], 0).sum(axis=1)
-    return max_overlap, Fraction(int(weak_sums.max()), m - 1)
+    columns = columns.reshape(m, -1)
+    powers = _exact_powers(m, columns.shape[1])
+
+    def incidence(start):
+        block = columns[start : start + _STATS_TILE]
+        rows = np.zeros((len(block), len(elements)), dtype=np.float32)
+        rows[np.arange(len(block))[:, None], block] = 1.0
+        return rows
+
+    max_overlap, max_sum = 0, 0
+    for i in range(0, m, _STATS_TILE):
+        rows, weak_sums = incidence(i), 0
+        for j in range(0, i + 1, _STATS_TILE):
+            overlaps = np.rint(rows @ incidence(j).T).astype(np.int64)
+            below = np.tri(*overlaps.shape, k=-1, dtype=bool) if j == i else True
+            max_overlap = max(max_overlap, int(np.where(below, overlaps, 0).max()))
+            weak_sums = weak_sums + np.where(below, powers[overlaps], 0).sum(axis=1)
+        max_sum = max(max_sum, int(weak_sums.max()))
+    return max_overlap, Fraction(max_sum, m - 1)
 
 
 def verify_design(design: Design) -> DesignReport:

@@ -14,18 +14,20 @@ Quirks of the format, kept so that every digest stays what it was:
   integral (``"alpha": [1, 1]``), except a design's ``certifiedOverlap``,
   which is a bare int when integral;
 * ``modulusE`` is the list of E's coefficients, lowest degree first, and
-  is read back as a ``FieldPoly`` over the spec's ``w``;
+  is read back as a ``FieldPoly`` over the field of the condenser's ``w``;
 * ``sets`` and ``rounding`` are lists in JSON and tuples in Python;
-* an integer key holds a JSON integer, a Fraction key a pair of them, and
-  a design's ``sets`` sorted, distinct integers in its universe; anything
-  else fails the load with ``ValueError``;
-* a Trevisan spec's ``t``, a block composite's ``n``, ``epsilon`` and
-  ``errorBudget``, and a pipeline's ``n``, ``k``, ``epsilon``, ``alpha``,
-  ``zeta``, ``errorBudget``, ``seedBits`` and ``outputBits`` are stated,
-  not read: the spec derives them from its parts, so an entry whose read
-  is None is recomputed from the decoded spec; what the file states must
-  pass the integer or pair check of the derived value and equal it, or the
-  load raises ``ValueError``.
+* an integer key holds a JSON integer, a Fraction key a pair of them, a
+  string list strings, and a design's ``sets`` sorted, distinct integers in
+  its universe; anything else fails the load with ``ValueError``;
+* a Trevisan spec's ``t``, a condenser's ``w`` and ``messageSymbols``, a
+  block composite's ``n``, ``epsilon`` and ``errorBudget``, and a
+  pipeline's ``n``, ``k``, ``beta``, ``zeta``, ``alpha``, ``epsilon``,
+  ``errorBudget``, ``seedBits``, ``outputBits`` and ``rounding`` are
+  stated, not read: the spec derives them from its parts, so an entry whose
+  read is None is recomputed from the decoded spec; what the file states
+  must pass the type check of the derived value's kind and equal it, or the
+  load raises ``ValueError``.  A condenser's ``w`` is also the field its
+  ``modulusE`` is read over, so it always agrees with the spec.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ def _read_pair(raw, data) -> Fraction:
     return Fraction(*raw)
 
 
+def _read_strings(raw, data) -> tuple[str, ...]:
+    if type(raw) is not list or any(type(v) is not str for v in raw):
+        raise ValueError(f"expected a list of strings, got {raw!r}")
+    return tuple(raw)
+
+
 def _read_overlap(raw, data) -> Fraction:
     return _read_pair(raw, data) if isinstance(raw, list) else Fraction(_read_int(raw, data))
 
@@ -96,7 +104,7 @@ def _decode(cls, data):
         if read is None:
             derived = write(getattr(spec, attr))
             # the type check of the derived value's kind: 728.0 is not 728
-            (_read_pair if isinstance(derived, list) else _read_int)(data[key], data)
+            _STATED_CHECKS[write](data[key], data)
             if derived != data[key]:
                 raise ValueError(f"{key} is {data[key]!r} but the spec gives {derived!r}")
     return spec
@@ -112,10 +120,15 @@ _INT = (_same, _read_int)
 _FRACTION = (_pair, _read_pair)
 _OVERLAP = (lambda value: int(value) if value.denominator == 1 else _pair(value), _read_overlap)
 _SETS = (lambda sets: [list(s) for s in sets], _read_sets)
-_STRINGS = (list, lambda raw, data: tuple(raw))
-_MODULUS = (lambda e: list(e.coeffs), lambda raw, data: FieldPoly(tuple(raw), data["w"]))
+_MODULUS = (
+    lambda e: list(e.coeffs),
+    lambda raw, data: FieldPoly(tuple(raw), _read_int(data["w"], data)),
+)
 _STATED = (_same, None)
 _STATED_FRACTION = (_pair, None)
+_STATED_STRINGS = (list, None)
+# a stated entry's write -> the type check of what a file states for it
+_STATED_CHECKS = {_same: _read_int, _pair: _read_pair, list: _read_strings}
 
 # class -> (type tag, ((JSON key, attribute, (write, read)), ...))
 _CODEC = {
@@ -148,8 +161,8 @@ _CODEC = {
         ("k", "k", _INT),
         ("epsilon", "epsilon", _FRACTION),
         ("alpha", "alpha", _FRACTION),
-        ("w", "field_width", _INT),
-        ("messageSymbols", "message_symbols", _INT),
+        ("w", "field_width", _STATED),
+        ("messageSymbols", "message_symbols", _STATED),
         ("h", "power", _INT),
         ("outputSymbols", "output_symbols", _INT),
         ("modulusE", "modulus", _MODULUS),
@@ -165,7 +178,7 @@ _CODEC = {
     PipelineSpec: ("pipeline", (
         ("n", "n", _STATED),
         ("k", "k", _STATED),
-        ("beta", "beta", _FRACTION),
+        ("beta", "beta", _STATED_FRACTION),
         ("zeta", "zeta", _STATED_FRACTION),
         ("alpha", "alpha", _STATED_FRACTION),
         ("epsilon", "epsilon", _STATED_FRACTION),
@@ -174,7 +187,7 @@ _CODEC = {
         ("outputBits", "output_bits", _STATED),
         ("condenser", "condenser", _nested(CondenserSpec)),
         ("extractor", "extractor", _nested(BlockSpec)),
-        ("rounding", "rounding", _STRINGS),
+        ("rounding", "rounding", _STATED_STRINGS),
     )),
 }
 

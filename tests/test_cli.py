@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from extractorforge import cli
+from extractorforge import cli, serialize
 from extractorforge.bits import BitString
 from extractorforge.codes import CodeSpec, encode_bit
 from extractorforge.compose import build_high_entropy_extractor, build_pipeline
@@ -301,17 +301,38 @@ def test_verify_pipeline_false_design_overlap_fails(capsys, tmp_path, pipeline_s
     assert e2["passed"] is True and rebuild["passed"] is False
 
 
-def test_verify_pipeline_infeasible_parameters_fail_the_rebuild(capsys, tmp_path, pipeline_spec):
-    # beta = 1/2 fixes zeta = 0, so the file loads, but the builder refuses it
-    def edit(data):
-        data.update(beta=[1, 2], zeta=[0, 1])
+@pytest.mark.parametrize(
+    "n, b, digest",
+    [(16, 1, "4a012380bfa4731f35a03b3802940cbe2b4caa0377ae604067f32e03dde45d32"),
+     (42, 2, "4f35f21f976aaa65657da1c90fd5e1b3b88f92433357442d03a510dc094b1a9c")],
+)
+def test_verify_pipeline_passes_on_a_block_spec(capsys, tmp_path, n, b, digest):
+    path = tmp_path / "block.json"
+    params = ["params", "--mode", "qproof", "--n", str(n), "--b", str(b), "--eps", "1/4"]
+    assert cli.main(params + ["--out", str(path)]) == cli.EXIT_PASS
+    capsys.readouterr()
+    rc, report, _ = _run(capsys, ["verify", "pipeline", "--spec", str(path)])
+    assert rc == cli.EXIT_PASS
+    assert report["specDigest"] == digest
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("design recertification: e1 design", True),
+        ("design recertification: e2 design", True),
+        ("block rebuild digest determinism", True),
+    ]
 
-    path = _edited_spec_file(tmp_path, pipeline_spec, edit)
+
+def test_verify_pipeline_infeasible_parameters_fail_the_rebuild(capsys, tmp_path):
+    # a block composite stores its b, so b = 7 loads, but over two 8-bit
+    # halves it leaves no entropy and the builder refuses it
+    spec = build_high_entropy_extractor(16, 1, Fraction(1, 4))
+    path = _edited_spec_file(tmp_path, spec, lambda data: data.update(b=7))
     rc, report, _ = _run(capsys, ["verify", "pipeline", "--spec", path])
     assert rc == cli.EXIT_FAIL
     rebuild = report["checks"][-1]
     assert rebuild["passed"] is False
-    assert rebuild["detail"]["rebuilt"] == "infeasible: beta must satisfy 0 <= beta < 1/2, got 1/2"
+    assert rebuild["detail"]["rebuilt"] == (
+        "infeasible: b=7 leaves no entropy margin: n/2 - b - log2(1/eps) = -1 <= 0"
+    )
 
 
 _FALSE_NUMBERS = {"errorBudget": [1, 1000], "seedBits": 40, "outputBits": 99}
@@ -345,53 +366,95 @@ def test_pipeline_must_agree_with_its_stated_numbers(capsys, tmp_path, pipeline_
 
 
 _DERIVED_SPECS = {
-    # name -> (builder, the verify target that loads the spec)
-    "pipeline": (lambda: build_pipeline(24, 8, Fraction(1, 4), Fraction(1, 4)), "pipeline"),
-    "block": (lambda: build_high_entropy_extractor(42, 2, Fraction(1, 4)), "design"),
-    "trevisan": (lambda: build_trevisan("thm43", 12, 2, Fraction(1, 4)), "extractor"),
+    # name -> (spec, the verify target that loads it)
+    "pipeline": (build_pipeline(24, 8, Fraction(1, 4), Fraction(1, 4)), "pipeline"),
+    "block": (build_high_entropy_extractor(42, 2, Fraction(1, 4)), "pipeline"),
+    "trevisan": (build_trevisan("thm43", 12, 2, Fraction(1, 4)), "extractor"),
+    "condenser": (build_condenser(12, 6, Fraction(1, 4), 1), "condenser"),
+}
+
+# a stated entry's write -> a value of the same kind other than the one given
+_CONTRADICT = {
+    serialize._same: lambda value: value + 1,
+    serialize._pair: lambda pair: [pair[0] + pair[1], pair[1]],
+    list: lambda notes: notes + ["edited"],
 }
 
 
-@pytest.fixture(scope="module")
-def derived_specs():
-    return {name: build() for name, (build, _) in _DERIVED_SPECS.items()}
+def _stated_paths(spec, path=()):
+    """(JSON path, write) of every stated key of a spec and of its nested specs."""
+    for key, attr, (write, read) in serialize._CODEC[type(spec)][1]:
+        if read is None:
+            yield path + (key,), write
+        elif write is serialize._encode:
+            yield from _stated_paths(getattr(spec, attr), path + (key,))
+
+
+def _stated_cases():
+    """One case per stated key: its value replaced by one the parts contradict."""
+    for name, (spec, _) in _DERIVED_SPECS.items():
+        data = json.loads(spec_to_json(spec))
+        for path, write in _stated_paths(spec):
+            target = data
+            for key in path:
+                target = target[key]
+            value = _CONTRADICT[write](target)
+            # w is also the field modulusE is read over, so it always agrees
+            # with the spec: an edit reads another condenser, which E's
+            # irreducibility, the fit of the source or the pipeline rejects
+            message = "" if path[-1] == "w" else f"{path[-1]} is {value!r} but the spec gives "
+            yield pytest.param(name, {path: value}, message, id=f"{name}-{'.'.join(path)}")
 
 
 @pytest.mark.parametrize(
-    "name, edits",
+    "name, edits, message",
     [
-        ("pipeline", {"n": 500}),
-        ("pipeline", {"k": 3}),
-        ("pipeline", {"k": 0}),
-        ("pipeline", {"n": 500, "k": 3}),
-        ("pipeline", {"epsilon": [1, 8]}),
-        ("pipeline", {"alpha": [1, 1]}),
-        ("pipeline", {"zeta": [1, 4]}),
-        ("block", {"n": 999}),
-        ("block", {"epsilon": [1, 8]}),
-        ("trevisan", {"t": 33}),
+        *_stated_cases(),
+        pytest.param("pipeline", {("k",): 0}, "k is 0 but the spec gives ", id="pipeline-k0"),
+        pytest.param("pipeline", {("n",): 500, ("k",): 3}, "n is 500 but the spec gives ",
+                     id="pipeline-n+k"),
+        # beta = 1/2 fixes zeta = 0, but the condenser's alpha fixes beta
+        pytest.param("pipeline", {("beta",): [1, 2], ("zeta",): [0, 1]},
+                     "beta is [1, 2] but the spec gives [1, 4]", id="pipeline-beta-half"),
+        pytest.param("pipeline", {("extractor", "b"): 5}, "b is 5 but ceil(beta*k) is 2",
+                     id="pipeline-extractor.b"),
+        pytest.param("pipeline", {("condenser", "alpha"): [1, 1]},
+                     "beta = 1/2 - alpha = -1/2 is outside [0, 1/2)", id="pipeline-condenser.alpha"),
+        pytest.param("pipeline",
+                     {("extractor", "e1", "n"): 23, ("extractor", "e2", "n"): 23,
+                      ("extractor", "n"): 46},
+                     "the extractor reads 46 bits, not the condenser's 48 rounded up to even",
+                     id="pipeline-extractor.n-halves"),
+        pytest.param("condenser", {("w",): 5},
+                     "a 12-bit source does not fit in 2 symbols of 5 bits", id="condenser-w5"),
+        pytest.param("condenser", {("n",): 40},
+                     "a 40-bit source does not fit in 2 symbols of 11 bits", id="condenser-n40"),
     ],
-    ids=["pipeline-n", "pipeline-k", "pipeline-k0", "pipeline-n+k", "pipeline-epsilon",
-         "pipeline-alpha", "pipeline-zeta", "block-n", "block-epsilon", "trevisan-t"],
 )
-def test_number_the_parts_fix_must_agree(capsys, tmp_path, derived_specs, name, edits):
-    # n, k, epsilon, alpha and zeta of a pipeline, n and epsilon of a block
-    # composite and t of a Trevisan spec are read from the parts; a file
-    # that states another value is unreadable
-    spec = derived_specs[name]
-    path = _edited_spec_file(tmp_path, spec, lambda data: data.update(edits))
+def test_number_the_parts_fix_must_agree(capsys, tmp_path, name, edits, message):
+    # every stated number is read from the parts, and the parts must agree
+    # with each other; a file that states otherwise is unreadable
+    spec, target = _DERIVED_SPECS[name]
+
+    def edit(data):
+        for (*parents, key), value in edits.items():
+            target_object = data
+            for parent in parents:
+                target_object = target_object[parent]
+            target_object[key] = value
+
+    path = _edited_spec_file(tmp_path, spec, edit)
     infile = tmp_path / "input.bin"
     infile.write_bytes(bytes(range(64)))
     seed = "5a" * -(-cli.make_evaluator(spec).seed_bits // 8)
-    key = next(iter(edits))
     for argv in (
         ["extract", "--spec", path, "--in", str(infile), "--out", str(tmp_path / "out.bin"),
          "--seed", seed],
-        ["verify", _DERIVED_SPECS[name][1], "--spec", path],
+        ["verify", target, "--spec", path, "--budget", "1000000"],
     ):
         rc, report, err = _run(capsys, argv)
         assert (rc, report) == (cli.EXIT_BAD_SPEC, None)
-        assert err.startswith(f"unreadable spec: {key} is {edits[key]!r} but the spec gives ")
+        assert err.startswith(f"unreadable spec: {message}")
 
 
 def _wide_code_file(tmp_path):
@@ -689,9 +752,12 @@ _CONDENSER = build_condenser(12, 6, Fraction(1, 4), 1)
          "e1380fb292d6f782506b712ec54d85bcc5ccc5c9e6a4cb8e0fd879e5ddb8c999"),
         ("pipeline", build_pipeline(24, 8, Fraction(1, 4), Fraction(1, 4)), None, cli.EXIT_PASS,
          "4d1b6c06be77e9b6e26fa75c0f7a7594d2ff6fd38332730fced8bcbe7e861e4d"),
+        ("pipeline", build_high_entropy_extractor(16, 1, Fraction(1, 4)), None, cli.EXIT_PASS,
+         "40ed876a43e788d5e7797a74fe516c8ab88b667af6f7ba8512de92ab06378b19"),
     ],
     ids=["design", "design-spec", "code", "code-spec", "extractor-trevisan",
-         "extractor-toeplitz", "condenser", "condenser-inconclusive", "lemmas", "pipeline"],
+         "extractor-toeplitz", "condenser", "condenser-inconclusive", "lemmas", "pipeline",
+         "pipeline-block"],
 )
 def test_verify_report_bytes(capsys, tmp_path, target, spec, budget, rc, digest):
     argv = ["verify", target]
@@ -716,7 +782,7 @@ def test_verify_report_bytes(capsys, tmp_path, target, spec, budget, rc, digest)
         ("condenser", ToeplitzSpec(10, 2), "condenser verification expects a condenser spec"),
         ("lemmas", ToeplitzSpec(10, 2), "lemma verification takes no spec"),
         ("pipeline", None, "pipeline verification needs --spec"),
-        ("pipeline", _THM42_8, "pipeline verification expects a pipeline spec"),
+        ("pipeline", _THM42_8, "pipeline verification expects a pipeline or block spec"),
     ],
 )
 def test_verify_rejection_messages(capsys, tmp_path, target, spec, message):

@@ -118,6 +118,19 @@ def test_pipeline_specs_compose(n, k, beta, epsilon):
     )
 
 
+@pytest.mark.parametrize(
+    "n, k, beta, rounding",
+    [
+        (16, 8, 0, ("padded extractor input from 33 to 34 bits",)),
+        (16, 8, Fraction(1, 3), ("rounded storage bound b = beta*k = 8/3 up to 3",)),
+        (24, 8, QUARTER, ()),
+    ],
+)
+def test_pipeline_rounding_notes(n, k, beta, rounding):
+    # the notes the builder wrote at resolution, now read from the parts
+    assert build_pipeline(n, k, beta, QUARTER).rounding == rounding
+
+
 def test_high_entropy_extractor_rejects_a_negative_storage_bound():
     # b < 0 would publish E1 for more entropy than a half holds
     with pytest.raises(InfeasibleParameterError, match="b must be >= 0, got -3"):

@@ -28,8 +28,6 @@ def _manual_spec():
         k=3,
         epsilon=Fraction(1, 2),
         alpha=Fraction(4),
-        field_width=3,
-        message_symbols=2,
         power=2,
         output_symbols=2,
         modulus=find_irreducible(3, 2),
@@ -49,8 +47,6 @@ def test_single_symbol_output_is_one_evaluation():
         k=2,
         epsilon=Fraction(1, 2),
         alpha=Fraction(4),
-        field_width=3,
-        message_symbols=2,
         power=2,
         output_symbols=1,
         modulus=find_irreducible(3, 2),
@@ -256,8 +252,6 @@ def test_image_table_declines_images_wider_than_int64():
         k=10,
         epsilon=Fraction(1, 4),
         alpha=Fraction(1),
-        field_width=21,
-        message_symbols=2,
         power=2,
         output_symbols=2,
         modulus=find_irreducible(21, 2),
@@ -272,8 +266,6 @@ def test_spec_validation():
             k=3,
             epsilon=Fraction(1, 2),
             alpha=Fraction(4),
-            field_width=3,
-            message_symbols=2,
             power=3,  # not a power of two
             output_symbols=2,
             modulus=find_irreducible(3, 2),
@@ -284,17 +276,14 @@ def test_spec_validation():
             k=3,
             epsilon=Fraction(1, 2),
             alpha=Fraction(4),
-            field_width=3,
-            message_symbols=2,
             power=2,
             output_symbols=3,  # more outputs than message symbols
             modulus=find_irreducible(3, 2),
         )
-    # E must be monic and irreducible over GF(2^w) of the spec
+    # E must be monic and irreducible over its field
     for modulus in (
         FieldPoly((1, 0, 1), 3),  # (Z + 1)^2
         FieldPoly((2, 2, 2), 3),  # not monic
-        find_irreducible(2, 2),  # another field
     ):
         with pytest.raises(ValueError, match="monic and irreducible"):
             CondenserSpec(
@@ -302,12 +291,13 @@ def test_spec_validation():
                 k=3,
                 epsilon=Fraction(1, 2),
                 alpha=Fraction(4),
-                field_width=3,
-                message_symbols=2,
                 power=2,
                 output_symbols=2,
                 modulus=modulus,
             )
+    # w and n_tilde are E's: over GF(4) a 6-bit source no longer fits
+    with pytest.raises(ValueError, match="a 6-bit source does not fit in 2 symbols of 2 bits"):
+        dataclasses.replace(_manual_spec(), modulus=find_irreducible(2, 2))
 
 
 @pytest.mark.parametrize("n, k", [(6, 0), (6, -1), (6, 7), (0, 3), (-1, 3)])

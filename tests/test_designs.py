@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from extractorforge import designs
 from extractorforge.bits import BitString
 from extractorforge.codes import CodeSpec
 from extractorforge.designs import (
     Design,
+    _design_stats,
     build_greedy_weak_design,
     build_poly_design,
     restrict_seed,
@@ -216,3 +219,30 @@ def test_verify_wide_designs_against_bitmask_reference(kind, universe, sets):
     report = verify_design(Design(universe, len(sets[0]), kind, sets, wrong))
     assert not report.valid
     assert "recomputed" in report.reason
+
+
+@pytest.mark.parametrize("tile", [1, 2, 7, 512])
+def test_design_stats_tiles_match_the_bitmask_reference(monkeypatch, tile):
+    monkeypatch.setattr(designs, "_STATS_TILE", tile)
+    families = [
+        build_poly_design(300, 9).sets,
+        build_greedy_weak_design(100, 10, Fraction(3, 2)).sets,
+        *(sets for _, _, sets in _wide_families()),
+    ]
+    for sets in families:
+        assert _design_stats(sets) == ref_design_stats(sets)
+
+
+def test_design_stats_scratch_is_bounded():
+    # 4,000 sets: the whole 4,000 x 4,000 overlap matrix and its weak-sum
+    # terms peaked at ~418 MB (tracemalloc), and E1's 25,000 sets at
+    # n = 100,000 were killed for memory
+    sets = build_poly_design(4000, 36).sets
+    tracemalloc.start()
+    try:
+        stats = _design_stats(sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == (1, Fraction(6231, 3999))  # as the untiled computation gave
+    assert peak < 32 << 20

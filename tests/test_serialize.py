@@ -215,7 +215,8 @@ def test_codec_covers_every_field(cls):
 @pytest.mark.parametrize("value", [1.5, "10", True, None, [10]])
 @pytest.mark.parametrize(
     "tag, path",
-    [("toeplitz", ("n",)), ("trevisan", ("code", "w")), ("guv", ("h",)), ("pipeline", ("k",))],
+    [("toeplitz", ("n",)), ("trevisan", ("code", "w")), ("guv", ("h",)), ("pipeline", ("k",)),
+     ("guv", ("w",))],
 )
 def test_integer_keys_hold_integers(specs, tag, path, value):
     data = json.loads(spec_to_json(specs[tag]))
