@@ -32,7 +32,7 @@ import secrets
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 
 from .bits import BitString
@@ -535,8 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _Exit as exc:

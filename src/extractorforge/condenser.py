@@ -15,6 +15,9 @@ Parameter resolution, smallest field width w such that
   * m' = min(ceil((k + 2 ceil(log2(1/eps))) / w) + 1, n_tilde) gives
     k <= m' * w <= (1 + alpha) * k + w.
 
+Every spec, built here or read from JSON, is checked against these
+inequalities, with 0 < eps < 1 and alpha > 0.
+
 The third inequality is what makes the unique-neighbor check a theorem at
 desk scale rather than an empirical hope: two distinct source polynomials
 already agree on coordinate i = 0 for at most n_tilde - 1 seeds, so a union
@@ -69,6 +72,16 @@ class CondenserSpec:
             raise ValueError("modulus E must be monic and irreducible over GF(2^w)")
         if self.output_bits < self.k:
             raise ValueError("output shorter than the entropy it must preserve")
+        if not 0 < self.epsilon < 1:
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        violated = _violated_constraint(
+            self.k, self.epsilon, self.alpha, self.field_width, self.message_symbols,
+            self.power, self.output_symbols,
+        )
+        if violated:
+            raise ValueError(f"condenser parameters break {violated}")
 
     @property
     def field_width(self) -> int:
@@ -96,6 +109,23 @@ def _ceil_log2(value: Fraction) -> int:
     return bits
 
 
+def _violated_constraint(
+    k: int, epsilon: Fraction, alpha: Fraction, w: int, n_tilde: int, h: int, m_out: int
+) -> str | None:
+    """The first of the documented inequalities on (w, h, m') that these
+    values break, or None; the builder and every spec, built or read, check
+    the same ones."""
+    if w < _ceil_log2(Fraction(n_tilde * h * h) / epsilon):
+        return "w >= log2(n_tilde * h^2 / eps)"
+    if ((1 << k) - 1) * (n_tilde - 1) > epsilon * (1 << w):
+        return "(2^k - 1)(n_tilde - 1) <= eps * 2^w"
+    if m_out * w < k:
+        return "m' * w >= k"
+    if m_out * w > (1 + alpha) * k + w:
+        return "m' * w <= (1 + alpha) k + w"
+    return None
+
+
 def build_condenser(
     n: int, k: int, epsilon: Fraction | float, alpha: Fraction | float
 ) -> CondenserSpec:
@@ -121,18 +151,10 @@ def build_condenser(
         if n_tilde > 1 << w:
             continue
         h = 1 << _ceil_log2(max(Fraction(2), Fraction(2 * n_tilde) / epsilon))
-        if w < _ceil_log2(Fraction(n_tilde * h * h) / epsilon):
-            last_failure = "w >= log2(n_tilde * h^2 / eps)"
-            continue
-        if ((1 << k) - 1) * (n_tilde - 1) > epsilon * (1 << w):
-            last_failure = "(2^k - 1)(n_tilde - 1) <= eps * 2^w"
-            continue
         m_out = min(-(-(k + 2 * log_eps_inv) // w) + 1, n_tilde)
-        if m_out * w < k:
-            last_failure = "m' * w >= k"
-            continue
-        if m_out * w > (1 + alpha) * k + w:
-            last_failure = "m' * w <= (1 + alpha) k + w"
+        violated = _violated_constraint(k, epsilon, alpha, w, n_tilde, h, m_out)
+        if violated:
+            last_failure = violated
             continue
         return CondenserSpec(
             n=n,

@@ -17,6 +17,7 @@ the order the keys are first seen.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -35,6 +36,21 @@ _SUM_TOLERANCE_BITS = 40
 
 # Pairs counted per block of seed patterns; bounds the scratch arrays.
 _BLOCK_PAIRS = 1 << 16
+# Int64 transform entries, one per (symbol, x in {0,1}^n), the spectral
+# path may hold (32 MB); it declines larger sources.
+_SPECTRAL_ENTRIES = 1 << 22
+# (pattern, symbol, output) cells per block of the spectral path: 128 KB
+# per int64 scratch array of the block.
+_SPECTRAL_BLOCK_CELLS = 1 << 14
+# Estimated costs in ns, measured on a 2-vCPU x86_64 host (Toeplitz and
+# Trevisan instances with n = 4 .. 16, m = 1 .. 6): the table path's per
+# counted (pattern, row) pair and per (pattern, symbol, output) cell; the
+# spectral path's per transform entry and stage, per cell and pass (m
+# butterflies and about four more), and per call.
+_PAIR_NS = 5
+_ENTRY_NS = 3
+_CELL_PASS_NS = 1.25
+_SPECTRAL_CALL_NS = 20_000
 # Cells a block may address directly, one int64 sum each (2 MB), past its
 # pair count; blocks with more cells label the observed ones instead.
 _ADDRESSED_CELLS = 1 << 18
@@ -313,17 +329,19 @@ def extractor_distance(
     table whose symbols are the pieces of a mixture yields the weighted sum
     of the pieces' distances in one call (see :func:`lemma_suite`).
 
-    A tabled extractor may skip the outputs and give the cell weights
-    directly through an optional ``cell_counts(state, weights)``, weights
-    an (S, len(xs)) integer array of each (symbol, x) row's weight.  It
-    returns None to decline, and otherwise an iterable of integer arrays of
-    shape (k, S, cells), axis 1 the symbol, that together hold the exact
-    weight c of every (pattern, symbol, output) cell once, zeros included.
-    An evaluator that counts in float64 must decline once N reaches 2^53,
-    past which its sums may round; Trevisan's (see
-    :meth:`TrevisanExtractor.cell_counts`) also declines where its matrix
-    products would cost more than the pairs they replace.  Both sources of
-    counts go through one deviation formula.
+    An extractor that is GF(2)-linear in x for each fixed seed may also
+    expose ``linear_rows(patterns)``: an (m, len(patterns)) int64 array of
+    x-masks r_i(y), output bit i of seed pattern y being the parity of
+    r_i(y) & x, or None to decline.  Then the cells come from the source's
+    Walsh-Hadamard spectrum instead of from the pairs (see
+    :func:`_spectral_deviation`), and the source size drops out of the cost.
+    That spectral path is taken when all of these hold, else the table or
+    per-pair path: 2^m times the total weight is below 2^62, so every value
+    is an exact int64; the S 2^n transform entries, S symbols, are at most
+    ``_SPECTRAL_ENTRIES``; its estimated time is below the table path's;
+    and linear_rows does not decline.  Either path costs ``budget`` the
+    same pairs, checked before any is counted, and gives the same exact
+    distance.
     """
     n = extractor.input_bits
     t = extractor.seed_bits
@@ -338,7 +356,6 @@ def extractor_distance(
     for x in xs:
         if len(x) != n:
             raise ValueError(f"source element of length {len(x)}, extractor wants {n}")
-    values = [x.to_int() for x in xs]
     if side is None:  # the source as a side table with one symbol
         one_symbol = {(x.to_int(), 0): w for x, w in source._weights.items() if w}
         side = JointTable._from_rows(n, one_symbol, source._total)
@@ -353,10 +370,8 @@ def extractor_distance(
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
 
-    # one row (x column, symbol index, weight) per row of the side table
+    # one row (symbol index, weight) per row of the side table
     total, rows, scale = side._total, len(side._xs), 1 << m
-    column_of = {v: i for i, v in enumerate(values)}
-    columns = np.array([column_of[x] for x in side._xs], dtype=np.int64)
     targets = _group(side._symbols, side._weights)
     index_of = {s: i for i, s in enumerate(targets)}
     symbols = np.array([index_of[s] for s in side._symbols], dtype=np.int64)
@@ -364,43 +379,119 @@ def extractor_distance(
     dtype = _sum_dtype(total, scale, max(_BLOCK_PAIRS, rows))
     weights = None if all(w == 1 for w in side._weights) else np.array(side._weights, dtype=dtype)
     targets = np.array(list(targets.values()), dtype=dtype)
+    mass = sum(side._weights)
 
+    deviation = None
+    if hasattr(extractor, "linear_rows"):
+        deviation = _spectral_deviation(extractor, ny, side._xs, symbols, weights, targets, mass)
+    if deviation is None:
+        deviation = _table_deviation(
+            extractor, positions, xs, side._xs, symbols, weights, targets, dtype
+        )
+    return Fraction(deviation + (mass << m) * ny, 2 * (total << m) * ny)
+
+
+def _table_deviation(extractor, positions, xs, row_xs, symbols, weights, targets, dtype) -> int:
+    """Sum of |c 2^m - W_s| - W_s over the cells from the output of every
+    (seed pattern, row) pair, ``row_xs`` each row's x value: outputs from
+    the extractor's table where it has one, else per pair."""
+    t, m = extractor.seed_bits, extractor.output_bits
+    ny = 1 << len(positions)
+    values = [x.to_int() for x in xs]
+    column_of = {v: i for i, v in enumerate(values)}
+    columns = np.array([column_of[x] for x in row_xs], dtype=np.int64)
     tabled = m <= 62 and all(
         hasattr(extractor, name) for name in ("prepare_batch", "extract_table")
     )
     state = extractor.prepare_batch(values) if tabled else None
     tabled = state is not None
-    counted = None
-    if tabled and hasattr(extractor, "cell_counts"):
-        # assignment suffices: a side table has one row per (x, symbol)
-        by_symbol = np.zeros((len(targets), len(xs)), dtype=dtype)
-        by_symbol[symbols, columns] = 1 if weights is None else weights
-        counted = extractor.cell_counts(state, by_symbol)
     deviation = 0
-    if counted is not None:
-        for counts in counted:
-            # dense counts: every cell of the block is a term
-            exact = _sum_dtype(total, scale, counts.size)
-            cell_targets = targets.astype(exact)[:, None]
-            deviation += _deviation(counts.astype(exact, copy=False), cell_targets, scale)
-    else:
-        block = max(1, min(ny, _BLOCK_PAIRS // rows))
-        for start in range(0, ny, block):
-            patterns = np.arange(start, min(start + block, ny), dtype=np.int64)
-            if tabled:
-                out = np.asarray(extractor.extract_table(state, patterns))
-            else:
-                seeds = [
-                    BitString(sum(((p >> k) & 1) << pos for k, pos in enumerate(positions)), t)
-                    for p in patterns.tolist()
-                ]
-                out = np.array(
-                    [[extractor.extract(x, y).to_int() for x in xs] for y in seeds],
-                    dtype=np.int64 if m <= 62 else object,
-                )
-            part = out.take(columns, axis=1)
-            deviation += _cell_deviation(part, symbols, weights, targets, scale, dtype)
-    return Fraction(deviation + (sum(side._weights) << m) * ny, 2 * (total << m) * ny)
+    block = max(1, min(ny, _BLOCK_PAIRS // len(row_xs)))
+    for start in range(0, ny, block):
+        patterns = np.arange(start, min(start + block, ny), dtype=np.int64)
+        if tabled:
+            out = np.asarray(extractor.extract_table(state, patterns))
+        else:
+            seeds = [
+                BitString(sum(((p >> k) & 1) << pos for k, pos in enumerate(positions)), t)
+                for p in patterns.tolist()
+            ]
+            out = np.array(
+                [[extractor.extract(x, y).to_int() for x in xs] for y in seeds],
+                dtype=np.int64 if m <= 62 else object,
+            )
+        part = out.take(columns, axis=1)
+        deviation += _cell_deviation(part, symbols, weights, targets, 1 << m, dtype)
+    return deviation
+
+
+def _spectral_deviation(extractor, ny, row_xs, symbols, weights, targets, mass) -> int | None:
+    """Sum of |c 2^m - W_s| - W_s over every (pattern, symbol, output) cell
+    from the source's Walsh-Hadamard spectrum, or None to decline (see
+    :func:`extractor_distance` for when).
+
+    For a seed pattern y, output bit i is the parity of r_i(y) & x, r_i(y)
+    from ``extractor.linear_rows``.  With F_s(v) = sum_x w_s(x) (-1)^(v.x)
+    the transform of symbol s's weights and v_u the XOR of the rows r_i
+    with u_i = 1,
+
+        2^m c(y, s, z) = sum_x w_s(x) sum_u (-1)^(u.(E(x, y) + z))
+                       = sum_u (-1)^(u.z) F_s(v_u(y)),
+
+    so each pattern's cells are the m-bit transform of F_s gathered at its
+    2^m masks: no (pattern, x) pair is enumerated.  Every partial sum is at
+    most 2^m times the total weight in size.
+    """
+    n, m, symbol_count = extractor.input_bits, extractor.output_bits, len(targets)
+    entries = symbol_count << n
+    if mass << m >= 1 << 62 or entries > _SPECTRAL_ENTRIES:
+        return None
+    cells = ny * symbol_count << m
+    spectral_ns = _ENTRY_NS * entries * n + _CELL_PASS_NS * cells * (m + 4) + _SPECTRAL_CALL_NS
+    if spectral_ns >= _PAIR_NS * (ny * len(row_xs) + cells):
+        return None
+    block = max(1, min(ny, (_SPECTRAL_BLOCK_CELLS >> m) // symbol_count))
+    row_blocks = (
+        extractor.linear_rows(np.arange(start, min(start + block, ny), dtype=np.int64))
+        for start in range(0, ny, block)
+    )
+    first = next(row_blocks)
+    if first is None:
+        return None
+    # assignment suffices: a side table has one row per (x, symbol)
+    spectra = np.zeros((symbol_count, 1 << n, 1), dtype=np.int64)
+    spectra[symbols, row_xs, 0] = 1 if weights is None else weights
+    spectra = _walsh_hadamard(spectra)[:, :, 0]
+    # a block's cells sum to 2^m times its patterns' weight: int64 or exact
+    exact = _sum_dtype(mass, 1 << m, block * symbol_count << m)
+    cell_targets = targets.astype(exact)[:, None, None]
+    deviation = 0
+    for rows in itertools.chain([first], row_blocks):
+        masks = np.zeros((1 << m, rows.shape[1]), dtype=np.int64)
+        for i, row in enumerate(rows):  # v_u for u < 2^(i+1)
+            np.bitwise_xor(masks[: 1 << i], row, out=masks[1 << i : 2 << i])
+        cells = np.empty((symbol_count,) + masks.shape, dtype=np.int64)
+        for spectrum, out in zip(spectra, cells):
+            spectrum.take(masks, out=out)  # F_s(v_u)
+        scaled = _walsh_hadamard(cells).astype(exact, copy=False)  # 2^m c(y, s, z)
+        deviation += _deviation(scaled, cell_targets)
+    return deviation
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """The unnormalised Walsh-Hadamard transform over axis 1 of a C-ordered
+    int64 array of shape (S, 2^k, r), in place: a[s, v] becomes
+    sum_x (-1)^(popcount(v & x)) a[s, x], exact while the sums fit."""
+    symbol_count, size, rest = a.shape
+    half = 1
+    while half < size:
+        pairs = a.reshape(symbol_count, size // (2 * half), 2, half * rest)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        diff = low - high
+        low += high
+        high[...] = diff
+        half *= 2
+    return a
 
 
 def _marginal_matches(side: JointTable, source: FiniteDistribution, xs) -> bool:
@@ -451,7 +542,8 @@ def _cell_deviation(out, symbols, weights, targets, scale, dtype) -> int:
         cell_targets = targets[:, None]
     else:
         cell_targets = targets[used // len(values) // patterns]
-    return _deviation(sums, cell_targets, scale)
+    sums *= scale
+    return _deviation(sums, cell_targets)
 
 
 def _sum_dtype(total: int, scale: int, terms: int):
@@ -461,13 +553,13 @@ def _sum_dtype(total: int, scale: int, terms: int):
     return np.int64 if total * (scale + 1) * terms < 1 << 62 else object
 
 
-def _deviation(counts, cell_targets, scale) -> int:
-    """Sum of |c 2^m - W_s| - W_s over cells, ``counts`` holding each
-    cell's weight c and ``cell_targets`` (broadcast against it) its symbol's
-    weight W_s.  A cell with c = 0 adds 0, so dense and observed-only counts
-    give the same sum.  Summed as c 2^m - 2 min(c 2^m, W_s), the same term
-    for c 2^m and W_s >= 0, with one scratch array."""
-    scaled = counts * scale
+def _deviation(scaled, cell_targets) -> int:
+    """Sum of |c 2^m - W_s| - W_s over cells, ``scaled`` holding each
+    cell's c 2^m, c its weight, and ``cell_targets`` (broadcast against it)
+    its symbol's weight W_s.  A cell with c = 0 adds 0, so dense and
+    observed-only counts give the same sum.  Summed as
+    c 2^m - 2 min(c 2^m, W_s), the same term for c 2^m and W_s >= 0, in
+    ``scaled``'s own storage, which it overwrites."""
     return int(scaled.sum()) - 2 * int(np.minimum(scaled, cell_targets, out=scaled).sum())
 
 

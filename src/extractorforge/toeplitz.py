@@ -41,11 +41,13 @@ class ToeplitzSpec:
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
-def _reverse_inputs(spec: ToeplitzSpec, xs: np.ndarray) -> np.ndarray:
-    """rev_n(x) for every x of an int64 array: its bytes reversed bit by bit
-    through the table, then as a whole, then shifted down to n bits."""
-    flipped = _REVERSED_BYTES[xs.view(np.uint8)].view(np.uint64).byteswap()
-    return (flipped >> np.uint64(64 - spec.input_bits)).astype(np.int64)
+def _reverse(values: np.ndarray, bits: int) -> np.ndarray:
+    """rev_bits(v) for every v below 2^bits of an int64 array: its bytes
+    reversed bit by bit through the table, then as a whole, then shifted
+    down to ``bits`` bits."""
+    octets = np.ascontiguousarray(values, dtype=np.int64).view(np.uint8)
+    flipped = _REVERSED_BYTES.take(octets).view(np.uint64).byteswap()
+    return (flipped >> np.uint64(64 - bits)).astype(np.int64)
 
 
 def toeplitz_extract(spec: ToeplitzSpec, x: BitString, seed: BitString) -> BitString:
@@ -62,7 +64,8 @@ def toeplitz_extract(spec: ToeplitzSpec, x: BitString, seed: BitString) -> BitSt
 
 
 class ToeplitzExtractor:
-    """Extractor adapter over a ToeplitzSpec, with a vectorized batch path."""
+    """Extractor adapter over a ToeplitzSpec, with a vectorized batch path
+    and the x-masks of the oracle's spectral path."""
 
     def __init__(self, spec: ToeplitzSpec):
         self.spec = spec
@@ -75,7 +78,7 @@ class ToeplitzExtractor:
         return toeplitz_extract(self.spec, x, y)
 
     def prepare_batch(self, xs: Sequence[int]):
-        return _reverse_inputs(self.spec, np.asarray(list(xs), dtype=np.int64))
+        return _reverse(np.asarray(list(xs), dtype=np.int64), self.input_bits)
 
     def extract_table(self, state, patterns: np.ndarray) -> np.ndarray:
         """Outputs for every (seed, x) pair; shape (len(patterns), len(xs)).
@@ -94,3 +97,14 @@ class ToeplitzExtractor:
             # uint8 several times slower
             out |= (np.bitwise_count((seeds >> i)[:, None] & reversed_xs) & 1) * dtype(1 << i)
         return out
+
+    def linear_rows(self, patterns: np.ndarray) -> np.ndarray:
+        """x-masks, shape (m, len(patterns)): output bit i of seed y is the
+        parity of rev_n((y >> i) mod 2^n) & x.  Bit n - 1 - j of that mask
+        is seed bit i + j, which is bit (m - 1 - i) + (n - 1 - j) of the
+        seed reversed over its n + m - 1 bits, so one reversal serves every
+        row."""
+        n, m = self.input_bits, self.output_bits
+        reversed_seeds = _reverse(patterns, self.seed_bits)
+        low = (1 << n) - 1
+        return np.stack([(reversed_seeds >> (m - 1 - i)) & low for i in range(m)])

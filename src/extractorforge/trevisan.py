@@ -29,7 +29,6 @@ from .bits import BitString
 from .codes import CodeSpec, encode_all_positions, encode_bit
 from .designs import Design, build_greedy_weak_design, build_poly_design, restrict_seed
 from .errors import InfeasibleParameterError
-from .oracle import _BLOCK_PAIRS
 
 PRESET_THM42 = "thm42"
 PRESET_THM43 = "thm43"
@@ -39,6 +38,8 @@ _WEAK_DESIGN_RHO = 2
 _MAX_FIELD_WIDTH = 24
 # Widest code the batch path tabulates: at w = 17 one codeword has 2^34 bits.
 _BATCH_WIDTH_LIMIT = 16
+# Widest code whose position masks linear_rows tabulates: 2^16 int64 masks.
+_MASK_WIDTH_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,8 @@ def trevisan_extract(spec: ExtractorSpec, x: BitString, y: BitString) -> BitStri
 
 
 class TrevisanExtractor:
-    """Extractor adapter with a vectorized batch path over codeword tables."""
+    """Extractor adapter with a vectorized batch path over codeword tables
+    and the x-masks of the oracle's spectral path."""
 
     def __init__(self, spec: ExtractorSpec):
         self.spec = spec
@@ -201,37 +203,25 @@ class TrevisanExtractor:
         return out
 
     @cached_property
-    def _product_plan(self) -> "_ProductPlan":
-        return _ProductPlan(self.spec.design.sets[: self.spec.m])
+    def _position_masks(self) -> np.ndarray:
+        """x-mask of every codeword position: bit j is the codeword bit of
+        the j-th unit message, so by the code's linearity the bit of x is
+        the parity of the mask & x.  Built on first use."""
+        units = encode_all_positions(self.spec.code, [1 << j for j in range(self.spec.n)])
+        masks = np.zeros(self.spec.code.codeword_bits, dtype=np.int64)
+        for j, bits in enumerate(units):
+            masks |= bits.astype(np.int64) << j
+        return masks
 
-    def cell_counts(self, state, weights: np.ndarray):
-        """Exact weight of every (pattern, symbol, output) cell, or None to
-        decline.
-
-        ``weights`` has shape (symbols, len(xs)): the integer weight of each
-        (symbol, x) row, x in the order ``prepare_batch`` got.  Output bit
-        m - 1 reads only the codeword column at y|S_m, so with the first
-        m - 1 bits z' fixed by the seed bits in S_1 .. S_(m-1), a cell's
-        weight c(z', 1) is a sum over x of weight times codeword bit: one
-        float64 matrix product gives it for every completion of S_m's new
-        seed bits at once, and c(z', 0) is the row's weight minus c(z', 1).
-
-        Declines when the total weight reaches 2^53, past which float64
-        sums are no longer exact, and when the products' estimated time
-        (:meth:`_ProductPlan.cost_ns`) is not below that of the table path,
-        which counts every (pattern, row) pair.  Otherwise returns an
-        iterator of int64 arrays of shape (k, symbols, cells), axis 1 the
-        symbol, that together hold each cell once.
-        """
-        if int(weights.sum()) >= 1 << 53:
+    def linear_rows(self, patterns: np.ndarray) -> np.ndarray | None:
+        """x-masks, shape (m, len(patterns)): output bit i of the seeds whose
+        bit seed_support[k] is pattern bit k is the parity of its mask & x.
+        None, which sends the oracle to the table path, for sources wider
+        than 62 bits or codes with more than 2^16 positions."""
+        if self.spec.n > 62 or self.spec.code.field_width > _MASK_WIDTH_LIMIT:
             return None
-        # the table path's time, its blocks sized as extractor_distance does
-        rows, patterns = np.count_nonzero(weights), 1 << len(self.seed_support)
-        blocks = -(-patterns // max(1, min(patterns, _BLOCK_PAIRS // rows)))
-        plan = self._product_plan
-        if plan.cost_ns(*weights.shape) >= _PAIR_NS * rows * patterns + _BLOCK_NS * blocks:
-            return None
-        return plan.counts(state, weights.astype(np.float64))
+        index = _codeword_indices(self._index_table, np.asarray(patterns, dtype=np.int64))
+        return self._position_masks.take(index)
 
 
 def _index_tables(positions: Sequence[int], sets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -253,96 +243,8 @@ def _index_tables(positions: Sequence[int], sets: Sequence[Sequence[int]]) -> np
 
 def _codeword_indices(table: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """Codeword indices, shape (sets, len(patterns)), from :func:`_index_tables`."""
-    index = table[0][:, patterns & 255]
+    # take, not [:, index]: numpy's take gathers along axis 1 several times faster
+    index = table[0].take(patterns & 255, axis=1)
     for chunk in range(1, len(table)):
-        index |= table[chunk][:, (patterns >> (8 * chunk)) & 255]
+        index |= table[chunk].take((patterns >> (8 * chunk)) & 255, axis=1)
     return index
-
-
-# Float64 entries per operand of one product block (512 KB), which bounds
-# the product path's scratch to a few MB whatever the code width.
-_PRODUCT_ENTRIES = 1 << 16
-# Costs in ns, measured on a 2-vCPU x86_64 host (thm43(12, 2, 1/4) and
-# custom width-4 designs): the table path's per counted (pattern, row)
-# pair; the product path's per float64 multiply-add, per entry of its left
-# operand (built once per partial pattern) and per entry of its right
-# operand (built once per run of partial patterns); and either path's per
-# block.  Work per (pattern, symbol, output) cell is left out: both do it.
-_PAIR_NS = 3.6
-_MAC_NS = 0.03
-_LEFT_NS = 2.5
-_RIGHT_NS = 1.3
-_BLOCK_NS = 60_000
-
-
-class _ProductPlan:
-    """Seed positions of the product path for the design sets S_1 .. S_m.
-
-    A partial pattern sets the positions of S_1 .. S_(m-1): those outside
-    S_m (``rest``) in its low bits, those S_m shares (``shared``) in its
-    high ones, so that each run of partial patterns with the same high bits
-    fixes the same part of output m - 1's codeword index.  ``fresh`` holds
-    S_m's other positions, F, whose 2^|F| completions are the product's
-    columns.
-    """
-
-    def __init__(self, sets: Sequence[Sequence[int]]):
-        *first, last = sets
-        earlier = set().union(*first)
-        self.shared = [p for p in last if p in earlier]
-        self.rest = sorted(earlier.difference(last))
-        self.fresh = [p for p in last if p not in earlier]
-        self.early_table = _index_tables(self.rest + self.shared, first)
-        self.shared_table = _index_tables(self.shared, [last])
-        self.fresh_table = _index_tables(self.fresh, [last])
-        self.row_values = 1 << len(first)  # values of z'
-
-    def _blocks(self, symbols: int, nx: int) -> tuple[int, int]:
-        """Partial patterns and completions per block: each operand and the
-        product hold at most max(_PRODUCT_ENTRIES, symbols 2^(m-1) nx)
-        entries."""
-        block_f = max(1, min(1 << len(self.fresh), _PRODUCT_ENTRIES // nx))
-        rows = symbols * self.row_values * max(nx, block_f)
-        return max(1, min(1 << len(self.rest), _PRODUCT_ENTRIES // rows)), block_f
-
-    def cost_ns(self, symbols: int, nx: int) -> float:
-        """Estimated time of :meth:`counts` for ``symbols`` x ``nx`` weights."""
-        block_r, block_f = self._blocks(symbols, nx)
-        completions = 1 << len(self.fresh)
-        runs = (1 << len(self.shared)) * -(-(1 << len(self.rest)) // block_r)
-        left = (symbols * self.row_values * nx) << (len(self.rest) + len(self.shared))
-        return (
-            left * (_LEFT_NS + _MAC_NS * completions)
-            + runs * nx * completions * _RIGHT_NS
-            + runs * -(-completions // block_f) * _BLOCK_NS
-        )
-
-    def counts(self, state: np.ndarray, weights: np.ndarray):
-        """Count blocks for :meth:`TrevisanExtractor.cell_counts`; ``weights``
-        as there, in float64."""
-        nx = state.shape[1]
-        symbols, values = len(weights), self.row_values
-        block_r, block_f = self._blocks(symbols, nx)
-        rest_count, completions = 1 << len(self.rest), 1 << len(self.fresh)
-        z_values = np.arange(values, dtype=np.min_scalar_type(values - 1))[:, None]
-        for h in range(1 << len(self.shared)):
-            base = int(_codeword_indices(self.shared_table, np.array([h]))[0, 0])
-            for r in range(0, rest_count, block_r):
-                partial = np.arange(r, min(r + block_r, rest_count), dtype=np.int64)
-                early = _codeword_indices(self.early_table, partial | h << len(self.rest))
-                z = np.zeros((len(partial), nx), dtype=z_values.dtype)
-                for i, index in enumerate(early):
-                    z |= state[index] * z_values.dtype.type(1 << i)
-                # (partial, symbol, z', x): x's weight in the row of its z'
-                left = (z[:, None, None, :] == z_values) * weights[:, None, :]
-                marginal = left.sum(axis=3).astype(np.int64)[..., None]
-                left = left.reshape(-1, nx)
-                shape = (len(partial), symbols, -1)
-                for f in range(0, completions, block_f):
-                    columns = np.arange(f, min(f + block_f, completions), dtype=np.int64)
-                    index = base | _codeword_indices(self.fresh_table, columns)[0]
-                    # (x, completion): x's codeword bit at output m - 1's index
-                    right = state[index].T.astype(np.float64)
-                    ones = (left @ right).astype(np.int64).reshape(marginal.shape[:3] + (-1,))
-                    yield (marginal - ones).reshape(shape)  # c(z', 0)
-                    yield ones.reshape(shape)  # c(z', 1)

@@ -235,6 +235,25 @@ def test_extract_passes(capsys, extract_args):
     assert (report["inputBits"], report["seedBits"], report["outputBits"]) == (10, 11, 2)
 
 
+def test_consecutive_commands_parse_independently(capsys, tmp_path, extract_args):
+    # one parser serves every call of main: no option of one call may leak
+    # into the next
+    assert cli._parser() is cli._parser()
+    path = _spec_file(tmp_path, "toeplitz", ToeplitzSpec(10, 2))
+    rc, report, _ = _run(capsys, ["verify", "extractor", "--spec", path, "--budget",
+                                  str(1 << 20), "--test-seed", "5"])
+    assert (rc, report["budget"], report["testSeed"]) == (cli.EXIT_PASS, 1 << 20, 5)
+    rc, report, _ = _run(capsys, ["verify", "lemmas"])
+    assert rc == cli.EXIT_PASS
+    assert (report["target"], report["budget"]) == ("lemmas", cli.DEFAULT_ENUM_BUDGET)
+    assert (report["testSeed"], report["specDigest"]) == (cli.DEFAULT_TEST_SEED, None)
+    rc, report, _ = _run(capsys, extract_args + ["--seed", "0fa5"])
+    assert (rc, report["command"], report["seedSource"]) == (cli.EXIT_PASS, "extract", "hex literal")
+    rc, report, err = _run(capsys, extract_args)  # no seed option this time
+    assert (rc, report) == (cli.EXIT_SEED_MISMATCH, None)
+    assert "exactly one of --seed, --seed-file, --seed-system required" in err
+
+
 def test_extract_short_input(capsys, tmp_path, extract_args):
     (tmp_path / "input.bin").write_bytes(b"\xa5")
     rc, report, err = _run(capsys, extract_args + ["--seed", "0fa5"])
@@ -835,3 +854,33 @@ def test_wide_stated_universe_keeps_the_design_certificate(capsys, tmp_path, wid
     [check] = wide["checks"]
     assert check == plain["checks"][0]
     assert (check["detail"]["maxOverlap"], check["detail"]["maxWeakSumRatio"]) == (0, "1")
+
+
+# build_condenser(12, 6, 1/4, 1) resolves w = 11, n_tilde = 2, h = 16 and
+# m' = 2; each edit breaks one inequality its builder resolved
+@pytest.mark.parametrize(
+    "key, value, broken",
+    [
+        ("alpha", [1, 1000], "m' * w <= (1 + alpha) k + w"),  # 22 > 17.006
+        ("h", 32, "w >= log2(n_tilde * h^2 / eps)"),  # log2(2 32^2 4) = 13 > 11
+        ("k", 10, "(2^k - 1)(n_tilde - 1) <= eps * 2^w"),  # 1023 > 512
+        ("epsilon", [1, 1], "epsilon must be in (0, 1)"),
+        ("epsilon", [0, 1], "epsilon must be in (0, 1)"),
+        ("alpha", [0, 1], "alpha must be positive"),
+        ("alpha", [-1, 2], "alpha must be positive"),
+    ],
+)
+def test_condenser_inequalities_are_checked_on_load(capsys, tmp_path, extract_args, key, value,
+                                                     broken):
+    data = json.loads(spec_to_json(_CONDENSER))
+    data[key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    spec_arg = extract_args.index("--spec") + 1
+    commands = [extract_args[:spec_arg] + [str(path)] + extract_args[spec_arg + 1:]
+                + ["--seed", "0fa5"]]
+    commands += [["verify", target, "--spec", str(path)] for target in cli._TARGETS]
+    for argv in commands:
+        rc, report, err = _run(capsys, argv)
+        assert (rc, report) == (cli.EXIT_BAD_SPEC, None), argv
+        assert err.startswith("unreadable spec: ") and broken in err, argv

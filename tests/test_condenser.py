@@ -17,12 +17,14 @@ from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
 from extractorforge.oracle import image_counts, injective_fraction, sample_flat_sources
 from extractorforge.poly import FieldPoly, find_irreducible
+from extractorforge.serialize import spec_digest, spec_from_json, spec_to_json
 
 from helpers import ref_horner, ref_poly_pow_mod
 
 
 def _manual_spec():
-    # w=3, n_tilde=2, h=2, m'=2: small enough to trace by hand
+    # w=4, n_tilde=2, h=2, m'=2: small enough to trace by hand, and w is the
+    # least that log2(n_tilde h^2 / eps) = 4 allows
     return CondenserSpec(
         n=6,
         k=3,
@@ -30,14 +32,14 @@ def _manual_spec():
         alpha=Fraction(4),
         power=2,
         output_symbols=2,
-        modulus=find_irreducible(3, 2),
+        modulus=find_irreducible(4, 2),
     )
 
 
 def test_constant_message_ignores_seed():
     spec = _manual_spec()
     x = BitString(0b000101, 6)  # only the low symbol is nonzero
-    outputs = {guv_condense(spec, x, BitString(y, 3)).to_int() for y in range(8)}
+    outputs = {guv_condense(spec, x, BitString(y, 4)).to_int() for y in range(16)}
     assert len(outputs) == 1
 
 
@@ -49,12 +51,12 @@ def test_single_symbol_output_is_one_evaluation():
         alpha=Fraction(4),
         power=2,
         output_symbols=1,
-        modulus=find_irreducible(3, 2),
+        modulus=find_irreducible(4, 2),
     )
     x = BitString(0b110101, 6)
-    for y in range(8):
-        out = guv_condense(spec, x, BitString(y, 3))
-        assert out.to_int() == ref_horner([0b101, 0b110], y, 3)
+    for y in range(16):
+        out = guv_condense(spec, x, BitString(y, 4))
+        assert out.to_int() == ref_horner([0b0101, 0b11], y, 4)
 
 
 def test_small_instance_matches_naive_powering():
@@ -62,20 +64,20 @@ def test_small_instance_matches_naive_powering():
     rng = CounterRng(0x6D4)
     for _ in range(20):
         xv = rng.below(64)
-        yv = rng.below(8)
+        yv = rng.below(16)
         x = BitString(xv, 6)
-        out = guv_condense(spec, x, BitString(yv, 3))
-        coeffs = [xv & 7, (xv >> 3) & 7]
+        out = guv_condense(spec, x, BitString(yv, 4))
+        coeffs = [xv & 15, xv >> 4]
         expected = 0
         for i in range(2):
-            power = ref_poly_pow_mod(coeffs, 2**i, list(spec.modulus.coeffs), 3)
+            power = ref_poly_pow_mod(coeffs, 2**i, list(spec.modulus.coeffs), 4)
             from extractorforge.gf2 import get_field
 
-            field = get_field(3)
+            field = get_field(4)
             acc = 0
             for c in reversed(power if power else [0]):
                 acc = field.mul(acc, yv) ^ c
-            expected |= acc << (3 * i)
+            expected |= acc << (4 * i)
         assert out.to_int() == expected
 
 
@@ -83,22 +85,22 @@ def test_residue_rows_chain():
     spec = _manual_spec()
     rows = list(_residue_rows(spec, [0b110101]))
     assert len(rows) == 2
-    expect = ref_poly_pow_mod([0b101, 0b110], 2, list(spec.modulus.coeffs), 3)
+    expect = ref_poly_pow_mod([0b0101, 0b11], 2, list(spec.modulus.coeffs), 4)
     assert rows[1][0].tolist() == expect + [0] * (2 - len(expect))
 
 
 def test_condense_rejects_wrong_lengths():
     spec = _manual_spec()
     with pytest.raises(ValueError, match="source"):
-        guv_condense(spec, BitString(0, 5), BitString(0, 3))
+        guv_condense(spec, BitString(0, 5), BitString(0, 4))
     with pytest.raises(ValueError, match="seed"):
-        guv_condense(spec, BitString(0, 6), BitString(0, 4))
+        guv_condense(spec, BitString(0, 6), BitString(0, 3))
 
 
 def test_strong_form_appends_seed():
     spec = _manual_spec()
     x = BitString(0b011011, 6)
-    y = BitString(0b101, 3)
+    y = BitString(0b0101, 4)
     sf = strong_form(spec, x, y)
     assert len(sf) == spec.output_bits + spec.seed_bits
     assert sf[spec.output_bits :] == y
@@ -251,7 +253,7 @@ def test_image_table_declines_images_wider_than_int64():
         n=42,
         k=10,
         epsilon=Fraction(1, 4),
-        alpha=Fraction(1),
+        alpha=Fraction(2),
         power=2,
         output_symbols=2,
         modulus=find_irreducible(21, 2),
@@ -305,3 +307,27 @@ def test_spec_needs_entropy_within_the_source(n, k):
     # the builder's 0 < k <= n holds for a spec read from a file too
     with pytest.raises(ValueError, match="need 0 < k <= n"):
         dataclasses.replace(_manual_spec(), n=n, k=k)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 16)])
+@pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+def test_every_built_spec_loads_unchanged(eps, alpha):
+    # the inequalities a spec checks on load are the ones its builder resolved
+    for n, k in [(6, 3), (10, 10), (12, 6), (16, 4), (20, 7), (24, 8), (40, 10)]:
+        try:
+            spec = build_condenser(n, k, eps, alpha)
+        except InfeasibleParameterError:
+            continue
+        assert spec_from_json(spec_to_json(spec)) == spec
+
+
+def test_pinned_condensers_load_with_their_digests():
+    # the benchmark's pinned instances
+    for args, digest in [
+        ((12, 6, Fraction(1, 4), 1),
+         "6414c04bc6da496fc69380834a2361e4fc7c7e642194780ff70536b74a22764d"),
+        ((40, 10, Fraction(1, 4), Fraction(1, 2)),
+         "2b166aec7e93004d2fe166bfb87841dcaf9d68b071e0dbc2f30b798b1cd8fd22"),
+    ]:
+        spec = spec_from_json(spec_to_json(build_condenser(*args)))
+        assert spec_digest(spec) == digest

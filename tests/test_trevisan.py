@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from extractorforge import oracle
 from extractorforge.bits import BitString
 from extractorforge.codes import CodeSpec, encode_bit
 from extractorforge.designs import (
@@ -265,7 +266,7 @@ def test_table_path_on_sources_of_70_bits():
 
 
 class _TableOnly(_ExtractOnly):
-    """The extractor without its cell counts: the oracle counts every pair
+    """The extractor without its linear rows: the oracle counts every pair
     of its output table."""
 
     def __init__(self, ext):
@@ -273,27 +274,18 @@ class _TableOnly(_ExtractOnly):
         self.prepare_batch, self.extract_table = ext.prepare_batch, ext.extract_table
 
 
-class _ProductOnly(_TableOnly):
-    """The extractor whose cell counts always come from the matrix
-    products, whatever they cost."""
-
-    def __init__(self, ext):
-        super().__init__(ext)
-        plan = ext._product_plan
-        self.cell_counts = lambda state, weights: plan.counts(state, weights.astype(np.float64))
-
-
 def _spied(ext):
-    """``ext`` with cell_counts recording, per call, whether it declined."""
+    """``ext`` with linear_rows recording, per call, whether it declined; no
+    call means the oracle's cost or size rule declined first."""
     declined = []
-    counts = ext.cell_counts
+    rows = ext.linear_rows
 
-    def spy(state, weights):
-        result = counts(state, weights)
+    def spy(patterns):
+        result = rows(patterns)
         declined.append(result is None)
         return result
 
-    ext.cell_counts = spy
+    ext.linear_rows = spy
     return ext, declined
 
 
@@ -338,40 +330,50 @@ def _side_table(n, symbols, seed):
 @pytest.mark.parametrize("name", _SMALL_SPECS)
 @pytest.mark.parametrize("symbols", [1, 3])
 @pytest.mark.parametrize("use_side", [False, True], ids=["source", "side"])
-def test_product_table_and_pair_paths_agree(name, symbols, use_side):
+def test_product_table_and_pair_paths_agree(name, symbols, use_side, monkeypatch):
+    """The spectral path, which counts cells by Hadamard products (the
+    n-bit transform of each symbol's weights, then the m-bit one at the
+    row masks), agrees with the table, per-pair and reference distances."""
     spec = _SMALL_SPECS[name]
     table = _side_table(spec.n, symbols, seed=len(name))
     source = table.x_marginal()
     side = table if use_side else None
-    ext = TrevisanExtractor(spec)
-    got = extractor_distance(_ProductOnly(ext), source, side=side)
-    assert got == extractor_distance(ext, source, side=side)
-    assert got == extractor_distance(_TableOnly(ext), source, side=side)
-    assert got == extractor_distance(_ExtractOnly(ext), source, side=side)
     joint = dict(table.items()) if use_side else {(x, 0): p for x, p in source.items()}
-    assert got == ref_side_distance(_reference(spec), spec.t, spec.m, joint)
+    expect = ref_side_distance(_reference(spec), spec.t, spec.m, joint)
+    assert extractor_distance(TrevisanExtractor(spec), source, side=side) == expect
+    assert extractor_distance(_TableOnly(TrevisanExtractor(spec)), source, side=side) == expect
+    assert extractor_distance(_ExtractOnly(TrevisanExtractor(spec)), source, side=side) == expect
+    monkeypatch.setattr(oracle, "_SPECTRAL_CALL_NS", 0)
+    monkeypatch.setattr(oracle, "_PAIR_NS", 1 << 40)
+    ext, declined = _spied(TrevisanExtractor(spec))
+    assert extractor_distance(ext, source, side=side) == expect
+    assert declined and not any(declined)
 
 
 def test_product_path_on_the_benchmark_instances():
-    # thm43(12, 2): m = 2 over disjoint sets, a flat source of 2^9 strings
+    # thm43(12, 2): m = 2 over disjoint sets, a flat source of 2^9 strings:
+    # the spectral path
     ext, declined = _spied(TrevisanExtractor(build_trevisan("thm43", 12, 2, Fraction(1, 4))))
     source = sample_flat_sources(12, 9, 1, seed=3)[0]
     assert extractor_distance(ext, source) == extractor_distance(_TableOnly(ext), source)
+    assert declined == [False] * 16  # 2^16 patterns, 2^12 per block
     # thm42(24, 1): m = 1, and X flat on a piece of 2^7 strings given each
-    # of 4 symbols, here of unequal weights
+    # of 4 symbols, here of unequal weights: 4 x 2^24 transform entries
+    # exceed the spectral path's limit, so the pairs are counted
     ext2, declined2 = _spied(TrevisanExtractor(build_trevisan("thm42", 24, 1, Fraction(1, 4))))
     pieces = sample_flat_sources(24, 7, 4, seed=8)
     weights = {(x, s): Fraction(s + 1, 10 << 7) for s, p in enumerate(pieces) for x in p.support}
     table = JointTable(24, weights)
     source = table.x_marginal()
     got = extractor_distance(ext2, source, side=table)
-    assert got == extractor_distance(_TableOnly(ext2), source, side=table)
+    assert declined2 == []
     assert got == extractor_distance(_ExtractOnly(ext2), source, side=table)
-    assert declined == declined2 == [False]
 
 
-def test_product_path_below_2_53_with_python_int_weights():
-    # a denominator of 2^50 makes the oracle hold weights as Python ints
+def test_product_path_below_2_53_with_python_int_weights(spectral_always):
+    # a denominator of 2^50 makes the oracle hold weights as Python ints,
+    # and a block's int64 sums could overflow: the spectral path sums its
+    # blocks exactly
     spec = _SMALL_SPECS["m2-disjoint"]
     d = 1 << 50
     probs = {BitString(1, 6): Fraction(d // 3, d), BitString(22, 6): Fraction(d // 5, d)}
@@ -379,21 +381,24 @@ def test_product_path_below_2_53_with_python_int_weights():
     source = FiniteDistribution(probs)
     ext, declined = _spied(TrevisanExtractor(spec))
     got = extractor_distance(ext, source)
-    assert declined == [False]
+    assert declined and not any(declined)
     assert got == extractor_distance(_TableOnly(ext), source)
     joint = {(x, 0): p for x, p in probs.items()}
     assert got == ref_side_distance(_reference(spec), spec.t, spec.m, joint)
 
 
-def test_product_declines_weights_past_float64():
-    # a denominator of 2^54 or more: float64 sums would round
+def test_product_declines_weights_past_float64(spectral_always):
+    # m = 2 and a denominator of 2^60, past float64's 2^53: 2^m times the
+    # total weight reaches 2^62, past which int64 sums may overflow, so the
+    # pairs are counted
     spec = _SMALL_SPECS["m2-overlap"]
-    third = 1 / 3
-    probs = {BitString(1, 6): third, BitString(22, 6): third, BitString(45, 6): 1 - 2 * third}
+    d = 1 << 60
+    probs = {BitString(1, 6): Fraction(d // 3, d), BitString(22, 6): Fraction(d // 7, d)}
+    probs[BitString(45, 6)] = 1 - sum(probs.values())
     source = FiniteDistribution(probs)
     ext, declined = _spied(TrevisanExtractor(spec))
     got = extractor_distance(ext, source)
-    assert declined == [True]
+    assert declined == []
     joint = {(x, 0): p for x, p in probs.items()}
     assert got == ref_side_distance(_reference(spec), spec.t, spec.m, joint)
 
@@ -406,19 +411,22 @@ _EIGHT_POSITIONS_IN_SIX_SETS = [
 @pytest.mark.parametrize(
     "spec",
     [
-        # S_3 inside S_1 and S_2: one product column per partial pattern
+        # S_3 inside S_1 and S_2: 2^6 patterns of 4 strings
         _explicit_spec(5, 2, [(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 4, 5)], 6),
-        # 2^6 values of the first six bits: 64 rows per partial pattern
+        # m = 7: 2^7 cells per pattern against 4 pairs
         _explicit_spec(8, 2, _EIGHT_POSITIONS_IN_SIX_SETS + [(8, 9, 10, 11)], 12),
-        # S_2 shares six positions: 64 runs of tiny products
+        # n = 16: a transform of 2^16 entries for 4 strings
         _explicit_spec(16, 4, [tuple(range(8)), (0, 1, 2, 3, 4, 5, 8, 9)], 10),
     ],
     ids=["no-new-positions", "m7", "six-shared"],
 )
-def test_product_declines_where_pairs_cost_less(spec):
+def test_product_declines_where_pairs_cost_less(spec, monkeypatch):
     ext, declined = _spied(TrevisanExtractor(spec))
     source = sample_flat_sources(spec.n, 2, 1, seed=6)[0]
     got = extractor_distance(ext, source)
-    assert declined == [True]
-    assert got == extractor_distance(_ProductOnly(ext), source)
+    assert declined == []
     assert got == extractor_distance(_ExtractOnly(ext), source)
+    monkeypatch.setattr(oracle, "_SPECTRAL_CALL_NS", 0)
+    monkeypatch.setattr(oracle, "_PAIR_NS", 1 << 40)
+    assert extractor_distance(ext, source) == got
+    assert declined and not any(declined)
