@@ -259,10 +259,11 @@ def _resolve_seed(args, needed_bits: int) -> tuple[BitString, str]:
 
 
 def _evaluator(spec):
-    """make_evaluator, exiting 7 on a spec that is inconsistent or too large to run."""
+    """make_evaluator, exiting 7 on a Toeplitz spec whose seed support
+    overflows a Python sequence; every other spec that loads can run."""
     try:
         return make_evaluator(spec)
-    except (ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise _bad_spec(exc) from None
 
 

@@ -15,32 +15,48 @@ from fractions import Fraction
 
 from .bits import BitString
 from .condenser import CondenserSpec, _ceil_log2, build_condenser, strong_form
-from .errors import InfeasibleParameterError
+from .errors import check_rules
 from .trevisan import (
     PRESET_THM42,
     PRESET_THM43,
     ExtractorSpec,
     TrevisanExtractor,
+    _check_trevisan_inputs,
     build_trevisan,
 )
+
+
+def _check_halves(e1_input: int, e2_input: int, e2_output: int, e1_seed: int) -> None:
+    """The rules a block spec and its composite share."""
+    check_rules(
+        (e1_input == e2_input, f"halves differ: E1 reads {e1_input} bits, E2 reads {e2_input}",
+         "equal halves"),
+        (e2_output == e1_seed, f"E2 outputs {e2_output} bits but E1 wants a {e1_seed}-bit seed",
+         "E2 output length = E1 seed length"),
+    )
+
+
+def _check_condensed_input(strong_bits: int, extractor_bits: int) -> None:
+    """The rule a pipeline spec and its composite share."""
+    check_rules((
+        extractor_bits == strong_bits + strong_bits % 2,
+        f"the extractor reads {extractor_bits} bits, not the condenser's "
+        f"{strong_bits} rounded up to even",
+        "extractor input = condensed length (+ parity pad)",
+    ))
+
+
+def _check_beta(beta: Fraction) -> None:
+    """The rule the pipeline builder and every pipeline spec share."""
+    check_rules((0 <= beta < Fraction(1, 2), f"beta = 1/2 - alpha = {beta} is outside [0, 1/2)",
+                 "beta < 1/2"))
 
 
 class BlockComposedExtractor:
     """E(x, y) = E1(x1, E2(x2, y)) with x split into equal halves."""
 
     def __init__(self, e1, e2):
-        if e1.input_bits != e2.input_bits:
-            raise InfeasibleParameterError(
-                f"halves differ: E1 reads {e1.input_bits} bits, "
-                f"E2 reads {e2.input_bits}",
-                constraint="equal halves",
-            )
-        if e2.output_bits != e1.seed_bits:
-            raise InfeasibleParameterError(
-                f"E2 outputs {e2.output_bits} bits but E1 wants a "
-                f"{e1.seed_bits}-bit seed",
-                constraint="E2 output length = E1 seed length",
-            )
+        _check_halves(e1.input_bits, e2.input_bits, e2.output_bits, e1.seed_bits)
         self.e1 = e1
         self.e2 = e2
         self.input_bits = e1.input_bits + e2.input_bits
@@ -66,23 +82,17 @@ def block_compose(e1, e2) -> BlockComposedExtractor:
 class CondenseExtractExtractor:
     """EC(x, (y1, y2)) = E(C(x, y1) || y1, y2).
 
-    The combined seed is y1 || y2.  If the extractor's input is one bit
-    longer than the strong-form output (parity padding from the builder),
-    a zero bit is appended before extraction.
+    The combined seed is y1 || y2.  The extractor reads the strong-form
+    output rounded up to even: when that output is odd, a zero bit is
+    appended before extraction (parity padding from the builder).
     """
 
     def __init__(self, condenser: CondenserSpec, extractor):
         strong_bits = condenser.output_bits + condenser.seed_bits
-        pad = extractor.input_bits - strong_bits
-        if pad not in (0, 1):
-            raise InfeasibleParameterError(
-                f"extractor reads {extractor.input_bits} bits but the "
-                f"condensed string is {strong_bits} bits",
-                constraint="extractor input = condensed length (+ parity pad)",
-            )
+        _check_condensed_input(strong_bits, extractor.input_bits)
         self.condenser = condenser
         self.extractor = extractor
-        self.pad = pad
+        self.pad = strong_bits % 2
         self.input_bits = condenser.n
         self.seed_bits = condenser.seed_bits + extractor.seed_bits
         self.output_bits = extractor.output_bits
@@ -114,12 +124,21 @@ class BlockSpec:
     extracting from the second half at entropy n/2 - b - log2(1/eps).
     The composed error budget is eps + eps1 + eps2 with equal splits.
     Stored: b, E1 and E2.  Derived: n is the sum of the halves and eps is
-    E1's target.
+    E1's target.  Checked on load, as the composite checks its parts: E1
+    and E2 read equal halves, E2 outputs E1's seed, and E2's target is
+    E1's, since eps and the error budget read E1's alone.  b is a stated
+    label, which only ``verify pipeline``'s rebuild checks.
     """
 
     b: int
     e1: ExtractorSpec
     e2: ExtractorSpec
+
+    def __post_init__(self):
+        eps1, eps2 = self.e1.epsilon_target, self.e2.epsilon_target
+        _check_halves(self.e1.n, self.e2.n, self.e2.m, self.e1.t)
+        check_rules((eps2 == eps1, f"E2's epsilon target {eps2} is not E1's {eps1}",
+                     "E2 epsilon = E1 epsilon"))
 
     @property
     def n(self) -> int:
@@ -154,27 +173,18 @@ def build_high_entropy_extractor(
 ) -> BlockSpec:
     """Composed extractor for sources missing at most b bits of entropy."""
     epsilon = Fraction(epsilon)
-    if n < 2 or n % 2:
-        raise InfeasibleParameterError(
-            f"n must be even and >= 2, got {n}", constraint="even source length"
-        )
-    if not 0 < epsilon < 1:
-        raise InfeasibleParameterError(
-            f"epsilon must be in (0, 1), got {epsilon}", constraint="0 < epsilon < 1"
-        )
-    if b < 0:
-        raise InfeasibleParameterError(
-            f"the storage bound b must be >= 0, got {b}", constraint="b >= 0"
-        )
+    check_rules((n >= 2 and n % 2 == 0, f"n must be even and >= 2, got {n}",
+                 "even source length"))
     half = n // 2
-    log_eps_inv = _ceil_log2(1 / epsilon)
-    inner_entropy = half - b - log_eps_inv
-    if inner_entropy <= 0:
-        raise InfeasibleParameterError(
-            f"b={b} leaves no entropy margin: n/2 - b - log2(1/eps) = "
-            f"{inner_entropy} <= 0",
-            constraint="b < n/2 - log2(1/eps)",
-        )
+    # E1 and E2 each read a half at eps; m = 1 stands for E1's output length,
+    # which is resolved below
+    _check_trevisan_inputs(half, 1, epsilon)
+    inner_entropy = half - b - _ceil_log2(1 / epsilon)
+    check_rules(
+        (b >= 0, f"the storage bound b must be >= 0, got {b}", "b >= 0"),
+        (inner_entropy > 0, f"b={b} leaves no entropy margin: n/2 - b - log2(1/eps) = "
+         f"{inner_entropy} <= 0", "b < n/2 - log2(1/eps)"),
+    )
     m1 = -(-(half - b) // 2)
     e1 = build_trevisan(PRESET_THM42, half, m1, epsilon)
     e2 = build_trevisan(PRESET_THM43, half, e1.t, epsilon)
@@ -186,9 +196,9 @@ class PipelineSpec:
     """Condense-then-extract pipeline: a condenser and a block extractor.
 
     Stored: the two parts.  Derived: n, k, alpha and eps are the condenser's;
-    beta = 1/2 - alpha inverts the builder's alpha = 2(1 - beta)(1 - zeta) - 1,
-    where zeta is fixed by formula from beta; ``rounding`` notes the parity
-    pad and the rounding of b = beta k.  The parts must agree: 0 <= beta <
+    beta = 1/2 - alpha, as the builder sets alpha = 1/2 - beta, and zeta is
+    fixed by formula from beta; ``rounding`` notes the parity pad and the
+    rounding of b = beta k.  The parts must agree: 0 <= beta <
     1/2, b = ceil(beta k), and the block reads the condenser's strong output
     rounded up to even.  The total error is the condenser's 2 * eps plus the
     composed extractor's 3 * eps.
@@ -198,16 +208,11 @@ class PipelineSpec:
     extractor: BlockSpec
 
     def __post_init__(self):
-        if not 0 <= self.beta < Fraction(1, 2):
-            raise ValueError(f"beta = 1/2 - alpha = {self.beta} is outside [0, 1/2)")
-        b, strong_bits = math.ceil(self.beta * self.k), self._strong_bits
+        _check_beta(self.beta)
+        b = math.ceil(self.beta * self.k)
         if self.extractor.b != b:
             raise ValueError(f"b is {self.extractor.b} but ceil(beta*k) is {b}")
-        if self.extractor.n != strong_bits + strong_bits % 2:
-            raise ValueError(
-                f"the extractor reads {self.extractor.n} bits, not the condenser's "
-                f"{strong_bits} rounded up to even"
-            )
+        _check_condensed_input(self._strong_bits, self.extractor.n)
 
     @property
     def beta(self) -> Fraction:
@@ -248,7 +253,9 @@ class PipelineSpec:
 
     @property
     def zeta(self) -> Fraction:
-        return default_zeta(self.beta)
+        """zeta = (1/2)(1 - 1/(2(1 - beta))), which makes the paper's
+        alpha = 2(1 - beta)(1 - zeta) - 1 equal 1/2 - beta."""
+        return Fraction(1, 2) * (1 - 1 / (2 * (1 - self.beta)))
 
     @property
     def error_budget(self) -> Fraction:
@@ -270,24 +277,14 @@ class PipelineSpec:
         return condense_extract(self.condenser, self.extractor.extractor())
 
 
-def default_zeta(beta: Fraction) -> Fraction:
-    """zeta = (1/2)(1 - 1/(2(1 - beta))), which makes alpha = 1/2 - beta."""
-    return Fraction(1, 2) * (1 - 1 / (2 * (1 - beta)))
-
-
 def build_pipeline(
     n: int, k: int, beta: Fraction | float, epsilon: Fraction | float
 ) -> PipelineSpec:
     """Resolve the full condense-then-extract pipeline for (n, k, beta, eps)."""
     beta = Fraction(beta)
     epsilon = Fraction(epsilon)
-    if not 0 <= beta < Fraction(1, 2):
-        raise InfeasibleParameterError(
-            f"beta must satisfy 0 <= beta < 1/2, got {beta}",
-            constraint="beta < 1/2",
-        )
-    alpha = 2 * (1 - beta) * (1 - default_zeta(beta)) - 1
-    condenser = build_condenser(n, k, epsilon, alpha)
+    _check_beta(beta)
+    condenser = build_condenser(n, k, epsilon, Fraction(1, 2) - beta)
     strong_bits = condenser.output_bits + condenser.seed_bits
     extractor = build_high_entropy_extractor(
         strong_bits + strong_bits % 2, math.ceil(beta * k), epsilon

@@ -13,10 +13,12 @@ Parameter resolution, smallest field width w such that
     w >= ceil(log2(n_tilde * h^2 / eps)),
   * (2^k - 1) * (n_tilde - 1) <= eps * 2^w,
   * m' = min(ceil((k + 2 ceil(log2(1/eps))) / w) + 1, n_tilde) gives
-    k <= m' * w <= (1 + alpha) * k + w.
+    m' * w <= (1 + alpha) * k + w.
 
-Every spec, built here or read from JSON, is checked against these
-inequalities, with 0 < eps < 1 and alpha > 0.
+k <= m' * w needs no check of its own: n_tilde = 1 puts the whole source,
+and so k, in one w-bit symbol, and n_tilde >= 2 makes the third inequality
+force 2^k - 1 < 2^w.  Every spec, built here or read from JSON, is checked
+against these inequalities, with 0 < k <= n, alpha > 0 and 0 < eps < 1.
 
 The third inequality is what makes the unique-neighbor check a theorem at
 desk scale rather than an empirical hope: two distinct source polynomials
@@ -33,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import BitString
-from .errors import InfeasibleParameterError
+from .errors import InfeasibleParameterError, check_rules
 from .gf2 import get_field, horner, split_symbols
 from .poly import FieldPoly, find_irreducible, poly_irreducible, pow_mod_rows
 
@@ -57,8 +59,7 @@ class CondenserSpec:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if not 0 < self.k <= self.n:
-            raise ValueError(f"need 0 < k <= n, got k={self.k}, n={self.n}")
+        _check_condenser_inputs(self.n, self.k, self.epsilon, self.alpha)
         if self.power < 2 or self.power & (self.power - 1):
             raise ValueError(f"power must be a power of two >= 2, got {self.power}")
         if not 1 <= self.output_symbols <= self.message_symbols:
@@ -70,18 +71,11 @@ class CondenserSpec:
             )
         if self.modulus.coeffs[-1] != 1 or not poly_irreducible(self.modulus):
             raise ValueError("modulus E must be monic and irreducible over GF(2^w)")
-        if self.output_bits < self.k:
-            raise ValueError("output shorter than the entropy it must preserve")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         violated = _violated_constraint(
             self.k, self.epsilon, self.alpha, self.field_width, self.message_symbols,
             self.power, self.output_symbols,
         )
-        if violated:
-            raise ValueError(f"condenser parameters break {violated}")
+        check_rules((violated is None, f"condenser parameters break {violated}", violated))
 
     @property
     def field_width(self) -> int:
@@ -109,6 +103,15 @@ def _ceil_log2(value: Fraction) -> int:
     return bits
 
 
+def _check_condenser_inputs(n: int, k: int, epsilon: Fraction, alpha: Fraction) -> None:
+    """The input rules, which the builder and every spec, built or read, check."""
+    check_rules(
+        (0 < k <= n, f"need 0 < k <= n, got k={k}, n={n}", "0 < k <= n"),
+        (alpha > 0, f"alpha must be positive, got {alpha}", "alpha > 0"),
+        (0 < epsilon < 1, f"epsilon must be in (0, 1), got {epsilon}", "0 < epsilon < 1"),
+    )
+
+
 def _violated_constraint(
     k: int, epsilon: Fraction, alpha: Fraction, w: int, n_tilde: int, h: int, m_out: int
 ) -> str | None:
@@ -119,8 +122,6 @@ def _violated_constraint(
         return "w >= log2(n_tilde * h^2 / eps)"
     if ((1 << k) - 1) * (n_tilde - 1) > epsilon * (1 << w):
         return "(2^k - 1)(n_tilde - 1) <= eps * 2^w"
-    if m_out * w < k:
-        return "m' * w >= k"
     if m_out * w > (1 + alpha) * k + w:
         return "m' * w <= (1 + alpha) k + w"
     return None
@@ -132,18 +133,7 @@ def build_condenser(
     """Smallest-seed spec satisfying the documented inequalities."""
     epsilon = Fraction(epsilon)
     alpha = Fraction(alpha)
-    if not 0 < k <= n:
-        raise InfeasibleParameterError(
-            f"need 0 < k <= n, got k={k}, n={n}", constraint="0 < k <= n"
-        )
-    if alpha <= 0:
-        raise InfeasibleParameterError(
-            f"alpha must be positive, got {alpha}", constraint="alpha > 0"
-        )
-    if not 0 < epsilon < 1:
-        raise InfeasibleParameterError(
-            f"epsilon must be in (0, 1), got {epsilon}", constraint="0 < epsilon < 1"
-        )
+    _check_condenser_inputs(n, k, epsilon, alpha)
     log_eps_inv = _ceil_log2(1 / epsilon)
     last_failure = "no width fits the source"
     for w in range(2, _MAX_SEED_WIDTH + 1):

@@ -30,3 +30,11 @@ class BudgetExceededError(RuntimeError):
         )
         self.needed = needed
         self.budget = budget
+
+
+def check_rules(*rules: tuple[bool, str, str]) -> None:
+    """Raise InfeasibleParameterError for the first (holds, message,
+    constraint) rule that does not hold."""
+    for holds, message, constraint in rules:
+        if not holds:
+            raise InfeasibleParameterError(message, constraint)

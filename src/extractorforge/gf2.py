@@ -32,7 +32,7 @@ MAX_FIELD_WIDTH = 32
 # Widths up to this hold exp/log tables, built once per field with zero
 # folded in: log 0 = 2(q - 1) and exp is 0 from index 2(q - 1) on, so
 # exp[log a + log b] is the product a b for every pair, zero included.
-# Wider fields multiply by shift-and-xor and invert by extended gcd.
+# Wider fields multiply by shift-and-xor and invert a as a^(q - 2).
 _TABLE_WIDTH_LIMIT = 16
 
 
@@ -52,43 +52,19 @@ def gf2x_mul(a: int, b: int) -> int:
     return result
 
 
-def gf2x_divmod(a: int, b: int) -> tuple[int, int]:
+def gf2x_mod(a: int, b: int) -> int:
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
     db = gf2x_degree(b)
-    q = 0
-    while True:
-        da = gf2x_degree(a)
-        if da < db:
-            return q, a
-        shift = da - db
-        q ^= 1 << shift
+    while (shift := gf2x_degree(a) - db) >= 0:
         a ^= b << shift
-
-
-def gf2x_mod(a: int, b: int) -> int:
-    return gf2x_divmod(a, b)[1]
+    return a
 
 
 def gf2x_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, gf2x_mod(a, b)
     return a
-
-
-def _gf2x_invmod(a: int, m: int) -> int:
-    """Inverse of ``a`` modulo ``m`` via the extended Euclidean algorithm."""
-    if a == 0:
-        raise ZeroDivisionError("zero has no inverse")
-    s, s1 = 1, 0
-    r, r1 = a, m
-    while r1:
-        q, rem = gf2x_divmod(r, r1)
-        r, r1 = r1, rem
-        s, s1 = s1, s ^ gf2x_mul(q, s1)
-    if r != 1:
-        raise ZeroDivisionError(f"{a:#x} is not invertible modulo {m:#x}")
-    return gf2x_mod(s, m)
 
 
 def _gf2x_mulmod(a: int, b: int, m: int) -> int:
@@ -229,7 +205,7 @@ class GF2Field:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^w)")
         if self._exp is None:
-            return _gf2x_invmod(a, self.modulus)
+            return self.pow(a, self.order - 2)
         return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:

@@ -29,6 +29,7 @@ import numpy as np
 from .bits import BitString
 from .detrand import CounterRng
 from .errors import BudgetExceededError
+from .toeplitz import ToeplitzExtractor, ToeplitzSpec
 
 DEFAULT_ENUM_BUDGET = 1 << 26
 
@@ -745,8 +746,6 @@ def lemma_suite(
 
     # Convexity: extraction distance of a mixture of uniform pieces is at
     # most the weighted sum of the pieces' distances.
-    from .toeplitz import ToeplitzExtractor, ToeplitzSpec
-
     m = max(1, min(2, n - 1))
     ext = ToeplitzExtractor(ToeplitzSpec(n, m))
     # The flat pieces become the symbols of one side table: symbol i holds

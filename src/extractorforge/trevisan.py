@@ -6,14 +6,19 @@ provided: ``thm42`` backs the designs with the polynomial construction
 (quadratic seed), ``thm43`` with the greedy weak design (shorter seed).
 
 Parameter resolution is explicit rather than asymptotic.  The field width w
-is the smallest width such that the padded source fits (ceil(n/w) <= 2^w)
-and 2^w >= 2 * m / epsilon.  The second constraint keeps the structural bias
-of the code page small at desk scale: a uniformly chosen codeword position
-masks the symbol with z = 0 with probability 2^-w, and such positions carry
-a constant bit, so their total contribution to the joint distance stays
-below m * 2^-(w+1) <= epsilon / 4.  The acceptance suite checks the
-resulting epsilon target empirically on sampled flat sources instead of
-trusting any asymptotic constant.
+is the smallest width up to 24 such that the padded source fits
+(ceil(n/w) <= 2^w) and 2^w >= 2 * m / epsilon.  The second constraint keeps
+the structural bias of the code page small at desk scale: a uniformly
+chosen codeword position masks the symbol with z = 0 with probability
+2^-w, and such positions carry a constant bit, so their total contribution
+to the joint distance stays below m * 2^-(w+1) <= epsilon / 4.  The
+acceptance suite checks the resulting epsilon target empirically on sampled
+flat sources instead of trusting any asymptotic constant.
+
+Every spec, built here or read from JSON, is checked against 0 < epsilon < 1
+and n, m >= 1, and a ``thm42`` or ``thm43`` spec against these width rules
+too.  A ``custom`` spec, whose parts are given, is checked only against the
+input rules and the wiring of its code and design.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from .bits import BitString
 from .codes import CodeSpec, encode_all_positions, encode_bit
 from .designs import Design, build_greedy_weak_design, build_poly_design, restrict_seed
-from .errors import InfeasibleParameterError
+from .errors import InfeasibleParameterError, check_rules
 
 PRESET_THM42 = "thm42"
 PRESET_THM43 = "thm43"
@@ -57,8 +62,7 @@ class ExtractorSpec:
         if self.preset not in (PRESET_THM42, PRESET_THM43, PRESET_CUSTOM):
             raise ValueError(f"unknown preset {self.preset!r}")
         object.__setattr__(self, "epsilon_target", Fraction(self.epsilon_target))
-        if self.n < 1 or self.m < 1:
-            raise ValueError("need at least one input bit and one output bit")
+        _check_trevisan_inputs(self.n, self.m, self.epsilon_target)
         if self.design.set_size != self.code.index_bits:
             raise ValueError(
                 f"design set size {self.design.set_size} does not match "
@@ -70,17 +74,41 @@ class ExtractorSpec:
             )
         if self.code.message_bits < self.n:
             raise ValueError("code message is shorter than the source")
+        if self.preset != PRESET_CUSTOM:
+            w = self.code.field_width
+            violated = _violated_width(self.n, self.m, self.epsilon_target, w)
+            check_rules((violated is None, f"field width {w} breaks {violated}", violated))
 
     @property
     def t(self) -> int:  # the seed length
         return self.design.universe_size
 
 
+def _check_trevisan_inputs(n: int, m: int, epsilon: Fraction) -> None:
+    """The input rules, which the builders and every spec, built or read, check."""
+    check_rules(
+        (0 < epsilon < 1, f"epsilon must be in (0, 1), got {epsilon}", "0 < epsilon < 1"),
+        (n >= 1 and m >= 1, "need at least one input bit and one output bit",
+         "positive dimensions"),
+    )
+
+
+def _violated_width(n: int, m: int, epsilon: Fraction, w: int) -> str | None:
+    """The first documented width rule that w breaks for (n, m, eps), or
+    None; the builder's search and every preset spec, built or read, check
+    the same ones."""
+    if w > _MAX_FIELD_WIDTH:
+        return f"w <= {_MAX_FIELD_WIDTH}"
+    if -(-n // w) > 1 << w:
+        return "ceil(n/w) <= 2^w"
+    if 2 * m > epsilon * (1 << w):
+        return "2m <= eps * 2^w"
+    return None
+
+
 def _resolve_field_width(n: int, m: int, epsilon: Fraction) -> int:
     for w in range(2, _MAX_FIELD_WIDTH + 1):
-        fits = -(-n // w) <= 1 << w
-        strong_enough = Fraction(2 * m, 1 << w) <= epsilon
-        if fits and strong_enough:
+        if _violated_width(n, m, epsilon, w) is None:
             return w
     raise InfeasibleParameterError(
         f"no field width up to {_MAX_FIELD_WIDTH} supports n={n}, m={m}, "
@@ -95,14 +123,7 @@ def build_trevisan(preset: str, n: int, m: int, epsilon: Fraction | float) -> Ex
     Deterministic: identical inputs give bit-identical specs.
     """
     epsilon = Fraction(epsilon)
-    if not 0 < epsilon < 1:
-        raise InfeasibleParameterError(
-            f"epsilon must be in (0, 1), got {epsilon}", constraint="0 < epsilon < 1"
-        )
-    if m < 1 or n < 1:
-        raise InfeasibleParameterError(
-            "need n >= 1 and m >= 1", constraint="positive dimensions"
-        )
+    _check_trevisan_inputs(n, m, epsilon)
     w = _resolve_field_width(n, m, epsilon)
     code = CodeSpec(field_width=w, message_symbols=-(-n // w))
     set_size = code.index_bits

@@ -14,6 +14,7 @@ from extractorforge.codes import CodeSpec, encode_bit
 from extractorforge.compose import build_high_entropy_extractor, build_pipeline
 from extractorforge.condenser import StrongCondenserMap, build_condenser, guv_condense
 from extractorforge.designs import build_poly_design
+from extractorforge.errors import InfeasibleParameterError
 from extractorforge.serialize import spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
 from extractorforge.trevisan import build_trevisan, custom_spec
@@ -285,6 +286,18 @@ def pipeline_spec():
     return build_pipeline(24, 8, Fraction(1, 4), Fraction(1, 4))
 
 
+def _set_paths(edits):
+    """An edit that sets the value at each JSON path of ``edits``."""
+    def edit(data):
+        for (*parents, key), value in edits.items():
+            target_object = data
+            for parent in parents:
+                target_object = target_object[parent]
+            target_object[key] = value
+
+    return edit
+
+
 def _edited_spec_file(tmp_path, spec, edit):
     data = json.loads(spec_to_json(spec))
     edit(data)
@@ -454,15 +467,7 @@ def test_number_the_parts_fix_must_agree(capsys, tmp_path, name, edits, message)
     # every stated number is read from the parts, and the parts must agree
     # with each other; a file that states otherwise is unreadable
     spec, target = _DERIVED_SPECS[name]
-
-    def edit(data):
-        for (*parents, key), value in edits.items():
-            target_object = data
-            for parent in parents:
-                target_object = target_object[parent]
-            target_object[key] = value
-
-    path = _edited_spec_file(tmp_path, spec, edit)
+    path = _edited_spec_file(tmp_path, spec, _set_paths(edits))
     infile = tmp_path / "input.bin"
     infile.write_bytes(bytes(range(64)))
     seed = "5a" * -(-cli.make_evaluator(spec).seed_bits // 8)
@@ -870,17 +875,120 @@ def test_wide_stated_universe_keeps_the_design_certificate(capsys, tmp_path, wid
         ("alpha", [-1, 2], "alpha must be positive"),
     ],
 )
-def test_condenser_inequalities_are_checked_on_load(capsys, tmp_path, extract_args, key, value,
-                                                     broken):
-    data = json.loads(spec_to_json(_CONDENSER))
-    data[key] = value
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(data))
-    spec_arg = extract_args.index("--spec") + 1
-    commands = [extract_args[:spec_arg] + [str(path)] + extract_args[spec_arg + 1:]
-                + ["--seed", "0fa5"]]
-    commands += [["verify", target, "--spec", str(path)] for target in cli._TARGETS]
+def test_condenser_inequalities_are_checked_on_load(capsys, tmp_path, key, value, broken):
+    path = _edited_spec_file(tmp_path, _CONDENSER, lambda data: data.update({key: value}))
+    _assert_unreadable_everywhere(capsys, tmp_path, path, broken)
+
+
+def _assert_unreadable_everywhere(capsys, tmp_path, path, broken):
+    """extract and every verify target exit 7 on the file, naming the rule."""
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(bytes(range(64)))
+    commands = [["extract", "--spec", path, "--in", str(infile),
+                 "--out", str(tmp_path / "out.bin"), "--seed", "5a" * 128]]
+    commands += [["verify", target, "--spec", path] for target in cli._TARGETS]
     for argv in commands:
         rc, report, err = _run(capsys, argv)
         assert (rc, report) == (cli.EXIT_BAD_SPEC, None), argv
         assert err.startswith("unreadable spec: ") and broken in err, argv
+
+
+_THM43_12 = build_trevisan("thm43", 12, 2, Fraction(1, 4))  # w = 4
+_BLOCK_16 = build_high_entropy_extractor(16, 1, Fraction(1, 4))  # E1 t = 256, E2 w = 11
+# a thm42 file over GF(2^25): every rule but the width bound holds
+_THM42_W25 = custom_spec(12, CodeSpec(25, 1), build_poly_design(1, 50), 1, Fraction(1, 4))
+
+
+# One case per rule of each family that a spec file can break, on top of
+# the condenser's inequalities above and the pipeline's rules in
+# test_number_the_parts_fix_must_agree.  A Trevisan file cannot break
+# ceil(n/w) <= 2^w, since its code holds at most 2^w symbols.
+@pytest.mark.parametrize(
+    "spec, edits, broken",
+    [
+        pytest.param(_CONDENSER, {("k",): 0}, "need 0 < k <= n, got k=0, n=12", id="condenser-k"),
+        pytest.param(_THM43_12, {("epsilonTarget",): [5, 1]}, "epsilon must be in (0, 1), got 5",
+                     id="trevisan-epsilon"),
+        pytest.param(_THM43_12, {("m",): 0}, "need at least one input bit and one output bit",
+                     id="trevisan-m"),
+        pytest.param(_THM43_12, {("epsilonTarget",): [1, 1000]},
+                     "field width 4 breaks 2m <= eps * 2^w", id="trevisan-width-epsilon"),
+        pytest.param(_THM42_W25, {("preset",): "thm42"}, "field width 25 breaks w <= 24",
+                     id="trevisan-width-bound"),
+        pytest.param(_BLOCK_16, {("e2", "n"): 7, ("n",): 15},
+                     "halves differ: E1 reads 8 bits, E2 reads 7", id="block-halves"),
+        pytest.param(_BLOCK_16, {("e2", "m"): 255},
+                     "E2 outputs 255 bits but E1 wants a 256-bit seed", id="block-e2.m"),
+        pytest.param(_BLOCK_16, {("e2", "epsilonTarget"): [1, 2]},
+                     "E2's epsilon target 1/2 is not E1's 1/4", id="block-e2.epsilon"),
+        pytest.param(_BLOCK_16, {("e2", "epsilonTarget"): [1, 1000]},
+                     "field width 11 breaks 2m <= eps * 2^w", id="block-e2.epsilon-width"),
+    ],
+)
+def test_every_rule_is_checked_on_load(capsys, tmp_path, spec, edits, broken):
+    path = _edited_spec_file(tmp_path, spec, _set_paths(edits))
+    _assert_unreadable_everywhere(capsys, tmp_path, path, broken)
+
+
+def _flat(n, k, beta, eps):
+    return ["params", "--mode", "flat", "--n", str(n), "--k", str(k), "--beta", beta,
+            "--eps", eps]
+
+
+_HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
+
+
+# One case per rule of each builder: the message and constraint it raises,
+# and params' report of them wherever the CLI reaches the rule.  Each
+# condenser case resolves alpha = 1/2 - beta = 1/2, as params does at beta 0.
+@pytest.mark.parametrize(
+    "build, args, message, constraint, argv",
+    [
+        pytest.param(build_condenser, (12, 0, _QUARTER, _HALF), "need 0 < k <= n, got k=0, n=12",
+                     "0 < k <= n", _flat(12, 0, "0", "1/4"), id="condenser-k"),
+        pytest.param(build_condenser, (12, 6, _QUARTER, 0), "alpha must be positive, got 0",
+                     "alpha > 0", None, id="condenser-alpha"),
+        pytest.param(build_condenser, (12, 6, 1, _HALF), "epsilon must be in (0, 1), got 1",
+                     "0 < epsilon < 1", _flat(12, 6, "0", "1"), id="condenser-epsilon"),
+        # the search could not even start: log2(1/eps) needs eps > 0
+        pytest.param(build_condenser, (12, 6, 0, _HALF), "epsilon must be in (0, 1), got 0",
+                     "0 < epsilon < 1", _flat(12, 6, "0", "0"), id="condenser-epsilon0"),
+        pytest.param(build_condenser, (1000, 4, _QUARTER, _HALF),
+                     "no feasible condenser for n=1000, k=4, eps=1/4, alpha=1/2; last violated "
+                     "constraint: w >= log2(n_tilde * h^2 / eps)",
+                     "w >= log2(n_tilde * h^2 / eps)", _flat(1000, 4, "0", "1/4"),
+                     id="condenser-field"),
+        pytest.param(build_condenser, (40, 23, _QUARTER, _HALF),
+                     "no feasible condenser for n=40, k=23, eps=1/4, alpha=1/2; last violated "
+                     "constraint: (2^k - 1)(n_tilde - 1) <= eps * 2^w",
+                     "(2^k - 1)(n_tilde - 1) <= eps * 2^w", _flat(40, 23, "0", "1/4"),
+                     id="condenser-union"),
+        pytest.param(build_condenser, (40, 8, _QUARTER, Fraction(1, 1000)),
+                     "no feasible condenser for n=40, k=8, eps=1/4, alpha=1/1000; last violated "
+                     "constraint: m' * w <= (1 + alpha) k + w",
+                     "m' * w <= (1 + alpha) k + w", _flat(40, 8, "499/1000", "1/4"),
+                     id="condenser-output"),
+        pytest.param(build_trevisan, ("thm43", 8, 2, 5), "epsilon must be in (0, 1), got 5",
+                     "0 < epsilon < 1",
+                     ["params", "--mode", "qproof", "--n", "16", "--b", "1", "--eps", "5"],
+                     id="trevisan-epsilon"),
+        pytest.param(build_trevisan, ("thm43", 0, 2, _QUARTER),
+                     "need at least one input bit and one output bit", "positive dimensions", None,
+                     id="trevisan-dimensions"),
+        pytest.param(build_trevisan, ("thm42", 8, 1 << 40, _QUARTER),
+                     "no field width up to 24 supports n=8, m=1099511627776, epsilon=1/4",
+                     "2^w >= max(n/w, 2m/epsilon)", None, id="trevisan-width"),
+        pytest.param(build_pipeline, (24, 8, _HALF, _QUARTER),
+                     "beta = 1/2 - alpha = 1/2 is outside [0, 1/2)", "beta < 1/2",
+                     _flat(24, 8, "1/2", "1/4"), id="pipeline-beta"),
+    ],
+)
+def test_every_builder_rule_raises_its_constraint(capsys, build, args, message, constraint, argv):
+    with pytest.raises(InfeasibleParameterError) as exc:
+        build(*args)
+    assert (str(exc.value), exc.value.constraint) == (message, constraint)
+    if argv is not None:
+        rc, report, err = _run(capsys, argv)
+        assert (rc, report) == (cli.EXIT_INFEASIBLE, None)
+        assert err == f"infeasible parameters: {message} [{constraint}]\n"

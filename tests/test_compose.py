@@ -4,6 +4,7 @@ import pytest
 
 from extractorforge.bits import BitString
 from extractorforge.compose import (
+    BlockSpec,
     block_compose,
     build_high_entropy_extractor,
     build_pipeline,
@@ -12,7 +13,7 @@ from extractorforge.compose import (
 from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
 from extractorforge.toeplitz import ToeplitzExtractor, ToeplitzSpec
-from extractorforge.trevisan import TrevisanExtractor
+from extractorforge.trevisan import TrevisanExtractor, build_trevisan
 
 from helpers import ref_guv_condense, ref_trevisan_extract
 
@@ -71,6 +72,36 @@ def test_block_compose_rejects_e2_output_other_than_e1_seed():
     # E1 = Toeplitz(8, 2) wants a 9-bit seed
     with pytest.raises(InfeasibleParameterError, match="E2 outputs 8 bits"):
         block_compose(ToeplitzExtractor(ToeplitzSpec(8, 2)), ToeplitzExtractor(ToeplitzSpec(8, 8)))
+
+
+def test_block_spec_checks_its_halves_as_its_composite_does():
+    spec = build_high_entropy_extractor(16, 1, QUARTER)
+    seven = build_trevisan("thm43", 7, spec.e1.t, QUARTER)
+    for make in (BlockSpec, lambda b, e1, e2: block_compose(
+            TrevisanExtractor(e1), TrevisanExtractor(e2))):
+        with pytest.raises(InfeasibleParameterError,
+                           match="halves differ: E1 reads 8 bits, E2 reads 7") as exc:
+            make(spec.b, spec.e1, seven)
+        assert exc.value.constraint == "equal halves"
+
+
+@pytest.mark.parametrize(
+    "n, k, extractor_bits",
+    [
+        (16, 8, 33),  # 33 strong bits: the extractor must read 34
+        (16, 8, 35),
+        (36, 12, 49),  # 48 strong bits: no parity pad
+    ],
+)
+def test_condense_extract_reads_the_strong_output_rounded_up_to_even(n, k, extractor_bits):
+    spec = build_pipeline(n, k, 0, QUARTER)
+    strong_bits = spec.condenser.output_bits + spec.condenser.seed_bits
+    with pytest.raises(
+        InfeasibleParameterError,
+        match=f"the extractor reads {extractor_bits} bits, not the condenser's "
+              f"{strong_bits} rounded up to even",
+    ):
+        condense_extract(spec.condenser, ToeplitzExtractor(ToeplitzSpec(extractor_bits, 2)))
 
 
 def test_condense_extract_seed_support_follows_the_condenser_seed():

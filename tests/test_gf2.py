@@ -100,6 +100,17 @@ def test_scalar_mul_and_inv_match_reference(width):
             assert ref_field_mul(a, field.inv(a), width, modulus) == 1
 
 
+@pytest.mark.parametrize("width", [17, 20, 24, 32])
+def test_tableless_inverse_matches_reference(width):
+    # above the table limit the inverse is a^(2^w - 2)
+    field = get_field(width)
+    modulus = field_modulus(width)
+    rng = CounterRng(0x1E7, width)
+    top = (1 << width) - 1
+    for a in [1, 2, top] + [1 + rng.below(top) for _ in range(20)]:
+        assert ref_field_mul(a, field.inv(a), width, modulus) == 1
+
+
 def _ref_is_generator(g, width, modulus):
     # g generates iff g^((q-1)/p) != 1 for every prime p dividing q - 1
     size = (1 << width) - 1
