@@ -154,10 +154,7 @@ def make_evaluator(spec):
     if isinstance(spec, CondenserSpec):  # C(x, y) without the seed, unlike StrongCondenserMap
         return SimpleNamespace(input_bits=spec.n, seed_bits=spec.seed_bits,
                                output_bits=spec.output_bits, extract=partial(guv_condense, spec))
-    build = _EVALUATORS.get(type(spec))
-    if build is None:
-        raise ValueError(f"no evaluator for {type(spec).__name__}")
-    return build(spec)
+    return _EVALUATORS[type(spec)](spec)
 
 
 def cmd_params(args) -> int:
@@ -258,18 +255,9 @@ def _resolve_seed(args, needed_bits: int) -> tuple[BitString, str]:
     return BitString.from_bytes(data, needed_bits), provenance
 
 
-def _evaluator(spec):
-    """make_evaluator, exiting 7 on a Toeplitz spec whose seed support
-    overflows a Python sequence; every other spec that loads can run."""
-    try:
-        return make_evaluator(spec)
-    except OverflowError as exc:
-        raise _bad_spec(exc) from None
-
-
 def cmd_extract(args) -> int:
     spec = _load_spec(args.spec)
-    evaluator = _evaluator(spec)
+    evaluator = make_evaluator(spec)
 
     try:
         with open(args.infile, "rb") as fh:
@@ -351,9 +339,9 @@ def _verify_code_target(spec, budget, test_seed):
     yield _check(f"code linearity on {trials} random pairs", bad == 0, violations=bad)
     if code.field_width <= 4:
         # every (message, position) pair of the code
-        pairs = code.codeword_bits << code.message_bits
-        if pairs > budget:
-            raise BudgetExceededError(pairs, budget, "code verification")
+        pairs_log2 = code.index_bits + code.message_bits
+        if pairs_log2 >= budget.bit_length():
+            raise BudgetExceededError(1, budget, "code verification", pairs_log2)
         table = encode_all_positions(code, list(range(1 << code.message_bits)))
         weights = table[1:].sum(axis=1)
         min_rel = Fraction(int(weights.min()), code.codeword_bits)
@@ -364,25 +352,26 @@ def _verify_code_target(spec, budget, test_seed):
 
 def _flat_sources(n, k, seed_bits, budget, test_seed, label):
     """Up to 50 flat k-sources on n bits, as many as the budget covers at
-    2^(seed_bits + k) pairs each; BudgetExceededError if one does not fit."""
-    pairs = (1 << seed_bits) * (1 << k)
-    if pairs > budget:
-        raise BudgetExceededError(pairs, budget, label)
-    return sample_flat_sources(n, k, min(50, budget // pairs), seed=test_seed)
+    2^(seed_bits + k) pairs each; BudgetExceededError, without building
+    that power, if one does not fit."""
+    if seed_bits + k >= budget.bit_length():
+        raise BudgetExceededError(1, budget, label, seed_bits + k)
+    return sample_flat_sources(n, k, min(50, budget >> (seed_bits + k)), seed=test_seed)
 
 
 def _verify_extractor_target(spec, budget, test_seed):
+    ext = make_evaluator(spec)
     if isinstance(spec, ExtractorSpec):
         k = max(1, spec.n - 3)
         bound = spec.epsilon_target
+        seed_bits = len(ext.seed_support)
     else:
         k = min(spec.input_bits - 1, spec.output_bits + 4)
         # the leftover-hash bound says nothing once k < m: cap it at 1
         bound = Fraction(1, 1 << max(0, (k - spec.output_bits) // 2))
-    ext = _evaluator(spec)
-    sources = _flat_sources(
-        ext.input_bits, k, len(ext.seed_support), budget, test_seed, "extractor verification"
-    )
+        seed_bits = spec.seed_bits  # Toeplitz reads every seed bit
+    sources = _flat_sources(ext.input_bits, k, seed_bits, budget, test_seed,
+                            "extractor verification")
     worst = Fraction(0)
     for source in sources:
         worst = max(worst, extractor_distance(ext, source, budget=budget))

@@ -11,6 +11,9 @@ Bit positions are computed on demand in O(n_tilde) field operations, which
 is what makes the code usable as the inner code of a seed-restricted
 extractor: no codeword is ever materialized unless a caller asks for all
 positions explicitly.
+
+Every code, built or read from JSON, is checked on construction against
+1 <= w <= 32 and 1 <= n_tilde <= 2^w.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import BitString
+from .errors import check_rules
 from .gf2 import MAX_FIELD_WIDTH, get_field, horner, split_symbols
 
 
@@ -31,15 +35,14 @@ class CodeSpec:
     message_symbols: int
 
     def __post_init__(self):
-        if not 1 <= self.field_width <= MAX_FIELD_WIDTH:
-            raise ValueError(
-                f"field width must be in [1, {MAX_FIELD_WIDTH}], got {self.field_width}"
-            )
-        if not 1 <= self.message_symbols <= (1 << self.field_width):
-            raise ValueError(
-                f"message symbols must be in [1, 2^{self.field_width}], "
-                f"got {self.message_symbols}"
-            )
+        w, symbols = self.field_width, self.message_symbols
+        check_rules(
+            (1 <= w <= MAX_FIELD_WIDTH, f"field width must be in [1, {MAX_FIELD_WIDTH}], got {w}",
+             f"1 <= w <= {MAX_FIELD_WIDTH}"),
+            # symbols <= 2^w without building 2^w
+            (1 <= symbols and (symbols - 1).bit_length() <= w,
+             f"message symbols must be in [1, 2^{w}], got {symbols}", "1 <= n_tilde <= 2^w"),
+        )
 
     @property
     def message_bits(self) -> int:

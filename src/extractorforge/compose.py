@@ -210,8 +210,8 @@ class PipelineSpec:
     def __post_init__(self):
         _check_beta(self.beta)
         b = math.ceil(self.beta * self.k)
-        if self.extractor.b != b:
-            raise ValueError(f"b is {self.extractor.b} but ceil(beta*k) is {b}")
+        check_rules((self.extractor.b == b, f"b is {self.extractor.b} but ceil(beta*k) is {b}",
+                     "b = ceil(beta k)"))
         _check_condensed_input(self._strong_bits, self.extractor.n)
 
     @property

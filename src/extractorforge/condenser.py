@@ -60,17 +60,18 @@ class CondenserSpec:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         _check_condenser_inputs(self.n, self.k, self.epsilon, self.alpha)
-        if self.power < 2 or self.power & (self.power - 1):
-            raise ValueError(f"power must be a power of two >= 2, got {self.power}")
-        if not 1 <= self.output_symbols <= self.message_symbols:
-            raise ValueError("output symbols must be in [1, message symbols]")
-        if self.n > self.message_symbols * self.field_width:
-            raise ValueError(
-                f"a {self.n}-bit source does not fit in {self.message_symbols} "
-                f"symbols of {self.field_width} bits"
-            )
-        if self.modulus.coeffs[-1] != 1 or not poly_irreducible(self.modulus):
-            raise ValueError("modulus E must be monic and irreducible over GF(2^w)")
+        check_rules(
+            (self.power >= 2 and self.power & (self.power - 1) == 0,
+             f"power must be a power of two >= 2, got {self.power}", "h a power of two >= 2"),
+            (1 <= self.output_symbols <= self.message_symbols,
+             "output symbols must be in [1, message symbols]", "1 <= m' <= n_tilde"),
+            (self.n <= self.message_symbols * self.field_width,
+             f"a {self.n}-bit source does not fit in {self.message_symbols} "
+             f"symbols of {self.field_width} bits", "n <= n_tilde * w"),
+        )
+        # apart, so that E is tested only once the counts above hold
+        check_rules((self.modulus.coeffs[-1] == 1 and poly_irreducible(self.modulus),
+                     "modulus E must be monic and irreducible over GF(2^w)", "E monic irreducible"))
         violated = _violated_constraint(
             self.k, self.epsilon, self.alpha, self.field_width, self.message_symbols,
             self.power, self.output_symbols,
@@ -95,8 +96,7 @@ class CondenserSpec:
 
 
 def _ceil_log2(value: Fraction) -> int:
-    if value <= 0:
-        raise ValueError("log of a nonpositive value")
+    """ceil(log2(value)) for value > 0, which every caller's rules ensure."""
     bits = 0
     while (1 << bits) < value:
         bits += 1

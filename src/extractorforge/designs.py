@@ -6,6 +6,10 @@ most degree-bound minus one.  The greedy weak design accepts candidate sets
 only while the weak-design sum stays within its bound, so the returned
 family satisfies the bound by construction; ``verify_design`` recertifies
 either kind from scratch.
+
+Every design, built or read from JSON, must have m >= 1 sets of l >= 1
+sorted, distinct elements of [0, t) and a known kind; the builders check m,
+l and the kind by the same rule function before they search.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .bits import BitString
 from .detrand import CounterRng, sample_distinct_rows
-from .errors import InfeasibleParameterError
+from .errors import InfeasibleParameterError, check_rules
 from .gf2 import horner, split_symbols
 
 STANDARD = "standard"
@@ -49,9 +53,8 @@ class Design:
     certified_overlap: Fraction
 
     def __post_init__(self):
-        if self.kind not in (STANDARD, WEAK):
-            raise ValueError(f"unknown design kind {self.kind!r}")
         object.__setattr__(self, "certified_overlap", Fraction(self.certified_overlap))
+        _check_design(self.num_sets, self.set_size, self.kind, self.universe_size, self.sets)
 
     @property
     def num_sets(self) -> int:
@@ -66,17 +69,24 @@ class DesignReport:
     reason: str | None = None
 
 
-def _sets_well_formed(universe_size, set_size, sets) -> str | None:
+def _check_design(num_sets: int, set_size: int, kind: str, universe_size: int = 0,
+                  sets=()) -> None:
+    """The design rules, which the builders check before searching and
+    every design, built or read, on construction."""
+    check_rules(
+        (num_sets >= 1 and set_size >= 1, "need num_sets >= 1 and set_size >= 1",
+         "m >= 1 and l >= 1"),
+        (kind in (STANDARD, WEAK), f"unknown design kind {kind!r}", "standard or weak kind"),
+    )
     for idx, s in enumerate(sets):
-        if len(s) != set_size:
-            return f"set {idx} has {len(s)} elements, expected {set_size}"
-        if len(set(s)) != len(s):
-            return f"set {idx} has repeated elements"
-        if list(s) != sorted(s):
-            return f"set {idx} is not sorted"
-        if s and (s[0] < 0 or s[-1] >= universe_size):
-            return f"set {idx} leaves the universe [0, {universe_size})"
-    return None
+        check_rules(
+            (len(s) == set_size, f"set {idx} has {len(s)} elements, expected {set_size}",
+             "|S_i| = l"),
+            (len(set(s)) == len(s), f"set {idx} has repeated elements", "distinct elements"),
+            (list(s) == sorted(s), f"set {idx} is not sorted", "sorted sets"),
+            (not s or 0 <= s[0] and s[-1] < universe_size,
+             f"set {idx} leaves the universe [0, {universe_size})", "S_i in [0, t)"),
+        )
 
 
 def _exact_powers(num_sets: int, set_size: int) -> np.ndarray:
@@ -133,10 +143,6 @@ def _design_stats(sets) -> tuple[int, Fraction]:
 def verify_design(design: Design) -> DesignReport:
     """Recompute overlap statistics exhaustively and compare with the
     certified values.  O(m^2 * l); never trusts the construction."""
-    reason = _sets_well_formed(design.universe_size, design.set_size, design.sets)
-    if reason is not None:
-        return DesignReport(0, Fraction(0), False, reason)
-
     max_overlap, max_ratio = _design_stats(design.sets)
     expected = Fraction(max_overlap) if design.kind == STANDARD else max_ratio
     if expected != design.certified_overlap:
@@ -159,8 +165,7 @@ def build_poly_design(num_sets: int, set_size: int) -> Design:
     Distinct polynomials of degree < c agree on at most c-1 points, so
     pairwise overlaps are at most c-1.
     """
-    if num_sets < 1 or set_size < 1:
-        raise ValueError("need num_sets >= 1 and set_size >= 1")
+    _check_design(num_sets, set_size, STANDARD)
     q_width = max(1, (set_size - 1).bit_length())
     q = 1 << q_width
     c = 1
@@ -205,10 +210,8 @@ def build_greedy_weak_design(num_sets: int, set_size: int, rho: Fraction | int =
     compared with floor(rho * (num_sets - 1)).
     """
     rho = Fraction(rho)
-    if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
-    if num_sets < 1 or set_size < 1:
-        raise ValueError("need num_sets >= 1 and set_size >= 1")
+    check_rules((rho >= 1, f"rho must be >= 1, got {rho}", "rho >= 1"))
+    _check_design(num_sets, set_size, WEAK)
     t = 4 * set_size
     # a weak sum is an integer of at most (num_sets - 1) 2^set_size, so
     # capping floor(rho (num_sets - 1)) there leaves every comparison as it is

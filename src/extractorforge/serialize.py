@@ -17,8 +17,9 @@ Quirks of the format, kept so that every digest stays what it was:
   is read back as a ``FieldPoly`` over the field of the condenser's ``w``;
 * ``sets`` and ``rounding`` are lists in JSON and tuples in Python;
 * an integer key holds a JSON integer, a Fraction key a pair of them, a
-  string list strings, and a design's ``sets`` sorted, distinct integers in
-  its universe; anything else fails the load with ``ValueError``;
+  string list strings, and a design's ``sets`` integers, or the load fails
+  with ``ValueError``: the codec checks only these types, and ``Design``
+  the rest of its sets, as every spec checks its own rules;
 * a Trevisan spec's ``t``, a condenser's ``w`` and ``messageSymbols``, a
   block composite's ``n``, ``epsilon`` and ``errorBudget``, and a
   pipeline's ``n``, ``k``, ``beta``, ``zeta``, ``alpha``, ``epsilon``,
@@ -39,7 +40,7 @@ from fractions import Fraction
 from .codes import CodeSpec
 from .compose import BlockSpec, PipelineSpec
 from .condenser import CondenserSpec
-from .designs import Design, _sets_well_formed
+from .designs import Design
 from .poly import FieldPoly
 from .toeplitz import ToeplitzSpec
 from .trevisan import ExtractorSpec
@@ -63,9 +64,6 @@ def _read_sets(raw, data) -> tuple[tuple[int, ...], ...]:
     sets = tuple(tuple(s) for s in raw)
     if any(type(v) is not int for s in sets for v in s):
         raise ValueError("design sets must hold integers")
-    reason = _sets_well_formed(data["t"], data["l"], sets)
-    if reason is not None:
-        raise ValueError(f"malformed design: {reason}")
     return sets
 
 

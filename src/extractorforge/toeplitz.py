@@ -8,6 +8,9 @@ is exactly what the leftover-hash bound needs.
 Bit n - 1 - j of rev_n(x), x with its n bits reversed, is x_j, so output
 bit i is the parity of (seed >> i) & rev_n(x): each source is reversed once,
 and no row of T is ever built.
+
+Every spec, built or read from JSON, is checked against 1 <= m <= n.  The
+extractor reads every seed bit, so it declares no seed support.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import BitString
+from .errors import check_rules
 
 
 @dataclass(frozen=True)
@@ -26,11 +30,9 @@ class ToeplitzSpec:
     output_bits: int
 
     def __post_init__(self):
-        if self.output_bits < 1 or self.output_bits > self.input_bits:
-            raise ValueError(
-                f"need 1 <= output bits <= input bits, got "
-                f"{self.output_bits} and {self.input_bits}"
-            )
+        m, n = self.output_bits, self.input_bits
+        check_rules((1 <= m <= n, f"need 1 <= output bits <= input bits, got {m} and {n}",
+                     "1 <= m <= n"))
 
     @property
     def seed_bits(self) -> int:
@@ -72,7 +74,6 @@ class ToeplitzExtractor:
         self.input_bits = spec.input_bits
         self.seed_bits = spec.seed_bits
         self.output_bits = spec.output_bits
-        self.seed_support = tuple(range(spec.seed_bits))
 
     def extract(self, x: BitString, y: BitString) -> BitString:
         return toeplitz_extract(self.spec, x, y)

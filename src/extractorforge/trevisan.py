@@ -17,8 +17,8 @@ flat sources instead of trusting any asymptotic constant.
 
 Every spec, built here or read from JSON, is checked against 0 < epsilon < 1
 and n, m >= 1, and a ``thm42`` or ``thm43`` spec against these width rules
-too.  A ``custom`` spec, whose parts are given, is checked only against the
-input rules and the wiring of its code and design.
+too.  A ``custom`` spec is checked only against the input rules and the
+wiring of its parts: m or more sets of 2w elements, ceil(n/w) symbols.
 """
 
 from __future__ import annotations
@@ -59,21 +59,22 @@ class ExtractorSpec:
     epsilon_target: Fraction
 
     def __post_init__(self):
-        if self.preset not in (PRESET_THM42, PRESET_THM43, PRESET_CUSTOM):
-            raise ValueError(f"unknown preset {self.preset!r}")
         object.__setattr__(self, "epsilon_target", Fraction(self.epsilon_target))
         _check_trevisan_inputs(self.n, self.m, self.epsilon_target)
-        if self.design.set_size != self.code.index_bits:
-            raise ValueError(
-                f"design set size {self.design.set_size} does not match "
-                f"code index width {self.code.index_bits}"
-            )
-        if self.design.num_sets < self.m:
-            raise ValueError(
-                f"design has {self.design.num_sets} sets, need {self.m}"
-            )
-        if self.code.message_bits < self.n:
-            raise ValueError("code message is shorter than the source")
+        symbols = -(-self.n // self.code.field_width)
+        check_rules(
+            (self.preset in (PRESET_THM42, PRESET_THM43, PRESET_CUSTOM),
+             f"unknown preset {self.preset!r}", "known preset"),
+            (self.design.set_size == self.code.index_bits,
+             f"design set size {self.design.set_size} does not match "
+             f"code index width {self.code.index_bits}", "l = 2w"),
+            (self.design.num_sets >= self.m,
+             f"design has {self.design.num_sets} sets, need {self.m}", "one set per output bit"),
+            # more symbols would be zero coefficients, which cost every code bit
+            (self.code.message_symbols == symbols,
+             f"code has {self.code.message_symbols} message symbols, the source needs "
+             f"ceil(n/w) = {symbols}", "message symbols = ceil(n/w)"),
+        )
         if self.preset != PRESET_CUSTOM:
             w = self.code.field_width
             violated = _violated_width(self.n, self.m, self.epsilon_target, w)
@@ -123,16 +124,15 @@ def build_trevisan(preset: str, n: int, m: int, epsilon: Fraction | float) -> Ex
     Deterministic: identical inputs give bit-identical specs.
     """
     epsilon = Fraction(epsilon)
+    check_rules((preset in (PRESET_THM42, PRESET_THM43),
+                 f"unknown preset {preset!r}; use custom_spec for custom designs",
+                 "thm42 or thm43 preset"))
     _check_trevisan_inputs(n, m, epsilon)
     w = _resolve_field_width(n, m, epsilon)
     code = CodeSpec(field_width=w, message_symbols=-(-n // w))
     set_size = code.index_bits
-    if preset == PRESET_THM42:
-        design = build_poly_design(m, set_size)
-    elif preset == PRESET_THM43:
-        design = build_greedy_weak_design(m, set_size, rho=_WEAK_DESIGN_RHO)
-    else:
-        raise ValueError(f"unknown preset {preset!r}; use custom_spec for custom designs")
+    design = (build_poly_design(m, set_size) if preset == PRESET_THM42
+              else build_greedy_weak_design(m, set_size, rho=_WEAK_DESIGN_RHO))
     return ExtractorSpec(
         n=n,
         m=m,

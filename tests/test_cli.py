@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from extractorforge.bits import BitString
 from extractorforge.codes import CodeSpec, encode_bit
 from extractorforge.compose import build_high_entropy_extractor, build_pipeline
 from extractorforge.condenser import StrongCondenserMap, build_condenser, guv_condense
-from extractorforge.designs import build_poly_design
+from extractorforge.designs import Design, build_poly_design
 from extractorforge.errors import InfeasibleParameterError
 from extractorforge.serialize import spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
@@ -817,16 +818,19 @@ def test_verify_rejection_messages(capsys, tmp_path, target, spec, message):
     assert (rc, report, err) == (cli.EXIT_BAD_SPEC, None, f"unreadable spec: {message}\n")
 
 
-@pytest.mark.parametrize("n, budget", [(18, "1000"), (24, None), (64, None)],
-                         ids=["w3-k6", "w3-k8", "w4-k16"])
-def test_exhaustive_code_distance_is_charged_to_the_budget(capsys, tmp_path, n, budget):
+@pytest.mark.parametrize(
+    "n, budget, pairs",
+    [(18, "1000", "16777216"), (24, None, "1073741824"), (64, None, "2^72")],
+    ids=["w3-k6", "w3-k8", "w4-k16"],
+)
+def test_exhaustive_code_distance_is_charged_to_the_budget(capsys, tmp_path, n, budget, pairs):
     # 2^message_bits messages x codeword_bits positions: 2^24, 2^30 and 2^72
-    # pairs, none of which the budget covers
+    # pairs, none of which the budget covers; a count past 64 bits is
+    # reported as its power of two
     spec = build_trevisan("thm42", n, 1, Fraction(1, 4))
     argv = ["verify", "code", "--spec", _spec_file(tmp_path, "trevisan", spec)]
     rc, report, err = _run(capsys, argv + (["--budget", budget] if budget else []))
     assert rc == cli.EXIT_INCONCLUSIVE
-    pairs = spec.code.codeword_bits << spec.code.message_bits
     assert report["inconclusive"] == (
         f"code verification needs {pairs} items, exceeding the budget of {report['budget']}"
     )
@@ -897,6 +901,8 @@ _THM43_12 = build_trevisan("thm43", 12, 2, Fraction(1, 4))  # w = 4
 _BLOCK_16 = build_high_entropy_extractor(16, 1, Fraction(1, 4))  # E1 t = 256, E2 w = 11
 # a thm42 file over GF(2^25): every rule but the width bound holds
 _THM42_W25 = custom_spec(12, CodeSpec(25, 1), build_poly_design(1, 50), 1, Fraction(1, 4))
+# _THM43_12's sets, ((5, 6, 8, 14, 16, 21, 23, 27), (0, 1, 10, 17, 19, 25, 26, 31)), t = 32
+_SETS_12 = [list(s) for s in _THM43_12.design.sets]
 
 
 # One case per rule of each family that a spec file can break, on top of
@@ -923,11 +929,80 @@ _THM42_W25 = custom_spec(12, CodeSpec(25, 1), build_poly_design(1, 50), 1, Fract
                      "E2's epsilon target 1/2 is not E1's 1/4", id="block-e2.epsilon"),
         pytest.param(_BLOCK_16, {("e2", "epsilonTarget"): [1, 1000]},
                      "field width 11 breaks 2m <= eps * 2^w", id="block-e2.epsilon-width"),
+        pytest.param(_THM43_12, {("design", "sets"): [_SETS_12[0][::-1], _SETS_12[1]]},
+                     "set 0 is not sorted", id="design-unsorted"),
+        pytest.param(_THM43_12, {("design", "sets"): [_SETS_12[0], [0, 0] + _SETS_12[1][2:]]},
+                     "set 1 has repeated elements", id="design-repeated"),
+        pytest.param(_THM43_12, {("design", "sets"): [_SETS_12[0][:-1], _SETS_12[1]]},
+                     "set 0 has 7 elements, expected 8", id="design-size"),
+        pytest.param(_THM43_12, {("design", "sets"): [_SETS_12[0], _SETS_12[1][:-1] + [32]]},
+                     "set 1 leaves the universe [0, 32)", id="design-universe"),
+        pytest.param(_THM43_12, {("design", "kind"): "strong"}, "unknown design kind 'strong'",
+                     id="design-kind"),
+        pytest.param(ToeplitzSpec(10, 2), {("m",): 0},
+                     "need 1 <= output bits <= input bits, got 0 and 10", id="toeplitz-m0"),
+        pytest.param(ToeplitzSpec(10, 2), {("m",): 11},
+                     "need 1 <= output bits <= input bits, got 11 and 10", id="toeplitz-m>n"),
+        pytest.param(_THM43_12, {("code", "messageSymbols"): 4},
+                     "code has 4 message symbols, the source needs ceil(n/w) = 3",
+                     id="trevisan-symbols-above"),
+        pytest.param(_THM43_12, {("code", "messageSymbols"): 2},
+                     "code has 2 message symbols, the source needs ceil(n/w) = 3",
+                     id="trevisan-symbols-below"),
     ],
 )
 def test_every_rule_is_checked_on_load(capsys, tmp_path, spec, edits, broken):
     path = _edited_spec_file(tmp_path, spec, _set_paths(edits))
     _assert_unreadable_everywhere(capsys, tmp_path, path, broken)
+
+
+def _large_toeplitz_file(tmp_path, n):
+    path = tmp_path / "toeplitz.json"
+    path.write_text(json.dumps({"type": "toeplitz", "n": n, "m": 2}))
+    return str(path)
+
+
+def test_large_stated_sizes_exit_with_a_code(capsys, tmp_path):
+    infile = tmp_path / "input.bin"
+    infile.write_bytes(bytes(range(64)))
+
+    def extract(path):
+        return _run(capsys, ["extract", "--spec", path, "--in", str(infile),
+                             "--out", str(tmp_path / "out.bin"), "--seed", "5a" * 8])
+
+    huge = _large_toeplitz_file(tmp_path, 10**30)
+    assert extract(huge)[0] == cli.EXIT_SHORT_INPUT
+    rc, report, err = _run(capsys, ["verify", "extractor", "--spec", huge, "--budget", "1"])
+    assert rc == cli.EXIT_INCONCLUSIVE
+    # 2^(10^30 + 1) seeds x 2^6 source strings
+    assert report["inconclusive"] == (
+        f"extractor verification needs 2^{10**30 + 7} items, exceeding the budget of 1"
+    )
+
+    # a 44-bit seed support over k = 19997, and 2,000 disjoint sets: 2^16,000
+    # seeds over k = 5; the counts have over 6,000 and 4,800 decimal digits
+    disjoint = Design(16000, 8, "standard",
+                      tuple(tuple(range(8 * i, 8 * i + 8)) for i in range(2000)), Fraction(0))
+    for spec, exponent in ((build_trevisan("thm42", 20000, 2, Fraction(1, 4)), 20041),
+                           (custom_spec(8, CodeSpec(4, 2), disjoint, 2000, Fraction(1, 4)), 16005)):
+        argv = ["verify", "extractor", "--spec", _spec_file(tmp_path, "large", spec)]
+        rc, report, err = _run(capsys, argv)
+        assert rc == cli.EXIT_INCONCLUSIVE
+        assert report["inconclusive"] == (f"extractor verification needs 2^{exponent} items, "
+                                          f"exceeding the budget of {report['budget']}")
+        assert err == f"inconclusive: {report['inconclusive']}\n"
+
+    # last, since a seed support built as a tuple of 10^9 ints would take
+    # tens of GB: a stated n is not built into anything before the input is
+    # found short
+    tracemalloc.start()
+    try:
+        rc, _, err = extract(_large_toeplitz_file(tmp_path, 10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, err) == (cli.EXIT_SHORT_INPUT, "input holds 512 bits, spec needs 1000000000\n")
+    assert peak < 5 << 20
 
 
 def _flat(n, k, beta, eps):

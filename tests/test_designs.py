@@ -15,6 +15,7 @@ from extractorforge.designs import (
     restrict_seed,
     verify_design,
 )
+from extractorforge.errors import InfeasibleParameterError
 from extractorforge.serialize import spec_digest, spec_from_json, spec_to_json
 from extractorforge.trevisan import build_trevisan, custom_spec
 
@@ -106,10 +107,11 @@ def test_verify_flags_wrong_certification_and_malformed_sets():
     assert not report.valid
     assert "recomputed" in report.reason
 
-    out_of_universe = Design(4, 2, "standard", ((0, 7),), Fraction(0))
-    assert not verify_design(out_of_universe).valid
-    unsorted_set = Design(8, 2, "standard", ((3, 1),), Fraction(0))
-    assert not verify_design(unsorted_set).valid
+    # a malformed family is no Design at all, so verify_design never sees one
+    with pytest.raises(InfeasibleParameterError, match=r"^set 0 leaves the universe \[0, 4\)$"):
+        Design(4, 2, "standard", ((0, 7),), Fraction(0))
+    with pytest.raises(InfeasibleParameterError, match="^set 0 is not sorted$"):
+        Design(8, 2, "standard", ((3, 1),), Fraction(0))
 
 
 def test_restrict_seed_examples():

@@ -32,8 +32,9 @@ class _TableOnly:
 
     def __init__(self, ext):
         self.input_bits, self.seed_bits = ext.input_bits, ext.seed_bits
-        self.output_bits, self.seed_support = ext.output_bits, ext.seed_support
-        self.extract = ext.extract
+        self.output_bits, self.extract = ext.output_bits, ext.extract
+        if hasattr(ext, "seed_support"):  # Toeplitz declares none: it reads every seed bit
+            self.seed_support = ext.seed_support
         self.prepare_batch, self.extract_table = ext.prepare_batch, ext.extract_table
 
 
