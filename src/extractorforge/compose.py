@@ -176,9 +176,8 @@ def build_high_entropy_extractor(
     check_rules((n >= 2 and n % 2 == 0, f"n must be even and >= 2, got {n}",
                  "even source length"))
     half = n // 2
-    # E1 and E2 each read a half at eps; m = 1 stands for E1's output length,
-    # which is resolved below
-    _check_trevisan_inputs(half, 1, epsilon)
+    # E1 and E2 each read a half at eps
+    _check_trevisan_inputs(half, epsilon)
     inner_entropy = half - b - _ceil_log2(1 / epsilon)
     check_rules(
         (b >= 0, f"the storage bound b must be >= 0, got {b}", "b >= 0"),

@@ -17,16 +17,18 @@ Quirks of the format, kept so that every digest stays what it was:
   is read back as a ``FieldPoly`` over the field of the condenser's ``w``;
 * ``sets`` and ``rounding`` are lists in JSON and tuples in Python;
 * an integer key holds a JSON integer, a Fraction key a pair of them, a
-  string list strings, and a design's ``sets`` integers, or the load fails
-  with ``ValueError``: the codec checks only these types, and ``Design``
-  the rest of its sets, as every spec checks its own rules;
-* a Trevisan spec's ``t``, a condenser's ``w`` and ``messageSymbols``, a
-  block composite's ``n``, ``epsilon`` and ``errorBudget``, and a
-  pipeline's ``n``, ``k``, ``beta``, ``zeta``, ``alpha``, ``epsilon``,
-  ``errorBudget``, ``seedBits``, ``outputBits`` and ``rounding`` are
-  stated, not read: the spec derives them from its parts, so an entry whose
-  read is None is recomputed from the decoded spec; what the file states
-  must pass the type check of the derived value's kind and equal it, or the
+  string list strings, and a design's ``sets`` and a condenser's
+  ``modulusE`` integers, or the load fails with ``ValueError``: the codec
+  checks only these types, and ``Design`` the rest of its sets, as every
+  spec checks its own rules;
+* a Trevisan spec's ``t``, ``m`` and ``code``, a condenser's ``w`` and
+  ``messageSymbols``, a block composite's ``n``, ``epsilon`` and
+  ``errorBudget``, and a pipeline's ``n``, ``k``, ``beta``, ``zeta``,
+  ``alpha``, ``epsilon``, ``errorBudget``, ``seedBits``, ``outputBits``
+  and ``rounding`` are stated, not read: the spec derives them from its
+  parts, so an entry whose read is None is recomputed from the decoded
+  spec; what the file states must pass the type check of the derived
+  value's kind (for ``code``, the read of a code) and equal it, or the
   load raises ``ValueError``.  A condenser's ``w`` is also the field its
   ``modulusE`` is read over, so it always agrees with the spec.
 """
@@ -83,6 +85,12 @@ def _read_overlap(raw, data) -> Fraction:
     return _read_pair(raw, data) if isinstance(raw, list) else Fraction(_read_int(raw, data))
 
 
+def _read_modulus(raw, data) -> FieldPoly:
+    if type(raw) is not list or any(type(v) is not int for v in raw):
+        raise ValueError(f"modulusE must be a list of integers, got {raw!r}")
+    return FieldPoly(tuple(raw), _read_int(data["w"], data))
+
+
 def _encode(spec) -> dict:
     tag, fields = _CODEC[type(spec)]
     data = {} if tag is None else {"type": tag}
@@ -102,7 +110,7 @@ def _decode(cls, data):
         if read is None:
             derived = write(getattr(spec, attr))
             # the type check of the derived value's kind: 728.0 is not 728
-            _STATED_CHECKS[write](data[key], data)
+            _STATED_CHECKS[write, read](data[key], data)
             if derived != data[key]:
                 raise ValueError(f"{key} is {data[key]!r} but the spec gives {derived!r}")
     return spec
@@ -118,15 +126,14 @@ _INT = (_same, _read_int)
 _FRACTION = (_pair, _read_pair)
 _OVERLAP = (lambda value: int(value) if value.denominator == 1 else _pair(value), _read_overlap)
 _SETS = (lambda sets: [list(s) for s in sets], _read_sets)
-_MODULUS = (
-    lambda e: list(e.coeffs),
-    lambda raw, data: FieldPoly(tuple(raw), _read_int(data["w"], data)),
-)
+_MODULUS = (lambda e: list(e.coeffs), _read_modulus)
 _STATED = (_same, None)
 _STATED_FRACTION = (_pair, None)
 _STATED_STRINGS = (list, None)
-# a stated entry's write -> the type check of what a file states for it
-_STATED_CHECKS = {_same: _read_int, _pair: _read_pair, list: _read_strings}
+_STATED_CODE = (_encode, None)
+# a stated entry -> the type check of what a file states for it
+_STATED_CHECKS = {_STATED: _read_int, _STATED_FRACTION: _read_pair,
+                  _STATED_STRINGS: _read_strings, _STATED_CODE: _nested(CodeSpec)[1]}
 
 # class -> (type tag, ((JSON key, attribute, (write, read)), ...))
 _CODEC = {
@@ -144,10 +151,10 @@ _CODEC = {
     ExtractorSpec: ("trevisan", (
         ("n", "n", _INT),
         ("t", "t", _STATED),
-        ("m", "m", _INT),
+        ("m", "m", _STATED),
         ("preset", "preset", _PLAIN),
         ("epsilonTarget", "epsilon_target", _FRACTION),
-        ("code", "code", _nested(CodeSpec)),
+        ("code", "code", _STATED_CODE),
         ("design", "design", _nested(Design)),
     )),
     ToeplitzSpec: ("toeplitz", (

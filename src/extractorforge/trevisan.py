@@ -15,10 +15,13 @@ to the joint distance stays below m * 2^-(w+1) <= epsilon / 4.  The
 acceptance suite checks the resulting epsilon target empirically on sampled
 flat sources instead of trusting any asymptotic constant.
 
-Every spec, built here or read from JSON, is checked against 0 < epsilon < 1
-and n, m >= 1, and a ``thm42`` or ``thm43`` spec against these width rules
-too.  A ``custom`` spec is checked only against the input rules and the
-wiring of its parts: m or more sets of 2w elements, ceil(n/w) symbols.
+A spec stores n, its design, its preset and epsilon; the design fixes the
+rest.  There is one output bit per design set, so m is the set count, and
+the set size l is the code's index length 2w, so the code is
+CodeSpec(l/2, ceil(n/(l/2))).  Every spec, built here or read from JSON,
+is checked against 0 < epsilon < 1, n >= 1, a known preset and an even l;
+its design and derived code check their own rules, and a ``thm42`` or
+``thm43`` spec is checked against the width rules above too.
 """
 
 from __future__ import annotations
@@ -49,44 +52,53 @@ _MASK_WIDTH_LIMIT = 8
 
 @dataclass(frozen=True)
 class ExtractorSpec:
-    """Fully resolved parameter bundle; spec plus (x, y) fixes every bit."""
+    """Fully resolved parameter bundle; spec plus (x, y) fixes every bit.
+
+    Stored: n, the design, the preset and epsilon.  Derived: m is the
+    design's set count, t its universe, and the code CodeSpec(l/2,
+    ceil(n/(l/2))), built once here.  Checked: 0 < epsilon < 1, n >= 1, a
+    known preset, an even l, the code's own rules and, for a preset spec,
+    the width rules.
+    """
 
     n: int
-    m: int
     design: Design
-    code: CodeSpec
     preset: str
     epsilon_target: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon_target", Fraction(self.epsilon_target))
-        _check_trevisan_inputs(self.n, self.m, self.epsilon_target)
-        symbols = -(-self.n // self.code.field_width)
+        _check_trevisan_inputs(self.n, self.epsilon_target)
+        size = self.design.set_size
         check_rules(
             (self.preset in (PRESET_THM42, PRESET_THM43, PRESET_CUSTOM),
              f"unknown preset {self.preset!r}", "known preset"),
-            (self.design.set_size == self.code.index_bits,
-             f"design set size {self.design.set_size} does not match "
-             f"code index width {self.code.index_bits}", "l = 2w"),
-            (self.design.num_sets >= self.m,
-             f"design has {self.design.num_sets} sets, need {self.m}", "one set per output bit"),
-            # more symbols would be zero coefficients, which cost every code bit
-            (self.code.message_symbols == symbols,
-             f"code has {self.code.message_symbols} message symbols, the source needs "
-             f"ceil(n/w) = {symbols}", "message symbols = ceil(n/w)"),
+            (size % 2 == 0, f"design set size {size} is odd, but a code index is 2w bits",
+             "l = 2w"),
         )
+        w = size // 2
+        # ceil(n/w) symbols: more would be zero coefficients, which cost every code bit
+        object.__setattr__(self, "_code", CodeSpec(w, -(-self.n // w)))
         if self.preset != PRESET_CUSTOM:
-            w = self.code.field_width
             violated = _violated_width(self.n, self.m, self.epsilon_target, w)
             check_rules((violated is None, f"field width {w} breaks {violated}", violated))
+
+    @property
+    def m(self) -> int:  # one output bit per design set
+        return self.design.num_sets
+
+    @property
+    def code(self) -> CodeSpec:
+        return self._code
 
     @property
     def t(self) -> int:  # the seed length
         return self.design.universe_size
 
 
-def _check_trevisan_inputs(n: int, m: int, epsilon: Fraction) -> None:
-    """The input rules, which the builders and every spec, built or read, check."""
+def _check_trevisan_inputs(n: int, epsilon: Fraction, m: int = 1) -> None:
+    """The input rules, which the builders and every spec, built or read,
+    check; a spec's m is its design's set count, which the design checks."""
     check_rules(
         (0 < epsilon < 1, f"epsilon must be in (0, 1), got {epsilon}", "0 < epsilon < 1"),
         (n >= 1 and m >= 1, "need at least one input bit and one output bit",
@@ -127,34 +139,16 @@ def build_trevisan(preset: str, n: int, m: int, epsilon: Fraction | float) -> Ex
     check_rules((preset in (PRESET_THM42, PRESET_THM43),
                  f"unknown preset {preset!r}; use custom_spec for custom designs",
                  "thm42 or thm43 preset"))
-    _check_trevisan_inputs(n, m, epsilon)
-    w = _resolve_field_width(n, m, epsilon)
-    code = CodeSpec(field_width=w, message_symbols=-(-n // w))
-    set_size = code.index_bits
+    _check_trevisan_inputs(n, epsilon, m)
+    set_size = 2 * _resolve_field_width(n, m, epsilon)
     design = (build_poly_design(m, set_size) if preset == PRESET_THM42
               else build_greedy_weak_design(m, set_size, rho=_WEAK_DESIGN_RHO))
-    return ExtractorSpec(
-        n=n,
-        m=m,
-        design=design,
-        code=code,
-        preset=preset,
-        epsilon_target=epsilon,
-    )
+    return ExtractorSpec(n=n, design=design, preset=preset, epsilon_target=epsilon)
 
 
-def custom_spec(
-    n: int, code: CodeSpec, design: Design, m: int, epsilon_target: Fraction
-) -> ExtractorSpec:
-    """Assemble a spec from explicit parts; dimension checks still apply."""
-    return ExtractorSpec(
-        n=n,
-        m=m,
-        design=design,
-        code=code,
-        preset=PRESET_CUSTOM,
-        epsilon_target=Fraction(epsilon_target),
-    )
+def custom_spec(n: int, design: Design, epsilon_target: Fraction) -> ExtractorSpec:
+    """Assemble a spec from an explicit design; dimension checks still apply."""
+    return ExtractorSpec(n=n, design=design, preset=PRESET_CUSTOM, epsilon_target=epsilon_target)
 
 
 def _pad(spec: ExtractorSpec, x: BitString) -> BitString:
@@ -168,10 +162,10 @@ def trevisan_extract(spec: ExtractorSpec, x: BitString, y: BitString) -> BitStri
     if len(y) != spec.t:
         raise ValueError(f"seed is {len(y)} bits, spec wants {spec.t}")
     message = _pad(spec, x)
+    code = spec.code
     out = 0
-    for i in range(spec.m):
-        index = restrict_seed(y, spec.design.sets[i])
-        out |= encode_bit(spec.code, message, index) << i
+    for i, s in enumerate(spec.design.sets):
+        out |= encode_bit(code, message, restrict_seed(y, s)) << i
     return BitString(out, spec.m)
 
 
@@ -184,10 +178,7 @@ class TrevisanExtractor:
         self.input_bits = spec.n
         self.seed_bits = spec.t
         self.output_bits = spec.m
-        support: set[int] = set()
-        for i in range(spec.m):
-            support.update(spec.design.sets[i])
-        self.seed_support = tuple(sorted(support))
+        self.seed_support = tuple(sorted({p for s in spec.design.sets for p in s}))
 
     def extract(self, x: BitString, y: BitString) -> BitString:
         return trevisan_extract(self.spec, x, y)
@@ -205,7 +196,7 @@ class TrevisanExtractor:
     def _index_table(self) -> np.ndarray:
         """Codeword index contributions of the seed support to every output
         bit (see :func:`_index_tables`).  Built on first use."""
-        return _index_tables(self.seed_support, self.spec.design.sets[: self.spec.m])
+        return _index_tables(self.seed_support, self.spec.design.sets)
 
     def extract_table(self, state, patterns: np.ndarray) -> np.ndarray:
         """Outputs for the seeds whose bit seed_support[k] is pattern bit k;

@@ -11,7 +11,7 @@ import pytest
 
 from extractorforge import cli, serialize
 from extractorforge.bits import BitString
-from extractorforge.codes import CodeSpec, encode_bit
+from extractorforge.codes import encode_bit
 from extractorforge.compose import build_high_entropy_extractor, build_pipeline
 from extractorforge.condenser import StrongCondenserMap, build_condenser, guv_condense
 from extractorforge.designs import Design, build_poly_design
@@ -95,7 +95,7 @@ def test_verify_toeplitz_extractor_report(capsys, tmp_path, test_seed, worst):
     [
         # w = 9 code: 2^6 source points x 2^18 seed patterns, one source
         ("extractor",
-         custom_spec(9, CodeSpec(9, 1), build_poly_design(1, 18), 1, Fraction(1, 4)),
+         custom_spec(9, build_poly_design(1, 18), Fraction(1, 4)),
          1 << 24, "extraction distance on 1 flat sources (k=6)"),
         # w = 17 condenser: 2^4 source points x 2^17 seeds, one source
         ("condenser", build_condenser(17, 4, Fraction(1, 32), 1), 1 << 21,
@@ -411,6 +411,7 @@ _CONTRADICT = {
     serialize._same: lambda value: value + 1,
     serialize._pair: lambda pair: [pair[0] + pair[1], pair[1]],
     list: lambda notes: notes + ["edited"],
+    serialize._encode: lambda code: {**code, "messageSymbols": code["messageSymbols"] + 1},
 }
 
 
@@ -900,9 +901,11 @@ def _assert_unreadable_everywhere(capsys, tmp_path, path, broken):
 _THM43_12 = build_trevisan("thm43", 12, 2, Fraction(1, 4))  # w = 4
 _BLOCK_16 = build_high_entropy_extractor(16, 1, Fraction(1, 4))  # E1 t = 256, E2 w = 11
 # a thm42 file over GF(2^25): every rule but the width bound holds
-_THM42_W25 = custom_spec(12, CodeSpec(25, 1), build_poly_design(1, 50), 1, Fraction(1, 4))
+_THM42_W25 = custom_spec(12, build_poly_design(1, 50), Fraction(1, 4))
 # _THM43_12's sets, ((5, 6, 8, 14, 16, 21, 23, 27), (0, 1, 10, 17, 19, 25, 26, 31)), t = 32
 _SETS_12 = [list(s) for s in _THM43_12.design.sets]
+# all but the last of E2's 256 sets: an E2 of 255 output bits
+_E2_SETS_255 = [list(s) for s in _BLOCK_16.e2.design.sets[:255]]
 
 
 # One case per rule of each family that a spec file can break, on top of
@@ -915,15 +918,16 @@ _SETS_12 = [list(s) for s in _THM43_12.design.sets]
         pytest.param(_CONDENSER, {("k",): 0}, "need 0 < k <= n, got k=0, n=12", id="condenser-k"),
         pytest.param(_THM43_12, {("epsilonTarget",): [5, 1]}, "epsilon must be in (0, 1), got 5",
                      id="trevisan-epsilon"),
-        pytest.param(_THM43_12, {("m",): 0}, "need at least one input bit and one output bit",
-                     id="trevisan-m"),
+        pytest.param(_THM43_12, {("n",): 0}, "need at least one input bit and one output bit",
+                     id="trevisan-n"),
+        pytest.param(_THM43_12, {("m",): 0}, "m is 0 but the spec gives 2", id="trevisan-m"),
         pytest.param(_THM43_12, {("epsilonTarget",): [1, 1000]},
                      "field width 4 breaks 2m <= eps * 2^w", id="trevisan-width-epsilon"),
         pytest.param(_THM42_W25, {("preset",): "thm42"}, "field width 25 breaks w <= 24",
                      id="trevisan-width-bound"),
         pytest.param(_BLOCK_16, {("e2", "n"): 7, ("n",): 15},
                      "halves differ: E1 reads 8 bits, E2 reads 7", id="block-halves"),
-        pytest.param(_BLOCK_16, {("e2", "m"): 255},
+        pytest.param(_BLOCK_16, {("e2", "m"): 255, ("e2", "design", "sets"): _E2_SETS_255},
                      "E2 outputs 255 bits but E1 wants a 256-bit seed", id="block-e2.m"),
         pytest.param(_BLOCK_16, {("e2", "epsilonTarget"): [1, 2]},
                      "E2's epsilon target 1/2 is not E1's 1/4", id="block-e2.epsilon"),
@@ -944,11 +948,15 @@ _SETS_12 = [list(s) for s in _THM43_12.design.sets]
         pytest.param(ToeplitzSpec(10, 2), {("m",): 11},
                      "need 1 <= output bits <= input bits, got 11 and 10", id="toeplitz-m>n"),
         pytest.param(_THM43_12, {("code", "messageSymbols"): 4},
-                     "code has 4 message symbols, the source needs ceil(n/w) = 3",
+                     "code is {'messageSymbols': 4, 'w': 4} but the spec gives ",
                      id="trevisan-symbols-above"),
         pytest.param(_THM43_12, {("code", "messageSymbols"): 2},
-                     "code has 2 message symbols, the source needs ceil(n/w) = 3",
+                     "code is {'messageSymbols': 2, 'w': 4} but the spec gives ",
                      id="trevisan-symbols-below"),
+        pytest.param(_CONDENSER, {("modulusE",): [1, 1, True]},
+                     "modulusE must be a list of integers", id="condenser-modulus-bool"),
+        pytest.param(_CONDENSER, {("modulusE",): [1, 1, 3.0]},
+                     "modulusE must be a list of integers", id="condenser-modulus-float"),
     ],
 )
 def test_every_rule_is_checked_on_load(capsys, tmp_path, spec, edits, broken):
@@ -984,7 +992,7 @@ def test_large_stated_sizes_exit_with_a_code(capsys, tmp_path):
     disjoint = Design(16000, 8, "standard",
                       tuple(tuple(range(8 * i, 8 * i + 8)) for i in range(2000)), Fraction(0))
     for spec, exponent in ((build_trevisan("thm42", 20000, 2, Fraction(1, 4)), 20041),
-                           (custom_spec(8, CodeSpec(4, 2), disjoint, 2000, Fraction(1, 4)), 16005)):
+                           (custom_spec(8, disjoint, Fraction(1, 4)), 16005)):
         argv = ["verify", "extractor", "--spec", _spec_file(tmp_path, "large", spec)]
         rc, report, err = _run(capsys, argv)
         assert rc == cli.EXIT_INCONCLUSIVE

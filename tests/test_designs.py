@@ -6,7 +6,6 @@ import pytest
 
 from extractorforge import designs
 from extractorforge.bits import BitString
-from extractorforge.codes import CodeSpec
 from extractorforge.designs import (
     Design,
     _design_stats,
@@ -141,7 +140,7 @@ def test_restrict_seed_ignores_outside_bits():
 def test_design_json_roundtrip():
     # a design has no type tag of its own; it travels inside an extractor spec
     for d in (build_poly_design(16, 4), build_greedy_weak_design(8, 4, 2)):
-        spec = custom_spec(8, CodeSpec(2, 4), d, d.num_sets, Fraction(1, 4))
+        spec = custom_spec(8, d, Fraction(1, 4))
         data = json.loads(spec_to_json(spec))["design"]
         assert set(data) == {"t", "l", "kind", "sets", "certifiedOverlap"}
         assert spec_from_json(spec_to_json(spec)).design == d

@@ -24,7 +24,6 @@ from extractorforge.oracle import (
     sample_joint_table,
     stat_distance,
 )
-from extractorforge.codes import CodeSpec
 from extractorforge.designs import Design
 from extractorforge.toeplitz import ToeplitzExtractor, ToeplitzSpec
 from extractorforge.trevisan import TrevisanExtractor, custom_spec
@@ -73,10 +72,9 @@ def _odd_multiplier(n, m):
 
 def _trevisan(n, m):
     """A Trevisan evaluator, which offers cell counts, over a width-2 code
-    and two disjoint 4-bit design sets."""
-    design = Design(8, 4, "standard", ((0, 1, 2, 3), (4, 5, 6, 7)), Fraction(4))
-    code = CodeSpec(2, -(-n // 2))
-    return TrevisanExtractor(custom_spec(n, code, design, m, Fraction(1, 4)))
+    and the first m of two disjoint 4-bit design sets of an 8-bit seed."""
+    design = Design(8, 4, "standard", ((0, 1, 2, 3), (4, 5, 6, 7))[:m], Fraction(4))
+    return TrevisanExtractor(custom_spec(n, design, Fraction(1, 4)))
 
 
 small_dists = st.lists(

@@ -59,14 +59,10 @@ def _design(*sets, l=2, kind="standard"):
                      id="trevisan-build-preset"),
         pytest.param(lambda: replace(_THM43_12, epsilon_target=Fraction(5)), "0 < epsilon < 1",
                      id="trevisan-epsilon"),
-        pytest.param(lambda: replace(_THM43_12, m=0), "positive dimensions",
+        pytest.param(lambda: replace(_THM43_12, n=0), "positive dimensions",
                      id="trevisan-dimensions"),
-        pytest.param(lambda: replace(_THM43_12, design=build_poly_design(2, 6)), "l = 2w",
+        pytest.param(lambda: replace(_THM43_12, design=build_poly_design(2, 7)), "l = 2w",
                      id="trevisan-set-size"),
-        pytest.param(lambda: replace(_THM43_12, m=3), "one set per output bit",
-                     id="trevisan-sets"),
-        pytest.param(lambda: replace(_THM43_12, code=CodeSpec(4, 4)),
-                     "message symbols = ceil(n/w)", id="trevisan-symbols"),
         pytest.param(lambda: replace(_THM43_12, epsilon_target=Fraction(1, 1000)),
                      "2m <= eps * 2^w", id="trevisan-width"),
         pytest.param(lambda: replace(_CONDENSER, k=0), "0 < k <= n", id="condenser-inputs"),

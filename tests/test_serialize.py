@@ -8,10 +8,11 @@ import pytest
 from extractorforge import serialize
 from extractorforge.compose import build_high_entropy_extractor, build_pipeline
 from extractorforge.condenser import build_condenser
+from extractorforge.designs import build_greedy_weak_design, build_poly_design
 from extractorforge.poly import FieldPoly
 from extractorforge.serialize import spec_digest, spec_from_json, spec_from_json_dict, spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
-from extractorforge.trevisan import build_trevisan
+from extractorforge.trevisan import build_trevisan, custom_spec
 
 QUARTER = Fraction(1, 4)
 
@@ -85,6 +86,23 @@ def test_builder_output_bytes_pinned(build, digest):
     text = spec_to_json(spec)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert spec_from_json(text) == spec
+
+
+# sha256 of the canonical JSON of custom specs, as written when a Trevisan
+# spec stored m and its code: both are now written from the design.
+CUSTOM_DIGESTS = [
+    (lambda: custom_spec(9, build_poly_design(1, 18), QUARTER),
+     "fc1cab4cce0c910edad8c3ba40d60e2bf5a15caa363eb62d46df9eb54cfb2cac"),
+    (lambda: custom_spec(17, build_poly_design(1, 34), QUARTER),
+     "ca125046a818ac4de77189e1e0955c93c1f2b7116ab708d05519e80f52a83d9d"),
+    (lambda: custom_spec(12, build_greedy_weak_design(10, 6, 2), QUARTER),
+     "692d5cc7068382af4bf80168c8a83a6de176bab3f831612c4096beb8d2e94266"),
+]
+
+
+@pytest.mark.parametrize("build, digest", CUSTOM_DIGESTS, ids=["w9", "w17", "greedy-10-6"])
+def test_custom_spec_bytes_pinned(build, digest):
+    test_builder_output_bytes_pinned(build, digest)
 
 
 @pytest.fixture(scope="module")

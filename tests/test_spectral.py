@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from extractorforge.bits import BitString
-from extractorforge.codes import CodeSpec
 from extractorforge.designs import Design
 from extractorforge.detrand import CounterRng
 from extractorforge.oracle import (
@@ -116,7 +115,7 @@ def _custom_trevisan(n, m, t, seed):
     rng = CounterRng(0xDE5, n, m, t, seed)
     sets = tuple(tuple(sorted(rng.sample_distinct(4, t))) for _ in range(m))
     design = Design(t, 4, "standard", sets, Fraction(4))
-    return custom_spec(n, CodeSpec(2, -(-n // 2)), design, m, Fraction(1, 4))
+    return custom_spec(n, design, Fraction(1, 4))
 
 
 _CUSTOM = [(n, m, t, seed) for m in (1, 2, 3) for n, t, seed in ((5, 6, 1), (6, 7, 2), (8, 8, 3))]

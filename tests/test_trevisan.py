@@ -146,16 +146,16 @@ def test_spec_wiring_validated():
     data["t"] += 1
     with pytest.raises(ValueError, match=f"t is {good.t + 1} but the spec gives {good.t}"):
         spec_from_json(json.dumps(data))
-    with pytest.raises(ValueError):
-        ExtractorSpec(
-            n=good.n,
-            m=good.design.num_sets + 1,
-            design=good.design,
-            code=good.code,
-            preset="custom",
-            epsilon_target=good.epsilon_target,
-        )
-
+    # m and the code are the design's: a file must state them as it gives them
+    for key, value in (("m", good.m + 1), ("code", {"messageSymbols": 3, "w": 4})):
+        data = json.loads(spec_to_json(good))
+        data[key] = value
+        with pytest.raises(ValueError, match=f"^{key} is "):
+            spec_from_json(json.dumps(data))
+    # an odd set size cannot index a code of 2w bits
+    with pytest.raises(InfeasibleParameterError, match="design set size 5 is odd"):
+        ExtractorSpec(n=good.n, design=build_poly_design(2, 5), preset="custom",
+                      epsilon_target=good.epsilon_target)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -167,16 +167,14 @@ def test_spec_needs_an_input_bit(n):
 
 def _wide_code_spec():
     # w = 9: one 18-position design set, a codeword table wider than a byte
-    return custom_spec(9, CodeSpec(9, 1), build_poly_design(1, 18), 1, Fraction(1, 4))
+    return custom_spec(9, build_poly_design(1, 18), Fraction(1, 4))
 
 
 def test_batch_table_matches_scalar_extract():
     for spec in (
         build_trevisan("thm43", 8, 2, Fraction(1, 4)),
         # m > 8: outputs packed into int64; 24 support positions
-        custom_spec(
-            12, CodeSpec(3, 4), build_greedy_weak_design(10, 6, 2), 10, Fraction(1, 4)
-        ),
+        custom_spec(12, build_greedy_weak_design(10, 6, 2), Fraction(1, 4)),
         _wide_code_spec(),
     ):
         _check_batch_table(spec)
@@ -215,17 +213,17 @@ def test_wide_code_distance_matches_closed_form():
 
 
 def test_batch_path_declined_above_width_16():
-    spec = custom_spec(17, CodeSpec(17, 1), build_poly_design(1, 34), 1, Fraction(1, 4))
+    spec = custom_spec(17, build_poly_design(1, 34), Fraction(1, 4))
     assert TrevisanExtractor(spec).prepare_batch([0, 1]) is None
 
 
 def test_desk_scale_distance_within_target_custom_t24():
     # n=12, t=24, m=2 with an explicit width-3 code and weak design; the
     # worst of the 15 sources is 79393/524288
-    code = CodeSpec(3, 4)
     design = build_greedy_weak_design(2, 6, 2)
     assert design.universe_size == 24
-    spec = custom_spec(12, code, design, 2, Fraction(1, 4))
+    spec = custom_spec(12, design, Fraction(1, 4))
+    assert spec.code == CodeSpec(3, 4)
     ext = TrevisanExtractor(spec)
     for source in sample_flat_sources(12, 9, 15, seed=21):
         assert extractor_distance(ext, source) <= spec.epsilon_target
@@ -292,7 +290,7 @@ def _spied(ext):
 def _explicit_spec(n, w, sets, t):
     """A custom spec over a width-w code whose design is ``sets`` as given."""
     design = Design(t, 2 * w, "standard", tuple(sets), Fraction(2 * w))
-    return custom_spec(n, CodeSpec(w, -(-n // w)), design, len(sets), Fraction(1, 4))
+    return custom_spec(n, design, Fraction(1, 4))
 
 
 # t <= 9 seed bits: every path, the reference too, enumerates every seed.
