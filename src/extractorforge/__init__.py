@@ -33,6 +33,7 @@ from .oracle import (
     cond_min_entropy_classical,
     distance_to_min_entropy,
     extractor_distance,
+    extractor_distances,
     injective_fraction,
     lemma_suite,
     min_entropy,
@@ -76,6 +77,7 @@ __all__ = [
     "distance_to_min_entropy",
     "encode_bit",
     "extractor_distance",
+    "extractor_distances",
     "field_modulus",
     "guv_condense",
     "injective_fraction",

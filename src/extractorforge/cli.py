@@ -46,7 +46,7 @@ from .oracle import (
     DEFAULT_ENUM_BUDGET,
     JointTable,
     distance_to_min_entropy,
-    extractor_distance,
+    extractor_distances,
     image_counts,
     lemma_suite,
     sample_flat_sources,
@@ -96,11 +96,14 @@ def _seed_problem(reason) -> _Exit:
 
 # Peak bytes of memory per enumerated pair, by verify target, as measured
 # with tracemalloc on one source at a budget of exactly its pairs:
-# ``condenser`` 41-43 (the int64 image table plus np.unique's sorted copy,
-# distinct values, run starts and counts) on build_condenser(12, 6, 1/4, 1)
-# and build_condenser(17, 4, 1/32, 1); ``extractor`` at most 3.0 (the
-# Trevisan codeword table; scratch arrays are bounded per block) on
-# ToeplitzSpec(10, 2) and a w = 9 Trevisan spec at 2^20 and 2^24 pairs.
+# ``condenser`` 41-43 for one sort of the whole int64 image table (its
+# sorted copy, distinct values, run starts and counts) on
+# build_condenser(12, 6, 1/4, 1) and build_condenser(17, 4, 1/32, 1).
+# image_counts now counts the strong form per block of seeds, at 5.5 and
+# 2.1 (uint8 counts and ~0.3 MB of block scratch), but still takes that
+# sort for a map whose images are not seed-major.  ``extractor`` at most
+# 3.0 (the Trevisan codeword table; scratch arrays are bounded per block)
+# on ToeplitzSpec(10, 2) and a w = 9 Trevisan spec at 2^20 and 2^24 pairs.
 # Toeplitz keeps no table over its 2^n inputs (ToeplitzSpec(20, 2) on two
 # strings: 0.8).  A block's scratch reaches ~6 MB, so a source of fewer
 # than ~2^21 pairs can peak above 4 bytes a pair.  ``code`` charges every
@@ -352,8 +355,9 @@ def _verify_code_target(spec, budget, test_seed):
 
 def _flat_sources(n, k, seed_bits, budget, test_seed, label):
     """Up to 50 flat k-sources on n bits, as many as the budget covers at
-    2^(seed_bits + k) pairs each; BudgetExceededError, without building
-    that power, if one does not fit."""
+    2^(seed_bits + k) pairs each, drawn in one call as plain-int
+    ``FlatSource`` values; BudgetExceededError, without building that
+    power, if one does not fit."""
     if seed_bits + k >= budget.bit_length():
         raise BudgetExceededError(1, budget, label, seed_bits + k)
     return sample_flat_sources(n, k, min(50, budget >> (seed_bits + k)), seed=test_seed)
@@ -372,9 +376,7 @@ def _verify_extractor_target(spec, budget, test_seed):
         seed_bits = spec.seed_bits  # Toeplitz reads every seed bit
     sources = _flat_sources(ext.input_bits, k, seed_bits, budget, test_seed,
                             "extractor verification")
-    worst = Fraction(0)
-    for source in sources:
-        worst = max(worst, extractor_distance(ext, source, budget=budget))
+    worst = max([Fraction(0), *extractor_distances(ext, sources, budget=budget)])
     yield _check(f"extraction distance on {len(sources)} flat sources (k={k})", worst <= bound,
                  worstDistance=str(worst), bound=str(bound))
 

@@ -196,7 +196,8 @@ def strong_form(spec: CondenserSpec, x: BitString, y: BitString) -> BitString:
 
 
 class StrongCondenserMap:
-    """Callable (x, y) -> C(x, y) || y with per-source caching for speed."""
+    """Callable (x, y) -> C(x, y) || y, with the seed-major image table of
+    :func:`oracle.image_counts`."""
 
     def __init__(self, spec: CondenserSpec):
         self.spec = spec
@@ -207,22 +208,32 @@ class StrongCondenserMap:
     def __call__(self, x: BitString, y: BitString) -> BitString:
         return strong_form(self.spec, x, y)
 
-    def image_table(self, xs: list[int]) -> np.ndarray | None:
-        """Packed strong-form images for every (x, y), shape (len(xs), 2^d).
+    def prepare_batch(self, xs: list[int]) -> list[np.ndarray] | None:
+        """The residue rows f^(h^i) mod E of every source in xs, one
+        (len(xs), n_tilde) array per output symbol, for :meth:`image_table`.
+        None, which sends :func:`oracle.image_counts` to the per-pair path,
+        when the packed image does not fit in a signed 64-bit integer."""
+        if self.output_bits > 62:
+            return None
+        return list(_residue_rows(self.spec, xs))
 
-        Entry [i, y] equals strong_form(spec, x_i, y).to_int(); None, which
-        sends :func:`oracle.image_counts` to the per-pair path, when the
-        packed image does not fit in a signed 64-bit integer.  Every source's
-        residues are powered together, then evaluated at every seed in one
-        kernel call per output symbol.
+    def image_table(self, state: list[np.ndarray], seeds: np.ndarray) -> np.ndarray:
+        """Packed strong-form images for every (seed, x), seed-major: shape
+        (len(seeds), len(xs)) int64, xs the sources of
+        ``state = prepare_batch(xs)``.
+
+        Entry [j, i] equals strong_form(spec, x_i, seeds[j]).to_int(), so
+        the seed fills the bits above the condensed output and the images
+        of two seeds never collide.  Each output symbol is one kernel call
+        over every (source, seed) pair; the symbols are joined source-major
+        in int32 where the condensed output fits, and the seed is added in
+        the one pass that turns the table seed-major.
         """
         spec = self.spec
         w = spec.field_width
-        if self.output_bits > 62:
-            return None
-        ys = np.arange(1 << w, dtype=np.int64)
-        out = np.broadcast_to(ys << spec.output_bits, (len(xs), len(ys)))
-        for i, rows in enumerate(_residue_rows(spec, xs)):
-            out = out | (horner(rows, ys, w) << (i * w))
-        return out
-
+        ys = np.asarray(seeds, dtype=np.int64)
+        dtype = np.int32 if spec.output_bits < 32 else np.int64
+        condensed = np.zeros((len(state[0]), len(ys)), dtype)
+        for i, rows in enumerate(state):
+            condensed |= np.left_shift(horner(rows, ys, w), i * w, dtype=condensed.dtype)
+        return np.bitwise_or(condensed.T, (ys << spec.output_bits)[:, None], order="C")

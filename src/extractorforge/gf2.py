@@ -14,10 +14,12 @@ This module alone decides how the fields are represented.  Up to width 16
 each field builds, once, exp/log tables over its smallest generator (the
 first g >= 2 of order 2^w - 1) by doubling runs of powers with the
 table-free shift-and-xor product; the array kernel (:func:`mul_arrays`,
-:func:`horner`) gathers from them as arrays and the scalar methods read the
-same tables as lists.  Wider fields use shift-and-xor throughout.  An
-integer holds symbols of w bits lowest first, symbol i in bits
-[i w, (i + 1) w); :func:`split_symbols` is the one place that reads them.
+:func:`horner`) gathers from them with ``take`` over narrow dtypes
+(elements in the field's ``dtype``, uint8 or uint16, logs in int32) and
+the scalar methods read the same tables as lists.  Wider fields use
+shift-and-xor on intp throughout.  An integer holds symbols of w bits
+lowest first, symbol i in bits [i w, (i + 1) w); :func:`split_symbols` is
+the one place that reads them.
 """
 
 from __future__ import annotations
@@ -153,8 +155,10 @@ class GF2Field:
         self.modulus = field_modulus(width)
         self.order = 1 << width
         # The exp/log tables as arrays for the array kernel and as lists for
-        # scalar calls; None above the table limit.
+        # scalar calls; None above the table limit, where the kernel holds
+        # elements as intp.
         self.exp_array = self.log_array = self._exp = self._log = None
+        self.dtype = np.intp
         if width <= _TABLE_WIDTH_LIMIT:
             self._build_tables()
 
@@ -187,6 +191,9 @@ class GF2Field:
         log[0] = 2 * size
         cycle = exp[:size].tolist()
         self._exp, self._log = cycle + cycle + [0] * (2 * size + 1), log.tolist()
+        # elements in the narrowest unsigned type, logs (below 2^18) in int32
+        self.dtype = np.min_scalar_type(size)
+        exp, log = exp.astype(self.dtype), log.astype(np.int32)
         # Shared by every caller of the cached field.
         exp.flags.writeable = log.flags.writeable = False
         self.exp_array, self.log_array = exp, log
@@ -241,28 +248,34 @@ def get_field(width: int) -> GF2Field:
 
 
 def mul_arrays(a, b, width: int) -> np.ndarray:
-    """Elementwise product in GF(2^w) of integer arrays, with broadcasting.
+    """Elementwise product in GF(2^w) of integer arrays, with broadcasting,
+    in the field's ``dtype``.
 
-    Widths up to 16 gather from the field's exp/log tables; larger widths
-    run shift-and-xor over all elements at once, one pass per bit of b.
+    Widths up to 16 gather from the field's exp/log tables with ``take``:
+    logs in int32, products in uint8 or uint16.  Larger widths run
+    shift-and-xor over all elements at once, one pass per bit of b.
     """
-    a = np.asarray(a, dtype=np.intp)
-    b = np.asarray(b, dtype=np.intp)
     field = get_field(width)
     if field.exp_array is None:
-        return _shift_xor_mul(a, b, width, field.modulus)
-    return field.exp_array[field.log_array[a] + field.log_array[b]]
+        a = np.asarray(a, dtype=np.intp)
+        return _shift_xor_mul(a, np.asarray(b, dtype=np.intp), width, field.modulus)
+    log = field.log_array
+    return field.exp_array.take(log.take(a) + log.take(b))
 
 
 def horner(coeffs, points, width: int) -> np.ndarray:
     """Evaluate many polynomials over GF(2^w) at many points.
 
     Row r of ``coeffs`` holds the coefficients of p_r, lowest degree first;
-    entry [r, j] of the result is p_r(points[j]).
+    entry [r, j] of the result, in the field's ``dtype``, is p_r(points[j]).
     """
-    coeffs = np.asarray(coeffs, dtype=np.intp)
-    points = np.asarray(points, dtype=np.intp)
-    acc = np.repeat(coeffs[:, -1:], len(points), axis=1)
+    dtype = get_field(width).dtype
+    coeffs = np.asarray(coeffs).astype(dtype, copy=False)
+    points = np.asarray(points).astype(dtype, copy=False)
+    if coeffs.shape[1] == 1:
+        return np.repeat(coeffs, len(points), axis=1)
+    # the leading column meets the points in the first product, by broadcasting
+    acc = coeffs[:, -1:]
     for d in range(coeffs.shape[1] - 2, -1, -1):
         acc = mul_arrays(acc, points, width)
         acc ^= coeffs[:, d : d + 1]

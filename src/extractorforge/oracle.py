@@ -13,6 +13,14 @@ Distributions and tables are rows (key, integer weight).  Every
 aggregation over them, a marginal, a guessing probability, a per-symbol
 weight, is one :func:`_group` of such rows by a key, summed or maxed, in
 the order the keys are first seen.
+
+Flat sources stay plain integers end to end.  A :class:`FlatSource` holds
+its values as ints, :func:`sample_flat_sources` draws a call's sources in
+one array pass, :func:`extractor_distances` counts a batch of them as the
+symbols of one pass of the distance engine, with per-symbol results, and
+:func:`image_counts` counts the condenser's images one seed's row at a
+time.  BitStrings are built only where a map or an extractor is called one
+pair at a time.
 """
 
 from __future__ import annotations
@@ -21,13 +29,14 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bits import BitString
-from .detrand import CounterRng
+from .detrand import CounterRng, sample_distinct_rows
 from .errors import BudgetExceededError
 from .toeplitz import ToeplitzExtractor, ToeplitzSpec
 
@@ -41,8 +50,8 @@ _BLOCK_PAIRS = 1 << 16
 # path may hold (32 MB); it declines larger sources.
 _SPECTRAL_ENTRIES = 1 << 22
 # (pattern, symbol, output) cells per block of the spectral path: 128 KB
-# per int64 scratch array of the block.
-_SPECTRAL_BLOCK_CELLS = 1 << 14
+# per int32 scratch array of the block, 256 KB per int64 one.
+_SPECTRAL_BLOCK_CELLS = 1 << 15
 # Estimated costs in ns, measured on a 2-vCPU x86_64 host (Toeplitz and
 # Trevisan instances with n = 4 .. 16, m = 1 .. 6): the table path's per
 # counted (pattern, row) pair and per (pattern, symbol, output) cell; the
@@ -52,6 +61,8 @@ _PAIR_NS = 5
 _ENTRY_NS = 3
 _CELL_PASS_NS = 1.25
 _SPECTRAL_CALL_NS = 20_000
+# (seed, x) pairs per block of image_counts: 128 KB per int64 scratch array.
+_IMAGE_BLOCK_PAIRS = 1 << 14
 # Cells a block may address directly, one int64 sum each (2 MB), past its
 # pair count; blocks with more cells label the observed ones instead.
 _ADDRESSED_CELLS = 1 << 18
@@ -155,27 +166,31 @@ class FiniteDistribution:
 
 @dataclass(frozen=True)
 class FlatSource:
-    """Uniform distribution over a support of exactly 2^k bit strings."""
+    """Uniform distribution over 2^k distinct n-bit values, held as plain
+    ints in draw order: sources compare equal and hash by (n, values).
+    ``support`` gives the values as BitStrings, built on each access."""
 
     n: int
-    support: tuple[BitString, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.support:
+        values = self.values
+        if not values:
             raise ValueError("empty support")
-        if len(set(self.support)) != len(self.support):
+        if len(set(values)) != len(values):
             raise ValueError("repeated support elements")
-        if len(self.support) & (len(self.support) - 1):
-            raise ValueError(
-                f"support size {len(self.support)} is not a power of two"
-            )
-        for x in self.support:
-            if len(x) != self.n:
-                raise ValueError(f"support element of length {len(x)}, want {self.n}")
+        if len(values) & (len(values) - 1):
+            raise ValueError(f"support size {len(values)} is not a power of two")
+        if min(values) < 0 or max(values) >> self.n:
+            raise ValueError(f"support element outside [0, 2^{self.n})")
 
     @classmethod
     def from_ints(cls, n: int, values: Iterable[int]) -> "FlatSource":
-        return cls(n, tuple(BitString(v, n) for v in values))
+        return cls(n, tuple(map(operator.index, values)))
+
+    @property
+    def support(self) -> tuple[BitString, ...]:
+        return tuple(BitString(v, self.n) for v in self.values)
 
     def distribution(self) -> FiniteDistribution:
         return FiniteDistribution.uniform(self.support)
@@ -185,15 +200,18 @@ def sample_flat_sources(
     n: int, k: int, count: int, seed: int = 1
 ) -> list[FlatSource]:
     """Deterministic pseudorandom flat sources: ``count`` supports of size
-    2^k drawn without replacement from {0,1}^n."""
+    2^k drawn without replacement from {0,1}^n.  Source i is the stream
+    (seed, n, k, i); up to n = 64 every stream is one row of a single
+    :func:`sample_distinct_rows` call."""
     if k > n:
         raise ValueError(f"cannot place 2^{k} distinct values in {n} bits")
-    out = []
-    for index in range(count):
-        rng = CounterRng(_SOURCE_STREAM_KEY, seed, n, k, index)
-        values = rng.sample_distinct(1 << k, 1 << n)
-        out.append(FlatSource.from_ints(n, values))
-    return out
+    stream = CounterRng(_SOURCE_STREAM_KEY, seed, n, k)
+    if n > 64:
+        rows = [stream.derive(index).sample_distinct(1 << k, 1 << n) for index in range(count)]
+    else:
+        bases = stream.derive_bases(np.arange(count))
+        rows = sample_distinct_rows(bases, 1 << k, 1 << n)[0].tolist()
+    return [FlatSource(n, tuple(row)) for row in rows]
 
 
 class JointTable:
@@ -309,50 +327,29 @@ def extractor_distance(
 ) -> Fraction:
     """Exact distance of (seed, output[, side]) from (uniform[, side marginal]).
 
-    The table protocol: ``extractor`` exposes input_bits, seed_bits,
-    output_bits and extract(x, y), and may declare ``seed_support``, the
-    ascending seed positions the output can depend on.  Seeds are enumerated
-    as patterns over it, pattern bit k being seed bit seed_support[k], which
-    is exact because the other seed bits multiply both sides equally.
-    Outputs come from ``extract_table(state, patterns)``, packed into ints
-    with shape (len(patterns), len(xs)), state = ``prepare_batch(xs)`` for
-    the source values xs as ints, where both methods exist, m <= 62 and
-    prepare_batch does not decline by returning None; else from one
-    ``extract`` call per (x, seed pattern).
-
-    The side table, or the source as a one-symbol side table, becomes rows
-    (x, symbol, integer weight) over one denominator N.  With c the weight in
-    a (pattern, symbol, output) cell and W_s the symbol's weight, the
-    distance is sum |c 2^m - W_s| / (2 N 2^m #patterns); unobserved cells
-    add W_s each.  Each block of patterns is counted in one pass over all
-    symbols, cells keyed by (pattern, symbol, output).  Since the distance
-    with side information is sum_s Pr[s] d_s, d_s that of X | S = s, a side
-    table whose symbols are the pieces of a mixture yields the weighted sum
-    of the pieces' distances in one call (see :func:`lemma_suite`).
-
-    An extractor that is GF(2)-linear in x for each fixed seed may also
-    expose ``linear_rows(patterns)``: an (m, len(patterns)) int64 array of
-    x-masks r_i(y), output bit i of seed pattern y being the parity of
-    r_i(y) & x, or None to decline.  Then the cells come from the source's
-    Walsh-Hadamard spectrum instead of from the pairs (see
-    :func:`_spectral_deviation`), and the source size drops out of the cost.
-    That spectral path is taken when all of these hold, else the table or
-    per-pair path: 2^m times the total weight is below 2^62, so every value
-    is an exact int64; the S 2^n transform entries, S symbols, are at most
-    ``_SPECTRAL_ENTRIES``; its estimated time is below the table path's;
-    and linear_rows does not decline.  Either path costs ``budget`` the
-    same pairs, checked before any is counted, and gives the same exact
-    distance.
+    ``source`` is a FlatSource or a FiniteDistribution over BitStrings.  A
+    flat source without a side table is one source of
+    :func:`extractor_distances`, in integer rows throughout.  Otherwise the
+    side table, or the source as a one-symbol side table, becomes rows
+    (x, symbol, integer weight) over one denominator N, and the distance is
+    1 - sum_s overlap_s / (N 2^m #patterns), overlap_s the sum of
+    min(c 2^m, W_s) over symbol s's cells, W_s its weight (see
+    :func:`extractor_distances` for the cells and the paths that count
+    them).  Since the distance with side information is sum_s Pr[s] d_s,
+    d_s that of X | S = s, a side table whose symbols are the pieces of a
+    mixture yields the weighted sum of the pieces' distances in one call
+    (see :func:`lemma_suite`).  ``budget`` is charged the source's support
+    times the seed patterns, checked before any pair is counted.
     """
-    n = extractor.input_bits
-    t = extractor.seed_bits
-    m = extractor.output_bits
     if isinstance(source, FlatSource):
+        if side is None:
+            return extractor_distances(extractor, [source], budget=budget)[0]
         source = source.distribution()
     if not isinstance(source, FiniteDistribution):
         raise TypeError(f"unsupported source type {type(source).__name__}")
     if not all(isinstance(x, BitString) for x in source._weights):
         raise TypeError("source outcomes must be BitString values")
+    n = extractor.input_bits
     xs = [x for x, w in source._weights.items() if w]
     for x in xs:
         if len(x) != n:
@@ -362,43 +359,136 @@ def extractor_distance(
         side = JointTable._from_rows(n, one_symbol, source._total)
     elif side.n != n or not _marginal_matches(side, source, xs):
         raise ValueError("side table's x-marginal differs from the source")
-
-    positions = tuple(getattr(extractor, "seed_support", range(t)))
-    if list(positions) != sorted(set(positions)) or (positions and positions[-1] >= t):
-        raise ValueError("bad seed_support declaration")
+    positions = _seed_positions(extractor)
     ny = 1 << len(positions)
     pairs = len(xs) * ny
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
 
     # one row (symbol index, weight) per row of the side table
-    total, rows, scale = side._total, len(side._xs), 1 << m
     targets = _group(side._symbols, side._weights)
     index_of = {s: i for i, s in enumerate(targets)}
     symbols = np.array([index_of[s] for s in side._symbols], dtype=np.int64)
-    # a block has at most max(_BLOCK_PAIRS, rows) pairs, so as many nonzero terms
-    dtype = _sum_dtype(total, scale, max(_BLOCK_PAIRS, rows))
-    weights = None if all(w == 1 for w in side._weights) else np.array(side._weights, dtype=dtype)
-    targets = np.array(list(targets.values()), dtype=dtype)
-    mass = sum(side._weights)
-
-    deviation = None
-    if hasattr(extractor, "linear_rows"):
-        deviation = _spectral_deviation(extractor, ny, side._xs, symbols, weights, targets, mass)
-    if deviation is None:
-        deviation = _table_deviation(
-            extractor, positions, xs, side._xs, symbols, weights, targets, dtype
-        )
-    return Fraction(deviation + (mass << m) * ny, 2 * (total << m) * ny)
+    weights = None if all(w == 1 for w in side._weights) else side._weights
+    overlaps = _overlaps(
+        extractor, positions, side._xs, symbols, weights, list(targets.values()), side._total
+    )
+    m, mass = extractor.output_bits, sum(side._weights)
+    return Fraction((mass << m) * ny - sum(overlaps), (side._total << m) * ny)
 
 
-def _table_deviation(extractor, positions, xs, row_xs, symbols, weights, targets, dtype) -> int:
-    """Sum of |c 2^m - W_s| - W_s over the cells from the output of every
-    (seed pattern, row) pair, ``row_xs`` each row's x value: outputs from
-    the extractor's table where it has one, else per pair."""
-    t, m = extractor.seed_bits, extractor.output_bits
+def extractor_distances(
+    extractor, sources: Sequence[FlatSource], *, budget: int = DEFAULT_ENUM_BUDGET
+) -> list[Fraction]:
+    """Exact distance of (seed, output) from uniform for each flat source,
+    one Fraction per source, in one count with the sources as symbols.
+
+    The table protocol: ``extractor`` exposes input_bits, seed_bits,
+    output_bits and extract(x, y), and may declare ``seed_support``, the
+    ascending seed positions the output can depend on.  Seeds are enumerated
+    as patterns over it, pattern bit k being seed bit seed_support[k], which
+    is exact because the other seed bits multiply both sides equally.
+    Outputs come from ``extract_table(state, patterns)``, packed into ints
+    with shape (len(patterns), len(xs)), state = ``prepare_batch(xs)`` for
+    the distinct source values xs as ints, where both methods exist,
+    m <= 62 and prepare_batch does not decline by returning None; else from
+    one ``extract`` call per (x, seed pattern).
+
+    Each source is a symbol s of weight W_s = |support|, every value of it a
+    row of weight 1.  With c the weight in a (pattern, symbol, output) cell,
+    the joint (pattern, output) law of source s puts c / (W_s #patterns) on
+    it and the uniform law 1 / (2^m #patterns), so source s is at distance
+    1 - overlap_s / (W_s 2^m #patterns), overlap_s the sum of
+    min(c 2^m, W_s) over its cells.  Cells with c = 0 add nothing, so only
+    observed cells matter.  Each block of patterns is counted in one pass
+    over every symbol, cells keyed by (pattern, symbol, output), and its
+    overlap reduced per symbol.
+
+    An extractor that is GF(2)-linear in x for each fixed seed may also
+    expose ``linear_rows(patterns)``: an (m, len(patterns)) int64 array of
+    x-masks r_i(y), output bit i of seed pattern y being the parity of
+    r_i(y) & x, or None to decline.  Then the cells come from each source's
+    Walsh-Hadamard spectrum instead of from the pairs (see
+    :func:`_spectral_overlap`): the rows and their 2^m masks are built
+    once per block for every source, and the source size drops out of the
+    cost.  That spectral path is taken when all of these hold, else the
+    table or per-pair path: 2^m times the total weight is below 2^62, so
+    every value is an exact int64; the S 2^n transform entries, S symbols,
+    are at most ``_SPECTRAL_ENTRIES``; its estimated time is below the table
+    path's; and linear_rows does not decline.  Sources are counted in
+    chunks of at most ``_SPECTRAL_ENTRIES`` >> n, so that a chunk is never
+    refused the spectral path for its size where its sources alone would
+    take it, and the spectral estimate, which pays its per-call cost once
+    per chunk, only favours it more.  Either path gives the same exact
+    distances.
+
+    ``budget`` is charged each source's support times the seed patterns,
+    as one :func:`extractor_distance` call per source would be, and every
+    source is checked before any pair is counted.
+    """
+    n, m = extractor.input_bits, extractor.output_bits
+    for source in sources:
+        if not isinstance(source, FlatSource):
+            raise TypeError(f"unsupported source type {type(source).__name__}")
+        if source.n != n:
+            raise ValueError(f"source of {source.n} bits, extractor wants {n}")
+    positions = _seed_positions(extractor)
     ny = 1 << len(positions)
-    values = [x.to_int() for x in xs]
+    for source in sources:
+        pairs = len(source.values) * ny
+        if pairs > budget:
+            raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
+
+    out = []
+    chunk = max(1, _SPECTRAL_ENTRIES >> n)
+    for start in range(0, len(sources), chunk):
+        sizes = [len(source.values) for source in sources[start : start + chunk]]
+        row_xs = [x for source in sources[start : start + chunk] for x in source.values]
+        symbols = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        overlaps = _overlaps(extractor, positions, row_xs, symbols, None, sizes, len(row_xs))
+        for overlap, weight in zip(overlaps, sizes):
+            out.append(Fraction((weight << m) * ny - overlap, (weight << m) * ny))
+    return out
+
+
+def _seed_positions(extractor) -> tuple[int, ...]:
+    """The seed positions the extractor declares, checked ascending and
+    inside its seed; every position when it declares none."""
+    t = extractor.seed_bits
+    positions = tuple(getattr(extractor, "seed_support", range(t)))
+    if list(positions) != sorted(set(positions)) or (positions and positions[-1] >= t):
+        raise ValueError("bad seed_support declaration")
+    return positions
+
+
+def _overlaps(extractor, positions, row_xs, symbols, weights, targets, total) -> list[int]:
+    """Per symbol, the sum of min(c 2^m, W_s) over its (pattern, symbol,
+    output) cells, as a list of ints: rows (row_xs[r], symbols[r],
+    weights[r]) over the denominator ``total``, weights None for all ones,
+    and ``targets`` each symbol's weight W_s.  From the spectrum where the
+    extractor and the cost allow, else from the pairs."""
+    m = extractor.output_bits
+    ny = 1 << len(positions)
+    mass = len(row_xs) if weights is None else sum(weights)
+    # a block has at most max(_BLOCK_PAIRS, rows) pairs, so as many nonzero terms
+    dtype = _sum_dtype(total, 1 << m, max(_BLOCK_PAIRS, len(row_xs)))
+    weights = None if weights is None else np.array(weights, dtype=dtype)
+    targets = np.array(targets, dtype=dtype)
+    overlap = None
+    if hasattr(extractor, "linear_rows"):
+        overlap = _spectral_overlap(extractor, ny, row_xs, symbols, weights, targets, mass)
+    if overlap is None:
+        overlap = _table_overlap(extractor, positions, row_xs, symbols, weights, targets, dtype)
+    return overlap
+
+
+def _table_overlap(extractor, positions, row_xs, symbols, weights, targets, dtype) -> list[int]:
+    """Per symbol, the sum of min(c 2^m, W_s) over the cells from the output
+    of every (seed pattern, row) pair, ``row_xs`` each row's x value:
+    outputs from the extractor's table where it has one, else per pair."""
+    n, t, m = extractor.input_bits, extractor.seed_bits, extractor.output_bits
+    ny = 1 << len(positions)
+    values = list(dict.fromkeys(row_xs))
     column_of = {v: i for i, v in enumerate(values)}
     columns = np.array([column_of[x] for x in row_xs], dtype=np.int64)
     tabled = m <= 62 and all(
@@ -406,7 +496,9 @@ def _table_deviation(extractor, positions, xs, row_xs, symbols, weights, targets
     )
     state = extractor.prepare_batch(values) if tabled else None
     tabled = state is not None
-    deviation = 0
+    if not tabled:
+        xs = [BitString(v, n) for v in values]
+    overlap = [0] * len(targets)
     block = max(1, min(ny, _BLOCK_PAIRS // len(row_xs)))
     for start in range(0, ny, block):
         patterns = np.arange(start, min(start + block, ny), dtype=np.int64)
@@ -422,14 +514,15 @@ def _table_deviation(extractor, positions, xs, row_xs, symbols, weights, targets
                 dtype=np.int64 if m <= 62 else object,
             )
         part = out.take(columns, axis=1)
-        deviation += _cell_deviation(part, symbols, weights, targets, 1 << m, dtype)
-    return deviation
+        block_overlap = _cell_overlap(part, symbols, weights, targets, 1 << m, dtype)
+        overlap = list(map(operator.add, overlap, block_overlap.tolist()))
+    return overlap
 
 
-def _spectral_deviation(extractor, ny, row_xs, symbols, weights, targets, mass) -> int | None:
-    """Sum of |c 2^m - W_s| - W_s over every (pattern, symbol, output) cell
-    from the source's Walsh-Hadamard spectrum, or None to decline (see
-    :func:`extractor_distance` for when).
+def _spectral_overlap(extractor, ny, row_xs, symbols, weights, targets, mass) -> list[int] | None:
+    """Per symbol, the sum of min(c 2^m, W_s) over every (pattern, symbol,
+    output) cell from the sources' Walsh-Hadamard spectra, or None to
+    decline (see :func:`extractor_distances` for when).
 
     For a seed pattern y, output bit i is the parity of r_i(y) & x, r_i(y)
     from ``extractor.linear_rows``.  With F_s(v) = sum_x w_s(x) (-1)^(v.x)
@@ -440,8 +533,9 @@ def _spectral_deviation(extractor, ny, row_xs, symbols, weights, targets, mass) 
                        = sum_u (-1)^(u.z) F_s(v_u(y)),
 
     so each pattern's cells are the m-bit transform of F_s gathered at its
-    2^m masks: no (pattern, x) pair is enumerated.  Every partial sum is at
-    most 2^m times the total weight in size.
+    2^m masks: no (pattern, x) pair is enumerated, and one block's rows and
+    masks serve every symbol.  Every partial sum is at most 2^m times the
+    total weight in size.
     """
     n, m, symbol_count = extractor.input_bits, extractor.output_bits, len(targets)
     entries = symbol_count << n
@@ -459,29 +553,30 @@ def _spectral_deviation(extractor, ny, row_xs, symbols, weights, targets, mass) 
     first = next(row_blocks)
     if first is None:
         return None
+    # Every transform value and cell is at most 2^m times the mass in size:
+    # int32 below 2^31, its block sums taken in int64 by numpy; else int64,
+    # its block sums in int64 or, past it, as exact ints.
+    narrow = mass << m < 1 << 31
+    exact = np.int32 if narrow else _sum_dtype(mass, 1 << m, block * symbol_count << m)
     # assignment suffices: a side table has one row per (x, symbol)
-    spectra = np.zeros((symbol_count, 1 << n, 1), dtype=np.int64)
+    spectra = np.zeros((symbol_count, 1 << n, 1), dtype=np.int32 if narrow else np.int64)
     spectra[symbols, row_xs, 0] = 1 if weights is None else weights
     spectra = _walsh_hadamard(spectra)[:, :, 0]
-    # a block's cells sum to 2^m times its patterns' weight: int64 or exact
-    exact = _sum_dtype(mass, 1 << m, block * symbol_count << m)
     cell_targets = targets.astype(exact)[:, None, None]
-    deviation = 0
+    overlap = [0] * symbol_count
     for rows in itertools.chain([first], row_blocks):
         masks = np.zeros((1 << m, rows.shape[1]), dtype=np.int64)
         for i, row in enumerate(rows):  # v_u for u < 2^(i+1)
             np.bitwise_xor(masks[: 1 << i], row, out=masks[1 << i : 2 << i])
-        cells = np.empty((symbol_count,) + masks.shape, dtype=np.int64)
-        for spectrum, out in zip(spectra, cells):
-            spectrum.take(masks, out=out)  # F_s(v_u)
+        cells = spectra.take(masks, axis=1)  # F_s(v_u), shape (S, 2^m, patterns)
         scaled = _walsh_hadamard(cells).astype(exact, copy=False)  # 2^m c(y, s, z)
-        deviation += _deviation(scaled, cell_targets)
-    return deviation
+        overlap = list(map(operator.add, overlap, _overlap(scaled, cell_targets).tolist()))
+    return overlap
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     """The unnormalised Walsh-Hadamard transform over axis 1 of a C-ordered
-    int64 array of shape (S, 2^k, r), in place: a[s, v] becomes
+    int32 or int64 array of shape (S, 2^k, r), in place: a[s, v] becomes
     sum_x (-1)^(popcount(v & x)) a[s, x], exact while the sums fit."""
     symbol_count, size, rest = a.shape
     half = 1
@@ -506,9 +601,9 @@ def _marginal_matches(side: JointTable, source: FiniteDistribution, xs) -> bool:
     )
 
 
-def _cell_deviation(out, symbols, weights, targets, scale, dtype) -> int:
-    """Sum of |c 2^m - W_s| - W_s over the (pattern, symbol, output) cells of
-    a block, in one counting pass for every symbol.
+def _cell_overlap(out, symbols, weights, targets, scale, dtype) -> np.ndarray:
+    """Per symbol, the sum of min(c 2^m, W_s) over the (pattern, symbol,
+    output) cells of a block, in one counting pass for every symbol.
 
     ``out`` holds one output per (pattern, row), ``symbols`` and ``weights``
     each row's symbol index and weight (None for all ones), and ``targets``
@@ -538,30 +633,30 @@ def _cell_deviation(out, symbols, weights, targets, scale, dtype) -> int:
     else:
         sums = np.zeros(cells, dtype=dtype)
         np.add.at(sums, index, np.broadcast_to(weights, out.shape).ravel())
-    if addressable:
-        sums = sums.reshape(symbol_count, patterns * scale)
-        cell_targets = targets[:, None]
-    else:
-        cell_targets = targets[used // len(values) // patterns]
     sums *= scale
-    return _deviation(sums, cell_targets)
+    if addressable:
+        return _overlap(sums.reshape(symbol_count, patterns * scale), targets[:, None])
+    # the observed cells ascend by symbol, and every symbol has some
+    cell_symbols = used // len(values) // patterns
+    terms = np.minimum(sums, targets[cell_symbols], out=sums)
+    return np.add.reduceat(terms, np.searchsorted(cell_symbols, np.arange(symbol_count)))
 
 
 def _sum_dtype(total: int, scale: int, terms: int):
-    """int64 if ``terms`` nonzero cell terms of :func:`_deviation` sum
-    exactly in it, else object.  Each term lies in [-W_s, c 2^m] with
-    c <= N, so int64 holds the sum while N (2^m + 1) terms stays below 2^62."""
+    """int64 if ``terms`` nonzero cells of :func:`_overlap`, their values
+    c 2^m and their sum, fit exactly in it, else object.  c 2^m <= N 2^m
+    and each term min(c 2^m, W_s) <= N, so int64 holds them while
+    N (2^m + 1) terms stays below 2^62."""
     return np.int64 if total * (scale + 1) * terms < 1 << 62 else object
 
 
-def _deviation(scaled, cell_targets) -> int:
-    """Sum of |c 2^m - W_s| - W_s over cells, ``scaled`` holding each
-    cell's c 2^m, c its weight, and ``cell_targets`` (broadcast against it)
-    its symbol's weight W_s.  A cell with c = 0 adds 0, so dense and
-    observed-only counts give the same sum.  Summed as
-    c 2^m - 2 min(c 2^m, W_s), the same term for c 2^m and W_s >= 0, in
-    ``scaled``'s own storage, which it overwrites."""
-    return int(scaled.sum()) - 2 * int(np.minimum(scaled, cell_targets, out=scaled).sum())
+def _overlap(scaled, cell_targets) -> np.ndarray:
+    """Per symbol, axis 0 of ``scaled``, the sum of min(c 2^m, W_s) over its
+    cells, ``scaled`` holding each cell's c 2^m, c its weight, and
+    ``cell_targets`` (broadcast against it) its symbol's weight W_s.  A cell
+    with c = 0 adds 0, so dense and observed-only counts give the same sum.
+    Computed in ``scaled``'s own storage, which it overwrites."""
+    return np.minimum(scaled, cell_targets, out=scaled).sum(axis=tuple(range(1, scaled.ndim)))
 
 
 def image_counts(
@@ -572,31 +667,67 @@ def image_counts(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> np.ndarray:
     """How often each image of the strong-form map occurs over support x
-    seeds, one entry per distinct image (an int64 array summing to the
-    pair count).
+    seeds, one entry per distinct image in ascending image order: an
+    unsigned integer array summing to the pair count.
 
-    ``cprime`` maps (x: BitString, y: BitString) to a BitString.  Images are
-    counted from one array of shape (support, 2^seed_bits), which the map is
-    asked for as ``cprime.image_table(xs)``, xs the support as ints (any
-    integer encoding of images; None declines), else from ``cprime`` per pair.
+    ``cprime`` maps (x: BitString, y: BitString) to a BitString.  It may
+    also expose the table protocol of the extractors:
+    ``image_table(state, seeds)``, the images (any integer encoding) of
+    every (seed, x) with shape (len(seeds), len(xs)), state =
+    ``prepare_batch(xs)`` for the support xs as ints, None to decline.
+    Else each image is ``cprime``'s, one call per pair.
+
+    Images are counted per block of seeds, each seed's row sorted.  If the
+    rows, read in seed order, ascend, equal images sit next to each other,
+    so the lengths of the runs of equal images, a run across two blocks
+    joined, are the exact counts.  That holds whenever the seed lies above
+    every other bit of the encoding, as in the strong form, whose images
+    under different seeds never collide; a block holds
+    ``_IMAGE_BLOCK_PAIRS`` pairs, and each block's counts are kept in the
+    narrowest unsigned dtype that holds them.  For any other encoding the
+    first descent sends the count to one sort of the whole table, as
+    exact.
     """
-    nx = len(source.support)
+    xs = source.values
     ny = 1 << seed_bits
-    pairs = nx * ny
+    pairs = len(xs) * ny
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "injectivity enumeration")
 
-    table = None
-    if hasattr(cprime, "image_table"):
-        table = cprime.image_table([x.to_int() for x in source.support])
-    if table is None:
-        table = np.array(
-            [
-                [cprime(x, BitString(y, seed_bits)).to_int() for y in range(ny)]
-                for x in source.support
-            ]
-        )
-    return np.unique(table.ravel(), return_counts=True)[1]
+    state = cprime.prepare_batch(list(xs)) if hasattr(cprime, "image_table") else None
+    if state is not None:
+        table = partial(cprime.image_table, state)
+    else:
+        support = source.support
+
+        def table(seeds):
+            return np.array([[cprime(x, BitString(y, seed_bits)).to_int() for x in support]
+                             for y in seeds.tolist()])
+
+    pieces, run, last = [], 0, None  # the open run of the blocks before, and its image
+    block = max(1, min(ny, _IMAGE_BLOCK_PAIRS // len(xs)))
+    for start in range(0, ny, block):
+        part = table(np.arange(start, min(start + block, ny), dtype=np.int64))
+        part.sort(axis=1)
+        # sorted rows ascend in seed order iff no row starts below the last one's end
+        if (part[1:, 0] < part[:-1, -1]).any() or (last is not None and part[0, 0] < last):
+            return np.unique(table(np.arange(ny, dtype=np.int64)).ravel(), return_counts=True)[1]
+        flat = part.ravel()
+        lengths = np.diff(np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1], [True]))))
+        if flat[0] == last:
+            lengths[0] += run
+        elif run:
+            pieces.append(_narrow(np.array([run])))
+        if len(lengths) > 1:
+            pieces.append(_narrow(lengths[:-1]))
+        run, last = int(lengths[-1]), flat[-1]
+    pieces.append(_narrow(np.array([run])))
+    return np.concatenate(pieces)
+
+
+def _narrow(counts: np.ndarray) -> np.ndarray:
+    """Nonempty positive counts in the narrowest unsigned dtype that holds them."""
+    return counts.astype(np.min_scalar_type(int(counts.max())))
 
 
 def unique_fraction(counts: np.ndarray) -> Fraction:

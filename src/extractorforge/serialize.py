@@ -13,8 +13,9 @@ Quirks of the format, kept so that every digest stays what it was:
 * a Fraction is written as ``[numerator, denominator]`` even when it is
   integral (``"alpha": [1, 1]``), except a design's ``certifiedOverlap``,
   which is a bare int when integral;
-* ``modulusE`` is the list of E's coefficients, lowest degree first, and
-  is read back as a ``FieldPoly`` over the field of the condenser's ``w``;
+* ``modulusE`` is the list of E's coefficients, lowest degree first,
+  ending in E's leading 1, and is read back as a ``FieldPoly`` over the
+  field of the condenser's ``w``;
 * ``sets`` and ``rounding`` are lists in JSON and tuples in Python;
 * an integer key holds a JSON integer, a Fraction key a pair of them, a
   string list strings, and a design's ``sets`` and a condenser's
@@ -88,6 +89,10 @@ def _read_overlap(raw, data) -> Fraction:
 def _read_modulus(raw, data) -> FieldPoly:
     if type(raw) is not list or any(type(v) is not int for v in raw):
         raise ValueError(f"modulusE must be a list of integers, got {raw!r}")
+    # FieldPoly drops trailing zeros, so a file must state E's leading 1 last
+    if not raw or raw[-1] != 1:
+        raise ValueError(f"modulus E must be monic and irreducible over GF(2^w): "
+                         f"modulusE {raw!r} does not end in its leading coefficient 1")
     return FieldPoly(tuple(raw), _read_int(data["w"], data))
 
 

@@ -184,10 +184,16 @@ def test_unreadable_spec(capsys, tmp_path):
     assert err.startswith("unreadable spec")
 
 
-@pytest.mark.parametrize("modulus", [[1, 0, 1], [2, 2, 2]], ids=["reducible", "not-monic"])
+@pytest.mark.parametrize(
+    "modulus",
+    [[1, 0, 1], [2, 2, 2], [1, 1, 1, 0]],
+    ids=["reducible", "not-monic", "trailing-zero"],
+)
 @pytest.mark.parametrize("command", ["extract", "verify"])
 def test_bad_condenser_modulus_is_a_bad_spec(capsys, tmp_path, condenser_spec, modulus, command):
-    # E = Z^2 + 1 = (Z + 1)^2, or 2 Z^2 + 2 Z + 2, over GF(2^11)
+    # E = Z^2 + 1 = (Z + 1)^2, or 2 Z^2 + 2 Z + 2, over GF(2^11); or the
+    # spec's own E = Z^2 + Z + 1 with a zero stated above its leading 1,
+    # which must not load as, and publish the digest of, the unedited file
     data = json.loads(spec_to_json(condenser_spec))
     data["modulusE"] = modulus
     path = tmp_path / "condenser.json"

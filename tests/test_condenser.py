@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from extractorforge.condenser import (
 )
 from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
+from extractorforge.gf2 import get_field
 from extractorforge.oracle import image_counts, injective_fraction, sample_flat_sources
 from extractorforge.poly import FieldPoly, find_irreducible
 from extractorforge.serialize import spec_digest, spec_from_json, spec_to_json
@@ -182,15 +185,15 @@ def _check_image_table(args, sources, seeds):
     cmap = StrongCondenserMap(spec)
     rng = CounterRng(0x1A81E, spec.n)
     xs = [0] + [rng.below(1 << spec.n) for _ in range(sources)]
-    table = cmap.image_table(xs)
-    assert table.shape == (len(xs), 1 << spec.seed_bits)
     ys = range(1 << spec.seed_bits)
     if seeds is not None:
         ys = [rng.below(1 << spec.seed_bits) for _ in range(seeds)]
-    for row, xv in enumerate(xs):
-        for yv in ys:
+    table = cmap.image_table(cmap.prepare_batch(xs), np.array(ys))
+    assert table.shape == (len(ys), len(xs))
+    for row, yv in enumerate(ys):
+        for col, xv in enumerate(xs):
             expect = strong_form(spec, BitString(xv, spec.n), BitString(yv, spec.seed_bits))
-            assert int(table[row, yv]) == expect.to_int()
+            assert int(table[row, col]) == expect.to_int()
 
 
 def test_guv_condense_matches_reference_at_degree_four():
@@ -215,11 +218,13 @@ def test_image_table_above_table_width():
     cmap = StrongCondenserMap(spec)
     rng = CounterRng(0x17)
     xs = [0, (1 << 17) - 1] + [rng.below(1 << 17) for _ in range(4)]
-    table = cmap.image_table(xs)
-    for row, xv in enumerate(xs):
-        for yv in [0, 1, (1 << 17) - 1] + [rng.below(1 << 17) for _ in range(30)]:
+    ys = [0, 1, (1 << 17) - 1] + [rng.below(1 << 17) for _ in range(30)]
+    table = cmap.image_table(cmap.prepare_batch(xs), np.array(ys))
+    assert table.shape == (len(ys), len(xs))
+    for row, yv in enumerate(ys):
+        for col, xv in enumerate(xs):
             expect = strong_form(spec, BitString(xv, 17), BitString(yv, 17))
-            assert int(table[row, yv]) == expect.to_int()
+            assert int(table[row, col]) == expect.to_int()
 
 
 def test_injectivity_on_sampled_sources():
@@ -247,6 +252,127 @@ def test_image_counts_asks_the_map_for_its_table():
         )
 
 
+def _per_pair_map(spec):
+    """The strong form one pair at a time, by the scalar field methods, from
+    residues taken once per source by the reference powering; it offers no
+    image table, so image_counts calls it per pair."""
+    w, field = spec.field_width, get_field(spec.field_width)
+    modulus = list(spec.modulus.coeffs)
+
+    @functools.cache
+    def residues(xv):
+        coeffs = [(xv >> (i * w)) & ((1 << w) - 1) for i in range(spec.message_symbols)]
+        return [ref_poly_pow_mod(coeffs, spec.power**i, modulus, w)
+                for i in range(spec.output_symbols)]
+
+    def image(x, y):
+        yv = y.to_int()
+        value = sum(field.eval_poly(r, yv) << (i * w) for i, r in enumerate(residues(x.to_int())))
+        return BitString(value | yv << spec.output_bits, spec.output_bits + w)
+
+    return image
+
+
+def _global_counts(cmap, xs):
+    """Image counts by one sort of the whole table."""
+    table = cmap.image_table(cmap.prepare_batch(xs), np.arange(1 << cmap.seed_bits))
+    return np.unique(table, return_counts=True)[1]
+
+
+@pytest.mark.parametrize(
+    "args, values",
+    [
+        # n_tilde = 2, 3 and 4 (w = 11, 14, 14), on sources of 4, 2 and 2 values
+        ((12, 6, Fraction(1, 4), 1), 4),
+        ((40, 10, Fraction(1, 4), Fraction(1, 2)), 2),
+        ((48, 10, Fraction(1, 4), Fraction(1, 2)), 2),
+    ],
+    ids=["n_tilde-2", "n_tilde-3", "n_tilde-4"],
+)
+def test_per_seed_counts_match_the_per_pair_count(args, values):
+    spec = build_condenser(*args)
+    assert spec.message_symbols == {12: 2, 40: 3, 48: 4}[spec.n]
+    source = sample_flat_sources(spec.n, values.bit_length() - 1, 1, seed=spec.n)[0]
+    counts = image_counts(StrongCondenserMap(spec), source, spec.seed_bits)
+    per_pair = image_counts(_per_pair_map(spec), source, spec.seed_bits)
+    assert counts.tolist() == per_pair.tolist()
+    assert counts.tolist() == _global_counts(StrongCondenserMap(spec), source.values).tolist()
+    assert counts.sum() == values << spec.seed_bits
+
+
+def test_per_seed_counts_above_table_width():
+    # w = 17: no exp/log tables; n_tilde = 1, so horner takes its constant path
+    spec = build_condenser(17, 4, Fraction(1, 32), 1)
+    assert spec.field_width == 17
+    cmap = StrongCondenserMap(spec)
+    source = sample_flat_sources(17, 1, 1, seed=17)[0]
+    counts = image_counts(cmap, source, spec.seed_bits)
+    assert counts.tolist() == _global_counts(cmap, source.values).tolist()
+    assert counts.tolist() == image_counts(_per_pair_map(spec), source, spec.seed_bits).tolist()
+
+
+class _Repacked:
+    """The strong form's images under another integer encoding,
+    ``pack(condensed, seed)``, recording the seeds of every table asked for."""
+
+    def __init__(self, spec, pack):
+        self.strong, self.pack, self.asked = StrongCondenserMap(spec), pack, []
+        self.mask = (1 << spec.output_bits) - 1
+
+    def prepare_batch(self, xs):
+        return self.strong.prepare_batch(xs)
+
+    def image_table(self, state, seeds):
+        self.asked.append(len(seeds))
+        table = self.strong.image_table(state, seeds)
+        return self.pack(table & self.mask, np.asarray(seeds, dtype=np.int64)[:, None])
+
+
+@pytest.mark.parametrize(
+    "pack, falls_back",
+    [
+        # the seed below the condensed output: seeds' rows interleave
+        (lambda c, y: c << 11 | y, True),
+        # the seed dropped: images of different seeds collide
+        (lambda c, y: c + 0 * y, True),
+        # three condensed bits under the seed: collisions inside each seed's row
+        (lambda c, y: y << 3 | c & 7, False),
+        # one image for every pair: a single run across every row and block
+        (lambda c, y: 0 * c + 0 * y, False),
+    ],
+    ids=["seed-low", "seed-dropped", "truncated", "constant"],
+)
+def test_counts_are_exact_for_any_encoding(pack, falls_back):
+    spec = build_condenser(12, 6, Fraction(1, 4), 1)
+    source = sample_flat_sources(12, 4, 1, seed=7)[0]
+    cmap = _Repacked(spec, pack)
+    counts = image_counts(cmap, source, spec.seed_bits)
+    whole = cmap.image_table(cmap.prepare_batch(list(source.values)), np.arange(1 << 11))
+    assert counts.tolist() == np.unique(whole, return_counts=True)[1].tolist()
+    # the fallback asks once more, for every seed at once
+    assert (cmap.asked[-2] == 1 << 11) == falls_back
+    if not falls_back:
+        assert counts.dtype.kind == "u"
+        assert counts.max() >= 2
+
+
+def test_image_counts_scratch_stays_small():
+    # verify_flat's instance: 2^6 strings x 2^11 seeds; one sort of the
+    # whole int64 table held about 6 MB
+    spec = build_condenser(12, 6, Fraction(1, 4), 1)
+    cmap = StrongCondenserMap(spec)
+    source = sample_flat_sources(12, 6, 1, seed=1)[0]
+    image_counts(cmap, source, spec.seed_bits)  # the field's tables, built once
+    tracemalloc.start()
+    try:
+        counts = image_counts(cmap, source, spec.seed_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert counts.sum() == 1 << 17
+
+
 def test_image_table_declines_images_wider_than_int64():
     # 2 output symbols and the seed at w = 21: 63 bits
     spec = CondenserSpec(
@@ -258,7 +384,7 @@ def test_image_table_declines_images_wider_than_int64():
         output_symbols=2,
         modulus=find_irreducible(21, 2),
     )
-    assert StrongCondenserMap(spec).image_table([0, 1]) is None
+    assert StrongCondenserMap(spec).prepare_batch([0, 1]) is None
 
 
 def test_spec_validation():

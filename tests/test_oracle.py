@@ -609,7 +609,8 @@ class TestSampling:
         for s in a:
             assert len(s.support) == 8
 
-    @pytest.mark.parametrize("n, k, seed", [(6, 3, 9), (12, 9, 21), (10, 10, 2)])
+    # n = 70: past 64 bits the sources are drawn one stream at a time
+    @pytest.mark.parametrize("n, k, seed", [(6, 3, 9), (12, 9, 21), (10, 10, 2), (70, 3, 4)])
     def test_flat_sources_are_the_scalar_draws(self, n, k, seed):
         for index, source in enumerate(sample_flat_sources(n, k, 3, seed=seed)):
             rng = CounterRng(oracle._SOURCE_STREAM_KEY, seed, n, k, index)
@@ -629,3 +630,16 @@ class TestSampling:
             FlatSource.from_ints(3, [1, 2, 3])  # size not a power of two
         with pytest.raises(ValueError):
             FlatSource.from_ints(3, [1, 1])
+        for values in ([0, 8], [-1, 2]):  # outside 3 bits
+            with pytest.raises(ValueError, match="outside"):
+                FlatSource.from_ints(3, values)
+        with pytest.raises(TypeError):
+            FlatSource.from_ints(3, [1.0, 2.0])
+
+    def test_flat_source_holds_ints_in_draw_order(self):
+        source = FlatSource.from_ints(4, (9, 2, 15, 0))
+        assert source.values == (9, 2, 15, 0)
+        assert source.support == tuple(BitString(v, 4) for v in (9, 2, 15, 0))
+        again = FlatSource(4, (9, 2, 15, 0))
+        assert source == again and hash(source) == hash(again)
+        assert source != FlatSource(4, (2, 9, 15, 0)) and source != FlatSource(5, source.values)

@@ -1,6 +1,7 @@
 """The oracle's spectral path: cell weights from the source's Walsh-Hadamard
 spectrum and the extractor's linear rows, against the table path, the
-per-pair path and the independent reference."""
+per-pair path and the independent reference; and flat sources counted in
+one batch, each source a symbol."""
 
 import itertools
 import tracemalloc
@@ -12,17 +13,26 @@ import pytest
 from extractorforge.bits import BitString
 from extractorforge.designs import Design
 from extractorforge.detrand import CounterRng
+from extractorforge import oracle
+from extractorforge.errors import BudgetExceededError
 from extractorforge.oracle import (
     FiniteDistribution,
     JointTable,
     _walsh_hadamard,
     extractor_distance,
+    extractor_distances,
     sample_flat_sources,
 )
 from extractorforge.toeplitz import ToeplitzExtractor, ToeplitzSpec
 from extractorforge.trevisan import TrevisanExtractor, build_trevisan, custom_spec
 
-from helpers import ref_side_distance, ref_toeplitz_matrix, ref_matrix_vector, ref_trevisan_extract
+from helpers import (
+    ref_joint_seed_output_distance,
+    ref_matrix_vector,
+    ref_side_distance,
+    ref_toeplitz_matrix,
+    ref_trevisan_extract,
+)
 
 
 class _TableOnly:
@@ -221,3 +231,92 @@ def test_side_transforms_past_the_entry_limit_decline(spectral_always):
     assert calls == []
     assert peak < 4 << 20
     assert got == extractor_distance(_TableOnly(ext), source, side=table)
+
+
+def _batch_cases():
+    """(extractor, reference extract) pairs: Toeplitz, and custom Trevisan
+    specs whose seeded sets overlap."""
+    toeplitz = ToeplitzExtractor(ToeplitzSpec(6, 2))
+    yield toeplitz, toeplitz.extract
+    for n, m, t, seed in ((6, 2, 7, 2), (5, 3, 6, 1), (8, 3, 8, 3)):
+        spec = _custom_trevisan(n, m, t, seed)
+        assert len({p for s in spec.design.sets for p in s}) < 4 * m  # the sets overlap
+        yield TrevisanExtractor(spec), (
+            lambda x, y, spec=spec:
+            BitString(ref_trevisan_extract(spec, x.to_int(), y.to_int()), spec.m)
+        )
+
+
+@pytest.mark.parametrize(
+    "case", range(4), ids=["toeplitz", "trevisan-m2", "trevisan-m3", "trevisan-n8"]
+)
+def test_batch_matches_each_source_and_the_reference(case):
+    ext, reference = list(_batch_cases())[case]
+    n, t, m = ext.input_bits, ext.seed_bits, ext.output_bits
+    sources = sample_flat_sources(n, 3, 4, seed=case) + sample_flat_sources(n, 1, 2, seed=case)
+    got = extractor_distances(ext, sources)
+    assert got == [extractor_distance(ext, source) for source in sources]
+    # the side-table route, the table and per-pair paths, and the reference
+    assert got == [extractor_distance(ext, source.distribution()) for source in sources]
+    assert got == extractor_distances(_TableOnly(ext), sources)
+    assert got == extractor_distances(_ExtractOnly(ext), sources)
+    assert got == [
+        ref_joint_seed_output_distance(reference, n, t, m, source.support) for source in sources
+    ]
+
+
+def test_batch_forced_spectral_matches_the_reference(spectral_always):
+    for ext, reference in _batch_cases():
+        spied, calls = _spied(ext)
+        sources = sample_flat_sources(ext.input_bits, 2, 3, seed=5)
+        got = extractor_distances(spied, sources)
+        assert calls, "the spectral path was not taken"
+        assert got == [
+            ref_joint_seed_output_distance(reference, ext.input_bits, ext.seed_bits,
+                                           ext.output_bits, source.support)
+            for source in sources
+        ]
+
+
+def test_batch_chunks_at_the_entry_limit_keep_the_spectral_path(monkeypatch):
+    # three transforms of 2^8 entries fit: seven sources go in chunks of 3,
+    # 3 and 1, each spectral as its sources alone; one chunk of 7 would
+    # exceed the limit and count the pairs
+    monkeypatch.setattr(oracle, "_SPECTRAL_ENTRIES", 3 << 8)
+    spec = ToeplitzSpec(8, 2)
+    sources = sample_flat_sources(8, 5, 7, seed=4)
+    alone = []
+    for source in sources:
+        ext, calls = _spied(ToeplitzExtractor(spec))
+        alone.append(extractor_distance(ext, source))
+        assert sum(calls) == 1 << spec.seed_bits
+    ext, calls = _spied(ToeplitzExtractor(spec))
+    assert extractor_distances(ext, sources) == alone
+    assert sum(calls) == 3 << spec.seed_bits  # every seed pattern once per chunk
+
+
+def test_batch_budget_is_charged_per_source():
+    ext = ToeplitzExtractor(ToeplitzSpec(6, 2))
+    sources = sample_flat_sources(6, 2, 2, seed=1) + sample_flat_sources(6, 3, 1, seed=2)
+    pairs = 8 << ext.seed_bits  # the largest source's
+    with pytest.raises(BudgetExceededError) as batch:
+        extractor_distances(ext, sources, budget=pairs - 1)
+    # the error a FiniteDistribution of that source raises, as before
+    with pytest.raises(BudgetExceededError) as alone:
+        extractor_distance(ext, sources[2].distribution(), budget=pairs - 1)
+    assert str(batch.value) == str(alone.value)
+    assert "needs 1024 items, exceeding the budget of 1023" in str(alone.value)
+    got = extractor_distances(ext, sources, budget=pairs)
+    assert got == [extractor_distance(ext, source.distribution()) for source in sources]
+
+
+def test_toeplitz_check_builds_rows_once_per_block():
+    # verify_flat's Toeplitz check: ToeplitzSpec(10, 2) on 8 flat sources of
+    # 2^6 strings; each block's rows and masks serve every source
+    spec = ToeplitzSpec(10, 2)
+    ext, calls = _spied(ToeplitzExtractor(spec))
+    sources = sample_flat_sources(10, 6, 8, seed=1)
+    got = extractor_distances(ext, sources)
+    assert sum(calls) == 1 << spec.seed_bits
+    assert got == [extractor_distance(_TableOnly(ToeplitzExtractor(spec)), source)
+                   for source in sources]

@@ -21,6 +21,7 @@ from extractorforge.oracle import (
     FlatSource,
     JointTable,
     extractor_distance,
+    extractor_distances,
     sample_flat_sources,
 )
 from extractorforge.serialize import spec_from_json, spec_to_json
@@ -263,6 +264,17 @@ def test_table_path_on_sources_of_70_bits():
     assert extractor_distance(ext, source) == Fraction(33, 128)
 
 
+def test_batch_on_sources_of_70_bits():
+    # the 70-bit source above with another of four strings, in one batch
+    ext = TrevisanExtractor(build_trevisan("thm42", 70, 1, Fraction(1, 4)))
+    sources = [FlatSource.from_ints(70, [1, 2**69 | 5]),
+               FlatSource.from_ints(70, [2**69 | 5, 7, 2**68, 3])]
+    got = extractor_distances(ext, sources)
+    assert got[0] == Fraction(33, 128)
+    assert got == [extractor_distance(_ExtractOnly(ext), source) for source in sources]
+    assert got == [extractor_distance(ext, source.distribution()) for source in sources]
+
+
 class _TableOnly(_ExtractOnly):
     """The extractor without its linear rows: the oracle counts every pair
     of its output table."""
@@ -354,7 +366,7 @@ def test_product_path_on_the_benchmark_instances():
     ext, declined = _spied(TrevisanExtractor(build_trevisan("thm43", 12, 2, Fraction(1, 4))))
     source = sample_flat_sources(12, 9, 1, seed=3)[0]
     assert extractor_distance(ext, source) == extractor_distance(_TableOnly(ext), source)
-    assert declined == [False] * 16  # 2^16 patterns, 2^12 per block
+    assert declined == [False] * 8  # 2^16 patterns, 2^13 per block
     # thm42(24, 1): m = 1, and X flat on a piece of 2^7 strings given each
     # of 4 symbols, here of unequal weights: 4 x 2^24 transform entries
     # exceed the spectral path's limit, so the pairs are counted
