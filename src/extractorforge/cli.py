@@ -96,14 +96,15 @@ def _seed_problem(reason) -> _Exit:
 
 # Peak bytes of memory per enumerated pair, by verify target, as measured
 # with tracemalloc on one source at a budget of exactly its pairs:
-# ``condenser`` 41-43 for one sort of the whole int64 image table (its
-# sorted copy, distinct values, run starts and counts) on
-# build_condenser(12, 6, 1/4, 1) and build_condenser(17, 4, 1/32, 1).
-# image_counts now counts the strong form per block of seeds, at 5.5 and
-# 2.1 (uint8 counts and ~0.3 MB of block scratch), but still takes that
-# sort for a map whose images are not seed-major.  ``extractor`` at most
-# 3.0 (the Trevisan codeword table; scratch arrays are bounded per block)
-# on ToeplitzSpec(10, 2) and a w = 9 Trevisan spec at 2^20 and 2^24 pairs.
+# ``condenser`` 5.5, 2.1 and 2.0 on build_condenser(12, 6, 1/4, 1),
+# (17, 4, 1/32, 1) and (20, 4, 1/64, 1), for image_counts' per-seed count
+# of the strong form (its narrow counts, about one byte a distinct image,
+# and ~0.3 MB of block scratch, which dominates the smallest source).  The
+# whole-table sort it falls back to for images that are not seed-major
+# needs ~43, but the CLI builds only StrongCondenserMap, whose images are.
+# ``extractor`` at most 3.0 (the Trevisan codeword table; scratch arrays
+# are bounded per block) on ToeplitzSpec(10, 2) and a w = 9 Trevisan spec
+# at 2^20 and 2^24 pairs.
 # Toeplitz keeps no table over its 2^n inputs (ToeplitzSpec(20, 2) on two
 # strings: 0.8).  A block's scratch reaches ~6 MB, so a source of fewer
 # than ~2^21 pairs can peak above 4 bytes a pair.  ``code`` charges every
@@ -111,7 +112,7 @@ def _seed_problem(reason) -> _Exit:
 # bytes each (the codeword table and the message list; CodeSpec(3, 4) and
 # CodeSpec(3, 6)).  The other targets enumerate at most a few thousand pairs
 # per call.
-_BYTES_PER_PAIR = {"condenser": 48, "extractor": 4}
+_BYTES_PER_PAIR = {"condenser": 6, "extractor": 4}
 _DEFAULT_BYTES_PER_PAIR = 16
 
 

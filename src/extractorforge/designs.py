@@ -282,12 +282,28 @@ def _candidates(bases: np.ndarray, set_size: int, t: int) -> np.ndarray:
 
 def restrict_seed(y: BitString, positions: Sequence[int]) -> int:
     """Read the bits of y at the given positions (ascending) into an integer,
-    first position into bit 0."""
+    first position into bit 0.
+
+    The seed is read once, as an int, and each bit is shifted out of it, so
+    positions must be plain ints, as every ``Design``'s are.  Raises
+    ``ValueError`` if the positions are not strictly ascending (so also if
+    the first is negative) and ``IndexError`` if one lies at or past
+    ``len(y)``, whichever a reader going position by position meets first.
+    The loop stops at the first position out of order; the positions read
+    before it ascend, so one check of the last of them after the loop finds
+    any that lies past the seed."""
+    seed = y.to_int()
     value = 0
     last = -1
+    ascending = True
     for k, pos in enumerate(positions):
         if pos <= last:
-            raise ValueError("positions must be strictly ascending")
+            ascending = False
+            break
         last = pos
-        value |= y[pos] << k
+        value |= ((seed >> pos) & 1) << k
+    if last >= len(y):
+        raise IndexError(f"bit index {last} out of range [0, {len(y)})")
+    if not ascending:
+        raise ValueError("positions must be strictly ascending")
     return value

@@ -212,8 +212,8 @@ def test_bad_condenser_modulus_is_a_bad_spec(capsys, tmp_path, condenser_spec, m
 
 
 def test_memory_limit_charges_condenser_pairs(capsys, monkeypatch, tmp_path):
-    # 2^4 points x 2^20 seeds: 2^24 pairs fit 256 MB at 16 bytes a pair, but
-    # the condenser check needs about 48
+    # 2^4 points x 2^20 seeds: 2^24 pairs fit 64 MB at 2 bytes a pair, but
+    # the condenser check is charged 6
     spec = build_condenser(20, 4, Fraction(1, 64), 1)
     assert spec.k + spec.seed_bits == 24
     path = _spec_file(tmp_path, "condenser", spec)
@@ -222,10 +222,28 @@ def test_memory_limit_charges_condenser_pairs(capsys, monkeypatch, tmp_path):
         raise AssertionError("image table built")
 
     monkeypatch.setattr(StrongCondenserMap, "image_table", enumerated)
-    monkeypatch.setenv(cli.MAX_MEM_ENV, str(256 << 20))
+    monkeypatch.setenv(cli.MAX_MEM_ENV, str(64 << 20))
     rc, report, _ = _run(capsys, ["verify", "condenser", "--spec", path])
     assert rc == cli.EXIT_INCONCLUSIVE
     assert report["budget"] < 1 << 24
+
+
+def test_memory_limit_admits_a_condenser_check_that_fits(capsys, monkeypatch, tmp_path):
+    # 2^6 points x 2^11 seeds: 2^17 pairs, refused under 1 MB at 48 bytes a
+    # pair; at 6 the check runs one source and peaks below the limit
+    spec = build_condenser(12, 6, Fraction(1, 4), 1)
+    assert spec.k + spec.seed_bits == 17
+    path = _spec_file(tmp_path, "condenser", spec)
+    monkeypatch.setenv(cli.MAX_MEM_ENV, str(1 << 20))
+    tracemalloc.start()
+    try:
+        rc, report, _ = _run(capsys, ["verify", "condenser", "--spec", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == cli.EXIT_PASS
+    assert report["checks"][0]["name"] == "unique-preimage fraction on 1 flat sources"
+    assert peak < 1 << 20
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from extractorforge.designs import (
     restrict_seed,
     verify_design,
 )
+from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
 from extractorforge.serialize import spec_digest, spec_from_json, spec_to_json
 from extractorforge.trevisan import build_trevisan, custom_spec
@@ -118,14 +119,34 @@ def test_restrict_seed_examples():
     assert restrict_seed(BitString.ones(8), (0, 3, 5)) == 7
     # y = ...1010 (bits 1 and 3 set), S = {0, 1, 2}
     assert restrict_seed(BitString(0b1010, 4), (0, 1, 2)) == 0b010
+    assert restrict_seed(BitString(0b1010, 4), ()) == 0
 
 
 def test_restrict_seed_errors():
+    # read position by position: an out-of-order position raises ValueError
+    # unless a position before it already lies past the seed
     y = BitString(0b1010, 4)
-    with pytest.raises(IndexError):
-        restrict_seed(y, (0, 5))
-    with pytest.raises(ValueError):
-        restrict_seed(y, (2, 1))
+    for positions, error in (
+        ((2, 1), ValueError),
+        ((0, 5), IndexError),
+        ((0, 5, 3), IndexError),
+        ((1, 1), ValueError),
+        ((-1, 2), ValueError),
+        ((4,), IndexError),
+    ):
+        with pytest.raises(error):
+            restrict_seed(y, positions)
+
+
+def test_restrict_seed_reads_seeds_past_64_bits():
+    # the chain's seed: condenser seed plus E2's, 718 bits
+    rng = CounterRng(0x5EED, 718)
+    for _ in range(8):
+        y = BitString(rng.below(1 << 718), 718)
+        bits = y.bits()
+        positions = sorted(set(rng.sample_distinct(40, 718)) | {0, 717})
+        expected = sum(bits[pos] << k for k, pos in enumerate(positions))
+        assert restrict_seed(y, positions) == expected
 
 
 def test_restrict_seed_ignores_outside_bits():

@@ -92,6 +92,17 @@ def test_single_bit_is_the_selected_code_bit():
         assert trevisan_extract(spec, x, y)[0] == encode_bit(spec.code, padded, index)
 
 
+@pytest.mark.parametrize("preset, m", [("thm42", 11), ("thm43", 256)])
+def test_benchmark_stages_match_reference(preset, m):
+    # the two Trevisan stages of the benchmark's extract_stream chain
+    spec = build_trevisan(preset, 21, m, Fraction(1, 4))
+    rng = CounterRng(0x7E5E, spec.n, spec.t)
+    for _ in range(64):
+        x, y = rng.below(1 << spec.n), rng.below(1 << spec.t)
+        out = trevisan_extract(spec, BitString(x, spec.n), BitString(y, spec.t))
+        assert out.to_int() == ref_trevisan_extract(spec, x, y)
+
+
 def test_transcript_n8_m2():
     # replay the construction step by step with independent pieces
     spec = build_trevisan("thm43", 8, 2, Fraction(1, 4))
