@@ -10,7 +10,9 @@ p(alpha) and the mask z.
 Bit positions are computed on demand in O(n_tilde) field operations, which
 is what makes the code usable as the inner code of a seed-restricted
 extractor: no codeword is ever materialized unless a caller asks for all
-positions explicitly.
+positions explicitly.  :func:`encode_bits` is the one place a bit is
+computed: it reads many positions of one message, split into symbols once,
+and :func:`encode_bit` is its one-index call.
 
 Every code, built or read from JSON, is checked on construction against
 1 <= w <= 32 and 1 <= n_tilde <= 2^w.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,18 +59,35 @@ class CodeSpec:
         return 1 << self.index_bits
 
 
-def encode_bit(spec: CodeSpec, x: BitString, index: int) -> int:
-    """Codeword bit at ``index`` for message ``x``."""
-    if not 0 <= index < spec.codeword_bits:
-        raise ValueError(f"index {index} outside [0, {spec.codeword_bits})")
+def encode_bits(spec: CodeSpec, x: BitString, indices: Iterable[int]) -> int:
+    """Codeword bits of message ``x`` at ``indices``, packed: bit k of the
+    result is the bit at the k-th index.
+
+    x is checked and split into field symbols once, and the field looked up
+    once, for all indices; each index alpha * 2^w + z then costs one Horner
+    evaluation, and its bit is the parity of p_x(alpha) AND z.  Raises
+    ValueError if x is not ``message_bits`` long or an index lies outside
+    [0, 2^(2w)).
+    """
     if len(x) != spec.message_bits:
         raise ValueError(
             f"message is {len(x)} bits, spec wants {spec.message_bits}"
         )
-    w = spec.field_width
+    w, size = spec.field_width, spec.codeword_bits
     coeffs = split_symbols(x.to_int(), w, spec.message_symbols)
-    alpha, z = index >> w, index & ((1 << w) - 1)
-    return (get_field(w).eval_poly(coeffs, alpha) & z).bit_count() & 1
+    evaluate = get_field(w).eval_poly
+    out = 0
+    for k, index in enumerate(indices):
+        if not 0 <= index < size:
+            raise ValueError(f"index {index} outside [0, {size})")
+        # p_x(alpha) < 2^w, so AND with the index is AND with z
+        out |= ((evaluate(coeffs, index >> w) & index).bit_count() & 1) << k
+    return out
+
+
+def encode_bit(spec: CodeSpec, x: BitString, index: int) -> int:
+    """Codeword bit at ``index`` for message ``x``."""
+    return encode_bits(spec, x, (index,))
 
 
 def code_distance(spec: CodeSpec) -> Fraction:
@@ -90,7 +109,7 @@ def encode_all_positions(spec: CodeSpec, xs: Sequence[int]) -> np.ndarray:
     """Full codewords, shape (len(xs), 2^(2w)) of 0/1 bytes.
 
     Position alpha * 2^w + z holds the parity of p_x(alpha) AND z, exactly
-    as :func:`encode_bit` computes it one bit at a time.
+    as :func:`encode_bits` computes it one index at a time.
     """
     q = 1 << spec.field_width
     symbol = np.min_scalar_type(q - 1)

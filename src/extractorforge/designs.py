@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -280,30 +280,44 @@ def _candidates(bases: np.ndarray, set_size: int, t: int) -> np.ndarray:
     return np.sort(values.astype(np.int64), axis=1)
 
 
+def restrict_sets(y: BitString, sets: Iterable[Sequence[int]]) -> Iterator[int]:
+    """For each set of positions, the bits of y there read into an integer,
+    first position into bit 0.
+
+    The seed is read once, as an int, for all sets, and each bit is
+    shifted out of it.  The positions are not checked: they must be plain
+    ints in [0, len(y)), as every ``Design``'s are, which the design checks
+    on construction; :func:`restrict_seed` checks the positions of one set
+    before it reads.
+    """
+    seed = y.to_int()
+    for positions in sets:
+        value = 0
+        for k, pos in enumerate(positions):
+            value |= ((seed >> pos) & 1) << k
+        yield value
+
+
 def restrict_seed(y: BitString, positions: Sequence[int]) -> int:
     """Read the bits of y at the given positions (ascending) into an integer,
     first position into bit 0.
 
-    The seed is read once, as an int, and each bit is shifted out of it, so
-    positions must be plain ints, as every ``Design``'s are.  Raises
-    ``ValueError`` if the positions are not strictly ascending (so also if
-    the first is negative) and ``IndexError`` if one lies at or past
-    ``len(y)``, whichever a reader going position by position meets first.
-    The loop stops at the first position out of order; the positions read
-    before it ascend, so one check of the last of them after the loop finds
-    any that lies past the seed."""
-    seed = y.to_int()
-    value = 0
+    Raises ``ValueError`` if the positions are not strictly ascending (so
+    also if the first is negative) and ``IndexError`` if one lies at or past
+    ``len(y)``, whichever a reader going position by position meets first:
+    the check stops at the first position out of order, and the positions
+    before it ascend, so one check of the last of them finds any that lies
+    past the seed.  Then the bits are read by :func:`restrict_sets`."""
+    positions = tuple(positions)  # read twice: checked, then gathered
     last = -1
     ascending = True
-    for k, pos in enumerate(positions):
+    for pos in positions:
         if pos <= last:
             ascending = False
             break
         last = pos
-        value |= ((seed >> pos) & 1) << k
     if last >= len(y):
         raise IndexError(f"bit index {last} out of range [0, {len(y)})")
     if not ascending:
         raise ValueError("positions must be strictly ascending")
-    return value
+    return next(restrict_sets(y, (positions,)))

@@ -31,7 +31,13 @@ Quirks of the format, kept so that every digest stays what it was:
   spec; what the file states must pass the type check of the derived
   value's kind (for ``code``, the read of a code) and equal it, or the
   load raises ``ValueError``.  A condenser's ``w`` is also the field its
-  ``modulusE`` is read over, so it always agrees with the spec.
+  ``modulusE`` is read over, so it always agrees with the spec;
+* a file loads only in its canonical form: its JSON value, dumped as
+  ``spec_to_json`` dumps, must equal ``spec_to_json`` of the spec it decodes
+  to, so an extra key, or a read value the spec normalises (a Fraction not
+  in lowest terms, an integral ``certifiedOverlap`` written as a pair), raises
+  ``ValueError`` instead of loading as, and publishing the digest of, another
+  file.
 """
 
 from __future__ import annotations
@@ -204,8 +210,12 @@ _CODEC = {
 _SPEC_TYPES = {tag: cls for cls, (tag, _) in _CODEC.items() if tag is not None}
 
 
+def _dump(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def spec_to_json(spec) -> str:
-    return json.dumps(_encode(spec), sort_keys=True, separators=(",", ":"))
+    return _dump(_encode(spec))
 
 
 def spec_digest(spec) -> str:
@@ -221,7 +231,14 @@ def spec_from_json_dict(data: dict):
     cls = _SPEC_TYPES.get(kind)
     if cls is None:
         raise ValueError(f"unknown spec type {kind!r}")
-    return _decode(cls, data)
+    spec = _decode(cls, data)
+    canonical = _encode(spec)
+    if _dump(data) != _dump(canonical):
+        both = data.keys() & canonical.keys()
+        keys = sorted(k for k in data.keys() | canonical.keys()
+                      if k not in both or _dump(data[k]) != _dump(canonical[k]))
+        raise ValueError(f"spec is not in its canonical form at {', '.join(map(repr, keys))}")
+    return spec
 
 
 def spec_from_json(text: str):

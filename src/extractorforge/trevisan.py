@@ -34,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .bits import BitString
-from .codes import CodeSpec, encode_all_positions, encode_bit
-from .designs import Design, build_greedy_weak_design, build_poly_design, restrict_seed
+from .codes import CodeSpec, encode_all_positions, encode_bits
+from .designs import Design, build_greedy_weak_design, build_poly_design, restrict_sets
 from .errors import InfeasibleParameterError, check_rules
 
 PRESET_THM42 = "thm42"
@@ -159,14 +159,18 @@ def _pad(spec: ExtractorSpec, x: BitString) -> BitString:
 
 
 def trevisan_extract(spec: ExtractorSpec, x: BitString, y: BitString) -> BitString:
+    """Output bit i is the code bit of x at the index that y's bits on
+    design set S_i give.
+
+    One pass per extraction: x is padded, checked and split into field
+    symbols once (:func:`encode_bits`), and the seed is checked against t
+    and read once (:func:`restrict_sets`).  The positions are not checked
+    here: the spec's ``Design`` checked them on construction.
+    """
     if len(y) != spec.t:
         raise ValueError(f"seed is {len(y)} bits, spec wants {spec.t}")
-    message = _pad(spec, x)
-    code = spec.code
-    out = 0
-    for i, s in enumerate(spec.design.sets):
-        out |= encode_bit(code, message, restrict_seed(y, s)) << i
-    return BitString(out, spec.m)
+    indices = restrict_sets(y, spec.design.sets)
+    return BitString(encode_bits(spec.code, _pad(spec, x), indices), spec.m)
 
 
 class TrevisanExtractor:

@@ -20,6 +20,8 @@ from extractorforge.serialize import spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
 from extractorforge.trevisan import build_trevisan, custom_spec
 
+from test_serialize import NON_CANONICAL_EDITS, PINNED
+
 
 def _run(capsys, argv):
     """One in-process command: (exit code, JSON report or None, stderr)."""
@@ -209,6 +211,19 @@ def test_bad_condenser_modulus_is_a_bad_spec(capsys, tmp_path, condenser_spec, m
     assert rc == cli.EXIT_BAD_SPEC
     assert report is None
     assert err.startswith("unreadable spec") and "monic and irreducible" in err
+
+
+@pytest.mark.parametrize("name", NON_CANONICAL_EDITS)
+def test_non_canonical_spec_is_a_bad_spec(capsys, tmp_path, name):
+    tag, edit, message = NON_CANONICAL_EDITS[name]
+    data = json.loads(spec_to_json(PINNED[tag][0]()))
+    edit(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data) + "\n")
+    target = {"guv": "condenser", "trevisan": "extractor"}[tag]
+    rc, report, err = _run(capsys, ["verify", target, "--spec", str(path)])
+    assert (rc, report) == (cli.EXIT_BAD_SPEC, None)
+    assert err.startswith("unreadable spec") and message in err
 
 
 def test_memory_limit_charges_condenser_pairs(capsys, monkeypatch, tmp_path):

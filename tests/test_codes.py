@@ -10,6 +10,7 @@ from extractorforge.codes import (
     code_distance,
     encode_all_positions,
     encode_bit,
+    encode_bits,
     evaluate_messages,
 )
 from extractorforge.detrand import CounterRng
@@ -52,6 +53,29 @@ def test_index_bounds():
         encode_bit(spec, BitString(0, 4), 16)
     with pytest.raises(ValueError):
         encode_bit(spec, BitString(0, 3), 0)
+
+
+@pytest.mark.parametrize("w, symbols", [(1, 2), (3, 4), (9, 2), (11, 2), (17, 3)])
+def test_multi_index_kernel_matches_encode_bit(w, symbols):
+    # w = 17 takes eval_poly's branch without tables
+    spec = CodeSpec(w, symbols)
+    rng = CounterRng(0xB175, w, symbols)
+    for _ in range(4):
+        x = BitString(rng.below(1 << spec.message_bits), spec.message_bits)
+        indices = [0, spec.codeword_bits - 1] + [rng.below(spec.codeword_bits) for _ in range(60)]
+        expected = sum(encode_bit(spec, x, idx) << k for k, idx in enumerate(indices))
+        assert encode_bits(spec, x, indices) == expected
+        assert encode_bits(spec, x, iter(indices)) == expected
+    assert encode_bits(spec, x, ()) == 0
+
+
+def test_multi_index_kernel_checks_message_and_indices():
+    spec = CodeSpec(2, 2)
+    with pytest.raises(ValueError, match="message is 3 bits, spec wants 4"):
+        encode_bits(spec, BitString(0, 3), [0, 1])
+    for bad in (16, -1):
+        with pytest.raises(ValueError, match=rf"index {bad} outside \[0, 16\)"):
+            encode_bits(spec, BitString(0b1011, 4), [3, bad])
 
 
 def test_code_distance_values():

@@ -12,6 +12,7 @@ from extractorforge.designs import (
     build_greedy_weak_design,
     build_poly_design,
     restrict_seed,
+    restrict_sets,
     verify_design,
 )
 from extractorforge.detrand import CounterRng
@@ -147,6 +148,16 @@ def test_restrict_seed_reads_seeds_past_64_bits():
         positions = sorted(set(rng.sample_distinct(40, 718)) | {0, 717})
         expected = sum(bits[pos] << k for k, pos in enumerate(positions))
         assert restrict_seed(y, positions) == expected
+
+
+def test_restrict_sets_reads_each_set_as_restrict_seed_does():
+    # the benchmark's E2 design over its 704-bit seed, and an empty set
+    design = build_greedy_weak_design(256, 22, 2)
+    sets = design.sets + ((),)
+    rng = CounterRng(0x5E75, design.universe_size)
+    for _ in range(4):
+        y = BitString(rng.below(1 << design.universe_size), design.universe_size)
+        assert list(restrict_sets(y, sets)) == [restrict_seed(y, s) for s in sets]
 
 
 def test_restrict_seed_ignores_outside_bits():

@@ -103,6 +103,38 @@ def test_benchmark_stages_match_reference(preset, m):
         assert out.to_int() == ref_trevisan_extract(spec, x, y)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # w = 17: eval_poly's branch without tables, 3 symbols for 40 bits
+        custom_spec(40, build_poly_design(3, 34), Fraction(1, 4)),
+        # w = 4: 10 source bits padded with 2 zeros to 3 symbols
+        custom_spec(10, build_greedy_weak_design(5, 8, 2), Fraction(1, 4)),
+    ],
+    ids=["w17", "padded"],
+)
+def test_custom_specs_match_reference(spec):
+    assert spec.code.message_bits > spec.n
+    rng = CounterRng(0xC057, spec.n, spec.t)
+    for _ in range(32):
+        x, y = rng.below(1 << spec.n), rng.below(1 << spec.t)
+        out = trevisan_extract(spec, BitString(x, spec.n), BitString(y, spec.t))
+        assert out.to_int() == ref_trevisan_extract(spec, x, y)
+
+
+def test_benchmark_stage_length_checks():
+    spec = build_trevisan("thm43", 21, 256, Fraction(1, 4))
+    x, y = BitString(0, spec.n), BitString(0, spec.t)
+    with pytest.raises(ValueError, match=f"seed is {spec.t - 1} bits, spec wants {spec.t}"):
+        trevisan_extract(spec, x, BitString(0, spec.t - 1))
+    with pytest.raises(ValueError, match=f"seed is {spec.t + 1} bits, spec wants {spec.t}"):
+        trevisan_extract(spec, x, BitString(0, spec.t + 1))
+    with pytest.raises(ValueError, match=f"source is 22 bits, spec wants {spec.n}"):
+        trevisan_extract(spec, BitString(0, 22), y)
+    with pytest.raises(ValueError, match=f"source is 20 bits, spec wants {spec.n}"):
+        trevisan_extract(spec, BitString(0, 20), y)
+
+
 def test_transcript_n8_m2():
     # replay the construction step by step with independent pieces
     spec = build_trevisan("thm43", 8, 2, Fraction(1, 4))
