@@ -336,9 +336,9 @@ def extractor_distance(
     min(c 2^m, W_s) over symbol s's cells, W_s its weight (see
     :func:`extractor_distances` for the cells and the paths that count
     them).  Since the distance with side information is sum_s Pr[s] d_s,
-    d_s that of X | S = s, a side table whose symbols are the pieces of a
-    mixture yields the weighted sum of the pieces' distances in one call
-    (see :func:`lemma_suite`).  ``budget`` is charged the source's support
+    d_s that of X | S = s, side symbols that are the flat pieces of a
+    mixture give the weighted sum of their distances (the probe of
+    :func:`lemma_suite`).  ``budget`` is charged the source's support
     times the seed patterns, checked before any pair is counted.
     """
     if isinstance(source, FlatSource):
@@ -359,22 +359,35 @@ def extractor_distance(
         side = JointTable._from_rows(n, one_symbol, source._total)
     elif side.n != n or not _marginal_matches(side, source, xs):
         raise ValueError("side table's x-marginal differs from the source")
-    positions = _seed_positions(extractor)
-    ny = 1 << len(positions)
-    pairs = len(xs) * ny
-    if pairs > budget:
-        raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
 
     # one row (symbol index, weight) per row of the side table
     targets = _group(side._symbols, side._weights)
     index_of = {s: i for i, s in enumerate(targets)}
     symbols = np.array([index_of[s] for s in side._symbols], dtype=np.int64)
     weights = None if all(w == 1 for w in side._weights) else side._weights
-    overlaps = _overlaps(
-        extractor, positions, side._xs, symbols, weights, list(targets.values()), side._total
-    )
-    m, mass = extractor.output_bits, sum(side._weights)
-    return Fraction((mass << m) * ny - sum(overlaps), (side._total << m) * ny)
+    rows = side._xs, symbols, weights, list(targets.values()), side._total
+    return _symbol_run_distances(extractor, len(xs), rows, (0,), budget)[0]
+
+
+def _symbol_run_distances(extractor, support, rows, starts, budget) -> list[Fraction]:
+    """Per run of symbols, from each of ``starts`` to the next, the distance
+    of the run as a side table of its own: (W 2^m #patterns - the run's
+    overlaps) / (N 2^m #patterns), W the sum of the run's targets.  ``rows``
+    holds :func:`_overlaps`' arguments after the positions, counted in one
+    call.  ``budget`` is charged ``support``, the distinct x values, times
+    the seed patterns, checked before any pair is counted."""
+    positions = _seed_positions(extractor)
+    ny = 1 << len(positions)
+    pairs = support * ny
+    if pairs > budget:
+        raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
+    overlaps = _overlaps(extractor, positions, *rows)
+    *_, targets, total = rows
+    m, bounds = extractor.output_bits, [*starts, len(targets)]
+    return [
+        Fraction((sum(targets[a:b]) << m) * ny - sum(overlaps[a:b]), (total << m) * ny)
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def extractor_distances(
@@ -828,9 +841,9 @@ def lemma_suite(
     The bad-prefix check takes the thresholds v in one descending pass with
     a running mass of the prefixes at or above v, and reports the first v
     with the largest lhs, or the first v at which the bound fails.  The
-    convexity probe costs two :func:`extractor_distance` calls: one on the
-    mixture and one on the side table whose symbols are its flat pieces,
-    which gives sum_i weight_i d(piece_i) exactly.
+    convexity probe is one engine count of the table's int rows, the
+    x-marginal as symbol 0 and its flat pieces as symbols 1, 2, ..., which
+    gives sum_i weight_i d(piece_i) exactly.
     """
     n = table.n
     if n < 1:
@@ -839,12 +852,12 @@ def lemma_suite(
         raise ValueError(f"prefix length {prefix_bits} outside [0, {n}]")
     suffix_bits = n - prefix_bits
     guess_full = table.guessing_probability()
-    mixture = table.x_marginal()
+    mixture = _group(table._xs, table._weights)  # w(x), the x-marginal over N
 
     # Bounded storage: side information over an alphabet of size A cannot
     # raise the guessing probability by more than a factor A.
     alphabet_size = len(set(table._symbols))
-    rhs = alphabet_size * mixture.max_prob
+    rhs = alphabet_size * Fraction(max(mixture.values()), table._total)
     storage = LemmaCheck("storage_bound", guess_full, rhs, f"alphabet size {alphabet_size}")
 
     # Cutting the suffix costs at most 2^suffix in guessing probability.
@@ -879,23 +892,20 @@ def lemma_suite(
     # most the weighted sum of the pieces' distances.
     m = max(1, min(2, n - 1))
     ext = ToeplitzExtractor(ToeplitzSpec(n, m))
-    # The flat pieces become the symbols of one side table: symbol i holds
-    # the top-i outcomes, each with weight w_i - w_(i+1), so that
-    # d(Y, E(X, Y), S) = sum_i Pr[S = i] d_i is the weighted sum of the
-    # pieces' distances, counted in one engine call.
-    lhs_total = extractor_distance(ext, mixture, budget=budget)
-    # A level that splits tied outcomes has weight 0, so ties need no order.
-    outcomes, levels = _flat_levels((x.to_int(), w) for x, w in mixture._weights.items())
-    pieces = JointTable._from_rows(
-        n,
-        {
-            (x, symbol): step
-            for symbol, (i, step) in enumerate(levels)
-            for x in outcomes[:i]
-        },
-        mixture._total,
-    )
-    rhs_total = extractor_distance(ext, mixture, side=pieces, budget=budget)
+    # Symbol 0 is the mixture and symbol k its k-th flat piece, the top-i
+    # outcomes at w_i - w_(i+1) each: as one side table the pieces are at
+    # sum_k Pr[S = k] d_k.  A level that splits tied outcomes has weight 0,
+    # so ties need no order.
+    outcomes, levels = _flat_levels(mixture.items())
+    row_xs, weights = list(mixture), list(mixture.values())
+    for i, step in levels:
+        row_xs += outcomes[:i]
+        weights += [step] * i
+    sizes = [len(mixture), *(i for i, _ in levels)]
+    symbols = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    targets = [sum(mixture.values()), *(i * step for i, step in levels)]
+    rows = row_xs, symbols, weights, targets, table._total
+    lhs_total, rhs_total = _symbol_run_distances(ext, len(mixture), rows, (0, 1), budget)
     convexity = LemmaCheck(
         "mixture_convexity", lhs_total, rhs_total, f"toeplitz probe n={n} m={m}"
     )

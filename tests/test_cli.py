@@ -610,6 +610,19 @@ def test_lemmas_target_rejects_a_spec(capsys, tmp_path):
     assert report["allPassed"] is True and report["specDigest"] is None
 
 
+def test_lemmas_budget_is_charged_per_convexity_probe(capsys):
+    # each 4-bit table's probe enumerates 16 values x 2^5 Toeplitz(4, 2)
+    # seeds = 512 pairs; the budget covers them all or the run stops
+    rc, report, err = _run(capsys, ["verify", "lemmas", "--budget", "511"])
+    message = "extractor distance enumeration needs 512 items, exceeding the budget of 511"
+    assert rc == cli.EXIT_INCONCLUSIVE
+    assert err == f"inconclusive: {message}\n"
+    assert (report["inconclusive"], report["budget"]) == (message, 511)
+    rc, report, _ = _run(capsys, ["verify", "lemmas", "--budget", "512"])
+    assert rc == cli.EXIT_PASS
+    assert report["checks"][0]["name"] == "entropy lemma suite on 203 joint tables"
+
+
 @pytest.mark.parametrize(
     "budget, count", [(50 << 17, 50), ((51 << 17) - 1, 50), ((50 << 17) - 1, 49)]
 )

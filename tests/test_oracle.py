@@ -507,6 +507,69 @@ class TestMixtureConvexity:
         assert sizes == [2, 6, 8]
 
 
+def _probe_extractor(n):
+    """The convexity probe's Toeplitz evaluator for an n-bit table."""
+    return ToeplitzExtractor(ToeplitzSpec(n, max(1, min(2, n - 1))))
+
+
+class TestConvexityProbe:
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_side_tables())
+    def test_matches_the_reference(self, table):
+        n = table.n
+        ext = _probe_extractor(n)
+        t, m = ext.seed_bits, ext.output_bits
+        check = lemma_suite(table, max(1, n // 2)).checks[3]
+        mixture = {}
+        for (x, _), p in table.items():
+            mixture[x] = mixture.get(x, Fraction(0)) + p
+        assert check.lhs == ref_side_distance(
+            ext.extract, t, m, {(x, 0): p for x, p in mixture.items()}
+        )
+        # piece i: the top-i outcomes, each at w_i - w_(i+1); a level that
+        # splits tied outcomes is empty, so the order among ties is free
+        ordered = sorted(mixture.items(), key=lambda xp: -xp[1])
+        probs = [p for _, p in ordered] + [Fraction(0)]
+        pieces = {
+            (x, i): probs[i - 1] - probs[i]
+            for i in range(1, len(ordered) + 1)
+            if probs[i - 1] != probs[i]
+            for x, _ in ordered[:i]
+        }
+        assert check.rhs == ref_side_distance(ext.extract, t, m, pieces)
+
+    @pytest.mark.parametrize("table", _CONVEXITY_TABLES.values(), ids=list(_CONVEXITY_TABLES))
+    def test_one_engine_count_per_table(self, table, monkeypatch):
+        calls = []
+        engine = oracle._overlaps
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("extractor_distance called inside lemma_suite")
+
+        monkeypatch.setattr(oracle, "_overlaps", counted)
+        monkeypatch.setattr(oracle, "extractor_distance", forbidden)
+        lemma_suite(table, max(1, table.n // 2))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("table", _CONVEXITY_TABLES.values(), ids=list(_CONVEXITY_TABLES))
+    def test_budget_is_the_support_times_the_seed_patterns(self, table):
+        support = len({x for (x, _), _ in table.items()})
+        pairs = support << _probe_extractor(table.n).seed_bits
+        prefix_bits = max(1, table.n // 2)
+        message = (
+            f"extractor distance enumeration needs {pairs} items, "
+            f"exceeding the budget of {pairs - 1}"
+        )
+        with pytest.raises(BudgetExceededError) as caught:
+            lemma_suite(table, prefix_bits, budget=pairs - 1)
+        assert str(caught.value) == message
+        assert lemma_suite(table, prefix_bits, budget=pairs).all_passed
+
+
 class TestLemmaSuite:
     def test_independent_side_info(self):
         table = _uniform_side_table(4, lambda x: 0)
