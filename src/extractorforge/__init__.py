@@ -30,13 +30,11 @@ from .oracle import (
     FiniteDistribution,
     FlatSource,
     JointTable,
-    cond_min_entropy_classical,
     distance_to_min_entropy,
     extractor_distance,
     extractor_distances,
     injective_fraction,
     lemma_suite,
-    min_entropy,
     sample_flat_sources,
     stat_distance,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "build_poly_design",
     "build_trevisan",
     "code_distance",
-    "cond_min_entropy_classical",
     "condense_extract",
     "custom_spec",
     "distance_to_min_entropy",
@@ -82,7 +79,6 @@ __all__ = [
     "guv_condense",
     "injective_fraction",
     "lemma_suite",
-    "min_entropy",
     "poly_pow_mod",
     "restrict_seed",
     "sample_flat_sources",

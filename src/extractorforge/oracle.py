@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -141,16 +141,6 @@ class FiniteDistribution:
 
     def items(self) -> list[tuple[Hashable, Fraction]]:
         return [(o, Fraction(w, self._total)) for o, w in self._weights.items()]
-
-    @property
-    def max_prob(self) -> Fraction:
-        if not self._weights:
-            raise ValueError("empty distribution")
-        return Fraction(max(self._weights.values()), self._total)
-
-    def map(self, fn: Callable[[Hashable], Hashable]) -> "FiniteDistribution":
-        out = _group(map(fn, self._weights), self._weights.values())
-        return FiniteDistribution._from_weights(out, self._total)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteDistribution):
@@ -265,16 +255,6 @@ class JointTable:
         return JointTable._from_rows(prefix_bits, _group(keys, self._weights), self._total)
 
 
-def min_entropy(dist: FiniteDistribution) -> float:
-    """Min-entropy in bits: -log2 of the largest outcome probability."""
-    return -math.log2(dist.max_prob)
-
-
-def cond_min_entropy_classical(table: JointTable) -> float:
-    """Conditional min-entropy in bits for classical side information."""
-    return -math.log2(table.guessing_probability())
-
-
 def stat_distance(a: FiniteDistribution, b: FiniteDistribution) -> Fraction:
     """Variational distance (1/2) sum |a - b| over the union of supports."""
     wa, wb = a._weights, b._weights
@@ -285,26 +265,23 @@ def stat_distance(a: FiniteDistribution, b: FiniteDistribution) -> Fraction:
     return Fraction(total, 2 * a._total * b._total)
 
 
-def distance_to_min_entropy(dist: FiniteDistribution | np.ndarray, kappa: int) -> Fraction:
-    """Exact distance to the nearest distribution with min-entropy >= kappa.
+def distance_to_min_entropy(counts: np.ndarray, kappa: int) -> Fraction:
+    """Exact distance of the distribution counts / N, N their sum, to the
+    nearest distribution with min-entropy >= kappa.
 
-    ``dist`` is a FiniteDistribution or an array of nonnegative integer
-    weights over their sum, such as the counts of :func:`image_counts`.
-    Equals the probability mass exceeding the 2^-kappa cap; the nearest
+    ``counts`` is an array of nonnegative integers in any integer dtype,
+    such as the narrow unsigned counts of :func:`image_counts`.  The
+    distance is the probability mass over the 2^-kappa cap; the nearest
     capped distribution moves exactly that mass onto fresh outcomes.
-    kappa must be an integer so the cap is an exact rational.  A weight w
-    over N exceeds it when w > floor(N / 2^kappa), by (w 2^kappa - N) / (N 2^kappa).
+    kappa must be an integer so the cap is an exact rational.  A count c
+    exceeds it when c > floor(N / 2^kappa), by (c 2^kappa - N) / (N 2^kappa).
     """
     kappa = _as_integer(kappa, "kappa")
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if isinstance(dist, FiniteDistribution):
-        weights = np.array(list(dist._weights.values()), dtype=object)
-        total = dist._total
-    else:
-        weights = np.asarray(dist)
-        total = int(weights.sum())
-    heavy = weights[weights > total >> kappa]
+    counts = np.asarray(counts)
+    total = int(counts.sum())
+    heavy = counts[counts > total >> kappa]
     return Fraction((int(heavy.sum()) << kappa) - len(heavy) * total, total << kappa)
 
 
@@ -469,7 +446,8 @@ def _seed_positions(extractor) -> tuple[int, ...]:
     inside its seed; every position when it declares none."""
     t = extractor.seed_bits
     positions = tuple(getattr(extractor, "seed_support", range(t)))
-    if list(positions) != sorted(set(positions)) or (positions and positions[-1] >= t):
+    inside = not positions or (positions[0] >= 0 and positions[-1] < t)
+    if list(positions) != sorted(set(positions)) or not inside:
         raise ValueError("bad seed_support declaration")
     return positions
 
@@ -811,20 +789,6 @@ def _flat_levels(
     weights = [w for _, w in ordered] + [0]
     levels = [(i, weights[i - 1] - weights[i]) for i in range(1, len(weights))]
     return [o for o, _ in ordered], [(i, step) for i, step in levels if step]
-
-
-def flat_decomposition(
-    dist: FiniteDistribution,
-) -> list[tuple[Fraction, tuple[Hashable, ...]]]:
-    """Write a distribution as a convex combination of uniform distributions.
-
-    Outcomes sorted by decreasing probability, ties by repr; level i
-    contributes weight i * (p_i - p_(i+1)) on the top-i outcomes.  Weights
-    are exact and sum to one.
-    """
-    by_repr = sorted(dist._weights.items(), key=lambda ow: repr(ow[0]))
-    outcomes, levels = _flat_levels(by_repr)
-    return [(Fraction(i * step, dist._total), tuple(outcomes[:i])) for i, step in levels]
 
 
 def lemma_suite(

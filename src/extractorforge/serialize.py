@@ -17,27 +17,31 @@ Quirks of the format, kept so that every digest stays what it was:
   ending in E's leading 1, and is read back as a ``FieldPoly`` over the
   field of the condenser's ``w``;
 * ``sets`` and ``rounding`` are lists in JSON and tuples in Python;
-* an integer key holds a JSON integer, a Fraction key a pair of them, a
-  string list strings, and a design's ``sets`` and a condenser's
-  ``modulusE`` integers, or the load fails with ``ValueError``: the codec
-  checks only these types, and ``Design`` the rest of its sets, as every
-  spec checks its own rules;
+* an integer key holds a JSON integer, a Fraction key a pair of them, and
+  a design's ``sets`` and a condenser's ``modulusE`` integers, or the load
+  fails with ``ValueError``: the codec checks only these types, and
+  ``Design`` the rest of its sets, as every spec checks its own rules;
 * a Trevisan spec's ``t``, ``m`` and ``code``, a condenser's ``w`` and
   ``messageSymbols``, a block composite's ``n``, ``epsilon`` and
   ``errorBudget``, and a pipeline's ``n``, ``k``, ``beta``, ``zeta``,
   ``alpha``, ``epsilon``, ``errorBudget``, ``seedBits``, ``outputBits``
   and ``rounding`` are stated, not read: the spec derives them from its
-  parts, so an entry whose read is None is recomputed from the decoded
-  spec; what the file states must pass the type check of the derived
-  value's kind (for ``code``, the read of a code) and equal it, or the
-  load raises ``ValueError``.  A condenser's ``w`` is also the field its
-  ``modulusE`` is read over, so it always agrees with the spec;
+  parts, and an entry whose read is None is only written.  A condenser's
+  ``w`` is also the field its ``modulusE`` is read over, so it always
+  agrees with the spec;
 * a file loads only in its canonical form: its JSON value, dumped as
-  ``spec_to_json`` dumps, must equal ``spec_to_json`` of the spec it decodes
-  to, so an extra key, or a read value the spec normalises (a Fraction not
-  in lowest terms, an integral ``certifiedOverlap`` written as a pair), raises
-  ``ValueError`` instead of loading as, and publishing the digest of, another
-  file.
+  ``spec_to_json`` dumps, must equal ``spec_to_json`` of the spec it
+  decodes to.  That one comparison checks every stated key (it tells 728
+  from 728.0 and 1 from ``true``, and a missing key from a present one)
+  and every read value the spec normalises (a Fraction not in lowest
+  terms, an integral ``certifiedOverlap`` written as a pair), so no file
+  loads as, and publishes the digest of, another.  Only when it fails are
+  the keys walked, in codec order and down through the nested specs (the
+  values with a type tag), and the first that differs raises
+  ``ValueError("{key} is {stated!r} but the spec gives {canonical!r}: spec
+  is not in its canonical form at {path!r}")``, ``path`` dotted as in
+  ``'extractor.e1.t'``; a missing key is stated as ``missing``, and keys
+  the spec does not have are named by their paths alone.
 """
 
 from __future__ import annotations
@@ -63,9 +67,9 @@ def _pair(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 
 
-def _read_int(raw, data) -> int:
+def _read_int(raw, data, what="an integer") -> int:
     if type(raw) is not int:  # bool is an int subclass, and rejected too
-        raise ValueError(f"expected an integer, got {raw!r}")
+        raise ValueError(f"expected {what}, got {raw!r}")
     return raw
 
 
@@ -82,12 +86,6 @@ def _read_pair(raw, data) -> Fraction:
     return Fraction(*raw)
 
 
-def _read_strings(raw, data) -> tuple[str, ...]:
-    if type(raw) is not list or any(type(v) is not str for v in raw):
-        raise ValueError(f"expected a list of strings, got {raw!r}")
-    return tuple(raw)
-
-
 def _read_overlap(raw, data) -> Fraction:
     return _read_pair(raw, data) if isinstance(raw, list) else Fraction(_read_int(raw, data))
 
@@ -99,7 +97,8 @@ def _read_modulus(raw, data) -> FieldPoly:
     if not raw or raw[-1] != 1:
         raise ValueError(f"modulus E must be monic and irreducible over GF(2^w): "
                          f"modulusE {raw!r} does not end in its leading coefficient 1")
-    return FieldPoly(tuple(raw), _read_int(data["w"], data))
+    # w is stated, so a file may leave it out
+    return FieldPoly(tuple(raw), _read_int(data.get("w"), data, "an integer for w"))
 
 
 def _encode(spec) -> dict:
@@ -116,15 +115,7 @@ def _decode(cls, data):
         raise ValueError(f"{cls.__name__} must be a JSON object")
     if tag is not None and data.get("type") != tag:
         raise ValueError(f"{cls.__name__} wants type tag {tag!r}, got {data.get('type')!r}")
-    spec = cls(**{attr: read(data[key], data) for key, attr, (_, read) in fields if read})
-    for key, attr, (write, read) in fields:
-        if read is None:
-            derived = write(getattr(spec, attr))
-            # the type check of the derived value's kind: 728.0 is not 728
-            _STATED_CHECKS[write, read](data[key], data)
-            if derived != data[key]:
-                raise ValueError(f"{key} is {data[key]!r} but the spec gives {derived!r}")
-    return spec
+    return cls(**{attr: read(data[key], data) for key, attr, (_, read) in fields if read})
 
 
 def _nested(cls):
@@ -142,9 +133,6 @@ _STATED = (_same, None)
 _STATED_FRACTION = (_pair, None)
 _STATED_STRINGS = (list, None)
 _STATED_CODE = (_encode, None)
-# a stated entry -> the type check of what a file states for it
-_STATED_CHECKS = {_STATED: _read_int, _STATED_FRACTION: _read_pair,
-                  _STATED_STRINGS: _read_strings, _STATED_CODE: _nested(CodeSpec)[1]}
 
 # class -> (type tag, ((JSON key, attribute, (write, read)), ...))
 _CODEC = {
@@ -234,11 +222,25 @@ def spec_from_json_dict(data: dict):
     spec = _decode(cls, data)
     canonical = _encode(spec)
     if _dump(data) != _dump(canonical):
-        both = data.keys() & canonical.keys()
-        keys = sorted(k for k in data.keys() | canonical.keys()
-                      if k not in both or _dump(data[k]) != _dump(canonical[k]))
-        raise ValueError(f"spec is not in its canonical form at {', '.join(map(repr, keys))}")
+        raise ValueError(_first_difference(data, canonical, ""))
     return spec
+
+
+def _first_difference(stated: dict, canonical: dict, path: str) -> str:
+    """Where a JSON object that is not in its canonical form first departs
+    from it: the first differing key in codec order, nested specs (values
+    with a type tag) walked key by key, else the keys it has in excess."""
+    for key, value in canonical.items():
+        where = path + key
+        if key in stated and _dump(stated[key]) == _dump(value):
+            continue
+        if isinstance(value, dict) and "type" in value:  # read, so present
+            return _first_difference(stated[key], value, where + ".")
+        given = repr(stated[key]) if key in stated else "missing"
+        return (f"{key} is {given} but the spec gives {value!r}: "
+                f"spec is not in its canonical form at {where!r}")
+    extra = sorted(path + key for key in stated.keys() - canonical.keys())
+    return f"spec is not in its canonical form at {', '.join(map(repr, extra))}"
 
 
 def spec_from_json(text: str):

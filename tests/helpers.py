@@ -200,6 +200,20 @@ def grid_min_distance_to_capped(probs: list[Fraction], kappa: int, steps: int):
     return best
 
 
+def ref_flat_decomposition(dist) -> list[tuple[Fraction, tuple]]:
+    """A distribution as a convex combination of uniform distributions:
+    outcomes by decreasing probability, ties by repr, level i weighing
+    i * (p_i - p_(i+1)) on the top-i outcomes, and levels of weight 0 left
+    out.  The weights are exact and sum to one."""
+    ordered = sorted(dist.items(), key=lambda op: (-op[1], repr(op[0])))
+    probs = [p for _, p in ordered] + [Fraction(0)]
+    return [
+        (i * (probs[i - 1] - probs[i]), tuple(o for o, _ in ordered[:i]))
+        for i in range(1, len(ordered) + 1)
+        if probs[i - 1] != probs[i]
+    ]
+
+
 def ref_side_distance(extract, t, m, joint):
     """Exact distance of (Y, E(X, Y), S) from (uniform, uniform, S) for a
     joint distribution given as {(x, s): probability}, by direct enumeration

@@ -6,13 +6,18 @@ from fractions import Fraction
 import pytest
 
 from extractorforge import serialize
-from extractorforge.compose import build_high_entropy_extractor, build_pipeline
-from extractorforge.condenser import build_condenser
+from extractorforge.compose import (
+    BlockSpec,
+    PipelineSpec,
+    build_high_entropy_extractor,
+    build_pipeline,
+)
+from extractorforge.condenser import CondenserSpec, build_condenser
 from extractorforge.designs import build_greedy_weak_design, build_poly_design
 from extractorforge.poly import FieldPoly
 from extractorforge.serialize import spec_digest, spec_from_json, spec_from_json_dict, spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
-from extractorforge.trevisan import build_trevisan, custom_spec
+from extractorforge.trevisan import ExtractorSpec, build_trevisan, custom_spec
 
 QUARTER = Fraction(1, 4)
 
@@ -195,12 +200,13 @@ def test_stated_numbers_must_agree(specs, tag, path, value):
     ],
 )
 def test_stated_numbers_pass_their_type_check(specs, key, retyped):
-    # the true value as floats compares equal, so the type check must catch it
+    # the true value as floats compares equal, so the canonical form's dump,
+    # which writes 728.0 apart from 728, must catch it
     data = json.loads(spec_to_json(specs["pipeline"]))
     honest = data[key]
     data[key] = retyped(honest)
     assert data[key] == honest
-    with pytest.raises(ValueError, match=r"^expected (an integer|\[numerator, denominator\])"):
+    with pytest.raises(ValueError, match=f"^{key} is "):
         spec_from_json_dict(data)
 
 
@@ -243,7 +249,10 @@ def test_integer_keys_hold_integers(specs, tag, path, value):
     for name in parents:
         target = target[name]
     target[key] = value
-    with pytest.raises(ValueError, match="expected an integer"):
+    # a stated key is checked by the canonical form, at the key or at the
+    # untagged code that holds it; a read key by its read
+    stated = {("trevisan", ("code", "w")): "^code is ", ("pipeline", ("k",)): "^k is "}
+    with pytest.raises(ValueError, match=stated.get((tag, path), "expected an integer")):
         spec_from_json_dict(data)
 
 
@@ -305,3 +314,69 @@ def test_canonical_value_loads_in_any_layout(specs, tag):
     relaid = json.dumps(dict(reversed(list(data.items()))), indent=2)
     assert relaid != text
     assert spec_to_json(spec_from_json(relaid)) == text
+
+
+def _stated_cases():
+    """(JSON path in the pipeline spec, edit) for every stated codec entry,
+    at the first place the pipeline holds its class: another value of the
+    same JSON type, the true value as floats for a number, and no value."""
+    places = {PipelineSpec: (), CondenserSpec: ("condenser",), BlockSpec: ("extractor",),
+              ExtractorSpec: ("extractor", "e1")}
+    assert set(places) == {cls for cls, (_, fields) in serialize._CODEC.items()
+                           if any(read is None for _, _, (_, read) in fields)}
+    for cls, parents in places.items():
+        for key, _, (write, read) in serialize._CODEC[cls][1]:
+            if read is None:
+                numeric = write in (serialize._same, serialize._pair)
+                for edit in ("other", "float", "deleted") if numeric else ("other", "deleted"):
+                    yield pytest.param(parents + (key,), edit, id=f"{cls.__name__}-{key}-{edit}")
+
+
+def _other_value(value):
+    """A value of the same JSON type as a stated one, other than it."""
+    if type(value) is int:
+        return value + 1
+    if type(value) is dict:  # a code
+        return {**value, "messageSymbols": value["messageSymbols"] + 1}
+    if value and type(value[0]) is int:  # a Fraction
+        return [value[0] + value[1], value[1]]
+    return value + ["edited"]  # the rounding notes
+
+
+@pytest.mark.parametrize("path, edit", list(_stated_cases()))
+def test_every_stated_key_is_checked_by_the_canonical_form(specs, path, edit):
+    # the one comparison with the canonical form rejects every file the
+    # per-key type and value checks rejected, and names the key's path
+    data = json.loads(spec_to_json(specs["pipeline"]))
+    *parents, key = path
+    target = data
+    for name in parents:
+        target = target[name]
+    honest = target[key]
+    if edit == "deleted":
+        del target[key]
+    elif edit == "other":
+        target[key] = _other_value(honest)
+    else:
+        target[key] = float(honest) if type(honest) is int else [float(v) for v in honest]
+        assert target[key] == honest
+    with pytest.raises(ValueError) as raised:
+        spec_from_json_dict(data)
+    message = str(raised.value)
+    if path == ("condenser", "w"):
+        # w is read with modulusE, so its errors are the read's or the
+        # condenser's rules'; the read names the key
+        assert edit == "other" or message.startswith("expected an integer for w, got ")
+        return
+    assert message.endswith(f"spec is not in its canonical form at {'.'.join(path)!r}")
+    given = "missing" if edit == "deleted" else repr(target[key])
+    assert message.startswith(f"{key} is {given} but the spec gives ")
+
+
+def test_keys_the_spec_lacks_are_named_by_their_paths(specs):
+    data = json.loads(spec_to_json(specs["pipeline"]))
+    data["extractor"]["e2"]["note"] = "reviewed"
+    data["extractor"]["e2"]["aside"] = 1
+    with pytest.raises(ValueError, match=r"^spec is not in its canonical form at "
+                       r"'extractor\.e2\.aside', 'extractor\.e2\.note'$"):
+        spec_from_json_dict(data)
