@@ -14,6 +14,11 @@ aggregation over them, a marginal, a guessing probability, a per-symbol
 weight, is one :func:`_group` of such rows by a key, summed or maxed, in
 the order the keys are first seen.
 
+Every exact distance, of a source, a batch of flat sources, a side table
+or the lemma suite's convexity probe, goes through :func:`_distances`, the
+one entry to the distance engine: it alone reads the seed support, charges
+the budget and forms each ``Fraction``, and its callers only build rows.
+
 Flat sources stay plain integers end to end.  A :class:`FlatSource` holds
 its values as ints, :func:`sample_flat_sources` draws a call's sources in
 one array pass, :func:`extractor_distances` counts a batch of them as the
@@ -248,12 +253,6 @@ class JointTable:
         best = _group(self._symbols, self._weights, _larger)
         return Fraction(sum(best.values()), self._total)
 
-    def prefix_marginal(self, prefix_bits: int) -> "JointTable":
-        """Joint table of (x prefix, s) after dropping the suffix."""
-        mask = (1 << prefix_bits) - 1
-        keys = zip([x & mask for x in self._xs], self._symbols)
-        return JointTable._from_rows(prefix_bits, _group(keys, self._weights), self._total)
-
 
 def stat_distance(a: FiniteDistribution, b: FiniteDistribution) -> Fraction:
     """Variational distance (1/2) sum |a - b| over the union of supports."""
@@ -306,17 +305,12 @@ def extractor_distance(
 
     ``source`` is a FlatSource or a FiniteDistribution over BitStrings.  A
     flat source without a side table is one source of
-    :func:`extractor_distances`, in integer rows throughout.  Otherwise the
-    side table, or the source as a one-symbol side table, becomes rows
-    (x, symbol, integer weight) over one denominator N, and the distance is
-    1 - sum_s overlap_s / (N 2^m #patterns), overlap_s the sum of
-    min(c 2^m, W_s) over symbol s's cells, W_s its weight (see
-    :func:`extractor_distances` for the cells and the paths that count
-    them).  Since the distance with side information is sum_s Pr[s] d_s,
-    d_s that of X | S = s, side symbols that are the flat pieces of a
-    mixture give the weighted sum of their distances (the probe of
-    :func:`lemma_suite`).  ``budget`` is charged the source's support
-    times the seed patterns, checked before any pair is counted.
+    :func:`extractor_distances`.  Otherwise the side table, or the source
+    as a one-symbol side table, is one run of :func:`_distances`, charged
+    the source's support.  Since the distance with side information is
+    sum_s Pr[s] d_s, d_s that of X | S = s, side symbols that are the flat
+    pieces of a mixture give the weighted sum of their distances (the probe
+    of :func:`lemma_suite`).
     """
     if isinstance(source, FlatSource):
         if side is None:
@@ -337,34 +331,14 @@ def extractor_distance(
     elif side.n != n or not _marginal_matches(side, source, xs):
         raise ValueError("side table's x-marginal differs from the source")
 
-    # one row (symbol index, weight) per row of the side table
+    # one row (symbol index, weight) per row of the side table, one run
     targets = _group(side._symbols, side._weights)
     index_of = {s: i for i, s in enumerate(targets)}
     symbols = np.array([index_of[s] for s in side._symbols], dtype=np.int64)
     weights = None if all(w == 1 for w in side._weights) else side._weights
-    rows = side._xs, symbols, weights, list(targets.values()), side._total
-    return _symbol_run_distances(extractor, len(xs), rows, (0,), budget)[0]
-
-
-def _symbol_run_distances(extractor, support, rows, starts, budget) -> list[Fraction]:
-    """Per run of symbols, from each of ``starts`` to the next, the distance
-    of the run as a side table of its own: (W 2^m #patterns - the run's
-    overlaps) / (N 2^m #patterns), W the sum of the run's targets.  ``rows``
-    holds :func:`_overlaps`' arguments after the positions, counted in one
-    call.  ``budget`` is charged ``support``, the distinct x values, times
-    the seed patterns, checked before any pair is counted."""
-    positions = _seed_positions(extractor)
-    ny = 1 << len(positions)
-    pairs = support * ny
-    if pairs > budget:
-        raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
-    overlaps = _overlaps(extractor, positions, *rows)
-    *_, targets, total = rows
-    m, bounds = extractor.output_bits, [*starts, len(targets)]
-    return [
-        Fraction((sum(targets[a:b]) << m) * ny - sum(overlaps[a:b]), (total << m) * ny)
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    runs = [(len(targets), len(xs), side._total)]
+    chunk = side._xs, symbols, weights, list(targets.values()), runs
+    return _distances(extractor, [chunk], budget)[0]
 
 
 def extractor_distances(
@@ -384,15 +358,8 @@ def extractor_distances(
     m <= 62 and prepare_batch does not decline by returning None; else from
     one ``extract`` call per (x, seed pattern).
 
-    Each source is a symbol s of weight W_s = |support|, every value of it a
-    row of weight 1.  With c the weight in a (pattern, symbol, output) cell,
-    the joint (pattern, output) law of source s puts c / (W_s #patterns) on
-    it and the uniform law 1 / (2^m #patterns), so source s is at distance
-    1 - overlap_s / (W_s 2^m #patterns), overlap_s the sum of
-    min(c 2^m, W_s) over its cells.  Cells with c = 0 add nothing, so only
-    observed cells matter.  Each block of patterns is counted in one pass
-    over every symbol, cells keyed by (pattern, symbol, output), and its
-    overlap reduced per symbol.
+    Each source is one run of :func:`_distances`: one symbol, every value
+    of it a row of weight 1, so W = N = |support|.
 
     An extractor that is GF(2)-linear in x for each fixed seed may also
     expose ``linear_rows(patterns)``: an (m, len(patterns)) int64 array of
@@ -410,67 +377,72 @@ def extractor_distances(
     refused the spectral path for its size where its sources alone would
     take it, and the spectral estimate, which pays its per-call cost once
     per chunk, only favours it more.  Either path gives the same exact
-    distances.
-
-    ``budget`` is charged each source's support times the seed patterns,
-    as one :func:`extractor_distance` call per source would be, and every
-    source is checked before any pair is counted.
+    distances.  ``budget`` is charged per source, as one
+    :func:`extractor_distance` call per source would be.
     """
-    n, m = extractor.input_bits, extractor.output_bits
+    n = extractor.input_bits
     for source in sources:
         if not isinstance(source, FlatSource):
             raise TypeError(f"unsupported source type {type(source).__name__}")
         if source.n != n:
             raise ValueError(f"source of {source.n} bits, extractor wants {n}")
-    positions = _seed_positions(extractor)
-    ny = 1 << len(positions)
-    for source in sources:
-        pairs = len(source.values) * ny
-        if pairs > budget:
-            raise BudgetExceededError(pairs, budget, "extractor distance enumeration")
-
-    out = []
-    chunk = max(1, _SPECTRAL_ENTRIES >> n)
-    for start in range(0, len(sources), chunk):
-        sizes = [len(source.values) for source in sources[start : start + chunk]]
-        row_xs = [x for source in sources[start : start + chunk] for x in source.values]
+    chunks, size = [], max(1, _SPECTRAL_ENTRIES >> n)
+    for start in range(0, len(sources), size):
+        sizes = [len(source.values) for source in sources[start : start + size]]
+        row_xs = [x for source in sources[start : start + size] for x in source.values]
         symbols = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        overlaps = _overlaps(extractor, positions, row_xs, symbols, None, sizes, len(row_xs))
-        for overlap, weight in zip(overlaps, sizes):
-            out.append(Fraction((weight << m) * ny - overlap, (weight << m) * ny))
-    return out
+        runs = [(s + 1, w, w) for s, w in enumerate(sizes)]  # each source a run
+        chunks.append((row_xs, symbols, None, sizes, runs))
+    return _distances(extractor, chunks, budget)
 
 
-def _seed_positions(extractor) -> tuple[int, ...]:
-    """The seed positions the extractor declares, checked ascending and
-    inside its seed; every position when it declares none."""
-    t = extractor.seed_bits
+def _distances(extractor, chunks, budget) -> list[Fraction]:
+    """The exact distance of each run of symbols of every chunk, in order.
+
+    A chunk is (row_xs, symbols, weights, targets, runs): rows (row_xs[r],
+    symbols[r], weights[r]) over a denominator N, weights None for all
+    ones, ``targets`` each symbol's weight W_s, and ``runs`` one
+    (end, support, N) per run, its symbols those from the previous run's
+    end to ``end``, ``support`` the distinct x values of its rows.  With c
+    the weight in a (pattern, symbol, output) cell, a run as a side table
+    of its own puts c / (N #patterns) on the cell and the uniform law
+    W_s / (N 2^m #patterns), so it is at distance (W 2^m #patterns -
+    overlap) / (N 2^m #patterns), W its symbols' weight and overlap the sum
+    of min(c 2^m, W_s) over their cells; cells with c = 0 add nothing.
+    Each chunk is one count, a pass over every symbol per block of patterns,
+    on the paths :func:`extractor_distances` describes.  ``budget`` is
+    charged each run's support times the patterns, every run checked before
+    any pair is counted.
+    """
+    # the declared seed positions, ascending and inside the seed; else every one
+    t, m = extractor.seed_bits, extractor.output_bits
     positions = tuple(getattr(extractor, "seed_support", range(t)))
     inside = not positions or (positions[0] >= 0 and positions[-1] < t)
     if list(positions) != sorted(set(positions)) or not inside:
         raise ValueError("bad seed_support declaration")
-    return positions
-
-
-def _overlaps(extractor, positions, row_xs, symbols, weights, targets, total) -> list[int]:
-    """Per symbol, the sum of min(c 2^m, W_s) over its (pattern, symbol,
-    output) cells, as a list of ints: rows (row_xs[r], symbols[r],
-    weights[r]) over the denominator ``total``, weights None for all ones,
-    and ``targets`` each symbol's weight W_s.  From the spectrum where the
-    extractor and the cost allow, else from the pairs."""
-    m = extractor.output_bits
     ny = 1 << len(positions)
-    mass = len(row_xs) if weights is None else sum(weights)
-    # a block has at most max(_BLOCK_PAIRS, rows) pairs, so as many nonzero terms
-    dtype = _sum_dtype(total, 1 << m, max(_BLOCK_PAIRS, len(row_xs)))
-    weights = None if weights is None else np.array(weights, dtype=dtype)
-    targets = np.array(targets, dtype=dtype)
-    overlap = None
-    if hasattr(extractor, "linear_rows"):
-        overlap = _spectral_overlap(extractor, ny, row_xs, symbols, weights, targets, mass)
-    if overlap is None:
-        overlap = _table_overlap(extractor, positions, row_xs, symbols, weights, targets, dtype)
-    return overlap
+    for *_, runs in chunks:
+        for _, support, _ in runs:
+            if support * ny > budget:
+                raise BudgetExceededError(support * ny, budget, "extractor distance enumeration")
+    out = []
+    for row_xs, symbols, weights, targets, runs in chunks:
+        mass = len(row_xs) if weights is None else sum(weights)
+        # a block has at most max(_BLOCK_PAIRS, rows) pairs, so as many nonzero terms
+        dtype = _sum_dtype(max(targets), 1 << m, max(_BLOCK_PAIRS, len(row_xs)))
+        weights = None if weights is None else np.array(weights, dtype=dtype)
+        caps = np.array(targets, dtype=dtype)
+        overlaps = None
+        if hasattr(extractor, "linear_rows"):
+            overlaps = _spectral_overlap(extractor, ny, row_xs, symbols, weights, caps, mass)
+        if overlaps is None:
+            overlaps = _table_overlap(extractor, positions, row_xs, symbols, weights, caps, dtype)
+        start = 0
+        for end, _, total in runs:
+            scaled = sum(targets[start:end]) << m
+            out.append(Fraction(scaled * ny - sum(overlaps[start:end]), (total << m) * ny))
+            start = end
+    return out
 
 
 def _table_overlap(extractor, positions, row_xs, symbols, weights, targets, dtype) -> list[int]:
@@ -635,9 +607,10 @@ def _cell_overlap(out, symbols, weights, targets, scale, dtype) -> np.ndarray:
 
 def _sum_dtype(total: int, scale: int, terms: int):
     """int64 if ``terms`` nonzero cells of :func:`_overlap`, their values
-    c 2^m and their sum, fit exactly in it, else object.  c 2^m <= N 2^m
-    and each term min(c 2^m, W_s) <= N, so int64 holds them while
-    N (2^m + 1) terms stays below 2^62."""
+    c 2^m and their sum, fit exactly in it, else object.  With ``total``
+    at least every symbol's weight W_s, c 2^m <= W_s 2^m and each term
+    min(c 2^m, W_s) <= W_s, so int64 holds them while total (2^m + 1)
+    terms stays below 2^62."""
     return np.int64 if total * (scale + 1) * terms < 1 << 62 else object
 
 
@@ -824,15 +797,18 @@ def lemma_suite(
     rhs = alphabet_size * Fraction(max(mixture.values()), table._total)
     storage = LemmaCheck("storage_bound", guess_full, rhs, f"alphabet size {alphabet_size}")
 
-    # Cutting the suffix costs at most 2^suffix in guessing probability.
-    guess_prefix = table.prefix_marginal(prefix_bits).guessing_probability()
+    # Cutting the suffix costs at most 2^suffix in guessing probability:
+    # sum_s max_x1 Pr[x1, s], Pr[x1, s] summed over the suffixes.
+    prefix_mask = (1 << prefix_bits) - 1
+    prefixes = [x & prefix_mask for x in table._xs]
+    prefix_joint = _group(zip(prefixes, table._symbols), table._weights)
+    best = _group((s for _, s in prefix_joint), prefix_joint.values(), _larger)
+    guess_prefix = Fraction(sum(best.values()), table._total)
     rhs = (1 << suffix_bits) * guess_full
     suffix_cut = LemmaCheck("suffix_cut", guess_prefix, rhs, f"suffix of {suffix_bits} bits")
 
     # Mass of prefixes whose conditional guessing probability is at least v
     # is bounded by 2^prefix * guess_full / v, for every threshold v.
-    prefix_mask = (1 << prefix_bits) - 1
-    prefixes = [x & prefix_mask for x in table._xs]
     prefix_mass = _group(prefixes, table._weights)
     cond_best = _group(zip(prefixes, table._symbols), table._weights, _larger)
     best_mass = _group((x1 for x1, _ in cond_best), cond_best.values())
@@ -868,8 +844,9 @@ def lemma_suite(
     sizes = [len(mixture), *(i for i, _ in levels)]
     symbols = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     targets = [sum(mixture.values()), *(i * step for i, step in levels)]
-    rows = row_xs, symbols, weights, targets, table._total
-    lhs_total, rhs_total = _symbol_run_distances(ext, len(mixture), rows, (0, 1), budget)
+    runs = [(1, len(mixture), table._total), (len(sizes), len(mixture), table._total)]
+    chunk = row_xs, symbols, weights, targets, runs
+    lhs_total, rhs_total = _distances(ext, [chunk], budget)
     convexity = LemmaCheck(
         "mixture_convexity", lhs_total, rhs_total, f"toeplitz probe n={n} m={m}"
     )

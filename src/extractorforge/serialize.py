@@ -29,6 +29,10 @@ Quirks of the format, kept so that every digest stays what it was:
   parts, and an entry whose read is None is only written.  A condenser's
   ``w`` is also the field its ``modulusE`` is read over, so it always
   agrees with the spec;
+* a read key a file lacks raises ``ValueError("{key} is missing: spec is
+  not in its canonical form at {path!r}")``, and a read's own type error
+  ends with `` at {path!r}``, ``path`` dotted as below (``'e1.n'`` inside
+  a block spec);
 * a file loads only in its canonical form: its JSON value, dumped as
   ``spec_to_json`` dumps, must equal ``spec_to_json`` of the spec it
   decodes to.  That one comparison checks every stated key (it tells 728
@@ -67,38 +71,41 @@ def _pair(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 
 
-def _read_int(raw, data, what="an integer") -> int:
+def _read_int(raw, data, path, what="an integer") -> int:
     if type(raw) is not int:  # bool is an int subclass, and rejected too
-        raise ValueError(f"expected {what}, got {raw!r}")
+        raise ValueError(f"expected {what}, got {raw!r} at {path!r}")
     return raw
 
 
-def _read_sets(raw, data) -> tuple[tuple[int, ...], ...]:
+def _read_sets(raw, data, path) -> tuple[tuple[int, ...], ...]:
     sets = tuple(tuple(s) for s in raw)
     if any(type(v) is not int for s in sets for v in s):
-        raise ValueError("design sets must hold integers")
+        raise ValueError(f"design sets must hold integers at {path!r}")
     return sets
 
 
-def _read_pair(raw, data) -> Fraction:
+def _read_pair(raw, data, path) -> Fraction:
     if type(raw) is not list or len(raw) != 2 or any(type(v) is not int for v in raw):
-        raise ValueError(f"expected [numerator, denominator], got {raw!r}")
+        raise ValueError(f"expected [numerator, denominator], got {raw!r} at {path!r}")
     return Fraction(*raw)
 
 
-def _read_overlap(raw, data) -> Fraction:
-    return _read_pair(raw, data) if isinstance(raw, list) else Fraction(_read_int(raw, data))
+def _read_overlap(raw, data, path) -> Fraction:
+    read = _read_pair if isinstance(raw, list) else _read_int
+    return Fraction(read(raw, data, path))
 
 
-def _read_modulus(raw, data) -> FieldPoly:
+def _read_modulus(raw, data, path) -> FieldPoly:
     if type(raw) is not list or any(type(v) is not int for v in raw):
-        raise ValueError(f"modulusE must be a list of integers, got {raw!r}")
+        raise ValueError(f"modulusE must be a list of integers, got {raw!r} at {path!r}")
     # FieldPoly drops trailing zeros, so a file must state E's leading 1 last
     if not raw or raw[-1] != 1:
         raise ValueError(f"modulus E must be monic and irreducible over GF(2^w): "
-                         f"modulusE {raw!r} does not end in its leading coefficient 1")
+                         f"modulusE {raw!r} does not end in its leading coefficient 1 "
+                         f"at {path!r}")
     # w is stated, so a file may leave it out
-    return FieldPoly(tuple(raw), _read_int(data.get("w"), data, "an integer for w"))
+    w_path = path.removesuffix("modulusE") + "w"
+    return FieldPoly(tuple(raw), _read_int(data.get("w"), data, w_path, "an integer for w"))
 
 
 def _encode(spec) -> dict:
@@ -109,21 +116,33 @@ def _encode(spec) -> dict:
     return data
 
 
-def _decode(cls, data):
+def _decode(cls, data, path=""):
+    """The ``cls`` spec a JSON object holds, ``path`` the dotted prefix of
+    its keys ('e1.' for a block spec's E1), which every read error names."""
     tag, fields = _CODEC[cls]
+    at = f" at {path[:-1]!r}" if path else ""
     if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object")
+        raise ValueError(f"{cls.__name__} must be a JSON object{at}")
     if tag is not None and data.get("type") != tag:
-        raise ValueError(f"{cls.__name__} wants type tag {tag!r}, got {data.get('type')!r}")
-    return cls(**{attr: read(data[key], data) for key, attr, (_, read) in fields if read})
+        raise ValueError(f"{cls.__name__} wants type tag {tag!r}, got {data.get('type')!r}{at}")
+    values = {}
+    for key, attr, (_, read) in fields:
+        if read is None:
+            continue
+        if key not in data:
+            raise ValueError(f"{key} is missing: spec is not in its canonical form "
+                             f"at {path + key!r}")
+        values[attr] = read(data[key], data, path + key)
+    return cls(**values)
 
 
 def _nested(cls):
-    return (_encode, lambda raw, data: _decode(cls, raw))
+    return (_encode, lambda raw, data, path: _decode(cls, raw, path + "."))
 
 
-# (write, read) pairs; read gets the raw value and the enclosing JSON object.
-_PLAIN = (_same, lambda raw, data: raw)
+# (write, read) pairs; read gets the raw value, the enclosing JSON object
+# and the value's dotted path.
+_PLAIN = (_same, lambda raw, data, path: raw)
 _INT = (_same, _read_int)
 _FRACTION = (_pair, _read_pair)
 _OVERLAP = (lambda value: int(value) if value.denominator == 1 else _pair(value), _read_overlap)

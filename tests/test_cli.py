@@ -871,6 +871,14 @@ def test_verify_rejection_messages(capsys, tmp_path, target, spec, message):
     assert (rc, report, err) == (cli.EXIT_BAD_SPEC, None, f"unreadable spec: {message}\n")
 
 
+def test_a_spec_missing_a_read_key_names_it(capsys, tmp_path):
+    path = tmp_path / "toeplitz.json"
+    path.write_text('{"type": "toeplitz", "m": 2}\n')
+    rc, report, err = _run(capsys, ["verify", "extractor", "--spec", str(path)])
+    assert (rc, report) == (cli.EXIT_BAD_SPEC, None)
+    assert err == "unreadable spec: n is missing: spec is not in its canonical form at 'n'\n"
+
+
 @pytest.mark.parametrize(
     "n, budget, pairs",
     [(18, "1000", "16777216"), (24, None, "1073741824"), (64, None, "2^72")],

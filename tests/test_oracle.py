@@ -321,6 +321,27 @@ class TestExtractorDistance:
         with pytest.raises(BudgetExceededError):
             extractor_distance(ext, src, budget=100)
 
+    def test_side_budget_is_the_distinct_values_times_the_seed_patterns(self):
+        # x = 1 under two symbols: three rows, two distinct x values, and the
+        # charge counts the values, not the rows
+        ext = ToeplitzExtractor(ToeplitzSpec(3, 1))
+        src = FlatSource.from_ints(3, (1, 6))
+        joint = {
+            (BitString(1, 3), "a"): Fraction(1, 4),
+            (BitString(1, 3), "b"): Fraction(1, 4),
+            (BitString(6, 3), "a"): Fraction(1, 2),
+        }
+        table = JointTable(3, joint)
+        pairs = 2 << ext.seed_bits
+        with pytest.raises(BudgetExceededError) as caught:
+            extractor_distance(ext, src, side=table, budget=pairs - 1)
+        assert str(caught.value) == (
+            f"extractor distance enumeration needs {pairs} items, "
+            f"exceeding the budget of {pairs - 1}"
+        )
+        expect = ref_side_distance(ext.extract, ext.seed_bits, 1, joint)
+        assert extractor_distance(ext, src, side=table, budget=pairs) == expect
+
     def test_scalar_and_table_paths_agree(self):
         spec = ToeplitzSpec(5, 2)
         fast = ToeplitzExtractor(spec)
@@ -540,7 +561,7 @@ class TestConvexityProbe:
     @pytest.mark.parametrize("table", _CONVEXITY_TABLES.values(), ids=list(_CONVEXITY_TABLES))
     def test_one_engine_count_per_table(self, table, monkeypatch):
         calls = []
-        engine = oracle._overlaps
+        engine = oracle._distances
 
         def counted(*args):
             calls.append(args)
@@ -549,10 +570,10 @@ class TestConvexityProbe:
         def forbidden(*args, **kwargs):
             raise AssertionError("extractor_distance called inside lemma_suite")
 
-        monkeypatch.setattr(oracle, "_overlaps", counted)
+        monkeypatch.setattr(oracle, "_distances", counted)
         monkeypatch.setattr(oracle, "extractor_distance", forbidden)
         lemma_suite(table, max(1, table.n // 2))
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(calls[0][1]) == 1  # one call of one chunk
 
     @pytest.mark.parametrize("table", _CONVEXITY_TABLES.values(), ids=list(_CONVEXITY_TABLES))
     def test_budget_is_the_support_times_the_seed_patterns(self, table):

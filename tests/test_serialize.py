@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from extractorforge import serialize
+from extractorforge.codes import CodeSpec
 from extractorforge.compose import (
     BlockSpec,
     PipelineSpec,
@@ -13,7 +14,7 @@ from extractorforge.compose import (
     build_pipeline,
 )
 from extractorforge.condenser import CondenserSpec, build_condenser
-from extractorforge.designs import build_greedy_weak_design, build_poly_design
+from extractorforge.designs import Design, build_greedy_weak_design, build_poly_design
 from extractorforge.poly import FieldPoly
 from extractorforge.serialize import spec_digest, spec_from_json, spec_from_json_dict, spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
@@ -380,3 +381,76 @@ def test_keys_the_spec_lacks_are_named_by_their_paths(specs):
     with pytest.raises(ValueError, match=r"^spec is not in its canonical form at "
                        r"'extractor\.e2\.aside', 'extractor\.e2\.note'$"):
         spec_from_json_dict(data)
+
+
+# The first place of each class with read entries in a pipeline spec, and
+# E1's and its design's inside a block spec.  A code is stated whole, so
+# its entries are never read, and a Toeplitz spec has no place in either.
+_READ_PLACES = {
+    "pipeline": {PipelineSpec: (), CondenserSpec: ("condenser",), BlockSpec: ("extractor",),
+                 ExtractorSpec: ("extractor", "e1"), Design: ("extractor", "e1", "design")},
+    "blockComposed": {ExtractorSpec: ("e1",), Design: ("e1", "design")},
+}
+
+
+def _read_cases(keep=lambda read: True):
+    """(spec tag, JSON path) for every read codec entry at its places."""
+    for tag, places in _READ_PLACES.items():
+        for cls, parents in places.items():
+            for key, _, (_, read) in serialize._CODEC[cls][1]:
+                if read is not None and keep(read):
+                    path = parents + (key,)
+                    yield pytest.param(tag, path, id=f"{tag}-{'.'.join(path)}")
+
+
+def test_read_places_cover_every_read_entry():
+    readers = {cls for cls, (_, fields) in serialize._CODEC.items()
+               if any(read is not None for _, _, (_, read) in fields)}
+    assert readers - set(_READ_PLACES["pipeline"]) == {ToeplitzSpec, CodeSpec}
+
+
+def _edit_at(data, path):
+    """The JSON object holding the last key of ``path``, and that key."""
+    *parents, key = path
+    for name in parents:
+        data = data[name]
+    return data, key
+
+
+@pytest.mark.parametrize("tag, path", list(_read_cases()))
+def test_a_missing_read_key_is_named_by_its_path(specs, tag, path):
+    data = json.loads(spec_to_json(specs[tag]))
+    target, key = _edit_at(data, path)
+    del target[key]
+    message = f"{key} is missing: spec is not in its canonical form at {'.'.join(path)!r}"
+    with pytest.raises(ValueError) as raised:
+        spec_from_json_dict(data)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("tag, path", list(_read_cases(lambda read: read is serialize._read_int)))
+def test_a_float_in_a_read_integer_key_is_named_by_its_path(specs, tag, path):
+    data = json.loads(spec_to_json(specs[tag]))
+    target, key = _edit_at(data, path)
+    target[key] = float(target[key])
+    with pytest.raises(ValueError) as raised:
+        spec_from_json_dict(data)
+    assert str(raised.value) == f"expected an integer, got {target[key]!r} at {'.'.join(path)!r}"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"type": "toeplitz", "m": 2}, "n is missing: spec is not in its canonical form at 'n'"),
+        ({"type": "trevisan", "n": 4}, "preset is missing: spec is not in its canonical form "
+                                       "at 'preset'"),
+        ({"type": "guv", "n": 4}, "k is missing: spec is not in its canonical form at 'k'"),
+        ({"type": "blockComposed", "b": 1, "e1": []},
+         "ExtractorSpec must be a JSON object at 'e1'"),
+    ],
+    ids=["toeplitz", "trevisan", "guv", "e1-not-an-object"],
+)
+def test_hand_written_files_name_what_they_lack(data, message):
+    with pytest.raises(ValueError) as raised:
+        spec_from_json_dict(data)
+    assert str(raised.value) == message

@@ -310,6 +310,23 @@ def test_batch_budget_is_charged_per_source():
     assert got == [extractor_distance(ext, source.distribution()) for source in sources]
 
 
+def test_batch_budget_is_checked_before_any_chunk_is_counted(monkeypatch):
+    # one source a chunk: the three sources of 2^2 values fit the budget,
+    # the last one of 2^3 does not, and no chunk is counted before it raises
+    monkeypatch.setattr(oracle, "_SPECTRAL_ENTRIES", 1 << 8)
+    def counted(*args):
+        raise AssertionError("a chunk was counted before every source was charged")
+
+    for name in ("_spectral_overlap", "_table_overlap"):
+        monkeypatch.setattr(oracle, name, counted)
+    ext = ToeplitzExtractor(ToeplitzSpec(8, 2))
+    sources = sample_flat_sources(8, 2, 3, seed=1) + sample_flat_sources(8, 3, 1, seed=2)
+    pairs = 8 << ext.seed_bits
+    with pytest.raises(BudgetExceededError, match=f"needs {pairs} items, exceeding the budget "
+                       f"of {pairs - 1}$"):
+        extractor_distances(ext, sources, budget=pairs - 1)
+
+
 def test_toeplitz_check_builds_rows_once_per_block():
     # verify_flat's Toeplitz check: ToeplitzSpec(10, 2) on 8 flat sources of
     # 2^6 strings; each block's rows and masks serve every source
