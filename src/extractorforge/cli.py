@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import secrets
@@ -49,9 +48,9 @@ from .oracle import (
     distance_to_min_entropy,
     extractor_distances,
     image_counts,
-    lemma_suite,
+    lemma_suites,
     sample_flat_sources,
-    sample_joint_table,
+    sample_joint_tables,
     unique_fraction,
 )
 from .serialize import spec_digest, spec_from_json, spec_to_json
@@ -401,17 +400,15 @@ def _verify_condenser_target(spec, budget, test_seed):
 
 
 def _verify_lemmas_target(spec, budget, test_seed):
-    # drawn one at a time; adversarial: independent side, full copy, one-bit leak
+    # one batch: 200 sampled tables, drawn in one stream pass, then the
+    # adversarial ones: independent side, full copy, one-bit leak
     n = 3
-    adversarial = (
+    tables = sample_joint_tables(4, 4, range(200), seed=test_seed) + [
         JointTable(n, {(BitString(x, n), side(x)): Fraction(1, 1 << n) for x in range(1 << n)})
         for side in (lambda x: 0, lambda x: x, lambda x: x & 1)
-    )
-    sampled = (sample_joint_table(4, 4, seed=test_seed, index=i) for i in range(200))
-    passed = [
-        lemma_suite(table, max(1, table.n // 2), budget=budget).all_passed
-        for table in itertools.chain(sampled, adversarial)
     ]
+    reports = lemma_suites(tables, [max(1, table.n // 2) for table in tables], budget=budget)
+    passed = [report.all_passed for report in reports]
     failures = passed.count(False)
     yield _check(
         f"entropy lemma suite on {len(passed)} joint tables", failures == 0, failures=failures

@@ -9,10 +9,12 @@ Side information is classical throughout: a joint table Pr[x, s] stands in
 for an encoding of the source, and the optimal guessing strategy is the
 pointwise maximum over x for each s.
 
-Distributions and tables are rows (key, integer weight).  Every
-aggregation over them, a marginal, a guessing probability, a per-symbol
-weight, is one :func:`_group` of such rows by a key, summed or maxed, in
-the order the keys are first seen.
+Distributions are rows (key, integer weight).  A :class:`JointTable` is
+three narrow arrays of its rows: x values, symbol indices and integer
+weights.  Every aggregation over a table, a marginal, a guessing
+probability, a per-symbol weight, is one :func:`_sums` of its weights by
+a dense index, added or maxed; :func:`lemma_suites` takes such sums over
+the stacked rows of a whole batch of tables at once.
 
 Every exact distance, of a source, a batch of flat sources, a side table
 or the lemma suite's convexity probe, goes through :func:`_distances`, the
@@ -34,14 +36,14 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cmp_to_key, partial
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .bits import BitString
-from .detrand import CounterRng, sample_distinct_rows
+from .detrand import CounterRng, sample_distinct_rows, stream_words
 from .errors import BudgetExceededError
 from .toeplitz import ToeplitzExtractor, ToeplitzSpec
 
@@ -86,17 +88,21 @@ def _common_weights(probs: Mapping) -> tuple[dict, int]:
     return {o: p.numerator * (total // p.denominator) for o, p in converted.items()}, total
 
 
-def _group(keys: Iterable[Hashable], weights: Iterable[int], combine=operator.add) -> dict:
-    """The combined weight of each distinct key, in first-seen order."""
-    out: dict = {}
-    for key, w in zip(keys, weights):
-        prev = out.get(key)
-        out[key] = w if prev is None else combine(prev, w)
+def _sums(index: np.ndarray, weights: np.ndarray, count: int, combine=np.add) -> np.ndarray:
+    """The weights combined per index in [0, ``count``), added or maxed:
+    int64, exact while the weights' sum fits, or Python ints for an object
+    array of weights."""
+    out = np.zeros(count, dtype=object if weights.dtype == object else np.int64)
+    # int64 weights: a uint64 operand would send the sums through float64
+    combine.at(out, index, weights.astype(out.dtype, copy=False))
     return out
 
 
-def _larger(a: int, b: int) -> int:  # a third of the builtin max's call cost
-    return a if a >= b else b
+def _distinct_sums(keys: np.ndarray, weights: np.ndarray) -> tuple[list, list[int]]:
+    """The distinct keys in first-seen order and the summed weight of each."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order].tolist(), _sums(inverse, weights, len(distinct))[order].tolist()
 
 
 def _check_total(weight_sum: int, total: int, what: str) -> None:
@@ -198,6 +204,10 @@ def sample_flat_sources(
     2^k drawn without replacement from {0,1}^n.  Source i is the stream
     (seed, n, k, i); up to n = 64 every stream is one row of a single
     :func:`sample_distinct_rows` call."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if k > n:
         raise ValueError(f"cannot place 2^{k} distinct values in {n} bits")
     stream = CounterRng(_SOURCE_STREAM_KEY, seed, n, k)
@@ -211,8 +221,14 @@ def sample_flat_sources(
 
 class JointTable:
     """Finite joint distribution Pr[x, s] of an n-bit source and classical
-    side information, held as rows (x value, symbol, integer weight) over one
-    common denominator."""
+    side information over one common denominator, held as three arrays of
+    its nonzero rows in order: the x values, each row's symbol as an index
+    into ``_symbols``, the distinct symbols in first-seen order, and the
+    integer weights, each array in the narrowest dtype that holds it (see
+    :func:`_narrow`).  Weights whose sum passes int64 are Python ints, so
+    that every sum of them taken in int64 is exact."""
+
+    __slots__ = ("n", "_total", "_xs", "_symbol_ids", "_symbols", "_weights")
 
     def __init__(self, n: int, probs: Mapping[tuple[BitString, Hashable], Fraction]):
         for x, _ in probs:
@@ -221,37 +237,36 @@ class JointTable:
         weights, total = _common_weights(probs)
         if weights and min(weights.values()) < 0:
             raise ValueError("negative probability")
-        self._set_rows(n, {(x.to_int(), s): w for (x, s), w in weights.items()}, total)
+        kept = {key: w for key, w in weights.items() if w}
+        values = list(kept.values())
+        weight_sum = sum(values)
+        _check_total(weight_sum, total, "joint probabilities")
+        index_of: dict = {}
+        ids = [index_of.setdefault(s, len(index_of)) for _, s in kept]
+        self._set_arrays(
+            n, _narrow([x.to_int() for x, _ in kept]), _narrow(ids), tuple(index_of),
+            _narrow(values) if weight_sum < 1 << 63 else np.array(values, object), total,
+        )
 
-    @classmethod
-    def _from_rows(cls, n: int, rows: Mapping[tuple[int, Hashable], int], total: int):
-        table = cls.__new__(cls)
-        table._set_rows(n, rows, total)
-        return table
-
-    def _set_rows(self, n: int, rows: Mapping[tuple[int, Hashable], int], total: int):
-        kept = [(key, w) for key, w in rows.items() if w]
-        self.n = n
-        self._xs = [x for (x, _), _ in kept]
-        self._symbols = [s for (_, s), _ in kept]
-        self._weights = [w for _, w in kept]
-        self._total = total
-        _check_total(sum(self._weights), total, "joint probabilities")
+    def _set_arrays(self, n, xs, symbol_ids, symbols, weights, total) -> None:
+        self.n, self._total, self._symbols = n, total, symbols
+        self._xs, self._symbol_ids, self._weights = xs, symbol_ids, weights
 
     def items(self) -> list[tuple[tuple[BitString, Hashable], Fraction]]:
-        n, total, rows = self.n, self._total, zip(self._xs, self._symbols, self._weights)
-        return [((BitString(x, n), s), Fraction(w, total)) for x, s, w in rows]
+        n, total, symbols = self.n, self._total, self._symbols
+        rows = zip(self._xs.tolist(), self._symbol_ids.tolist(), self._weights.tolist())
+        return [((BitString(x, n), symbols[i]), Fraction(w, total)) for x, i, w in rows]
 
     def x_marginal(self) -> FiniteDistribution:
-        out = _group(self._xs, self._weights)
+        xs, sums = _distinct_sums(self._xs, self._weights)
         return FiniteDistribution._from_weights(
-            {BitString(x, self.n): w for x, w in out.items()}, self._total
+            {BitString(x, self.n): w for x, w in zip(xs, sums)}, self._total
         )
 
     def guessing_probability(self) -> Fraction:
         """Optimal probability of guessing x from s: sum_s max_x Pr[x, s]."""
-        best = _group(self._symbols, self._weights, _larger)
-        return Fraction(sum(best.values()), self._total)
+        best = _sums(self._symbol_ids, self._weights, len(self._symbols), np.maximum)
+        return Fraction(sum(best.tolist()), self._total)
 
 
 def stat_distance(a: FiniteDistribution, b: FiniteDistribution) -> Fraction:
@@ -326,18 +341,16 @@ def extractor_distance(
         if len(x) != n:
             raise ValueError(f"source element of length {len(x)}, extractor wants {n}")
     if side is None:  # the source as a side table with one symbol
-        one_symbol = {(x.to_int(), 0): w for x, w in source._weights.items() if w}
-        side = JointTable._from_rows(n, one_symbol, source._total)
+        side = JointTable(n, {(x, 0): Fraction(source._weights[x], source._total) for x in xs})
     elif side.n != n or not _marginal_matches(side, source, xs):
         raise ValueError("side table's x-marginal differs from the source")
 
     # one row (symbol index, weight) per row of the side table, one run
-    targets = _group(side._symbols, side._weights)
-    index_of = {s: i for i, s in enumerate(targets)}
-    symbols = np.array([index_of[s] for s in side._symbols], dtype=np.int64)
-    weights = None if all(w == 1 for w in side._weights) else side._weights
-    runs = [(len(targets), len(xs), side._total)]
-    chunk = side._xs, symbols, weights, list(targets.values()), runs
+    symbol_count = len(side._symbols)
+    targets = _sums(side._symbol_ids, side._weights, symbol_count).tolist()
+    weights = None if (side._weights == 1).all() else side._weights.tolist()
+    runs = [(symbol_count, len(xs), side._total)]
+    chunk = side._xs.tolist(), side._symbol_ids.astype(np.int64), weights, targets, runs
     return _distances(extractor, [chunk], budget)[0]
 
 
@@ -557,7 +570,7 @@ def _marginal_matches(side: JointTable, source: FiniteDistribution, xs) -> bool:
     """Whether the side table's x-marginal equals the source: the same
     support ``xs`` and w_side(x) N_source = w_source(x) N_side on it, with
     the side weights summed per x value."""
-    marginal = _group(side._xs, side._weights)
+    marginal = dict(zip(*_distinct_sums(side._xs, side._weights)))
     return len(marginal) == len(xs) and all(
         marginal.get(x.to_int(), 0) * source._total == source._weights[x] * side._total
         for x in xs
@@ -689,9 +702,12 @@ def image_counts(
     return np.concatenate(pieces)
 
 
-def _narrow(counts: np.ndarray) -> np.ndarray:
-    """Nonempty positive counts in the narrowest unsigned dtype that holds them."""
-    return counts.astype(np.min_scalar_type(int(counts.max())))
+def _narrow(values) -> np.ndarray:
+    """Nonnegative integers, a nonempty list or array of them, in the
+    narrowest unsigned dtype that holds them: an object array of ints past
+    64 bits."""
+    top = int(values.max()) if isinstance(values, np.ndarray) else max(values)
+    return np.array(values, dtype=np.min_scalar_type(top))
 
 
 def unique_fraction(counts: np.ndarray) -> Fraction:
@@ -771,97 +787,208 @@ def lemma_suite(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> LemmaSuiteReport:
     """Exact checks of the entropy bookkeeping facts for classical side
-    information, with x split as (prefix, suffix) at ``prefix_bits``.
+    information, with x split as (prefix, suffix) at ``prefix_bits``: the
+    one-table call of :func:`lemma_suites`."""
+    return next(lemma_suites([table], [prefix_bits], budget=budget))
 
-    All inequalities are evaluated in the guessing-probability domain, where
-    every quantity is an exact rational, and a check passes when lhs <= rhs.
-    The bad-prefix check takes the thresholds v in one descending pass with
-    a running mass of the prefixes at or above v, and reports the first v
-    with the largest lhs, or the first v at which the bound fails.  The
-    convexity probe is one engine count of the table's int rows, the
-    x-marginal as symbol 0 and its flat pieces as symbols 1, 2, ..., which
-    gives sum_i weight_i d(piece_i) exactly.
+
+def lemma_suites(
+    tables: Sequence[JointTable],
+    prefix_bits: Sequence[int],
+    *,
+    budget: int = DEFAULT_ENUM_BUDGET,
+) -> Iterator[LemmaSuiteReport]:
+    """The lemma suite of each table at its prefix length, yielded table by
+    table, from one batch of all the tables' stacked rows (see
+    :func:`_stacked_sums`).
+
+    Every inequality is between exact rationals in the guessing-probability
+    domain, and a check passes when lhs <= rhs; a ``Fraction`` is formed
+    only for a value a check reports.  The bad-prefix check scans a table's
+    thresholds v in descending order, comparing by cross-multiplied ints,
+    and reports the first v with the largest lhs, or the first at which the
+    bound fails.  Each table's convexity probe is one engine count of its
+    x-marginal (symbol 0) and flat pieces (symbols 1, 2, ...), which gives
+    sum_i weight_i d(piece_i) exactly; it is charged its support times the
+    probe's seed patterns before any of its pairs is counted.
     """
-    n = table.n
-    if n < 1:
-        raise ValueError(f"lemma suite needs a source of at least 1 bit, got a {n}-bit table")
-    if not 0 <= prefix_bits <= n:
-        raise ValueError(f"prefix length {prefix_bits} outside [0, {n}]")
-    suffix_bits = n - prefix_bits
-    guess_full = table.guessing_probability()
-    mixture = _group(table._xs, table._weights)  # w(x), the x-marginal over N
+    tables, prefix_bits = list(tables), list(prefix_bits)
+    for table, prefix in zip(tables, prefix_bits, strict=True):
+        if table.n < 1:
+            raise ValueError(
+                f"lemma suite needs a source of at least 1 bit, got a {table.n}-bit table"
+            )
+        if not 0 <= prefix <= table.n:
+            raise ValueError(f"prefix length {prefix} outside [0, {table.n}]")
+    sums = _stacked_sums(tables, prefix_bits)
+    for table, prefix, (guess, peak, guess_prefix, prefixes, mixture) in zip(
+        tables, prefix_bits, sums
+    ):
+        total, suffix_bits = table._total, table.n - prefix
+        # Bounded storage: side information over an alphabet of size A cannot
+        # raise the guessing probability by more than a factor A.
+        alphabet_size = len(table._symbols)
+        storage = LemmaCheck("storage_bound", Fraction(guess, total),
+                             Fraction(alphabet_size * peak, total),
+                             f"alphabet size {alphabet_size}")
+        # Cutting the suffix costs at most 2^suffix in guessing probability:
+        # sum_s max_x1 Pr[x1, s], Pr[x1, s] summed over the suffixes.
+        suffix_cut = LemmaCheck("suffix_cut", Fraction(guess_prefix, total),
+                                Fraction(guess << suffix_bits, total),
+                                f"suffix of {suffix_bits} bits")
+        # Mass of prefixes whose conditional guessing probability is at least v
+        # is bounded by 2^prefix * guess_full / v, for every threshold v.
+        bad_prefix = _bad_prefix_check(prefixes, guess << prefix, total)
+        convexity = _convexity_probe(table.n, mixture, total, budget)
+        yield LemmaSuiteReport((storage, suffix_cut, bad_prefix, convexity))
 
-    # Bounded storage: side information over an alphabet of size A cannot
-    # raise the guessing probability by more than a factor A.
-    alphabet_size = len(set(table._symbols))
-    rhs = alphabet_size * Fraction(max(mixture.values()), table._total)
-    storage = LemmaCheck("storage_bound", guess_full, rhs, f"alphabet size {alphabet_size}")
 
-    # Cutting the suffix costs at most 2^suffix in guessing probability:
-    # sum_s max_x1 Pr[x1, s], Pr[x1, s] summed over the suffixes.
-    prefix_mask = (1 << prefix_bits) - 1
-    prefixes = [x & prefix_mask for x in table._xs]
-    prefix_joint = _group(zip(prefixes, table._symbols), table._weights)
-    best = _group((s for _, s in prefix_joint), prefix_joint.values(), _larger)
-    guess_prefix = Fraction(sum(best.values()), table._total)
-    rhs = (1 << suffix_bits) * guess_full
-    suffix_cut = LemmaCheck("suffix_cut", guess_prefix, rhs, f"suffix of {suffix_bits} bits")
+def _stacked_sums(tables: list[JointTable], prefix_bits: list[int]) -> Iterator[tuple]:
+    """Per table, in order, from the stacked rows of all of them:
+    sum_s max_x w(x, s), max_x w(x), sum_s max_x1 w(x1, s), the
+    (sum_s max_x2 w(x1, x2, s), w(x1)) of each prefix x1, and the (x, w(x))
+    of its x-marginal, w(x1, s) and w(x1) being the weights summed over the
+    suffixes x2 and the symbols s.  Each is one sum or maximum of the
+    weights by a group index: (table, symbol), (table, x), (table, prefix,
+    symbol) or (table, prefix)."""
+    count = len(tables)
+    # The stacked rows: each row's table, x, symbol and weight, and its
+    # (table, symbol) pair, symbol indices being dense per table.  The group
+    # keys ((table << top) | x or its prefix) * width + symbol are below
+    # count * width << top, in the narrowest unsigned dtype that holds them.
+    top = max(table.n for table in tables)
+    symbol_counts = [len(table._symbols) for table in tables]
+    width = max(symbol_counts)
+    key_dtype = np.min_scalar_type(count * width << top)
+    row_table = np.repeat(_narrow(range(count)), [len(table._xs) for table in tables])
+    xs = np.concatenate([table._xs for table in tables])
+    symbol_ids = np.concatenate([table._symbol_ids for table in tables])
+    weights = np.concatenate([table._weights for table in tables])
+    table_keys = row_table.astype(key_dtype) << top
+    masks = np.array([(1 << prefix) - 1 for prefix in prefix_bits], dtype=key_dtype)
+    pair_table = np.repeat(np.arange(count), symbol_counts)
+    pairs = _narrow(np.cumsum([0, *symbol_counts]))[row_table] + symbol_ids
 
-    # Mass of prefixes whose conditional guessing probability is at least v
-    # is bounded by 2^prefix * guess_full / v, for every threshold v.
-    prefix_mass = _group(prefixes, table._weights)
-    cond_best = _group(zip(prefixes, table._symbols), table._weights, _larger)
-    best_mass = _group((x1 for x1, _ in cond_best), cond_best.values())
-    # sum_s max_x2 Pr[x1, x2, s] over Pr[x1]: the guessing probability
-    # conditioned on X1 = x1, and the mass of the prefixes at each value.
-    cond_guess = [Fraction(w, prefix_mass[x1]) for x1, w in best_mass.items()]
-    mass_at = _group(cond_guess, (prefix_mass[x1] for x1 in best_mass))
-    rhs = (1 << prefix_bits) * guess_full
-    worst = None  # set on the first pass: a JointTable always has a positive row
+    def per_table(pair_values):  # sum over each table's symbols
+        return _sums(pair_table, pair_values, count).tolist()
+
+    def ends(group_table):  # where each table's groups end
+        return np.cumsum(np.bincount(group_table, minlength=count)).tolist()
+
+    guess = per_table(_sums(pairs, weights, len(pair_table), np.maximum))
+    first, inverse = np.unique(table_keys | xs, return_index=True, return_inverse=True)[1:]
+    marginal = _sums(inverse, weights, len(first))
+    peak = _sums(row_table[first], marginal, count, np.maximum).tolist()
+    marginal_xs, marginal_ends = xs[first], ends(row_table[first])
+    cell_keys = (table_keys | (xs & masks[row_table])) * width + symbol_ids
+    first, inverse = np.unique(cell_keys, return_index=True, return_inverse=True)[1:]
+    joint = _sums(inverse, weights, len(first))
+    best = _sums(inverse, weights, len(first), np.maximum)
+    guess_prefix = per_table(_sums(pairs[first], joint, len(pair_table), np.maximum))
+    first_prefix, inverse = np.unique(
+        cell_keys[first] // width, return_index=True, return_inverse=True
+    )[1:]
+    prefix_best = _sums(inverse, best, len(first_prefix))
+    prefix_mass = _sums(inverse, joint, len(first_prefix))
+    prefix_ends = ends(row_table[first[first_prefix]])
+    for i in range(count):
+        prefixes = slice(prefix_ends[i - 1] if i else 0, prefix_ends[i])
+        mixture = slice(marginal_ends[i - 1] if i else 0, marginal_ends[i])
+        yield (
+            guess[i], peak[i], guess_prefix[i],
+            list(zip(prefix_best[prefixes].tolist(), prefix_mass[prefixes].tolist())),
+            list(zip(marginal_xs[mixture].tolist(), marginal[mixture].tolist())),
+        )
+
+
+def _bad_prefix_check(prefixes, rhs_scaled: int, total: int) -> LemmaCheck:
+    """The bad-prefix check from each prefix's (sum_s max_x2 weight, mass),
+    its conditional guessing probability v being their ratio, and from the
+    bound's rhs times N.  At threshold v, lhs = v M(v) / N, M(v) the mass
+    of the prefixes at or above v, so lhs > rhs iff v M(v) > rhs N, and
+    the lhs of two thresholds compare as their v M(v)."""
+    # each v in lowest terms (numerator, denominator), with its prefixes' mass
+    mass_at: dict = {}
+    for best, mass in prefixes:
+        common = math.gcd(best, mass)
+        key = best // common, mass // common
+        mass_at[key] = mass_at.get(key, 0) + mass
+    # descending v: u before w when u0 w1 > w0 u1
+    thresholds = sorted(mass_at, key=cmp_to_key(lambda u, w: w[0] * u[1] - u[0] * w[1]))
+    worst = None  # (numerator and denominator of v, v M(v) times the denominator, verdict)
     bad_mass = 0
-    for v in sorted(mass_at, reverse=True):
-        bad_mass += mass_at[v]
-        lhs = Fraction(bad_mass, table._total) * v
-        if lhs > rhs:
-            worst = LemmaCheck("bad_prefix_mass", lhs, rhs, f"violated at v={v}")
+    for num, den in thresholds:
+        bad_mass += mass_at[num, den]
+        scaled = bad_mass * num
+        if scaled > rhs_scaled * den:
+            worst = num, den, scaled, "violated at"
             break
-        if worst is None or lhs > worst.lhs:
-            worst = LemmaCheck("bad_prefix_mass", lhs, rhs, f"tightest threshold v={v}")
+        if worst is None or scaled * worst[1] > worst[2] * den:  # the first v keeps ties
+            worst = num, den, scaled, "tightest threshold"
+    num, den, scaled, verdict = worst
+    return LemmaCheck("bad_prefix_mass", Fraction(scaled, den * total),
+                      Fraction(rhs_scaled, total), f"{verdict} v={Fraction(num, den)}")
 
-    # Convexity: extraction distance of a mixture of uniform pieces is at
-    # most the weighted sum of the pieces' distances.
+
+def _convexity_probe(n: int, mixture: list[tuple[int, int]], total: int, budget) -> LemmaCheck:
+    """Convexity: extraction distance of a mixture of uniform pieces is at
+    most the weighted sum of the pieces' distances, from one engine count
+    of the (x, weight) rows of the n-bit mixture over ``total``."""
     m = max(1, min(2, n - 1))
-    ext = ToeplitzExtractor(ToeplitzSpec(n, m))
     # Symbol 0 is the mixture and symbol k its k-th flat piece, the top-i
     # outcomes at w_i - w_(i+1) each: as one side table the pieces are at
     # sum_k Pr[S = k] d_k.  A level that splits tied outcomes has weight 0,
     # so ties need no order.
-    outcomes, levels = _flat_levels(mixture.items())
-    row_xs, weights = list(mixture), list(mixture.values())
+    outcomes, levels = _flat_levels(mixture)
+    row_xs, weights = [x for x, _ in mixture], [w for _, w in mixture]
+    targets = [sum(weights), *(i * step for i, step in levels)]
     for i, step in levels:
         row_xs += outcomes[:i]
         weights += [step] * i
     sizes = [len(mixture), *(i for i, _ in levels)]
     symbols = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    targets = [sum(mixture.values()), *(i * step for i, step in levels)]
-    runs = [(1, len(mixture), table._total), (len(sizes), len(mixture), table._total)]
+    runs = [(1, len(mixture), total), (len(sizes), len(mixture), total)]
     chunk = row_xs, symbols, weights, targets, runs
-    lhs_total, rhs_total = _distances(ext, [chunk], budget)
-    convexity = LemmaCheck(
-        "mixture_convexity", lhs_total, rhs_total, f"toeplitz probe n={n} m={m}"
-    )
-    return LemmaSuiteReport((storage, suffix_cut, worst, convexity))
+    lhs, rhs = _distances(ToeplitzExtractor(ToeplitzSpec(n, m)), [chunk], budget)
+    return LemmaCheck("mixture_convexity", lhs, rhs, f"toeplitz probe n={n} m={m}")
+
+
+def sample_joint_tables(
+    n: int, alphabet_size: int, indices: Sequence[int], seed: int = 1
+) -> list[JointTable]:
+    """Deterministic pseudorandom joint tables over {0,1}^n x alphabet, one
+    per non-negative index, drawn in one array pass.  Table i reads the
+    stream (seed, n, alphabet_size, indices[i]): the weight of (x, s) is
+    its word x * alphabet_size + s masked to 16 bits, and a table whose
+    words all mask to 0 is the single row (0, 0) of weight 1."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
+    bases = CounterRng(_TABLE_STREAM_KEY, seed, n, alphabet_size).derive_bases(indices)
+    # word i & 0xFFFF is the i-th below(2^16) draw: a power of two rejects no word
+    words = stream_words(bases, np.zeros(len(bases), np.int64), alphabet_size << n)
+    words &= 0xFFFF
+    draws = words.astype(np.uint16)
+    draws[~draws.any(axis=1), 0] = 1
+    tables = []
+    for row in draws:
+        cells = np.flatnonzero(row)
+        xs, symbols = np.divmod(cells, alphabet_size)
+        seen = tuple(dict.fromkeys(symbols.tolist()))  # the symbols in first-seen order
+        position = np.zeros(alphabet_size, dtype=np.int64)
+        position[list(seen)] = np.arange(len(seen))
+        table = JointTable.__new__(JointTable)
+        table._set_arrays(
+            n, _narrow(xs), _narrow(position[symbols]), seen, _narrow(row[cells]), int(row.sum())
+        )
+        tables.append(table)
+    return tables
 
 
 def sample_joint_table(
     n: int, alphabet_size: int, seed: int = 1, index: int = 0
 ) -> JointTable:
-    """Deterministic pseudorandom joint table over {0,1}^n x alphabet."""
-    rng = CounterRng(_TABLE_STREAM_KEY, seed, n, alphabet_size, index)
-    # word i & 0xFFFF is the i-th below(2^16) draw: a power of two rejects no word
-    draws = (rng.next_words((1 << n) * alphabet_size) & 0xFFFF).tolist()
-    cells = ((x, s) for x in range(1 << n) for s in range(alphabet_size))
-    weights = dict(zip(cells, draws))
-    if not any(weights.values()):
-        weights[(0, 0)] = 1
-    return JointTable._from_rows(n, weights, sum(weights.values()))
+    """Deterministic pseudorandom joint table over {0,1}^n x alphabet: table
+    ``index`` of :func:`sample_joint_tables`."""
+    return sample_joint_tables(n, alphabet_size, [index], seed=seed)[0]

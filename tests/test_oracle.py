@@ -1,10 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extractorforge import oracle
 from extractorforge.bits import BitString
@@ -18,8 +19,10 @@ from extractorforge.oracle import (
     extractor_distance,
     injective_fraction,
     lemma_suite,
+    lemma_suites,
     sample_flat_sources,
     sample_joint_table,
+    sample_joint_tables,
     stat_distance,
 )
 from extractorforge.designs import Design
@@ -485,6 +488,18 @@ def _uniform_side_table(n, side_fn):
 
 _TIED = (2, 2, 2, 1, 1, 3, 3, 2)
 
+
+def _large_denominator_table():
+    """A 3-bit table on two symbols whose weights are over 3^45, past 2^64:
+    no weight but the last is a multiple of 3, so no probability reduces."""
+    weights = [3**k + 1 for k in range(28, 43)]
+    weights.append(3**45 - sum(weights))
+    return JointTable(
+        3,
+        {(BitString(i // 2, 3), i % 2): Fraction(w, 3**45) for i, w in enumerate(weights)},
+    )
+
+
 _CONVEXITY_TABLES = {
     **{
         f"sampled-n{n}-a{a}-seed{seed}": sample_joint_table(n, a, seed=seed, index=seed)
@@ -495,6 +510,7 @@ _CONVEXITY_TABLES = {
         3,
         {(BitString(x, 3), x % 2): Fraction(w, sum(_TIED)) for x, w in enumerate(_TIED)},
     ),
+    "large-denominator": _large_denominator_table(),
     # the adversarial tables of ``verify lemmas``
     "independent-side": _uniform_side_table(3, lambda x: 0),
     "full-copy": _uniform_side_table(3, lambda x: x),
@@ -535,6 +551,7 @@ def _probe_extractor(n):
 class TestConvexityProbe:
     @settings(max_examples=40, deadline=None)
     @given(weighted_side_tables())
+    @example(_large_denominator_table())
     def test_matches_the_reference(self, table):
         n = table.n
         ext = _probe_extractor(n)
@@ -649,6 +666,17 @@ class TestLemmaSuite:
         with pytest.raises(ValueError, match="0-bit table"):
             lemma_suite(sample_joint_table(0, 3), 0)
 
+    def test_one_batch_gives_each_table_its_own_report(self):
+        # tables of 1 to 5 bits, one to eight symbols and weights past int64,
+        # stacked at their own prefix lengths in one batch
+        tables = [*_CONVEXITY_TABLES.values(), _uniform_side_table(1, lambda x: x)]
+        prefixes = [i % (table.n + 1) for i, table in enumerate(tables)]
+        batch = list(lemma_suites(tables, prefixes))
+        assert batch == [lemma_suite(table, p) for table, p in zip(tables, prefixes)]
+        for table, prefix_bits, report in zip(tables, prefixes, batch):
+            got = [(c.name, c.lhs, c.rhs, c.note) for c in report.checks[:3]]
+            assert got == ref_lemma_checks(table, prefix_bits)
+
 
 def _assert_checks_match_the_reference(table):
     for prefix_bits in range(table.n + 1):
@@ -708,6 +736,45 @@ class TestSampling:
         expected = [((BitString(x, n), s), Fraction(w, total)) for (x, s), w in weights.items() if w]
         assert sample_joint_table(n, a, seed=seed, index=index).items() == expected
 
+    @pytest.mark.parametrize("n, a, seed", [(4, 4, 1), (3, 2, 5), (0, 3, 2), (0, 1, 1)])
+    def test_joint_table_batch_is_the_one_table_draws(self, n, a, seed):
+        # index 86475 of (0, 1, seed 1) draws a zero word: the single row (0, 0)
+        indices = [0, 7, 86475, 3, 7]
+        for index, table in zip(indices, sample_joint_tables(n, a, indices, seed=seed)):
+            assert table.items() == sample_joint_table(n, a, seed=seed, index=index).items()
+
+    def test_sampled_table_holds_the_rows_as_the_constructor_does(self):
+        # index 132397 of (1, 2, seed 1) draws 0 for (x, s) = (0, 0), so
+        # symbol 1 is seen first
+        table = sample_joint_table(1, 2, seed=1, index=132397)
+        built = JointTable(1, dict(table.items()))
+        assert table._symbols == built._symbols == (1, 0)
+        for name in ("_xs", "_symbol_ids", "_weights"):
+            got, want = getattr(table, name), getattr(built, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_all_zero_draw_is_the_single_row_zero(self):
+        rng = CounterRng(oracle._TABLE_STREAM_KEY, 1, 0, 1, 86475)
+        assert rng.below(1 << 16) == 0
+        table = sample_joint_table(0, 1, seed=1, index=86475)
+        assert table.items() == [((BitString(0, 0), 0), Fraction(1))]
+        assert sample_joint_tables(0, 1, [5, 86475], seed=1)[1].items() == table.items()
+
+    @pytest.mark.parametrize(
+        "draw, name",
+        [
+            (lambda: sample_joint_table(3, 0), "alphabet_size"),
+            (lambda: sample_joint_table(2, -1), "alphabet_size"),
+            (lambda: sample_joint_table(-1, 2), "n"),
+            (lambda: sample_joint_tables(-1, 2, [0]), "n"),
+            (lambda: sample_flat_sources(4, -1, 2), "k"),
+            (lambda: sample_flat_sources(-1, -2, 2), "n"),
+        ],
+    )
+    def test_sampler_arguments_checked(self, draw, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            draw()
+
     def test_flat_source_validation(self):
         with pytest.raises(ValueError):
             FlatSource.from_ints(3, [1, 2, 3])  # size not a power of two
@@ -726,3 +793,55 @@ class TestSampling:
         again = FlatSource(4, (9, 2, 15, 0))
         assert source == again and hash(source) == hash(again)
         assert source != FlatSource(4, (2, 9, 15, 0)) and source != FlatSource(5, source.values)
+
+
+class TestJointTableArrays:
+    def test_x_values_past_64_bits(self):
+        rows = {
+            (2**69 + 5, "a"): Fraction(1, 3),
+            (3, "b"): Fraction(1, 6),
+            (2**64, "a"): Fraction(1, 8),
+            (2**69 + 5, "b"): Fraction(1, 8),
+            (2**70 - 1, "c"): Fraction(1, 4),
+        }
+        probs = {(BitString(x, 70), s): p for (x, s), p in rows.items()}
+        table = JointTable(70, probs)
+        assert table._xs.dtype == object
+        assert table.items() == list(probs.items())
+        marginal, best = {}, {}
+        for (x, s), p in probs.items():
+            marginal[x] = marginal.get(x, 0) + p
+            best[s] = max(best.get(s, 0), p)
+        assert table.x_marginal().items() == list(marginal.items())
+        assert table.guessing_probability() == sum(best.values())
+
+    def test_weights_past_int64_are_python_ints(self):
+        table = _CONVEXITY_TABLES["large-denominator"]
+        assert table._weights.dtype == object and table._total == 3**45
+        assert sum(p for _, p in table.items()) == 1
+        # each weight fits 64 bits, their sum 3 * 2^62 does not fit int64
+        total = 3 << 62
+        probs = {(BitString(0, 1), 0): Fraction((1 << 62) + 1, total),
+                 (BitString(0, 1), 1): Fraction((1 << 63) - 1, total)}
+        table = JointTable(1, probs)
+        assert table._weights.dtype == object and table._total == total
+        assert table.x_marginal().items() == [(BitString(0, 1), Fraction(1))]
+        assert table.guessing_probability() == 1
+
+    def test_side_table_footprint(self):
+        # verify_side's Trevisan side table: 4 pieces of 2^7 values at n = 24,
+        # its keys and probabilities made beforehand; three Python lists of
+        # its 512 rows would hold ~12 KB
+        pieces = sample_flat_sources(24, 7, 4, seed=1)
+        weight = Fraction(1, 4 << 7)
+        probs = {(x, s): weight for s, piece in enumerate(pieces) for x in piece.support}
+        JointTable(24, probs)  # warms the interpreter's caches and free lists
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = JointTable(24, probs)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table.items()) == 512
+        assert retained <= 6 << 10
