@@ -11,8 +11,8 @@ Bit positions are computed on demand in O(n_tilde) field operations, which
 is what makes the code usable as the inner code of a seed-restricted
 extractor: no codeword is ever materialized unless a caller asks for all
 positions explicitly.  :func:`encode_bits` is the one place a bit is
-computed: it reads many positions of one message, split into symbols once,
-and :func:`encode_bit` is its one-index call.
+computed: it reads many positions of one int message, split into symbols
+once, and :func:`encode_bit` is its one-index call on a ``BitString``.
 
 Every code, built or read from JSON, is checked on construction against
 1 <= w <= 32 and 1 <= n_tilde <= 2^w.
@@ -59,22 +59,17 @@ class CodeSpec:
         return 1 << self.index_bits
 
 
-def encode_bits(spec: CodeSpec, x: BitString, indices: Iterable[int]) -> int:
-    """Codeword bits of message ``x`` at ``indices``, packed: bit k of the
-    result is the bit at the k-th index.
+def encode_bits(spec: CodeSpec, x: int, indices: Iterable[int]) -> int:
+    """Codeword bits of message ``x``, an int below 2^message_bits, at
+    ``indices``, packed: bit k of the result is the bit at the k-th index.
 
-    x is checked and split into field symbols once, and the field looked up
-    once, for all indices; each index alpha * 2^w + z then costs one Horner
+    x is split into field symbols once, and the field looked up once, for
+    all indices; each index alpha * 2^w + z then costs one Horner
     evaluation, and its bit is the parity of p_x(alpha) AND z.  Raises
-    ValueError if x is not ``message_bits`` long or an index lies outside
-    [0, 2^(2w)).
+    ValueError if x does not fit or an index lies outside [0, 2^(2w)).
     """
-    if len(x) != spec.message_bits:
-        raise ValueError(
-            f"message is {len(x)} bits, spec wants {spec.message_bits}"
-        )
     w, size = spec.field_width, spec.codeword_bits
-    coeffs = split_symbols(x.to_int(), w, spec.message_symbols)
+    coeffs = split_symbols(x, w, spec.message_symbols)
     evaluate = get_field(w).eval_poly
     out = 0
     for k, index in enumerate(indices):
@@ -86,8 +81,10 @@ def encode_bits(spec: CodeSpec, x: BitString, indices: Iterable[int]) -> int:
 
 
 def encode_bit(spec: CodeSpec, x: BitString, index: int) -> int:
-    """Codeword bit at ``index`` for message ``x``."""
-    return encode_bits(spec, x, (index,))
+    """Codeword bit at ``index`` for message ``x`` of ``message_bits``."""
+    if len(x) != spec.message_bits:
+        raise ValueError(f"message is {len(x)} bits, spec wants {spec.message_bits}")
+    return encode_bits(spec, x.to_int(), (index,))
 
 
 def code_distance(spec: CodeSpec) -> Fraction:

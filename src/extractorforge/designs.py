@@ -280,17 +280,14 @@ def _candidates(bases: np.ndarray, set_size: int, t: int) -> np.ndarray:
     return np.sort(values.astype(np.int64), axis=1)
 
 
-def restrict_sets(y: BitString, sets: Iterable[Sequence[int]]) -> Iterator[int]:
-    """For each set of positions, the bits of y there read into an integer,
-    first position into bit 0.
+def restrict_sets(seed: int, sets: Iterable[Sequence[int]]) -> Iterator[int]:
+    """For each set of positions, the bits of the int ``seed`` there read
+    into an integer, first position into bit 0, each shifted out of it.
 
-    The seed is read once, as an int, for all sets, and each bit is
-    shifted out of it.  The positions are not checked: they must be plain
-    ints in [0, len(y)), as every ``Design``'s are, which the design checks
-    on construction; :func:`restrict_seed` checks the positions of one set
-    before it reads.
+    The positions are not checked: they must be nonnegative plain ints, as
+    every ``Design``'s are, which the design checks on construction;
+    :func:`restrict_seed` checks one set's against its seed's length.
     """
-    seed = y.to_int()
     for positions in sets:
         value = 0
         for k, pos in enumerate(positions):
@@ -320,4 +317,4 @@ def restrict_seed(y: BitString, positions: Sequence[int]) -> int:
         raise IndexError(f"bit index {last} out of range [0, {len(y)})")
     if not ascending:
         raise ValueError("positions must be strictly ascending")
-    return next(restrict_sets(y, (positions,)))
+    return next(restrict_sets(y.to_int(), (positions,)))

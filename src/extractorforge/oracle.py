@@ -21,13 +21,14 @@ or the lemma suite's convexity probe, goes through :func:`_distances`, the
 one entry to the distance engine: it alone reads the seed support, charges
 the budget and forms each ``Fraction``, and its callers only build rows.
 
-Flat sources stay plain integers end to end.  A :class:`FlatSource` holds
-its values as ints, :func:`sample_flat_sources` draws a call's sources in
-one array pass, :func:`extractor_distances` counts a batch of them as the
-symbols of one pass of the distance engine, with per-symbol results, and
-:func:`image_counts` counts the condenser's images one seed's row at a
-time.  BitStrings are built only where a map or an extractor is called one
-pair at a time.
+Sources stay plain integers end to end.  A :class:`FlatSource` holds its
+values as ints, :func:`sample_flat_sources` draws a call's sources in one
+array pass, :func:`extractor_distance` reads any source as integer rows,
+:func:`extractor_distances` counts a batch of flat sources in one pass of
+the distance engine, and :func:`image_counts` counts the condenser's
+images one seed's row at a time.  BitStrings are only the outcomes that
+distributions are given or give back, and the inputs of a map called one
+pair at a time, in :func:`_pattern_outputs` alone.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ class FlatSource:
 
     def __post_init__(self):
         values = self.values
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
         if not values:
             raise ValueError("empty support")
         if len(set(values)) != len(values):
@@ -295,6 +298,8 @@ def distance_to_min_entropy(counts: np.ndarray, kappa: int) -> Fraction:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     counts = np.asarray(counts)
     total = int(counts.sum())
+    if not total:
+        raise ValueError("counts must have a positive sum")
     heavy = counts[counts > total >> kappa]
     return Fraction((int(heavy.sum()) << kappa) - len(heavy) * total, total << kappa)
 
@@ -318,40 +323,46 @@ def extractor_distance(
 ) -> Fraction:
     """Exact distance of (seed, output[, side]) from (uniform[, side marginal]).
 
-    ``source`` is a FlatSource or a FiniteDistribution over BitStrings.  A
-    flat source without a side table is one source of
-    :func:`extractor_distances`.  Otherwise the side table, or the source
-    as a one-symbol side table, is one run of :func:`_distances`, charged
+    ``source``, a FlatSource or a FiniteDistribution over BitStrings, is
+    read as integer rows.  A flat source without a side table is one
+    source of :func:`extractor_distances`.  Otherwise the side table, or
+    the source as one symbol, is one run of :func:`_distances`, charged
     the source's support.  Since the distance with side information is
     sum_s Pr[s] d_s, d_s that of X | S = s, side symbols that are the flat
     pieces of a mixture give the weighted sum of their distances (the probe
     of :func:`lemma_suite`).
     """
+    n = extractor.input_bits
     if isinstance(source, FlatSource):
         if side is None:
             return extractor_distances(extractor, [source], budget=budget)[0]
-        source = source.distribution()
-    if not isinstance(source, FiniteDistribution):
+        if source.n != n:
+            raise ValueError(f"source element of length {source.n}, extractor wants {n}")
+        weights, total = dict.fromkeys(source.values, 1), len(source.values)
+    elif isinstance(source, FiniteDistribution):
+        if not all(isinstance(x, BitString) for x in source._weights):
+            raise TypeError("source outcomes must be BitString values")
+        kept = {x: w for x, w in source._weights.items() if w}
+        for x in kept:
+            if len(x) != n:
+                raise ValueError(f"source element of length {len(x)}, extractor wants {n}")
+        weights, total = {x.to_int(): w for x, w in kept.items()}, source._total
+    else:
         raise TypeError(f"unsupported source type {type(source).__name__}")
-    if not all(isinstance(x, BitString) for x in source._weights):
-        raise TypeError("source outcomes must be BitString values")
-    n = extractor.input_bits
-    xs = [x for x, w in source._weights.items() if w]
-    for x in xs:
-        if len(x) != n:
-            raise ValueError(f"source element of length {len(x)}, extractor wants {n}")
-    if side is None:  # the source as a side table with one symbol
-        side = JointTable(n, {(x, 0): Fraction(source._weights[x], source._total) for x in xs})
-    elif side.n != n or not _marginal_matches(side, source, xs):
-        raise ValueError("side table's x-marginal differs from the source")
-
-    # one row (symbol index, weight) per row of the side table, one run
-    symbol_count = len(side._symbols)
-    targets = _sums(side._symbol_ids, side._weights, symbol_count).tolist()
-    weights = None if (side._weights == 1).all() else side._weights.tolist()
-    runs = [(symbol_count, len(xs), side._total)]
-    chunk = side._xs.tolist(), side._symbol_ids.astype(np.int64), weights, targets, runs
-    return _distances(extractor, [chunk], budget)[0]
+    if side is None:  # the source as one symbol
+        row_xs, row_weights = list(weights), list(weights.values())
+        symbols, targets = np.zeros(len(row_xs), np.int64), [sum(row_weights)]
+    else:  # the same x-marginal: w_side(x) N = w(x) N_side on the same support
+        xs, sums = _distinct_sums(side._xs, side._weights)
+        scaled = {x: w * side._total for x, w in weights.items()}
+        if side.n != n or dict(zip(xs, (w * total for w in sums))) != scaled:
+            raise ValueError("side table's x-marginal differs from the source")
+        row_xs, symbols = side._xs.tolist(), side._symbol_ids.astype(np.int64)
+        row_weights, total = side._weights.tolist(), side._total
+        targets = _sums(side._symbol_ids, side._weights, len(side._symbols)).tolist()
+    row_weights = None if all(w == 1 for w in row_weights) else row_weights
+    runs = [(len(targets), len(weights), total)]
+    return _distances(extractor, [(row_xs, symbols, row_weights, targets, runs)], budget)[0]
 
 
 def extractor_distances(
@@ -460,39 +471,48 @@ def _distances(extractor, chunks, budget) -> list[Fraction]:
 
 def _table_overlap(extractor, positions, row_xs, symbols, weights, targets, dtype) -> list[int]:
     """Per symbol, the sum of min(c 2^m, W_s) over the cells from the output
-    of every (seed pattern, row) pair, ``row_xs`` each row's x value:
-    outputs from the extractor's table where it has one, else per pair."""
-    n, t, m = extractor.input_bits, extractor.seed_bits, extractor.output_bits
-    ny = 1 << len(positions)
+    of every (seed pattern, row) pair, ``row_xs`` each row's x value, the
+    outputs read by :func:`_pattern_outputs`."""
     values = list(dict.fromkeys(row_xs))
     column_of = {v: i for i, v in enumerate(values)}
     columns = np.array([column_of[x] for x in row_xs], dtype=np.int64)
-    tabled = m <= 62 and all(
-        hasattr(extractor, name) for name in ("prepare_batch", "extract_table")
-    )
-    state = extractor.prepare_batch(values) if tabled else None
-    tabled = state is not None
-    if not tabled:
-        xs = [BitString(v, n) for v in values]
+    m = extractor.output_bits
+    outputs = _pattern_outputs(extractor, "extract_table", extractor.extract, values,
+                               extractor.input_bits, positions, extractor.seed_bits, wide=m > 62)
+    ny = 1 << len(positions)
     overlap = [0] * len(targets)
     block = max(1, min(ny, _BLOCK_PAIRS // len(row_xs)))
     for start in range(0, ny, block):
-        patterns = np.arange(start, min(start + block, ny), dtype=np.int64)
-        if tabled:
-            out = np.asarray(extractor.extract_table(state, patterns))
-        else:
-            seeds = [
-                BitString(sum(((p >> k) & 1) << pos for k, pos in enumerate(positions)), t)
-                for p in patterns.tolist()
-            ]
-            out = np.array(
-                [[extractor.extract(x, y).to_int() for x in xs] for y in seeds],
-                dtype=np.int64 if m <= 62 else object,
-            )
-        part = out.take(columns, axis=1)
-        block_overlap = _cell_overlap(part, symbols, weights, targets, 1 << m, dtype)
+        out = outputs(np.arange(start, min(start + block, ny), dtype=np.int64))
+        block_overlap = _cell_overlap(out.take(columns, axis=1), symbols, weights, targets,
+                                      1 << m, dtype)
         overlap = list(map(operator.add, overlap, block_overlap.tolist()))
     return overlap
+
+
+def _pattern_outputs(fn, table: str, call, xs: list[int], n: int, positions, t: int,
+                     wide: bool = False):
+    """The outputs of a map for a block of seed patterns, pattern bit k
+    seed bit positions[k], as a function of the patterns (an int64 array)
+    giving an int array of shape (len(patterns), len(xs)), xs n-bit ints.
+    From ``getattr(fn, table)(fn.prepare_batch(xs), patterns)`` where fn
+    has both methods, its outputs fit in 62 bits (not ``wide``) and
+    prepare_batch does not decline by returning None; else by one ``call``
+    on t-bit seeds per pair, the only place the enumerators build
+    BitStrings, into an object array if ``wide``."""
+    if not wide and hasattr(fn, table) and hasattr(fn, "prepare_batch"):
+        state = fn.prepare_batch(xs)
+        if state is not None:
+            return partial(getattr(fn, table), state)
+    inputs = [BitString(x, n) for x in xs]
+
+    def per_pair(patterns):
+        seeds = (sum(((p >> k) & 1) << pos for k, pos in enumerate(positions))
+                 for p in patterns.tolist())
+        rows = [[call(x, BitString(y, t)).to_int() for x in inputs] for y in seeds]
+        return np.array(rows, dtype=object if wide else None)
+
+    return per_pair
 
 
 def _spectral_overlap(extractor, ny, row_xs, symbols, weights, targets, mass) -> list[int] | None:
@@ -564,17 +584,6 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
         high[...] = diff
         half *= 2
     return a
-
-
-def _marginal_matches(side: JointTable, source: FiniteDistribution, xs) -> bool:
-    """Whether the side table's x-marginal equals the source: the same
-    support ``xs`` and w_side(x) N_source = w_source(x) N_side on it, with
-    the side weights summed per x value."""
-    marginal = dict(zip(*_distinct_sums(side._xs, side._weights)))
-    return len(marginal) == len(xs) and all(
-        marginal.get(x.to_int(), 0) * source._total == source._weights[x] * side._total
-        for x in xs
-    )
 
 
 def _cell_overlap(out, symbols, weights, targets, scale, dtype) -> np.ndarray:
@@ -671,16 +680,8 @@ def image_counts(
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, "injectivity enumeration")
 
-    state = cprime.prepare_batch(list(xs)) if hasattr(cprime, "image_table") else None
-    if state is not None:
-        table = partial(cprime.image_table, state)
-    else:
-        support = source.support
-
-        def table(seeds):
-            return np.array([[cprime(x, BitString(y, seed_bits)).to_int() for x in support]
-                             for y in seeds.tolist()])
-
+    table = _pattern_outputs(cprime, "image_table", cprime, list(xs), source.n,
+                             range(seed_bits), seed_bits)
     pieces, run, last = [], 0, None  # the open run of the blocks before, and its image
     block = max(1, min(ny, _IMAGE_BLOCK_PAIRS // len(xs)))
     for start in range(0, ny, block):
@@ -712,7 +713,10 @@ def _narrow(values) -> np.ndarray:
 
 def unique_fraction(counts: np.ndarray) -> Fraction:
     """Fraction of pairs whose image no other pair shares, from image counts."""
-    return Fraction(int((counts == 1).sum()), int(counts.sum()))
+    total = int(counts.sum())
+    if not total:
+        raise ValueError("counts must have a positive sum")
+    return Fraction(int((counts == 1).sum()), total)
 
 
 def injective_fraction(
@@ -965,6 +969,8 @@ def sample_joint_tables(
         raise ValueError(f"n must be >= 0, got {n}")
     if alphabet_size < 1:
         raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
+    if min(indices, default=0) < 0:
+        raise ValueError(f"indices must be >= 0, got {min(indices)}")
     bases = CounterRng(_TABLE_STREAM_KEY, seed, n, alphabet_size).derive_bases(indices)
     # word i & 0xFFFF is the i-th below(2^16) draw: a power of two rejects no word
     words = stream_words(bases, np.zeros(len(bases), np.int64), alphabet_size << n)

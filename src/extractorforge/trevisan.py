@@ -151,26 +151,22 @@ def custom_spec(n: int, design: Design, epsilon_target: Fraction) -> ExtractorSp
     return ExtractorSpec(n=n, design=design, preset=PRESET_CUSTOM, epsilon_target=epsilon_target)
 
 
-def _pad(spec: ExtractorSpec, x: BitString) -> BitString:
-    if len(x) != spec.n:
-        raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
-    extra = spec.code.message_bits - spec.n
-    return x + BitString.zeros(extra) if extra else x
-
-
 def trevisan_extract(spec: ExtractorSpec, x: BitString, y: BitString) -> BitString:
     """Output bit i is the code bit of x at the index that y's bits on
     design set S_i give.
 
-    One pass per extraction: x is padded, checked and split into field
-    symbols once (:func:`encode_bits`), and the seed is checked against t
-    and read once (:func:`restrict_sets`).  The positions are not checked
-    here: the spec's ``Design`` checked them on construction.
+    One pass per extraction: x and y are checked against n and t and read
+    as ints once, x by :func:`encode_bits` (zero padding to the code's
+    message length leaves the int as it is) and y by :func:`restrict_sets`.
+    The positions are not checked here: the spec's ``Design`` checked them
+    on construction.
     """
     if len(y) != spec.t:
         raise ValueError(f"seed is {len(y)} bits, spec wants {spec.t}")
-    indices = restrict_sets(y, spec.design.sets)
-    return BitString(encode_bits(spec.code, _pad(spec, x), indices), spec.m)
+    if len(x) != spec.n:
+        raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
+    indices = restrict_sets(y.to_int(), spec.design.sets)
+    return BitString(encode_bits(spec.code, x.to_int(), indices), spec.m)
 
 
 class TrevisanExtractor:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from extractorforge import cli, serialize
+from extractorforge import cli, oracle, serialize
 from extractorforge.bits import BitString
 from extractorforge.codes import encode_bit
 from extractorforge.compose import build_high_entropy_extractor, build_pipeline
@@ -1135,3 +1135,39 @@ def test_every_builder_rule_raises_its_constraint(capsys, build, args, message, 
         rc, report, err = _run(capsys, argv)
         assert (rc, report) == (cli.EXIT_INFEASIBLE, None)
         assert err == f"infeasible parameters: {message} [{constraint}]\n"
+
+
+def test_a_failing_lemma_report_fails_the_target(capsys, monkeypatch):
+    # the lemma facts hold on every table, so one report is made to fail
+    failing = oracle.LemmaSuiteReport((oracle.LemmaCheck("forced", Fraction(1), Fraction(0)),))
+
+    def one_fails(tables, prefix_bits, *, budget):
+        reports = list(oracle.lemma_suites(tables, prefix_bits, budget=budget))
+        return iter([failing, *reports[1:]])
+
+    monkeypatch.setattr(cli, "lemma_suites", one_fails)
+    rc, report, _ = _run(capsys, ["verify", "lemmas"])
+    assert rc == cli.EXIT_FAIL
+    assert report["allPassed"] is False
+    check = report["checks"][0]
+    assert (check["name"], check["passed"]) == ("entropy lemma suite on 203 joint tables", False)
+    assert check["detail"] == {"failures": 1}
+
+
+def test_bad_hex_seed_is_a_seed_problem(capsys, extract_args):
+    rc, report, err = _run(capsys, extract_args + ["--seed", "0fz5"])
+    assert (rc, report) == (cli.EXIT_SEED_MISMATCH, None)
+    assert err.startswith("seed problem: bad hex seed: ")
+
+
+def test_unreadable_seed_file_is_a_seed_problem(capsys, tmp_path, extract_args):
+    missing = tmp_path / "no-such-seed.bin"
+    rc, report, err = _run(capsys, extract_args + ["--seed-file", str(missing)])
+    assert (rc, report) == (cli.EXIT_SEED_MISMATCH, None)
+    assert err.startswith("seed problem: ") and "no-such-seed.bin" in err
+
+
+def test_qproof_params_need_the_storage_bound(capsys):
+    rc, report, err = _run(capsys, ["params", "--mode", "qproof", "--n", "16", "--eps", "1/4"])
+    assert (rc, report) == (cli.EXIT_USAGE, None)
+    assert err == "qproof mode needs --b\n"

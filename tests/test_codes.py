@@ -64,18 +64,19 @@ def test_multi_index_kernel_matches_encode_bit(w, symbols):
         x = BitString(rng.below(1 << spec.message_bits), spec.message_bits)
         indices = [0, spec.codeword_bits - 1] + [rng.below(spec.codeword_bits) for _ in range(60)]
         expected = sum(encode_bit(spec, x, idx) << k for k, idx in enumerate(indices))
-        assert encode_bits(spec, x, indices) == expected
-        assert encode_bits(spec, x, iter(indices)) == expected
-    assert encode_bits(spec, x, ()) == 0
+        assert encode_bits(spec, x.to_int(), indices) == expected
+        assert encode_bits(spec, x.to_int(), iter(indices)) == expected
+    assert encode_bits(spec, x.to_int(), ()) == 0
 
 
 def test_multi_index_kernel_checks_message_and_indices():
     spec = CodeSpec(2, 2)
-    with pytest.raises(ValueError, match="message is 3 bits, spec wants 4"):
-        encode_bits(spec, BitString(0, 3), [0, 1])
+    for bad in (16, -1):  # a message of 5 bits, and a negative one
+        with pytest.raises(ValueError, match=f"{bad} does not fit in 2 symbols of 2 bits"):
+            encode_bits(spec, bad, [0, 1])
     for bad in (16, -1):
         with pytest.raises(ValueError, match=rf"index {bad} outside \[0, 16\)"):
-            encode_bits(spec, BitString(0b1011, 4), [3, bad])
+            encode_bits(spec, 0b1011, [3, bad])
 
 
 def test_code_distance_values():

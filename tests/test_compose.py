@@ -166,3 +166,21 @@ def test_high_entropy_extractor_rejects_a_negative_storage_bound():
     # b < 0 would publish E1 for more entropy than a half holds
     with pytest.raises(InfeasibleParameterError, match="b must be >= 0, got -3"):
         build_high_entropy_extractor(16, -3, QUARTER)
+
+
+def test_block_compose_checks_the_input_length():
+    spec = build_high_entropy_extractor(12, 1, QUARTER)
+    ext = block_compose(TrevisanExtractor(spec.e1), TrevisanExtractor(spec.e2))
+    y = BitString(0, spec.seed_bits)
+    for width in (11, 13):
+        with pytest.raises(ValueError, match=f"^input is {width} bits, want 12$"):
+            ext.extract(BitString(0, width), y)
+
+
+def test_condense_extract_checks_the_seed_length():
+    spec = build_pipeline(16, 8, 0, QUARTER)
+    ext = spec.pipeline()
+    x = BitString(0, 16)
+    for width in (ext.seed_bits - 1, ext.seed_bits + 1):
+        with pytest.raises(ValueError, match=f"^seed is {width} bits, want {ext.seed_bits}$"):
+            ext.extract(x, BitString(0, width))

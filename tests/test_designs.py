@@ -157,7 +157,7 @@ def test_restrict_sets_reads_each_set_as_restrict_seed_does():
     rng = CounterRng(0x5E75, design.universe_size)
     for _ in range(4):
         y = BitString(rng.below(1 << design.universe_size), design.universe_size)
-        assert list(restrict_sets(y, sets)) == [restrict_seed(y, s) for s in sets]
+        assert list(restrict_sets(y.to_int(), sets)) == [restrict_seed(y, s) for s in sets]
 
 
 def test_restrict_seed_ignores_outside_bits():

@@ -15,8 +15,10 @@ from extractorforge.oracle import (
     FiniteDistribution,
     FlatSource,
     JointTable,
+    LemmaSuiteReport,
     distance_to_min_entropy,
     extractor_distance,
+    extractor_distances,
     injective_fraction,
     lemma_suite,
     lemma_suites,
@@ -666,6 +668,12 @@ class TestLemmaSuite:
         with pytest.raises(ValueError, match="0-bit table"):
             lemma_suite(sample_joint_table(0, 3), 0)
 
+    @pytest.mark.parametrize("prefix_bits", [-1, 5])
+    def test_prefix_outside_the_source_rejected(self, prefix_bits):
+        tables = [sample_joint_table(4, 2), sample_joint_table(4, 2, index=1)]
+        with pytest.raises(ValueError, match=rf"^prefix length {prefix_bits} outside \[0, 4\]$"):
+            next(lemma_suites(tables, [2, prefix_bits]))
+
     def test_one_batch_gives_each_table_its_own_report(self):
         # tables of 1 to 5 bits, one to eight symbols and weights past int64,
         # stacked at their own prefix lengths in one batch
@@ -769,6 +777,8 @@ class TestSampling:
             (lambda: sample_joint_tables(-1, 2, [0]), "n"),
             (lambda: sample_flat_sources(4, -1, 2), "k"),
             (lambda: sample_flat_sources(-1, -2, 2), "n"),
+            (lambda: sample_joint_tables(3, 2, [0, -1]), "indices"),
+            (lambda: sample_joint_tables(3, 2, np.array([3, -2])), "indices"),
         ],
     )
     def test_sampler_arguments_checked(self, draw, name):
@@ -845,3 +855,131 @@ class TestJointTableArrays:
             tracemalloc.stop()
         assert len(table.items()) == 512
         assert retained <= 6 << 10
+
+
+class TestEntryChecks:
+    """The argument checks at the oracle's entry points."""
+
+    def test_extractor_distance_rejects_other_source_types(self):
+        ext = ToeplitzExtractor(ToeplitzSpec(3, 1))
+        for source in ([BitString(0, 3)], {BitString(0, 3): 1}, None):
+            with pytest.raises(TypeError, match=f"^unsupported source type "
+                               f"{type(source).__name__}$"):
+                extractor_distance(ext, source)
+
+    def test_extractor_distance_wants_bitstring_outcomes(self):
+        ext = ToeplitzExtractor(ToeplitzSpec(3, 1))
+        # a zero-weight outcome of another type is rejected too
+        for probs in ({0: Fraction(1, 2), 1: Fraction(1, 2)},
+                      {BitString(0, 3): 1, "x": 0}):
+            with pytest.raises(TypeError, match="^source outcomes must be BitString values$"):
+                extractor_distance(ext, FiniteDistribution(probs))
+
+    def test_extractor_distance_checks_the_source_length(self):
+        ext = ToeplitzExtractor(ToeplitzSpec(3, 1))
+        short = FiniteDistribution.uniform([BitString(0, 2), BitString(1, 2)])
+        with pytest.raises(ValueError, match="^source element of length 2, extractor wants 3$"):
+            extractor_distance(ext, short)
+        # an outcome of weight 0 is not part of the source
+        padded = FiniteDistribution({BitString(0, 3): 1, BitString(1, 2): 0})
+        assert extractor_distance(ext, padded) == extractor_distance(
+            ext, FiniteDistribution.uniform([BitString(0, 3)]))
+        # a flat source given with a side table, checked before the table
+        source = FlatSource.from_ints(4, (1, 6))
+        table = JointTable(4, {(x, 0): Fraction(1, 2) for x in source.support})
+        with pytest.raises(ValueError, match="^source element of length 4, extractor wants 3$"):
+            extractor_distance(ext, source, side=table)
+
+    def test_outputs_past_62_bits_are_read_per_pair(self):
+        # 63 copies of the code bit x z, z seed bit 0, of one 1-bit source:
+        # its int64 table would raise, so each (x, seed) pair is extracted.
+        # Seeds with z = 0 put both values on one output and the others on
+        # two, so the distance is 1 - (2^-63 + 2 2^-63) / 2.
+        design = Design(2, 2, "standard", ((0, 1),) * 63, 2)
+        ext = TrevisanExtractor(custom_spec(1, design, Fraction(1, 2)))
+        source = FlatSource.from_ints(1, (0, 1))
+        assert extractor_distance(ext, source) == 1 - Fraction(3, 1 << 64)
+        assert extractor_distance(ext, source.distribution()) == 1 - Fraction(3, 1 << 64)
+
+    def test_extractor_distances_checks_every_source(self):
+        ext = ToeplitzExtractor(ToeplitzSpec(3, 1))
+        good = FlatSource.from_ints(3, (1, 6))
+        with pytest.raises(TypeError, match="^unsupported source type FiniteDistribution$"):
+            extractor_distances(ext, [good, good.distribution()])
+        with pytest.raises(ValueError, match="^source of 4 bits, extractor wants 3$"):
+            extractor_distances(ext, [good, FlatSource.from_ints(4, (1, 6))])
+
+    def test_joint_table_checks_its_keys_and_weights(self):
+        for key in ((BitString(1, 2), 0), (1, 0), ("001", 0)):
+            with pytest.raises(ValueError, match="is not an 3-bit string$"):
+                JointTable(3, {key: Fraction(1)})
+        negative = {(BitString(0, 3), 0): Fraction(3, 2), (BitString(1, 3), 0): Fraction(-1, 2)}
+        with pytest.raises(ValueError, match="^negative probability$"):
+            JointTable(3, negative)
+        with pytest.raises(ValueError, match="^joint probabilities sum to 1/2, not 1$"):
+            JointTable(3, {(BitString(0, 3), 0): Fraction(1, 2)})
+
+    def test_finite_distribution_checks_its_probabilities(self):
+        with pytest.raises(TypeError, match="^probability of type str not supported$"):
+            FiniteDistribution({"a": "1/2", "b": Fraction(1, 2)})
+        with pytest.raises(ValueError, match="^negative probability -1/2 for outcome 'b'$"):
+            FiniteDistribution({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+        with pytest.raises(ValueError, match="^probabilities sum to 3/4, not 1$"):
+            FiniteDistribution({"a": Fraction(1, 2), "b": Fraction(1, 4)})
+        with pytest.raises(ValueError, match="^uniform distribution needs a nonempty domain$"):
+            FiniteDistribution.uniform([])
+        with pytest.raises(ValueError, match="^repeated outcomes$"):
+            FiniteDistribution.uniform(["a", "b", "a"])
+
+    def test_flat_source_needs_a_support(self):
+        with pytest.raises(ValueError, match="^empty support$"):
+            FlatSource(3, ())
+
+    def test_flat_sources_fit_their_width(self):
+        with pytest.raises(ValueError, match=r"^cannot place 2\^3 distinct values in 2 bits$"):
+            sample_flat_sources(2, 3, 1)
+
+    def test_kappa_is_a_nonnegative_integer(self):
+        counts = np.array([4, 3, 1])
+        with pytest.raises(ValueError, match="^kappa must be >= 0, got -1$"):
+            distance_to_min_entropy(counts, -1)
+        expect = distance_to_min_entropy(counts, 2)
+        assert distance_to_min_entropy(counts, Fraction(2)) == expect
+        assert distance_to_min_entropy(counts, 2.0) == expect
+        with pytest.raises(ValueError, match="kappa must be an integer"):
+            distance_to_min_entropy(counts, Fraction(3, 2))
+
+
+class TestInputChecks:
+    def test_flat_source_width_is_nonnegative(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            FlatSource(-1, (0,))
+        assert FlatSource(0, (0,)).support == (BitString(0, 0),)
+
+    @pytest.mark.parametrize("counts", [np.array([], dtype=np.int64), np.zeros(3, np.uint8)])
+    def test_counts_without_pairs_are_rejected(self, counts):
+        with pytest.raises(ValueError, match="^counts must have a positive sum$"):
+            distance_to_min_entropy(counts, 1)
+        with pytest.raises(ValueError, match="^counts must have a positive sum$"):
+            oracle.unique_fraction(counts)
+
+
+def test_bad_prefix_check_reports_the_first_violated_threshold():
+    # prefixes (sum_s max_x2 weight, mass) over N = 8: v = 3/4 on mass 4 and
+    # v = 1/2 on mass 4, so v M(v) / N is 3/8 at v = 3/4 and 1/2 at v = 1/2;
+    # an rhs of 3/8 holds at the first threshold and fails at the second
+    prefixes = [(3, 4), (2, 4)]
+    check = oracle._bad_prefix_check(prefixes, 3, 8)
+    assert (check.lhs, check.rhs, check.note) == (Fraction(1, 2), Fraction(3, 8),
+                                                  "violated at v=1/2")
+    assert not check.passed and check.slack == Fraction(-1, 8)
+    # at an rhs of 1/2 both hold, and v = 1/2, the larger lhs, is reported
+    check = oracle._bad_prefix_check(prefixes, 4, 8)
+    assert (check.lhs, check.note, check.passed) == (Fraction(1, 2), "tightest threshold v=1/2",
+                                                     True)
+    # below the tightest threshold the first one already fails
+    check = oracle._bad_prefix_check(prefixes, 2, 8)
+    assert (check.lhs, check.rhs, check.note) == (Fraction(3, 8), Fraction(1, 4),
+                                                  "violated at v=3/4")
+    report = LemmaSuiteReport((check,))
+    assert report.to_json_dict()["allPassed"] is False

@@ -156,3 +156,10 @@ def test_both_paths_match_the_explicit_matrix_at_any_width(n, m):
             got = toeplitz_extract(spec, BitString(x, n), BitString(seed, spec.seed_bits))
             assert list(got.bits()) == expect
             assert table[row, col] == got.to_int()
+
+
+def test_batch_table_rejects_outputs_wider_than_int64():
+    ext = ToeplitzExtractor(ToeplitzSpec(63, 63))
+    state = ext.prepare_batch([0, 1])
+    with pytest.raises(ValueError, match="^63 output bits do not fit the int64 table$"):
+        ext.extract_table(state, np.arange(2, dtype=np.int64))
