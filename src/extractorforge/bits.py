@@ -45,7 +45,8 @@ class BitString:
             length = 8 * len(data)
         if length > 8 * len(data):
             raise ValueError(f"{len(data)} bytes hold fewer than {length} bits")
-        value = int.from_bytes(data, "little") & ((1 << length) - 1)
+        # a negative length masks to 0 and is refused by the constructor
+        value = int.from_bytes(data, "little") & ((1 << max(length, 0)) - 1)
         return cls(value, length)
 
     @classmethod

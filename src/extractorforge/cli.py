@@ -36,7 +36,7 @@ from functools import cache, partial
 from types import SimpleNamespace
 
 from .bits import BitString
-from .codes import CodeSpec, code_distance, encode_all_positions, encode_bit
+from .codes import CodeSpec, code_distance, encode_all_positions, encode_bits
 from .compose import BlockSpec, PipelineSpec, build_high_entropy_extractor, build_pipeline
 from .condenser import CondenserSpec, StrongCondenserMap, guv_condense
 from .detrand import CounterRng
@@ -335,11 +335,8 @@ def _verify_code_target(spec, budget, test_seed):
         a = rng.below(1 << code.message_bits)
         b = rng.below(1 << code.message_bits)
         idx = rng.below(code.codeword_bits)
-        lhs = encode_bit(code, BitString(a ^ b, code.message_bits), idx)
-        rhs = encode_bit(code, BitString(a, code.message_bits), idx) ^ encode_bit(
-            code, BitString(b, code.message_bits), idx
-        )
-        bad += lhs != rhs
+        lhs, ra, rb = (encode_bits(code, v, (idx,)) for v in (a ^ b, a, b))
+        bad += lhs != ra ^ rb
     yield _check(f"code linearity on {trials} random pairs", bad == 0, violations=bad)
     if code.field_width <= 4:
         # every (message, position) pair of the code

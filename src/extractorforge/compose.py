@@ -153,10 +153,6 @@ class BlockSpec:
         return 3 * self.epsilon
 
     @property
-    def input_bits(self) -> int:
-        return self.n
-
-    @property
     def seed_bits(self) -> int:
         return self.e2.t
 
@@ -259,10 +255,6 @@ class PipelineSpec:
     @property
     def error_budget(self) -> Fraction:
         return 5 * self.epsilon
-
-    @property
-    def input_bits(self) -> int:
-        return self.n
 
     @property
     def seed_bits(self) -> int:

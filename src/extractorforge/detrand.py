@@ -189,21 +189,10 @@ class CounterRng:
             bases = splitmix64_array(bases ^ np.asarray(part, dtype=np.uint64))
         return bases
 
-    def _row(self) -> tuple[np.ndarray, np.ndarray]:
-        """(bases, starts) of this stream as one array row."""
-        return np.array([self._base], np.uint64), np.array([self._counter], np.int64)
-
     def next_u64(self) -> int:
         value = splitmix64(self._base ^ ((self._counter * _GOLDEN) & _MASK64))
         self._counter += 1
         return value
-
-    def next_words(self, count: int) -> np.ndarray:
-        """The next ``count`` words as a uint64 array, the same as ``count``
-        calls of :meth:`next_u64`."""
-        words = stream_words(*self._row(), count)[0]
-        self._counter += count
-        return words
 
     def below(self, n: int) -> int:
         """Uniform draw from [0, n) by rejection over as many 64-bit words as
@@ -224,15 +213,11 @@ class CounterRng:
 
     def sample_distinct(self, count: int, n: int) -> tuple[int, ...]:
         """``count`` distinct values from [0, n), the first in draw order of
-        repeated :meth:`below` calls; one :func:`sample_distinct_rows` row
-        for n <= 2^64."""
+        repeated :meth:`below` calls, leaving the stream just past the last
+        word they read; :func:`sample_distinct_rows` draws the same values
+        for many streams at once."""
         if count > n:
             raise ValueError(f"cannot draw {count} distinct values from [0, {n})")
-        if n <= 1 << 64:
-            bases, starts = self._row()
-            values, ends = sample_distinct_rows(bases, count, n, starts)
-            self._counter = int(ends[0])
-            return tuple(values[0].tolist())
         seen: set[int] = set()
         out: list[int] = []
         while len(out) < count:

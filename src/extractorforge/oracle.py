@@ -196,9 +196,6 @@ class FlatSource:
     def support(self) -> tuple[BitString, ...]:
         return tuple(BitString(v, self.n) for v in self.values)
 
-    def distribution(self) -> FiniteDistribution:
-        return FiniteDistribution.uniform(self.support)
-
 
 def sample_flat_sources(
     n: int, k: int, count: int, seed: int = 1
@@ -213,6 +210,8 @@ def sample_flat_sources(
         raise ValueError(f"k must be >= 0, got {k}")
     if k > n:
         raise ValueError(f"cannot place 2^{k} distinct values in {n} bits")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     stream = CounterRng(_SOURCE_STREAM_KEY, seed, n, k)
     if n > 64:
         rows = [stream.derive(index).sample_distinct(1 << k, 1 << n) for index in range(count)]
@@ -664,16 +663,25 @@ def image_counts(
     Else each image is ``cprime``'s, one call per pair.
 
     Images are counted per block of seeds, each seed's row sorted.  If the
-    rows, read in seed order, ascend, equal images sit next to each other,
-    so the lengths of the runs of equal images, a run across two blocks
-    joined, are the exact counts.  That holds whenever the seed lies above
-    every other bit of the encoding, as in the strong form, whose images
-    under different seeds never collide; a block holds
-    ``_IMAGE_BLOCK_PAIRS`` pairs, and each block's counts are kept in the
-    narrowest unsigned dtype that holds them.  For any other encoding the
-    first descent sends the count to one sort of the whole table, as
-    exact.
+    sorted rows, read in seed order, strictly ascend, no image occurs in
+    two rows, so each block's run lengths of equal images are the exact
+    counts on their own.  That holds whenever the seed lies above every
+    other bit of the encoding, as in the strong form, whose images under
+    different seeds never collide; a block holds ``_IMAGE_BLOCK_PAIRS``
+    pairs, and each block's counts are kept in the narrowest unsigned
+    dtype that holds them.  For any other encoding the first row that does
+    not start above the one before it ends sends the count to one sort of
+    the whole table, as exact.
+
+    A map that declares ``input_bits`` or ``seed_bits`` takes only sources
+    and seeds of those lengths: ValueError otherwise.
     """
+    n = getattr(cprime, "input_bits", source.n)
+    t = getattr(cprime, "seed_bits", seed_bits)
+    if (source.n, seed_bits) != (n, t):
+        raise ValueError(
+            f"source of {source.n} bits and {seed_bits} seed bits, map wants {n} and {t}"
+        )
     xs = source.values
     ny = 1 << seed_bits
     pairs = len(xs) * ny
@@ -682,24 +690,18 @@ def image_counts(
 
     table = _pattern_outputs(cprime, "image_table", cprime, list(xs), source.n,
                              range(seed_bits), seed_bits)
-    pieces, run, last = [], 0, None  # the open run of the blocks before, and its image
+    pieces, top = [], None  # the counts so far, and the largest image counted
     block = max(1, min(ny, _IMAGE_BLOCK_PAIRS // len(xs)))
     for start in range(0, ny, block):
         part = table(np.arange(start, min(start + block, ny), dtype=np.int64))
         part.sort(axis=1)
-        # sorted rows ascend in seed order iff no row starts below the last one's end
-        if (part[1:, 0] < part[:-1, -1]).any() or (last is not None and part[0, 0] < last):
+        # sorted rows strictly ascend in seed order iff each row starts above the last one's end
+        if (part[1:, 0] <= part[:-1, -1]).any() or (top is not None and part[0, 0] <= top):
             return np.unique(table(np.arange(ny, dtype=np.int64)).ravel(), return_counts=True)[1]
         flat = part.ravel()
-        lengths = np.diff(np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1], [True]))))
-        if flat[0] == last:
-            lengths[0] += run
-        elif run:
-            pieces.append(_narrow(np.array([run])))
-        if len(lengths) > 1:
-            pieces.append(_narrow(lengths[:-1]))
-        run, last = int(lengths[-1]), flat[-1]
-    pieces.append(_narrow(np.array([run])))
+        pieces.append(_narrow(np.diff(np.flatnonzero(
+            np.concatenate(([True], flat[1:] != flat[:-1], [True]))))))
+        top = flat[-1]
     return np.concatenate(pieces)
 
 
@@ -990,11 +992,3 @@ def sample_joint_tables(
         )
         tables.append(table)
     return tables
-
-
-def sample_joint_table(
-    n: int, alphabet_size: int, seed: int = 1, index: int = 0
-) -> JointTable:
-    """Deterministic pseudorandom joint table over {0,1}^n x alphabet: table
-    ``index`` of :func:`sample_joint_tables`."""
-    return sample_joint_tables(n, alphabet_size, [index], seed=seed)[0]

@@ -66,6 +66,13 @@ def test_from_bytes_with_length():
     assert b.bits() == (1, 1, 1)
     with pytest.raises(ValueError):
         BitString.from_bytes(b"\x00", 9)
+    with pytest.raises(ValueError, match="^negative length -1$"):
+        BitString.from_bytes(b"ab", -1)
+
+
+def test_from_bits_rejects_a_value_that_is_not_a_bit():
+    with pytest.raises(ValueError, match="^bit value 2 is not 0 or 1$"):
+        BitString.from_bits([0, 2])
 
 
 def test_immutability_and_hash():

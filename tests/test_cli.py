@@ -11,7 +11,7 @@ import pytest
 
 from extractorforge import cli, oracle, serialize
 from extractorforge.bits import BitString
-from extractorforge.codes import encode_bit
+from extractorforge.codes import encode_bits
 from extractorforge.compose import build_high_entropy_extractor, build_pipeline
 from extractorforge.condenser import StrongCondenserMap, build_condenser, guv_condense
 from extractorforge.designs import Design, build_poly_design
@@ -555,11 +555,11 @@ def test_code_wider_than_any_field_is_an_unreadable_spec(capsys, tmp_path, comma
 def test_verify_code_draws_its_pairs_from_the_test_seed(capsys, monkeypatch):
     calls = []
 
-    def spy(code, x, index):
-        calls.append((x.to_int(), index))
-        return encode_bit(code, x, index)
+    def spy(code, x, indices):
+        calls.append((x, tuple(indices)))
+        return encode_bits(code, x, indices)
 
-    monkeypatch.setattr(cli, "encode_bit", spy)
+    monkeypatch.setattr(cli, "encode_bits", spy)
     drawn = {}
     for test_seed in (1, 7, 1):
         calls.clear()
@@ -717,6 +717,33 @@ def test_flat_mode_reports_the_storage_bound(capsys):
         cli.main(["params", "--mode", "storage"] + flat[3:])
     assert exc.value.code == cli.EXIT_USAGE
     assert "invalid choice: 'storage'" in capsys.readouterr().err
+
+
+def test_flat_mode_notes_an_eps_below_the_stated_regime(capsys):
+    # 2^(-8^(1/4)) is about 0.31 > 1/4; at beta = 1/3 it is exactly 1/4
+    note = ("note: eps below 2^(-k^beta); outside the stated regime, "
+            "reported but not enforced at desk scale")
+    for beta, noted in (("1/4", True), ("1/3", False)):
+        flat = ["params", "--mode", "flat", "--n", "24", "--k", "8", "--beta", beta, "--eps", "1/4"]
+        assert cli.main(flat) == cli.EXIT_PASS
+        assert (note in capsys.readouterr().err.splitlines()) == noted
+
+
+def test_extract_seed_system_logs_the_drawn_seed(capsys, monkeypatch, extract_args):
+    asked = []
+
+    def token_bytes(count):
+        asked.append(count)
+        return bytes.fromhex("0fa5")
+
+    monkeypatch.setattr(cli.secrets, "token_bytes", token_bytes)
+    rc, report, err = _run(capsys, extract_args + ["--seed-system"])
+    assert (rc, asked) == (cli.EXIT_PASS, [2])  # 11 seed bits in two bytes
+    assert report["seedSource"] == "system entropy (logged): 0fa5"
+    assert err == "seed drawn from system entropy: 0fa5\n"
+    # the logged seed, given as a hex literal, replays the extraction
+    rc, replay, _ = _run(capsys, extract_args + ["--seed", "0fa5"])
+    assert (rc, replay["outputSha256"]) == (cli.EXIT_PASS, report["outputSha256"])
 
 
 def test_extract_condenser_writes_the_condensed_source(capsys, tmp_path, condenser_spec):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from extractorforge import oracle
 from extractorforge.bits import BitString
 from extractorforge.condenser import (
     CondenserSpec,
@@ -252,6 +253,21 @@ def test_image_counts_asks_the_map_for_its_table():
         )
 
 
+@pytest.mark.parametrize(
+    "n, seed_bits",
+    [(14, 11), (12, 12), (12, 10)],
+    ids=["long-source", "long-seed", "short-seed"],
+)
+def test_image_counts_refuses_lengths_the_map_does_not_take(n, seed_bits):
+    # the map declares 12 input bits and 11 seed bits; a plain callable,
+    # which declares neither, is counted at any lengths (TestInjectiveFraction)
+    cmap = StrongCondenserMap(build_condenser(12, 6, Fraction(1, 4), 1))
+    source = sample_flat_sources(n, 3, 1, seed=n)[0]
+    message = f"source of {n} bits and {seed_bits} seed bits, map wants 12 and 11"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        image_counts(cmap, source, seed_bits)
+
+
 def _per_pair_map(spec):
     """The strong form one pair at a time, by the scalar field methods, from
     residues taken once per source by the reference powering; it offers no
@@ -337,10 +353,14 @@ class _Repacked:
         (lambda c, y: c + 0 * y, True),
         # three condensed bits under the seed: collisions inside each seed's row
         (lambda c, y: y << 3 | c & 7, False),
-        # one image for every pair: a single run across every row and block
-        (lambda c, y: 0 * c + 0 * y, False),
+        # one image for every pair: rows that do not strictly ascend
+        (lambda c, y: 0 * c + 0 * y, True),
+        # one image per seed, strictly ascending inside each block of 2^14
+        # pairs (2^10 seeds), but the first seed of the second block has the
+        # last seed's image of the first
+        (lambda c, y: 0 * c + y - (y >= oracle._IMAGE_BLOCK_PAIRS >> 4), True),
     ],
-    ids=["seed-low", "seed-dropped", "truncated", "constant"],
+    ids=["seed-low", "seed-dropped", "truncated", "constant", "block-edge"],
 )
 def test_counts_are_exact_for_any_encoding(pack, falls_back):
     spec = build_condenser(12, 6, Fraction(1, 4), 1)

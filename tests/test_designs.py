@@ -279,3 +279,15 @@ def test_design_stats_scratch_is_bounded():
         tracemalloc.stop()
     assert stats == (1, Fraction(6231, 3999))  # as the untiled computation gave
     assert peak < 32 << 20
+
+
+def test_greedy_design_runs_out_of_universe_doublings(monkeypatch):
+    # eight disjoint 4-sets (rho = 1) need a universe of 32, one doubling
+    # past the first universe of 4 l = 16
+    monkeypatch.setattr(designs, "_GREEDY_MAX_DOUBLINGS", 1)
+    with pytest.raises(InfeasibleParameterError) as exc:
+        build_greedy_weak_design(8, 4, rho=1)
+    assert str(exc.value) == "no weak design found for m=8, l=4, rho=1 within 1 universe doublings"
+    assert exc.value.constraint == "weak design trial budget"
+    monkeypatch.setattr(designs, "_GREEDY_MAX_DOUBLINGS", 2)
+    assert build_greedy_weak_design(8, 4, rho=1).universe_size == 32

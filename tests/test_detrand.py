@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from extractorforge import detrand
-from extractorforge.detrand import CounterRng, sample_distinct_rows, stream_words
+from extractorforge.detrand import (
+    CounterRng,
+    sample_distinct_rows,
+    splitmix64,
+    splitmix64_array,
+    stream_words,
+)
 
 from helpers import ref_sample_distinct
 
@@ -60,12 +66,6 @@ def test_batched_words_equal_the_scalar_stream():
     words = stream_words(bases, starts, 9)
     assert words.dtype == np.uint64
     assert words.tolist() == [[rng.next_u64() for _ in range(9)] for rng in rngs]
-    rng = CounterRng(0xA5)
-    rng.next_u64()
-    again = CounterRng(0xA5)
-    again.next_u64()
-    assert rng.next_words(6).tolist() == [again.next_u64() for _ in range(6)]
-    assert rng.next_u64() == again.next_u64()
     parent = CounterRng(0xA5, 3)
     trials = np.arange(4)
     assert parent.derive_bases(7, trials).tolist() == [
@@ -126,3 +126,15 @@ def test_sample_distinct_leaves_the_stream_where_below_does():
     assert rng.below(1000) == ref.below(1000)
     with pytest.raises(ValueError):
         rng.sample_distinct(51, 50)
+
+
+def test_splitmix64_array_refuses_a_0d_array():
+    # numpy scalars would warn on the finalizer's wrapping arithmetic
+    assert splitmix64_array(np.array([5], np.uint64)).tolist() == [splitmix64(5)]
+    with pytest.raises(ValueError, match=r"^splitmix64_array needs an array of rank >= 1$"):
+        splitmix64_array(np.array(5, np.uint64))
+
+
+def test_batched_sample_distinct_refuses_more_values_than_the_range():
+    with pytest.raises(ValueError, match=r"^cannot draw 5 distinct values from \[0, 4\)$"):
+        sample_distinct_rows(np.zeros(2, dtype=np.uint64), 5, 4)

@@ -7,6 +7,7 @@ from extractorforge.gf2 import (
     field_modulus,
     get_field,
     gf2x_irreducible,
+    gf2x_mod,
     horner,
     mul_arrays,
     split_symbols,
@@ -224,3 +225,9 @@ def test_element_value_range_enforced():
         field_modulus(0)
     with pytest.raises(ValueError):
         field_modulus(33)
+
+
+def test_gf2x_mod_by_the_zero_polynomial():
+    assert gf2x_mod(5, 3) == 0  # x^2 + 1 = (x + 1)^2
+    with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
+        gf2x_mod(5, 0)

@@ -23,7 +23,6 @@ from extractorforge.oracle import (
     lemma_suite,
     lemma_suites,
     sample_flat_sources,
-    sample_joint_table,
     sample_joint_tables,
     stat_distance,
 )
@@ -151,7 +150,7 @@ class TestCondMinEntropy:
 
     def test_side_info_never_hurts_adversary(self):
         for i in range(25):
-            table = sample_joint_table(3, 3, seed=7, index=i)
+            table = sample_joint_tables(3, 3, [i], seed=7)[0]
             best = max(p for _, p in table.x_marginal().items())
             assert table.guessing_probability() >= best
 
@@ -504,7 +503,7 @@ def _large_denominator_table():
 
 _CONVEXITY_TABLES = {
     **{
-        f"sampled-n{n}-a{a}-seed{seed}": sample_joint_table(n, a, seed=seed, index=seed)
+        f"sampled-n{n}-a{a}-seed{seed}": sample_joint_tables(n, a, [seed], seed=seed)[0]
         for n, a in ((4, 4), (3, 2), (5, 3), (2, 5))
         for seed in (1, 2)
     },
@@ -629,7 +628,7 @@ class TestLemmaSuite:
 
     def test_random_tables(self):
         for i in range(30):
-            table = sample_joint_table(4, 3, seed=11, index=i)
+            table = sample_joint_tables(4, 3, [i], seed=11)[0]
             report = lemma_suite(table, 2)
             assert report.all_passed, report.to_json_dict()
 
@@ -666,11 +665,11 @@ class TestLemmaSuite:
 
     def test_zero_bit_table_rejected(self):
         with pytest.raises(ValueError, match="0-bit table"):
-            lemma_suite(sample_joint_table(0, 3), 0)
+            lemma_suite(sample_joint_tables(0, 3, [0])[0], 0)
 
     @pytest.mark.parametrize("prefix_bits", [-1, 5])
     def test_prefix_outside_the_source_rejected(self, prefix_bits):
-        tables = [sample_joint_table(4, 2), sample_joint_table(4, 2, index=1)]
+        tables = [sample_joint_tables(4, 2, [0])[0], sample_joint_tables(4, 2, [1])[0]]
         with pytest.raises(ValueError, match=rf"^prefix length {prefix_bits} outside \[0, 4\]$"):
             next(lemma_suites(tables, [2, prefix_bits]))
 
@@ -698,7 +697,7 @@ def _lemma_battery():
     tables under identity, constant, low-bit and shift side maps, each at
     every prefix length."""
     tables = [
-        sample_joint_table(n, a, seed=seed, index=seed)
+        sample_joint_tables(n, a, [seed], seed=seed)[0]
         for n in range(1, 7)
         for a in (1, 2, 4)
         for seed in (1, 2)
@@ -742,19 +741,19 @@ class TestSampling:
         weights = {(x, s): rng.below(1 << 16) for x in range(1 << n) for s in range(a)}
         total = sum(weights.values())
         expected = [((BitString(x, n), s), Fraction(w, total)) for (x, s), w in weights.items() if w]
-        assert sample_joint_table(n, a, seed=seed, index=index).items() == expected
+        assert sample_joint_tables(n, a, [index], seed=seed)[0].items() == expected
 
     @pytest.mark.parametrize("n, a, seed", [(4, 4, 1), (3, 2, 5), (0, 3, 2), (0, 1, 1)])
     def test_joint_table_batch_is_the_one_table_draws(self, n, a, seed):
         # index 86475 of (0, 1, seed 1) draws a zero word: the single row (0, 0)
         indices = [0, 7, 86475, 3, 7]
         for index, table in zip(indices, sample_joint_tables(n, a, indices, seed=seed)):
-            assert table.items() == sample_joint_table(n, a, seed=seed, index=index).items()
+            assert table.items() == sample_joint_tables(n, a, [index], seed=seed)[0].items()
 
     def test_sampled_table_holds_the_rows_as_the_constructor_does(self):
         # index 132397 of (1, 2, seed 1) draws 0 for (x, s) = (0, 0), so
         # symbol 1 is seen first
-        table = sample_joint_table(1, 2, seed=1, index=132397)
+        table = sample_joint_tables(1, 2, [132397], seed=1)[0]
         built = JointTable(1, dict(table.items()))
         assert table._symbols == built._symbols == (1, 0)
         for name in ("_xs", "_symbol_ids", "_weights"):
@@ -764,19 +763,21 @@ class TestSampling:
     def test_all_zero_draw_is_the_single_row_zero(self):
         rng = CounterRng(oracle._TABLE_STREAM_KEY, 1, 0, 1, 86475)
         assert rng.below(1 << 16) == 0
-        table = sample_joint_table(0, 1, seed=1, index=86475)
+        table = sample_joint_tables(0, 1, [86475], seed=1)[0]
         assert table.items() == [((BitString(0, 0), 0), Fraction(1))]
         assert sample_joint_tables(0, 1, [5, 86475], seed=1)[1].items() == table.items()
 
     @pytest.mark.parametrize(
         "draw, name",
         [
-            (lambda: sample_joint_table(3, 0), "alphabet_size"),
-            (lambda: sample_joint_table(2, -1), "alphabet_size"),
-            (lambda: sample_joint_table(-1, 2), "n"),
+            (lambda: sample_joint_tables(3, 0, [0]), "alphabet_size"),
+            (lambda: sample_joint_tables(2, -1, []), "alphabet_size"),
+            (lambda: sample_joint_tables(-1, 2, []), "n"),
             (lambda: sample_joint_tables(-1, 2, [0]), "n"),
             (lambda: sample_flat_sources(4, -1, 2), "k"),
             (lambda: sample_flat_sources(-1, -2, 2), "n"),
+            (lambda: sample_flat_sources(4, 2, -1), "count"),
+            (lambda: sample_flat_sources(70, 2, -1), "count"),
             (lambda: sample_joint_tables(3, 2, [0, -1]), "indices"),
             (lambda: sample_joint_tables(3, 2, np.array([3, -2])), "indices"),
         ],
@@ -899,13 +900,14 @@ class TestEntryChecks:
         ext = TrevisanExtractor(custom_spec(1, design, Fraction(1, 2)))
         source = FlatSource.from_ints(1, (0, 1))
         assert extractor_distance(ext, source) == 1 - Fraction(3, 1 << 64)
-        assert extractor_distance(ext, source.distribution()) == 1 - Fraction(3, 1 << 64)
+        uniform = FiniteDistribution.uniform(source.support)
+        assert extractor_distance(ext, uniform) == 1 - Fraction(3, 1 << 64)
 
     def test_extractor_distances_checks_every_source(self):
         ext = ToeplitzExtractor(ToeplitzSpec(3, 1))
         good = FlatSource.from_ints(3, (1, 6))
         with pytest.raises(TypeError, match="^unsupported source type FiniteDistribution$"):
-            extractor_distances(ext, [good, good.distribution()])
+            extractor_distances(ext, [good, FiniteDistribution.uniform(good.support)])
         with pytest.raises(ValueError, match="^source of 4 bits, extractor wants 3$"):
             extractor_distances(ext, [good, FlatSource.from_ints(4, (1, 6))])
 

@@ -214,3 +214,8 @@ def test_irreducible_rows_quadratics_above_table_width(width, data):
         low.append([ref_field_mul(u, b2, width, modulus) if b else u, b])
         expect.append(b != 0 and _ref_trace(u, width) == 1)
     assert irreducible_rows(low, width).tolist() == expect
+
+
+def test_find_irreducible_needs_a_positive_degree():
+    with pytest.raises(ValueError, match="^degree must be >= 1, got 0$"):
+        find_irreducible(3, 0)

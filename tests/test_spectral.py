@@ -257,7 +257,8 @@ def test_batch_matches_each_source_and_the_reference(case):
     got = extractor_distances(ext, sources)
     assert got == [extractor_distance(ext, source) for source in sources]
     # the side-table route, the table and per-pair paths, and the reference
-    assert got == [extractor_distance(ext, source.distribution()) for source in sources]
+    uniform = FiniteDistribution.uniform
+    assert got == [extractor_distance(ext, uniform(source.support)) for source in sources]
     assert got == extractor_distances(_TableOnly(ext), sources)
     assert got == extractor_distances(_ExtractOnly(ext), sources)
     assert got == [
@@ -303,11 +304,12 @@ def test_batch_budget_is_charged_per_source():
         extractor_distances(ext, sources, budget=pairs - 1)
     # the error a FiniteDistribution of that source raises, as before
     with pytest.raises(BudgetExceededError) as alone:
-        extractor_distance(ext, sources[2].distribution(), budget=pairs - 1)
+        extractor_distance(ext, FiniteDistribution.uniform(sources[2].support), budget=pairs - 1)
     assert str(batch.value) == str(alone.value)
     assert "needs 1024 items, exceeding the budget of 1023" in str(alone.value)
     got = extractor_distances(ext, sources, budget=pairs)
-    assert got == [extractor_distance(ext, source.distribution()) for source in sources]
+    uniform = FiniteDistribution.uniform
+    assert got == [extractor_distance(ext, uniform(source.support)) for source in sources]
 
 
 def test_batch_budget_is_checked_before_any_chunk_is_counted(monkeypatch):

@@ -315,7 +315,8 @@ def test_batch_on_sources_of_70_bits():
     got = extractor_distances(ext, sources)
     assert got[0] == Fraction(33, 128)
     assert got == [extractor_distance(_ExtractOnly(ext), source) for source in sources]
-    assert got == [extractor_distance(ext, source.distribution()) for source in sources]
+    uniform = FiniteDistribution.uniform
+    assert got == [extractor_distance(ext, uniform(source.support)) for source in sources]
 
 
 class _TableOnly(_ExtractOnly):
