@@ -46,6 +46,18 @@ def _check_condensed_input(strong_bits: int, extractor_bits: int) -> None:
     ))
 
 
+def _check_storage_bound(half: int, b: int, epsilon: Fraction) -> int:
+    """The rules the block builder and every block spec share.  Returns
+    the most bits E1 may output, ceil((n/2 - b) / 2)."""
+    inner_entropy = half - b - _ceil_log2(1 / epsilon)
+    check_rules(
+        (b >= 0, f"the storage bound b must be >= 0, got {b}", "b >= 0"),
+        (inner_entropy > 0, f"b={b} leaves no entropy margin: n/2 - b - log2(1/eps) = "
+         f"{inner_entropy} <= 0", "b < n/2 - log2(1/eps)"),
+    )
+    return -(-(half - b) // 2)
+
+
 def _check_beta(beta: Fraction) -> None:
     """The rule the pipeline builder and every pipeline spec share."""
     check_rules((0 <= beta < Fraction(1, 2), f"beta = 1/2 - alpha = {beta} is outside [0, 1/2)",
@@ -126,8 +138,9 @@ class BlockSpec:
     Stored: b, E1 and E2.  Derived: n is the sum of the halves and eps is
     E1's target.  Checked on load, as the composite checks its parts: E1
     and E2 read equal halves, E2 outputs E1's seed, and E2's target is
-    E1's, since eps and the error budget read E1's alone.  b is a stated
-    label, which only ``verify pipeline``'s rebuild checks.
+    E1's, since eps and the error budget read E1's alone; then the
+    builder's storage-bound rules, b >= 0 and n/2 - b - log2(1/eps) > 0,
+    and E1 outputs m1 <= ceil((n/2 - b) / 2) bits.
     """
 
     b: int
@@ -139,6 +152,9 @@ class BlockSpec:
         _check_halves(self.e1.n, self.e2.n, self.e2.m, self.e1.t)
         check_rules((eps2 == eps1, f"E2's epsilon target {eps2} is not E1's {eps1}",
                      "E2 epsilon = E1 epsilon"))
+        m1 = _check_storage_bound(self.e1.n, self.b, eps1)
+        check_rules((self.e1.m <= m1, f"E1 outputs {self.e1.m} bits, more than "
+                     f"ceil((n/2 - b)/2) = {m1}", "m1 <= ceil((n/2 - b)/2)"))
 
     @property
     def n(self) -> int:
@@ -174,13 +190,7 @@ def build_high_entropy_extractor(
     half = n // 2
     # E1 and E2 each read a half at eps
     _check_trevisan_inputs(half, epsilon)
-    inner_entropy = half - b - _ceil_log2(1 / epsilon)
-    check_rules(
-        (b >= 0, f"the storage bound b must be >= 0, got {b}", "b >= 0"),
-        (inner_entropy > 0, f"b={b} leaves no entropy margin: n/2 - b - log2(1/eps) = "
-         f"{inner_entropy} <= 0", "b < n/2 - log2(1/eps)"),
-    )
-    m1 = -(-(half - b) // 2)
+    m1 = _check_storage_bound(half, b, epsilon)
     e1 = build_trevisan(PRESET_THM42, half, m1, epsilon)
     e2 = build_trevisan(PRESET_THM43, half, e1.t, epsilon)
     return BlockSpec(b=b, e1=e1, e2=e2)

@@ -73,4 +73,75 @@ MUTANTS = [
             "tests/test_serialize.py::test_only_canonical_files_load[guv-extra-key]",
         ],
     },
+    {
+        # the builder's E1 outputs exactly ceil((n/2 - b) / 2) bits
+        "name": "BlockSpec: m1 bound strict",
+        "file": "src/extractorforge/compose.py",
+        "old": "self.e1.m <= m1",
+        "new": "self.e1.m < m1",
+        "tests": [
+            "tests/test_compose.py::test_block_compose_matches_reference_chain[12-1]",
+            "tests/test_serialize.py::test_builder_output_bytes_pinned[block-42-2]",
+        ],
+    },
+    {
+        "name": "_check_storage_bound: b >= 0 dropped",
+        "file": "src/extractorforge/compose.py",
+        "old": '        (b >= 0, f"the storage bound b must be >= 0, got {b}", "b >= 0"),\n',
+        "new": "",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[block-b]",
+            "tests/test_cli.py::test_every_rule_is_checked_on_load[block-b-negative]",
+        ],
+    },
+    {
+        # a set ending at t would index past the seed
+        "name": "_check_design: universe bound not strict",
+        "file": "src/extractorforge/designs.py",
+        "old": "s[-1] < universe_size",
+        "new": "s[-1] <= universe_size",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[design-universe]",
+            "tests/test_cli.py::test_every_rule_is_checked_on_load[design-universe]",
+        ],
+    },
+    {
+        "name": "CodeSpec: 2^(w+1) message symbols allowed",
+        "file": "src/extractorforge/codes.py",
+        "old": "(symbols - 1).bit_length() <= w,",
+        "new": "(symbols - 1).bit_length() <= w + 1,",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[code-symbols]",
+        ],
+    },
+    {
+        "name": "ToeplitzSpec: one output bit past the input allowed",
+        "file": "src/extractorforge/toeplitz.py",
+        "old": "(1 <= m <= n,",
+        "new": "(1 <= m <= n + 1,",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[toeplitz]",
+            "tests/test_cli.py::test_every_rule_is_checked_on_load[toeplitz-m>n]",
+        ],
+    },
+    {
+        # the builder takes the smallest w with 2m <= eps * 2^w, often at equality
+        "name": "_violated_width: 2m = eps * 2^w refused",
+        "file": "src/extractorforge/trevisan.py",
+        "old": "if 2 * m > epsilon * (1 << w):",
+        "new": "if 2 * m >= epsilon * (1 << w):",
+        "tests": [
+            "tests/test_serialize.py::test_builder_output_bytes_pinned[thm43-21-256]",
+            "tests/test_serialize.py::test_canonical_bytes[trevisan]",
+        ],
+    },
+    {
+        "name": "_violated_constraint: m' * w = (1 + alpha) k + w refused",
+        "file": "src/extractorforge/condenser.py",
+        "old": "if m_out * w > (1 + alpha) * k + w:",
+        "new": "if m_out * w >= (1 + alpha) * k + w:",
+        "tests": [
+            "tests/test_condenser.py::test_output_length_bound_admits_equality",
+        ],
+    },
 ]

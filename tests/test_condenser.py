@@ -448,6 +448,12 @@ def test_spec_validation():
         dataclasses.replace(_manual_spec(), modulus=find_irreducible(2, 2))
 
 
+def test_output_length_bound_admits_equality():
+    # m' w = 22 = (1 + 5/6) 6 + 11, which m' * w <= (1 + alpha) k + w allows
+    spec = dataclasses.replace(build_condenser(12, 6, Fraction(1, 4), 1), alpha=Fraction(5, 6))
+    assert spec.output_symbols * spec.field_width == (1 + spec.alpha) * spec.k + spec.field_width
+
+
 @pytest.mark.parametrize("n, k", [(6, 0), (6, -1), (6, 7), (0, 3), (-1, 3)])
 def test_spec_needs_entropy_within_the_source(n, k):
     # the builder's 0 < k <= n holds for a spec read from a file too

@@ -75,14 +75,21 @@ def _design(*sets, l=2, kind="standard"):
                      "E monic irreducible", id="condenser-modulus"),
         pytest.param(lambda: replace(_CONDENSER, power=32), "w >= log2(n_tilde * h^2 / eps)",
                      id="condenser-inequality"),
+        # m' w = 22 > (1 + 2/3) 6 + 11 = 21
+        pytest.param(lambda: replace(_CONDENSER, alpha=Fraction(2, 3)),
+                     "m' * w <= (1 + alpha) k + w", id="condenser-output-length"),
         pytest.param(lambda: replace(_BLOCK, e2=build_trevisan("thm43", 22, 256, _QUARTER)),
                      "equal halves", id="block-halves"),
         pytest.param(lambda: replace(_BLOCK, e2=_BLOCK.e1), "E2 output length = E1 seed length",
                      id="block-e2-output"),
         pytest.param(lambda: replace(_BLOCK, e2=replace(_BLOCK.e2, epsilon_target=Fraction(1, 2))),
                      "E2 epsilon = E1 epsilon", id="block-epsilon"),
+        pytest.param(lambda: replace(_BLOCK, b=-1), "b >= 0", id="block-b"),
+        pytest.param(lambda: replace(_BLOCK, b=22), "b < n/2 - log2(1/eps)", id="block-margin"),
+        # E1 outputs 11 bits, and ceil((24 - 5) / 2) = 10
+        pytest.param(lambda: replace(_BLOCK, b=5), "m1 <= ceil((n/2 - b)/2)", id="block-m1"),
         pytest.param(lambda: PipelineSpec(_CONDENSER, _BLOCK), "beta < 1/2", id="pipeline-beta"),
-        pytest.param(lambda: replace(_PIPELINE, extractor=replace(_BLOCK, b=5)),
+        pytest.param(lambda: replace(_PIPELINE, extractor=replace(_BLOCK, b=1)),
                      "b = ceil(beta k)", id="pipeline-b"),
         pytest.param(lambda: replace(_PIPELINE,
                                      extractor=build_high_entropy_extractor(16, 2, _QUARTER)),
