@@ -35,7 +35,7 @@ from functools import cache, partial
 from types import SimpleNamespace
 
 from .bits import BitString
-from .codes import CodeSpec, code_distance, encode_all_positions, encode_bits
+from .codes import CodeSpec, code_distance, encode_bits, evaluate_messages
 from .compose import BlockSpec, PipelineSpec, build_high_entropy_extractor, build_pipeline
 from .condenser import CondenserSpec, StrongCondenserMap, guv_condense
 from .detrand import CounterRng
@@ -101,16 +101,16 @@ def _seed_problem(reason) -> _Exit:
 # and ~0.3 MB of block scratch, which dominates the smallest source).  The
 # whole-table sort it falls back to for images that are not seed-major
 # needs ~43, but the CLI builds only StrongCondenserMap, whose images are.
-# ``extractor`` at most 3.0 (the Trevisan codeword table; scratch arrays
-# are bounded per block) on ToeplitzSpec(10, 2) and a w = 9 Trevisan spec
-# at 2^20 and 2^24 pairs.
-# Toeplitz keeps no table over its 2^n inputs (ToeplitzSpec(20, 2) on two
-# strings: 0.8).  A block's scratch reaches ~6 MB, so a source of fewer
-# than ~2^21 pairs can peak above 4 bytes a pair.  ``code`` charges every
-# (message, position) pair of its exhaustive distance check, at most 4.4
-# bytes each (the codeword table and the message list; CodeSpec(3, 4) and
-# CodeSpec(3, 6)).  The other targets enumerate at most a few thousand pairs
-# per call.
+# ``extractor`` at most 1.1 on ToeplitzSpec(10, 2) and a w = 9 Trevisan spec
+# at 2^20 pairs, and 0.05 on that spec at 2^24: the Trevisan table holds 2^w
+# field elements a source value, so block scratch dominates.  Toeplitz keeps
+# no table over its 2^n inputs (ToeplitzSpec(20, 2) on two strings: 0.5).  A
+# block's scratch reaches ~6 MB, so a source of fewer than ~2^21 pairs can
+# peak above 4 bytes a pair.  ``code``, divided by the default 16, charges
+# every (message, position) pair of its exhaustive distance check, at most
+# 3.3 bytes each (the message list and its evaluations; CodeSpec(3, 4),
+# (3, 6) and (4, 3)).  The other targets enumerate at most a few thousand
+# pairs per call.
 _BYTES_PER_PAIR = {"condenser": 6, "extractor": 4}
 _DEFAULT_BYTES_PER_PAIR = 16
 
@@ -338,13 +338,13 @@ def _verify_code_target(spec, budget, test_seed):
         bad += lhs != ra ^ rb
     yield _check(f"code linearity on {trials} random pairs", bad == 0, violations=bad)
     if code.field_width <= 4:
-        # every (message, position) pair of the code
+        # charged as every (message, position) pair of the code
         pairs_log2 = code.index_bits + code.message_bits
         if pairs_log2 >= budget.bit_length():
             raise BudgetExceededError(1, budget, "code verification", pairs_log2)
-        table = encode_all_positions(code, list(range(1 << code.message_bits)))
-        weights = table[1:].sum(axis=1)
-        min_rel = Fraction(int(weights.min()), code.codeword_bits)
+        # a nonzero p_x's codeword is 0 at every z of a root alpha, else at half the z
+        roots = (evaluate_messages(code, range(1, 1 << code.message_bits)) == 0).sum(axis=1)
+        min_rel = (1 - Fraction(int(roots.max()), 1 << code.field_width)) / 2
         bound = code_distance(code)
         yield _check("exhaustive minimum distance vs designed bound", min_rel >= bound,
                      minimum=str(min_rel), bound=str(bound))

@@ -9,10 +9,11 @@ p(alpha) and the mask z.
 
 Bit positions are computed on demand in O(n_tilde) field operations, which
 is what makes the code usable as the inner code of a seed-restricted
-extractor: no codeword is ever materialized unless a caller asks for all
-positions explicitly.  :func:`encode_bits` is the one place a bit is
-computed: it reads many positions of one int message, split into symbols
-once, and :func:`encode_bit` is its one-index call on a ``BitString``.
+extractor.  :func:`encode_bits` reads many positions of one int message,
+split into symbols once, and :func:`encode_bit` is its one-index call on a
+``BitString``.  Many messages are read through :func:`evaluate_messages`:
+2^w values p_x(alpha) a message, where its codeword has 2^(2w) bits.  Only
+:func:`encode_all_positions` materializes whole codewords.
 
 Every code, built or read from JSON, is checked on construction against
 1 <= w <= 32 and 1 <= n_tilde <= 2^w.

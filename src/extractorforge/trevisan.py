@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import BitString
-from .codes import CodeSpec, encode_all_positions, encode_bits
+from .codes import CodeSpec, encode_all_positions, encode_bits, evaluate_messages
 from .designs import Design, build_greedy_weak_design, build_poly_design, restrict_sets
 from .errors import InfeasibleParameterError, check_rules
 
@@ -44,8 +44,6 @@ PRESET_CUSTOM = "custom"
 
 _WEAK_DESIGN_RHO = 2
 _MAX_FIELD_WIDTH = 24
-# Widest code the batch path tabulates: at w = 17 one codeword has 2^34 bits.
-_BATCH_WIDTH_LIMIT = 16
 # Widest code whose position masks linear_rows tabulates: 2^16 int64 masks.
 _MASK_WIDTH_LIMIT = 8
 
@@ -170,8 +168,8 @@ def trevisan_extract(spec: ExtractorSpec, x: BitString, y: BitString) -> BitStri
 
 
 class TrevisanExtractor:
-    """Extractor adapter with a vectorized batch path over codeword tables
-    and the x-masks of the oracle's spectral path."""
+    """Extractor adapter with a vectorized batch path over the messages'
+    evaluations p_x(alpha) and the x-masks of the oracle's spectral path."""
 
     def __init__(self, spec: ExtractorSpec):
         self.spec = spec
@@ -183,14 +181,11 @@ class TrevisanExtractor:
     def extract(self, x: BitString, y: BitString) -> BitString:
         return trevisan_extract(self.spec, x, y)
 
-    def prepare_batch(self, xs: Sequence[int]):
-        """Codeword table (codeword bits, messages); None, which sends the
-        oracle to the per-pair path, for codes wider than 16 bits."""
-        if self.spec.code.field_width > _BATCH_WIDTH_LIMIT:
-            return None
+    def prepare_batch(self, xs: Sequence[int]) -> np.ndarray:
+        """Evaluation table (2^w, messages): entry [alpha, j] is p_x(alpha) for
+        x = xs[j], 2^w field elements a message whose codeword has 2^(2w) bits."""
         # zero padding to the code's message length leaves the integers unchanged
-        codewords = encode_all_positions(self.spec.code, list(xs))
-        return np.ascontiguousarray(codewords.T)
+        return np.ascontiguousarray(evaluate_messages(self.spec.code, list(xs)).T)
 
     @cached_property
     def _index_table(self) -> np.ndarray:
@@ -201,17 +196,20 @@ class TrevisanExtractor:
     def extract_table(self, state, patterns: np.ndarray) -> np.ndarray:
         """Outputs for the seeds whose bit seed_support[k] is pattern bit k;
         shape (len(patterns), len(xs)), packed into int64, so m must be at
-        most 62."""
+        most 62.  Bit i is the parity of p_x(alpha) & z at set i's (alpha, z)."""
         spec = self.spec
         if spec.m > 62:
             raise ValueError(f"{spec.m} output bits do not fit the int64 table")
-        by_position = state  # (codeword bits, messages)
+        evals, w = state, spec.code.field_width  # (2^w, messages)
         index = _codeword_indices(self._index_table, np.asarray(patterns, dtype=np.int64))
+        z = (index & ((1 << w) - 1)).astype(evals.dtype)  # index = alpha * 2^w + z
+        alpha = np.right_shift(index, w, out=index)  # the index is not read again
         dtype = np.uint8 if spec.m <= 8 else np.int64
-        out = by_position[index[0]].astype(dtype, copy=False)
-        for i in range(1, spec.m):
+        out = np.zeros((index.shape[1], evals.shape[1]), dtype=dtype)
+        for i in range(spec.m):
+            bits = np.bitwise_count(evals.take(alpha[i], axis=0) & z[i, :, None]) & 1
             # a multiply, not a shift: numpy shifts uint8 several times slower
-            out |= by_position[index[i]] * dtype(1 << i)
+            out |= bits * dtype(1 << i)
         return out
 
     @cached_property

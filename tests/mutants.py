@@ -144,4 +144,111 @@ MUTANTS = [
             "tests/test_condenser.py::test_output_length_bound_admits_equality",
         ],
     },
+    {
+        # the top bit of z then never masks p_x(alpha)
+        "name": "extract_table: z mask one bit narrow",
+        "file": "src/extractorforge/trevisan.py",
+        "old": "(index & ((1 << w) - 1))",
+        "new": "(index & ((1 << (w - 1)) - 1))",
+        "tests": [
+            "tests/test_trevisan.py::test_batch_table_matches_scalar_extract",
+        ],
+    },
+    {
+        "name": "extract_table: alpha and z swapped",
+        "file": "src/extractorforge/trevisan.py",
+        "old": "evals.take(alpha[i], axis=0) & z[i, :, None]",
+        "new": "evals.take(z[i], axis=0) & alpha[i, :, None]",
+        "tests": [
+            "tests/test_trevisan.py::test_batch_table_matches_scalar_extract",
+        ],
+    },
+    {
+        # the least weight belongs to the message whose polynomial has the most roots
+        "name": "verify code: fewest roots read as the most",
+        "file": "src/extractorforge/cli.py",
+        "old": "roots.max()",
+        "new": "roots.min()",
+        "tests": [
+            "tests/test_cli.py::test_verify_code_minimum_is_the_least_codeword_weight[3-4]",
+            "tests/test_cli.py::test_verify_report_bytes[code]",
+        ],
+    },
+    {
+        "name": "_check_halves: a longer E1 half allowed",
+        "file": "src/extractorforge/compose.py",
+        "old": "(e1_input == e2_input,",
+        "new": "(e1_input >= e2_input,",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[block-halves]",
+        ],
+    },
+    {
+        # a pipeline spec derives beta = 1/2 - alpha < 1/2; only the builder
+        # takes beta as given
+        "name": "_check_beta: beta = 1/2 allowed",
+        "file": "src/extractorforge/compose.py",
+        "old": "0 <= beta < Fraction(1, 2)",
+        "new": "0 <= beta <= Fraction(1, 2)",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[pipeline-build-beta]",
+        ],
+    },
+    {
+        # an odd condensed length is padded by one bit to the extractor's even n
+        "name": "_check_condensed_input: parity pad dropped",
+        "file": "src/extractorforge/compose.py",
+        "old": "extractor_bits == strong_bits + strong_bits % 2,",
+        "new": "extractor_bits == strong_bits,",
+        "tests": [
+            "tests/test_compose.py::test_condense_extract_reads_the_strong_output_rounded_up_to_even[16-8-33]",
+        ],
+    },
+    {
+        # a full-entropy source is the builder's identity case
+        "name": "_check_condenser_inputs: k = n refused",
+        "file": "src/extractorforge/condenser.py",
+        "old": "(0 < k <= n,",
+        "new": "(0 < k < n,",
+        "tests": [
+            "tests/test_condenser.py::test_build_full_entropy_becomes_passthrough",
+        ],
+    },
+    {
+        "name": "_check_trevisan_inputs: epsilon = 1 allowed",
+        "file": "src/extractorforge/trevisan.py",
+        "old": "(0 < epsilon < 1,",
+        "new": "(0 < epsilon <= 1,",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[trevisan-epsilon-1]",
+        ],
+    },
+    {
+        # 1 is a power of two, so the h >= 2 half of the rule alone refuses it
+        "name": "CondenserSpec: power h = 1 allowed",
+        "file": "src/extractorforge/condenser.py",
+        "old": "(self.power >= 2 and",
+        "new": "(self.power >= 1 and",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[condenser-power-1]",
+        ],
+    },
+    {
+        "name": "CondenserSpec: m' = n_tilde + 1 allowed",
+        "file": "src/extractorforge/condenser.py",
+        "old": "(1 <= self.output_symbols <= self.message_symbols,",
+        "new": "(1 <= self.output_symbols <= self.message_symbols + 1,",
+        "tests": [
+            "tests/test_package.py::test_every_spec_rule_raises_a_named_constraint[condenser-outputs]",
+        ],
+    },
+    {
+        "name": "CondenserSpec: n = n_tilde * w refused",
+        "file": "src/extractorforge/condenser.py",
+        "old": "(self.n <= self.message_symbols * self.field_width,",
+        "new": "(self.n < self.message_symbols * self.field_width,",
+        "tests": [
+            "tests/test_condenser.py::test_source_fit_admits_equality",
+        ],
+    },
 ]

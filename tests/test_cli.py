@@ -20,6 +20,7 @@ from extractorforge.serialize import spec_to_json
 from extractorforge.toeplitz import ToeplitzSpec
 from extractorforge.trevisan import build_trevisan, custom_spec
 
+from helpers import ref_codeword
 from test_serialize import NON_CANONICAL_EDITS, PINNED
 
 
@@ -925,6 +926,17 @@ def test_exhaustive_code_distance_is_charged_to_the_budget(capsys, tmp_path, n, 
         f"code verification needs {pairs} items, exceeding the budget of {report['budget']}"
     )
     assert err == f"inconclusive: {report['inconclusive']}\n"
+
+
+@pytest.mark.parametrize("w, symbols", [(1, 2), (2, 4), (3, 4), (4, 3)])
+def test_verify_code_minimum_is_the_least_codeword_weight(capsys, tmp_path, w, symbols):
+    # one-set specs of code CodeSpec(w, symbols); at (2, 4), where
+    # n_tilde = 2^w, a nonzero polynomial has up to 3 of the 4 points as roots
+    spec = custom_spec(w * symbols, build_poly_design(1, 2 * w), Fraction(1, 4))
+    rc, report, _ = _run(capsys, ["verify", "code", "--spec", _spec_file(tmp_path, "code", spec)])
+    least = min(sum(ref_codeword(w, symbols, x)) for x in range(1, 1 << (w * symbols)))
+    assert rc == cli.EXIT_PASS
+    assert report["checks"][1]["detail"]["minimum"] == str(Fraction(least, 1 << (2 * w)))
 
 
 @pytest.mark.parametrize(

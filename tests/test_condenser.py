@@ -454,6 +454,12 @@ def test_output_length_bound_admits_equality():
     assert spec.output_symbols * spec.field_width == (1 + spec.alpha) * spec.k + spec.field_width
 
 
+def test_source_fit_admits_equality():
+    # n = 22 = n_tilde * w, which n <= n_tilde * w allows
+    spec = dataclasses.replace(build_condenser(12, 6, Fraction(1, 4), 1), n=22)
+    assert spec.n == spec.message_symbols * spec.field_width
+
+
 @pytest.mark.parametrize("n, k", [(6, 0), (6, -1), (6, 7), (0, 3), (-1, 3)])
 def test_spec_needs_entropy_within_the_source(n, k):
     # the builder's 0 < k <= n holds for a spec read from a file too

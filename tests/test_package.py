@@ -59,6 +59,8 @@ def _design(*sets, l=2, kind="standard"):
                      id="trevisan-build-preset"),
         pytest.param(lambda: replace(_THM43_12, epsilon_target=Fraction(5)), "0 < epsilon < 1",
                      id="trevisan-epsilon"),
+        pytest.param(lambda: replace(_THM43_12, epsilon_target=Fraction(1)), "0 < epsilon < 1",
+                     id="trevisan-epsilon-1"),
         pytest.param(lambda: replace(_THM43_12, n=0), "positive dimensions",
                      id="trevisan-dimensions"),
         pytest.param(lambda: replace(_THM43_12, design=build_poly_design(2, 7)), "l = 2w",
@@ -68,6 +70,8 @@ def _design(*sets, l=2, kind="standard"):
         pytest.param(lambda: replace(_CONDENSER, k=0), "0 < k <= n", id="condenser-inputs"),
         pytest.param(lambda: replace(_CONDENSER, power=3), "h a power of two >= 2",
                      id="condenser-power"),
+        pytest.param(lambda: replace(_CONDENSER, power=1), "h a power of two >= 2",
+                     id="condenser-power-1"),
         pytest.param(lambda: replace(_CONDENSER, output_symbols=3), "1 <= m' <= n_tilde",
                      id="condenser-outputs"),
         pytest.param(lambda: replace(_CONDENSER, n=30), "n <= n_tilde * w", id="condenser-fit"),
@@ -89,6 +93,8 @@ def _design(*sets, l=2, kind="standard"):
         # E1 outputs 11 bits, and ceil((24 - 5) / 2) = 10
         pytest.param(lambda: replace(_BLOCK, b=5), "m1 <= ceil((n/2 - b)/2)", id="block-m1"),
         pytest.param(lambda: PipelineSpec(_CONDENSER, _BLOCK), "beta < 1/2", id="pipeline-beta"),
+        pytest.param(lambda: build_pipeline(24, 8, Fraction(1, 2), _QUARTER), "beta < 1/2",
+                     id="pipeline-build-beta"),
         pytest.param(lambda: replace(_PIPELINE, extractor=replace(_BLOCK, b=1)),
                      "b = ceil(beta k)", id="pipeline-b"),
         pytest.param(lambda: replace(_PIPELINE,

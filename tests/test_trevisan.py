@@ -210,7 +210,7 @@ def test_spec_needs_an_input_bit(n):
 
 
 def _wide_code_spec():
-    # w = 9: one 18-position design set, a codeword table wider than a byte
+    # w = 9: one 18-position design set, an evaluation table wider than a byte
     return custom_spec(9, build_poly_design(1, 18), Fraction(1, 4))
 
 
@@ -256,9 +256,10 @@ def test_wide_code_distance_matches_closed_form():
         assert extractor_distance(ext, source) == Fraction(bias, 2 * len(xs) * 512)
 
 
-def test_batch_path_declined_above_width_16():
-    spec = custom_spec(17, build_poly_design(1, 34), Fraction(1, 4))
-    assert TrevisanExtractor(spec).prepare_batch([0, 1]) is None
+def test_batch_table_above_width_16_matches_scalar_extract():
+    # w = 17: the table holds 2^17 evaluations a message, where its codeword
+    # has 2^34 bits
+    _check_batch_table(custom_spec(17, build_poly_design(1, 34), Fraction(1, 4)))
 
 
 def test_desk_scale_distance_within_target_custom_t24():
