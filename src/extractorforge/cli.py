@@ -108,9 +108,9 @@ def _seed_problem(reason) -> _Exit:
 # block's scratch reaches ~6 MB, so a source of fewer than ~2^21 pairs can
 # peak above 4 bytes a pair.  ``code``, divided by the default 16, charges
 # every (message, position) pair of its exhaustive distance check, at most
-# 3.3 bytes each (the message list and its evaluations; CodeSpec(3, 4),
-# (3, 6) and (4, 3)).  The other targets enumerate at most a few thousand
-# pairs per call.
+# 2.0 bytes each (the evaluation table and the kernel's int32 log sums;
+# CodeSpec(3, 4) 1.97, (3, 6) 1.86, (4, 3) 1.03).  The other targets
+# enumerate at most a few thousand pairs per call.
 _BYTES_PER_PAIR = {"condenser": 6, "extractor": 4}
 _DEFAULT_BYTES_PER_PAIR = 16
 
@@ -329,13 +329,13 @@ def _verify_code_target(spec, budget, test_seed):
     code = CodeSpec(3, 4) if spec is None else spec.code
     rng = CounterRng(0xC0DE, test_seed, code.field_width, code.message_symbols)
     trials = min(2000, max(100, budget // 1000))
-    bad = 0
+    xs, indices = [], []
     for _ in range(trials):
-        a = rng.below(1 << code.message_bits)
-        b = rng.below(1 << code.message_bits)
-        idx = rng.below(code.codeword_bits)
-        lhs, ra, rb = (encode_bits(code, v, (idx,)) for v in (a ^ b, a, b))
-        bad += lhs != ra ^ rb
+        a, b = rng.below(1 << code.message_bits), rng.below(1 << code.message_bits)
+        xs += (a ^ b, a, b)
+        indices += [rng.below(code.codeword_bits)] * 3
+    lhs, ra, rb = encode_bits(code, xs, indices).reshape(trials, 3).T
+    bad = int((lhs != ra ^ rb).sum())
     yield _check(f"code linearity on {trials} random pairs", bad == 0, violations=bad)
     if code.field_width <= 4:
         # charged as every (message, position) pair of the code

@@ -9,9 +9,10 @@ p(alpha) and the mask z.
 
 Bit positions are computed on demand in O(n_tilde) field operations, which
 is what makes the code usable as the inner code of a seed-restricted
-extractor.  :func:`encode_bits` reads many positions of one int message,
-split into symbols once, and :func:`encode_bit` is its one-index call on a
-``BitString``.  Many messages are read through :func:`evaluate_messages`:
+extractor.  Each reader below makes one :func:`gf2.split_symbols` and one
+:func:`gf2.horner` call for all its messages.  :func:`encode_bits` reads
+one position of each message, or many of one message; :func:`encode_bit`
+is its one-index call on a ``BitString``.  :func:`evaluate_messages` reads
 2^w values p_x(alpha) a message, where its codeword has 2^(2w) bits.  Only
 :func:`encode_all_positions` materializes whole codewords.
 
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bits import BitString
 from .errors import check_rules
-from .gf2 import MAX_FIELD_WIDTH, get_field, horner, split_symbols
+from .gf2 import MAX_FIELD_WIDTH, horner, split_symbols
 
 
 @dataclass(frozen=True)
@@ -60,32 +61,35 @@ class CodeSpec:
         return 1 << self.index_bits
 
 
-def encode_bits(spec: CodeSpec, x: int, indices: Iterable[int]) -> int:
-    """Codeword bits of message ``x``, an int below 2^message_bits, at
-    ``indices``, packed: bit k of the result is the bit at the k-th index.
+def encode_bits(spec: CodeSpec, xs: Sequence[int], indices: Sequence[int]) -> np.ndarray:
+    """Codeword bits as a uint8 array: entry r is the bit of message xs[r]
+    at indices[r], or of the single message xs[0] at every index.
 
-    x is split into field symbols once, and the field looked up once, for
-    all indices; each index alpha * 2^w + z then costs one Horner
-    evaluation, and its bit is the parity of p_x(alpha) AND z.  Raises
-    ValueError if x does not fit or an index lies outside [0, 2^(2w)).
+    The messages, ints below 2^message_bits, are split into symbols once and
+    evaluated by one :func:`horner` call, each row at its own alpha, where
+    the index is alpha * 2^w + z; the bit is the parity of p_x(alpha) AND
+    z.  Raises ValueError if len(xs) is neither 1 nor len(indices), if a
+    message does not fit, or if an index lies outside [0, 2^(2w)).
     """
+    if len(xs) not in (1, len(indices)):
+        raise ValueError(f"{len(xs)} messages for {len(indices)} indices: want one, or one each")
     w, size = spec.field_width, spec.codeword_bits
-    coeffs = split_symbols(x, w, spec.message_symbols)
-    evaluate = get_field(w).eval_poly
-    out = 0
-    for k, index in enumerate(indices):
-        if not 0 <= index < size:
-            raise ValueError(f"index {index} outside [0, {size})")
-        # p_x(alpha) < 2^w, so AND with the index is AND with z
-        out |= ((evaluate(coeffs, index >> w) & index).bit_count() & 1) << k
-    return out
+    coeffs = split_symbols(xs, w, spec.message_symbols)
+    if indices and (min(indices) < 0 or max(indices) >= size):
+        bad = next(index for index in indices if not 0 <= index < size)
+        raise ValueError(f"index {bad} outside [0, {size})")
+    # uint64: at w = 32 an index reaches 2^64 - 1
+    index = np.array(indices, dtype=np.uint64)
+    evals = horner(coeffs, (index >> w)[:, None], w)[:, 0]
+    z = (index & ((1 << w) - 1)).astype(evals.dtype)
+    return np.bitwise_count(evals & z) & 1
 
 
 def encode_bit(spec: CodeSpec, x: BitString, index: int) -> int:
     """Codeword bit at ``index`` for message ``x`` of ``message_bits``."""
     if len(x) != spec.message_bits:
         raise ValueError(f"message is {len(x)} bits, spec wants {spec.message_bits}")
-    return encode_bits(spec, x.to_int(), (index,))
+    return int(encode_bits(spec, [x.to_int()], [index])[0])
 
 
 def code_distance(spec: CodeSpec) -> Fraction:
@@ -98,20 +102,18 @@ def evaluate_messages(spec: CodeSpec, xs: Sequence[int]) -> np.ndarray:
 
     Returns an array of shape (len(xs), 2^w) of field elements.
     """
-    w, k = spec.field_width, spec.message_symbols
-    coeffs = np.array([split_symbols(x, w, k) for x in xs], dtype=np.intp)
-    return horner(coeffs.reshape(-1, k), np.arange(1 << w), w)
+    w = spec.field_width
+    return horner(split_symbols(xs, w, spec.message_symbols), np.arange(1 << w), w)
 
 
 def encode_all_positions(spec: CodeSpec, xs: Sequence[int]) -> np.ndarray:
     """Full codewords, shape (len(xs), 2^(2w)) of 0/1 bytes.
 
     Position alpha * 2^w + z holds the parity of p_x(alpha) AND z, exactly
-    as :func:`encode_bits` computes it one index at a time.
+    as :func:`encode_bits` computes it at one index.
     """
     q = 1 << spec.field_width
-    symbol = np.min_scalar_type(q - 1)
-    evals = evaluate_messages(spec, xs).astype(symbol)
-    out = np.bitwise_count(evals[:, :, None] & np.arange(q, dtype=symbol))
+    evals = evaluate_messages(spec, xs)
+    out = np.bitwise_count(evals[:, :, None] & np.arange(q, dtype=evals.dtype))
     out &= 1
     return out.reshape(len(evals), q * q)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bits import BitString
 from .errors import InfeasibleParameterError, check_rules
-from .gf2 import get_field, horner, split_symbols
+from .gf2 import horner, split_symbols
 from .poly import FieldPoly, find_irreducible, poly_irreducible, pow_mod_rows
 
 _MAX_SEED_WIDTH = 24
@@ -167,9 +167,7 @@ def _residue_rows(spec: CondenserSpec, xs: list[int]):
     lowest degree first; each power is log2(h) squarings of the last."""
     w = spec.field_width
     low = np.array(spec.modulus.coeffs[:-1], dtype=np.intp)
-    rows = np.array(
-        [split_symbols(xv, w, spec.message_symbols) for xv in xs], dtype=np.intp
-    ).reshape(len(xs), spec.message_symbols)
+    rows = split_symbols(xs, w, spec.message_symbols)
     for i in range(spec.output_symbols):
         if i:
             rows = pow_mod_rows(rows, spec.power, low, w)
@@ -177,17 +175,16 @@ def _residue_rows(spec: CondenserSpec, xs: list[int]):
 
 
 def guv_condense(spec: CondenserSpec, x: BitString, y: BitString) -> BitString:
-    """Output symbols f^(h^i)(y), concatenated least-significant-symbol first."""
+    """Output symbols f^(h^i)(y), concatenated least-significant-symbol first:
+    one :func:`horner` call evaluates the m' residue rows of x at y."""
     if len(y) != spec.seed_bits:
         raise ValueError(f"seed is {len(y)} bits, spec wants {spec.seed_bits}")
     if len(x) != spec.n:
         raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
     w = spec.field_width
-    field, yv = get_field(w), y.to_int()
-    value = 0
-    for i, rows in enumerate(_residue_rows(spec, [x.to_int()])):
-        value |= field.eval_poly(rows[0].tolist(), yv) << (i * w)
-    return BitString(value, spec.output_bits)
+    rows = np.concatenate(list(_residue_rows(spec, [x.to_int()])))
+    symbols = horner(rows, [y.to_int()], w)[:, 0].tolist()
+    return BitString(sum(s << (i * w) for i, s in enumerate(symbols)), spec.output_bits)
 
 
 def strong_form(spec: CondenserSpec, x: BitString, y: BitString) -> BitString:

@@ -171,7 +171,7 @@ def build_poly_design(num_sets: int, set_size: int) -> Design:
     c = 1
     while q**c < num_sets:
         c += 1
-    coeffs = np.array([split_symbols(index, q_width, c) for index in range(num_sets)])
+    coeffs = split_symbols(range(num_sets), q_width, c)
     points = np.arange(set_size)
     # b q + p(b) rises with b, so each row is already sorted
     members = points * q + horner(coeffs, points, q_width)

@@ -13,18 +13,19 @@ same rule lands on the same field.
 This module alone decides how the fields are represented.  Up to width 16
 each field builds, once, exp/log tables over its smallest generator (the
 first g >= 2 of order 2^w - 1) by doubling runs of powers with the
-table-free shift-and-xor product; the array kernel (:func:`mul_arrays`,
-:func:`horner`) gathers from them with ``take`` over narrow dtypes
-(elements in the field's ``dtype``, uint8 or uint16, logs in int32) and
-the scalar methods read the same tables as lists.  Wider fields use
-shift-and-xor on intp throughout.  An integer holds symbols of w bits
-lowest first, symbol i in bits [i w, (i + 1) w); :func:`split_symbols` is
-the one place that reads them.
+table-free shift-and-xor product.  They are held once, as read-only arrays
+(elements in the field's ``dtype``, uint8 or uint16, logs in int32) that
+the array kernel (:func:`mul_arrays`, and :func:`horner`, the one
+polynomial evaluation) gathers from with ``take`` and the scalar methods
+index.  Wider fields use shift-and-xor on intp throughout.  An integer
+holds symbols of w bits lowest first, symbol i in bits [i w, (i + 1) w);
+:func:`split_symbols` is the one place that reads them, many ints at once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -138,13 +139,21 @@ def _shift_xor_mul(a: np.ndarray, b: np.ndarray, width: int, modulus: int) -> np
     return out
 
 
-def split_symbols(value: int, width: int, count: int) -> list[int]:
-    """The ``count`` w-bit symbols of ``value``, lowest first: symbol i is
-    bits [i w, (i + 1) w).  Raises ValueError if value does not fit."""
-    if value < 0 or value >> (width * count):
-        raise ValueError(f"{value} does not fit in {count} symbols of {width} bits")
-    mask = (1 << width) - 1
-    return [(value >> (i * width)) & mask for i in range(count)]
+def split_symbols(values: Sequence[int], width: int, count: int) -> np.ndarray:
+    """Entry [r, i], in the narrowest unsigned type, is symbol i of
+    values[r], bits [i w, (i + 1) w), read for ints of any width from their
+    little-endian bytes.  Raises ValueError naming the first value that
+    does not fit in ``count`` symbols."""
+    bits = width * count
+    if values and (min(values) < 0 or max(values) >> bits):
+        bad = next(v for v in values if v < 0 or v >> bits)
+        raise ValueError(f"{bad} does not fit in {count} symbols of {width} bits")
+    size = -(-bits // 8)
+    raw = np.fromiter(map(int.to_bytes, values, repeat(size), repeat("little")), f"S{size}")
+    planes = np.unpackbits(raw.view(np.uint8).reshape(-1, size), axis=1, count=bits,
+                           bitorder="little")
+    weights = (1 << np.arange(width)).astype(np.min_scalar_type((1 << width) - 1))
+    return planes.reshape(-1, count, width) @ weights
 
 
 class GF2Field:
@@ -154,10 +163,10 @@ class GF2Field:
         self.width = width
         self.modulus = field_modulus(width)
         self.order = 1 << width
-        # The exp/log tables as arrays for the array kernel and as lists for
-        # scalar calls; None above the table limit, where the kernel holds
+        # The exp/log tables, read by the array kernel and the scalar
+        # methods alike; None above the table limit, where the kernel holds
         # elements as intp.
-        self.exp_array = self.log_array = self._exp = self._log = None
+        self.exp_array = self.log_array = None
         self.dtype = np.intp
         if width <= _TABLE_WIDTH_LIMIT:
             self._build_tables()
@@ -189,8 +198,6 @@ class GF2Field:
         log = np.empty(self.order, dtype=np.intp)
         log[exp[:size]] = np.arange(size)
         log[0] = 2 * size
-        cycle = exp[:size].tolist()
-        self._exp, self._log = cycle + cycle + [0] * (2 * size + 1), log.tolist()
         # elements in the narrowest unsigned type, logs (below 2^18) in int32
         self.dtype = np.min_scalar_type(size)
         exp, log = exp.astype(self.dtype), log.astype(np.int32)
@@ -204,16 +211,16 @@ class GF2Field:
         return a
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is None:
+        if self.exp_array is None:
             return self._mul_raw(a, b)
-        return self._exp[self._log[a] + self._log[b]]
+        return int(self.exp_array[self.log_array[a] + self.log_array[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^w)")
-        if self._exp is None:
+        if self.exp_array is None:
             return self.pow(a, self.order - 2)
-        return self._exp[self.order - 1 - self._log[a]]
+        return int(self.exp_array[self.order - 1 - self.log_array[a]])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -226,20 +233,6 @@ class GF2Field:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def eval_poly(self, coeffs: Sequence[int], x: int) -> int:
-        """Horner evaluation at x of the polynomial with these
-        coefficients, lowest degree first."""
-        acc = 0
-        if self._exp is None:
-            for c in reversed(coeffs):
-                acc = self._mul_raw(acc, x) ^ c
-            return acc
-        exp, log = self._exp, self._log
-        log_x = log[x]
-        for c in reversed(coeffs):
-            acc = exp[log[acc] + log_x] ^ c
-        return acc
 
 
 @lru_cache(maxsize=None)
@@ -264,18 +257,20 @@ def mul_arrays(a, b, width: int) -> np.ndarray:
 
 
 def horner(coeffs, points, width: int) -> np.ndarray:
-    """Evaluate many polynomials over GF(2^w) at many points.
+    """Evaluate many polynomials over GF(2^w) at many points, in the field's
+    ``dtype``: the package's one polynomial evaluation.
 
-    Row r of ``coeffs`` holds the coefficients of p_r, lowest degree first;
-    entry [r, j] of the result, in the field's ``dtype``, is p_r(points[j]).
+    Row r of ``coeffs`` holds the coefficients of p_r, lowest degree first.
+    Entry [r, j] of the result is p_r(points[j]) for points shared by every
+    row, shape (P,), and entry [r, 0] is p_r(points[r]) for one a row, (R, 1).
     """
     dtype = get_field(width).dtype
     coeffs = np.asarray(coeffs).astype(dtype, copy=False)
     points = np.asarray(points).astype(dtype, copy=False)
-    if coeffs.shape[1] == 1:
-        return np.repeat(coeffs, len(points), axis=1)
     # the leading column meets the points in the first product, by broadcasting
     acc = coeffs[:, -1:]
+    if coeffs.shape[1] == 1:
+        return np.broadcast_to(acc, np.broadcast_shapes(acc.shape, points.shape)).copy()
     for d in range(coeffs.shape[1] - 2, -1, -1):
         acc = mul_arrays(acc, points, width)
         acc ^= coeffs[:, d : d + 1]

@@ -23,7 +23,7 @@ from .gf2 import _prime_factors, get_field, mul_arrays
 @dataclass(frozen=True)
 class FieldPoly:
     """A coefficient record over GF(2^w); evaluate it with
-    ``get_field(w).eval_poly(p.coeffs, x)``."""
+    ``gf2.horner([p.coeffs], points, w)``."""
 
     coeffs: tuple[int, ...]
     width: int

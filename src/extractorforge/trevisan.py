@@ -154,17 +154,19 @@ def trevisan_extract(spec: ExtractorSpec, x: BitString, y: BitString) -> BitStri
     design set S_i give.
 
     One pass per extraction: x and y are checked against n and t and read
-    as ints once, x by :func:`encode_bits` (zero padding to the code's
-    message length leaves the int as it is) and y by :func:`restrict_sets`.
-    The positions are not checked here: the spec's ``Design`` checked them
-    on construction.
+    as ints once, y by :func:`restrict_sets` into the m indices, and x by
+    one :func:`encode_bits` call at all of them (zero padding to the code's
+    message length leaves the int as it is), whose bit array is packed into
+    the output.  The positions are not checked here: the spec's ``Design``
+    checked them on construction.
     """
     if len(y) != spec.t:
         raise ValueError(f"seed is {len(y)} bits, spec wants {spec.t}")
     if len(x) != spec.n:
         raise ValueError(f"source is {len(x)} bits, spec wants {spec.n}")
-    indices = restrict_sets(y.to_int(), spec.design.sets)
-    return BitString(encode_bits(spec.code, x.to_int(), indices), spec.m)
+    indices = list(restrict_sets(y.to_int(), spec.design.sets))
+    bits = encode_bits(spec.code, [x.to_int()], indices)
+    return BitString.from_bytes(np.packbits(bits, bitorder="little").tobytes(), spec.m)
 
 
 class TrevisanExtractor:

@@ -59,6 +59,14 @@ def ref_horner(coeffs: list[int], x: int, width: int) -> int:
     return acc
 
 
+def ref_code_bit(width: int, symbols: int, x: int, index: int) -> int:
+    """Bit ``index`` = alpha * 2^w + z of message x's codeword: the parity
+    of p_x(alpha) AND z, with p_x(alpha) by :func:`ref_horner`."""
+    q = 1 << width
+    coeffs = [(x >> (i * width)) % q for i in range(symbols)]
+    return bin(ref_horner(coeffs, index >> width, width) & index % q).count("1") % 2
+
+
 def ref_poly_divmod(num: list[int], den: list[int], width: int):
     """Long division of coefficient lists (lowest degree first) over GF(2^w)."""
     field = get_field(width)

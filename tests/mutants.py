@@ -44,8 +44,8 @@ MUTANTS = [
     {
         "name": "encode_bits: alpha and z swapped",
         "file": "src/extractorforge/codes.py",
-        "old": "(evaluate(coeffs, index >> w) & index)",
-        "new": "(evaluate(coeffs, index & ((1 << w) - 1)) & (index >> w))",
+        "old": "horner(coeffs, (index >> w)[:, None], w)[:, 0]\n    z = (index & ((1 << w) - 1))",
+        "new": "horner(coeffs, (index & ((1 << w) - 1))[:, None], w)[:, 0]\n    z = (index >> w)",
         "tests": [
             "tests/test_codes.py::test_zero_mask_and_zero_message",
             "tests/test_codes.py::test_encode_matches_reference_table",
@@ -249,6 +249,48 @@ MUTANTS = [
         "new": "(self.n < self.message_symbols * self.field_width,",
         "tests": [
             "tests/test_condenser.py::test_source_fit_admits_equality",
+        ],
+    },
+    {
+        # a value one byte wide but too many bits long would lose its top
+        # bits, and a negative one would raise OverflowError, not ValueError
+        "name": "split_symbols: fit check dropped",
+        "file": "src/extractorforge/gf2.py",
+        "old": "    if values and (min(values) < 0 or max(values) >> bits):\n",
+        "new": "    if False:\n",
+        "tests": [
+            "tests/test_gf2.py::test_split_symbols_round_trips_wide_values[9-8]",
+            "tests/test_codes.py::test_multi_index_kernel_checks_message_and_indices",
+        ],
+    },
+    {
+        "name": "split_symbols: symbol bit order reversed",
+        "file": "src/extractorforge/gf2.py",
+        "old": "(1 << np.arange(width))",
+        "new": "(1 << np.arange(width)[::-1])",
+        "tests": [
+            "tests/test_gf2.py::test_split_symbols_round_trips_wide_values[9-8]",
+        ],
+    },
+    {
+        # a^-1 = g^(q - 1 - log a); one less is a^-1 / g
+        "name": "GF2Field.inv: order - 2 - log a",
+        "file": "src/extractorforge/gf2.py",
+        "old": "self.exp_array[self.order - 1 - self.log_array[a]]",
+        "new": "self.exp_array[self.order - 2 - self.log_array[a]]",
+        "tests": [
+            "tests/test_gf2.py::test_gf_inv_spec_values",
+            "tests/test_gf2.py::test_inverse_and_element_order[3]",
+        ],
+    },
+    {
+        # three messages at one index would read three bits, one at a time
+        "name": "encode_bits: one message or one per index not checked",
+        "file": "src/extractorforge/codes.py",
+        "old": "    if len(xs) not in (1, len(indices)):\n",
+        "new": "    if False:\n",
+        "tests": [
+            "tests/test_codes.py::test_encode_bits_wants_one_message_or_one_per_index[3-1]",
         ],
     },
 ]

@@ -558,9 +558,9 @@ def test_code_wider_than_any_field_is_an_unreadable_spec(capsys, tmp_path, comma
 def test_verify_code_draws_its_pairs_from_the_test_seed(capsys, monkeypatch):
     calls = []
 
-    def spy(code, x, indices):
-        calls.append((x, tuple(indices)))
-        return encode_bits(code, x, indices)
+    def spy(code, xs, indices):
+        calls.append((tuple(xs), tuple(indices)))
+        return encode_bits(code, xs, indices)
 
     monkeypatch.setattr(cli, "encode_bits", spy)
     drawn = {}

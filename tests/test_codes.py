@@ -15,7 +15,7 @@ from extractorforge.codes import (
 )
 from extractorforge.detrand import CounterRng
 
-from helpers import ref_codeword
+from helpers import ref_code_bit, ref_codeword
 
 
 def test_spec_validation():
@@ -57,26 +57,62 @@ def test_index_bounds():
 
 @pytest.mark.parametrize("w, symbols", [(1, 2), (3, 4), (9, 2), (11, 2), (17, 3)])
 def test_multi_index_kernel_matches_encode_bit(w, symbols):
-    # w = 17 takes eval_poly's branch without tables
+    # w = 17: a field without tables, 3 symbols a message
     spec = CodeSpec(w, symbols)
     rng = CounterRng(0xB175, w, symbols)
     for _ in range(4):
         x = BitString(rng.below(1 << spec.message_bits), spec.message_bits)
         indices = [0, spec.codeword_bits - 1] + [rng.below(spec.codeword_bits) for _ in range(60)]
-        expected = sum(encode_bit(spec, x, idx) << k for k, idx in enumerate(indices))
-        assert encode_bits(spec, x.to_int(), indices) == expected
-        assert encode_bits(spec, x.to_int(), iter(indices)) == expected
-    assert encode_bits(spec, x.to_int(), ()) == 0
+        expected = [encode_bit(spec, x, idx) for idx in indices]
+        got = encode_bits(spec, [x.to_int()], indices)
+        assert got.dtype == np.uint8 and got.tolist() == expected
+        assert expected == [ref_code_bit(w, symbols, x.to_int(), idx) for idx in indices]
+    assert encode_bits(spec, [x.to_int()], []).tolist() == []
 
 
 def test_multi_index_kernel_checks_message_and_indices():
     spec = CodeSpec(2, 2)
     for bad in (16, -1):  # a message of 5 bits, and a negative one
         with pytest.raises(ValueError, match=f"{bad} does not fit in 2 symbols of 2 bits"):
-            encode_bits(spec, bad, [0, 1])
+            encode_bits(spec, [bad], [0, 1])
+        with pytest.raises(ValueError, match=f"{bad} does not fit in 2 symbols of 2 bits"):
+            encode_bits(spec, [3, bad], [0, 1])
     for bad in (16, -1):
         with pytest.raises(ValueError, match=rf"index {bad} outside \[0, 16\)"):
-            encode_bits(spec, 0b1011, [3, bad])
+            encode_bits(spec, [0b1011], [3, bad])
+        with pytest.raises(ValueError, match=rf"index {bad} outside \[0, 16\)"):
+            encode_bits(spec, [0b1011, 1], [3, bad])
+
+
+@pytest.mark.parametrize("w, symbols", [(1, 1), (2, 4), (4, 3), (16, 1), (17, 2), (32, 2)])
+def test_encode_bits_in_both_modes_matches_reference(w, symbols):
+    # (w, 1): one-coefficient messages; w = 32: 64-bit indices, where an
+    # index at or past 2^63 would overflow an int64
+    spec = CodeSpec(w, symbols)
+    rng = CounterRng(0xE2B, w, symbols)
+    top = spec.codeword_bits - 1
+    indices = [0, top, top >> 1, (top >> 1) + 1, top - 1]
+    indices += [rng.below(spec.codeword_bits) for _ in range(27)]
+    if w == 32:
+        indices += [(1 << 63) | rng.below(1 << 63) for _ in range(8)]
+    xs = [0, (1 << spec.message_bits) - 1]
+    xs += [rng.below(1 << spec.message_bits) for _ in range(len(indices) - 2)]
+    # one message per index
+    got = encode_bits(spec, xs, indices)
+    assert got.dtype == np.uint8 and got.shape == (len(indices),)
+    assert got.tolist() == [ref_code_bit(w, symbols, x, i) for x, i in zip(xs, indices)]
+    # a single message at every index
+    for x in xs[:3]:
+        got = encode_bits(spec, [x], indices)
+        assert got.tolist() == [ref_code_bit(w, symbols, x, i) for i in indices]
+
+
+@pytest.mark.parametrize("messages, indices", [(2, 3), (3, 1), (0, 2), (2, 0)])
+def test_encode_bits_wants_one_message_or_one_per_index(messages, indices):
+    spec = CodeSpec(3, 2)
+    with pytest.raises(ValueError, match=f"^{messages} messages for {indices} indices: "
+                                         "want one, or one each$"):
+        encode_bits(spec, [5] * messages, [9] * indices)
 
 
 def test_code_distance_values():

@@ -18,7 +18,6 @@ from extractorforge.condenser import (
 )
 from extractorforge.detrand import CounterRng
 from extractorforge.errors import InfeasibleParameterError
-from extractorforge.gf2 import get_field
 from extractorforge.oracle import image_counts, injective_fraction, sample_flat_sources
 from extractorforge.poly import FieldPoly, find_irreducible
 from extractorforge.serialize import spec_digest, spec_from_json, spec_to_json
@@ -75,13 +74,7 @@ def test_small_instance_matches_naive_powering():
         expected = 0
         for i in range(2):
             power = ref_poly_pow_mod(coeffs, 2**i, list(spec.modulus.coeffs), 4)
-            from extractorforge.gf2 import get_field
-
-            field = get_field(4)
-            acc = 0
-            for c in reversed(power if power else [0]):
-                acc = field.mul(acc, yv) ^ c
-            expected |= acc << (4 * i)
+            expected |= ref_horner(power, yv, 4) << (4 * i)
         assert out.to_int() == expected
 
 
@@ -269,10 +262,10 @@ def test_image_counts_refuses_lengths_the_map_does_not_take(n, seed_bits):
 
 
 def _per_pair_map(spec):
-    """The strong form one pair at a time, by the scalar field methods, from
+    """The strong form one pair at a time, by :func:`ref_horner`, from
     residues taken once per source by the reference powering; it offers no
     image table, so image_counts calls it per pair."""
-    w, field = spec.field_width, get_field(spec.field_width)
+    w = spec.field_width
     modulus = list(spec.modulus.coeffs)
 
     @functools.cache
@@ -283,7 +276,7 @@ def _per_pair_map(spec):
 
     def image(x, y):
         yv = y.to_int()
-        value = sum(field.eval_poly(r, yv) << (i * w) for i, r in enumerate(residues(x.to_int())))
+        value = sum(ref_horner(r, yv, w) << (i * w) for i, r in enumerate(residues(x.to_int())))
         return BitString(value | yv << spec.output_bits, spec.output_bits + w)
 
     return image

@@ -145,33 +145,48 @@ def test_tables_are_powers_of_smallest_generator(width):
     assert exp[size : 2 * size].tolist() == exp[:size].tolist()
     assert len(exp) == 4 * size + 1 and not exp[2 * size :].any()
     assert log[exp[:size]].tolist() == list(range(size)) and log[0] == 2 * size
-    # the scalar methods read the same tables
-    assert field._exp == exp.tolist() and field._log == log.tolist()
+    # held once, read-only, and read by the scalar methods too
+    assert not exp.flags.writeable and not log.flags.writeable
+    assert field.inv(g) == int(exp[size - 1]) and field.mul(g, int(exp[size - 1])) == 1
 
 
 @pytest.mark.parametrize("width", [1, 2, 5, 8, 9, 14, 16, 17, 20])
 def test_eval_poly_matches_reference(width):
-    field = get_field(width)
+    # one point per row, shape (R, 1): polynomial r at points[r]
     rng = CounterRng(0xE7A1, width)
-    for degree in (0, 1, 3, 6):
-        coeffs = [rng.below(1 << width) for _ in range(degree)]
-        for x in [0, 1, (1 << width) - 1, rng.below(1 << width)]:
-            assert field.eval_poly(coeffs, x) == ref_horner(coeffs, x, width)
+    for size in (1, 2, 4, 7):  # size 1 is a one-coefficient row, n_tilde = 1
+        rows = [[rng.below(1 << width) for _ in range(size)] for _ in range(6)]
+        points = [0, 1, (1 << width) - 1] + [rng.below(1 << width) for _ in range(3)]
+        got = horner(np.array(rows), np.array(points)[:, None], width)
+        assert got.shape == (6, 1)
+        assert got[:, 0].tolist() == [ref_horner(c, x, width) for c, x in zip(rows, points)]
+        # a single row broadcasts against every point
+        one = horner(np.array(rows[:1]), np.array(points)[:, None], width)
+        assert one[:, 0].tolist() == [ref_horner(rows[0], x, width) for x in points]
 
 
-@pytest.mark.parametrize("width, count", [(1, 70), (5, 14), (8, 9), (14, 6), (31, 3)])
+# every value past 64 bits, and the word-size edges 1, 8, 9, 16, 17, 31 and 32
+@pytest.mark.parametrize(
+    "width, count",
+    [(1, 70), (5, 14), (8, 9), (9, 8), (14, 6), (16, 5), (17, 4), (31, 3), (32, 3)],
+)
 def test_split_symbols_round_trips_wide_values(width, count):
     rng = CounterRng(0x5B17, width)
     top = (1 << (width * count)) - 1
     # below() draws at most 64 bits, so wide values are built from 32-bit parts
     drawn = [sum(rng.below(1 << 32) << (32 * i) for i in range(3)) & top for _ in range(20)]
-    for value in [0, 1, top, (1 << 64) & top, ((1 << 69) | 5) & top] + drawn:
-        symbols = split_symbols(value, width, count)
-        assert len(symbols) == count and all(0 <= s < 1 << width for s in symbols)
-        assert sum(s << (i * width) for i, s in enumerate(symbols)) == value
+    values = [0, 1, top, (1 << 64) & top, ((1 << 69) | 5) & top] + drawn
+    symbols = split_symbols(values, width, count)
+    assert symbols.shape == (len(values), count)
+    assert symbols.dtype == np.min_scalar_type((1 << width) - 1)
+    assert [sum(s << (i * width) for i, s in enumerate(row)) for row in symbols.tolist()] == values
+    mask = (1 << width) - 1
+    assert symbols.tolist() == [[(v >> (i * width)) & mask for i in range(count)] for v in values]
+    assert split_symbols([], width, count).shape == (0, count)
+    # the error names the first value that does not fit
     for bad in (-1, top + 1):
-        with pytest.raises(ValueError):
-            split_symbols(bad, width, count)
+        with pytest.raises(ValueError, match=f"^{bad} does not fit in {count} symbols of {width} bits$"):
+            split_symbols([top, bad, -2, top + 2], width, count)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 9, 16, 17, 20])
@@ -198,9 +213,8 @@ def test_horner_matches_scalar_evaluation(width):
         points = [0, 1, (1 << width) - 1] + [rng.below(1 << width) for _ in range(20)]
         got = horner(np.array(rows), np.array(points), width)
         assert got.shape == (len(rows), len(points))
-        field = get_field(width)
         for r, coeffs in enumerate(rows):
-            assert got[r].tolist() == [field.eval_poly(coeffs, p) for p in points]
+            assert got[r].tolist() == [ref_horner(coeffs, p, width) for p in points]
 
 
 def test_gf_mul_spec_values():

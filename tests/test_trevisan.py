@@ -106,7 +106,7 @@ def test_benchmark_stages_match_reference(preset, m):
 @pytest.mark.parametrize(
     "spec",
     [
-        # w = 17: eval_poly's branch without tables, 3 symbols for 40 bits
+        # w = 17: a field without tables, 3 symbols for 40 bits
         custom_spec(40, build_poly_design(3, 34), Fraction(1, 4)),
         # w = 4: 10 source bits padded with 2 zeros to 3 symbols
         custom_spec(10, build_greedy_weak_design(5, 8, 2), Fraction(1, 4)),
